@@ -24,8 +24,9 @@ class HermitianOperator:
     """A d x d complex Hermitian matrix with a lazily cached spectral decomposition.
 
     The cached eigenvalues are sorted in descending order. The matrix is
-    symmetrized at construction; deviations from hermiticity beyond
-    HERMITICITY_TOL (entrywise absolute) are rejected.
+    symmetrized at construction; entrywise deviations from hermiticity beyond
+    HERMITICITY_TOL * max(1, max|m_ij|) are rejected, relative to large entries
+    such as those of negative powers of near-singular states.
     """
 
     __slots__ = ("matrix", "_spectrum", "_eigenvectors")
@@ -34,11 +35,11 @@ class HermitianOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-        if m.size and np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        tol = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m), initial=0.0)))
+        if m.size and np.max(np.abs(m - m.conj().T)) > tol:
             raise InvalidInputError(
-                "matrix is not Hermitian within tolerance "
-                f"{HERMITICITY_TOL:g} (max deviation "
-                f"{np.max(np.abs(m - m.conj().T)):.3e})"
+                f"matrix is not Hermitian within tolerance {tol:g} "
+                f"(max deviation {np.max(np.abs(m - m.conj().T)):.3e})"
             )
         self.matrix = (m + m.conj().T) / 2
         self.matrix.setflags(write=False)
@@ -118,31 +119,37 @@ def spectral_decompose(op, cutoff: float | None = None):
     return vals, vecs, SupportInfo(rank=int(keep.sum()), threshold=cutoff, projector=projector)
 
 
-def _psd_eigenvalues(op: HermitianOperator) -> np.ndarray:
+def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Eigenvalues of a PSD operator, clamping rounding noise in [-PSD_CLAMP_TOL, 0)."""
-    vals = op.spectrum
-    if vals.size and vals[-1] < -PSD_CLAMP_TOL:
+    if vals.size and np.min(vals) < -PSD_CLAMP_TOL:
         raise InvalidInputError(
-            f"operator is not positive semidefinite (min eigenvalue {vals[-1]:.3e})"
+            f"operator is not positive semidefinite (min eigenvalue {np.min(vals):.3e})"
         )
     return np.clip(vals, 0.0, None)
+
+
+def spectral_power(vals: np.ndarray, p: float, cutoff: float | None = None) -> np.ndarray:
+    """Eigenvalues of op**p from those of a PSD op, with the power taken on the
+    support: eigenvalues <= cutoff (default as `default_cutoff`) map to 0, and
+    negative ones in [-PSD_CLAMP_TOL, 0) are clamped; anything below is an error.
+    """
+    if cutoff is None:
+        cutoff = vals.size * float(np.max(np.abs(vals), initial=0.0)) * np.finfo(float).eps
+    vals = _psd_eigenvalues(vals)
+    keep = vals > cutoff
+    powered = np.zeros_like(vals)
+    powered[keep] = vals[keep] ** p
+    return powered
 
 
 def power_on_support(op, p: float, cutoff: float | None = None) -> HermitianOperator:
     """op**p with the power taken on the support; kernel eigenvalues map to 0.
 
-    p = 0 returns the support projector. Negative eigenvalues in
-    [-PSD_CLAMP_TOL, 0) are clamped to zero; anything below is an error.
+    p = 0 returns the support projector; see `spectral_power`.
     """
     op = _as_operator(op)
-    vals = _psd_eigenvalues(op)
-    if cutoff is None:
-        cutoff = default_cutoff(op)
-    keep = vals > cutoff
-    powered = np.zeros_like(vals)
-    powered[keep] = vals[keep] ** p
     vecs = op.eigenvectors
-    return HermitianOperator((vecs * powered) @ vecs.conj().T)
+    return HermitianOperator((vecs * spectral_power(op.spectrum, p, cutoff)) @ vecs.conj().T)
 
 
 def support_projector(op, cutoff: float | None = None) -> HermitianOperator:
@@ -152,7 +159,7 @@ def support_projector(op, cutoff: float | None = None) -> HermitianOperator:
 def log_on_support(op, cutoff: float | None = None) -> HermitianOperator:
     """Natural logarithm on the support; kernel eigenvalues map to 0."""
     op = _as_operator(op)
-    vals = _psd_eigenvalues(op)
+    vals = _psd_eigenvalues(op.spectrum)
     if cutoff is None:
         cutoff = default_cutoff(op)
     keep = vals > cutoff
@@ -251,8 +258,8 @@ def geometric_mean(x, y) -> HermitianOperator:
     y = _as_operator(y)
     if x.dim != y.dim:
         raise InvalidInputError("operators must have the same dimension")
-    _psd_eigenvalues(x)
-    _psd_eigenvalues(y)
+    _psd_eigenvalues(x.spectrum)
+    _psd_eigenvalues(y.spectrum)
     cutoff = max(default_cutoff(x), default_cutoff(y), 1e-13)
     if x.min_eigenvalue() > cutoff and y.min_eigenvalue() > cutoff:
         return HermitianOperator(_geometric_mean_regular(x.matrix, y.matrix))

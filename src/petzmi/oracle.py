@@ -205,7 +205,8 @@ def brute_force_dd(
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
-    sigmas = _grid_for_dim(rho.d_a, resolution)
+    # rho_A is where the singly minimized value sits, so the estimate never exceeds it
+    sigmas = np.concatenate([_grid_for_dim(rho.d_a, resolution), rho.marginal_a.matrix[None]])
     if alpha == 0:
         values_fn = lambda a, r, s: _value_alpha_zero(r, s)
     else:
@@ -221,14 +222,6 @@ def brute_force_dd(
     if not np.isfinite(best_val):
         return math.inf, None, None
     sigma = DensityOperator(best_sigma)
-    if alpha == 0:
-        proj = power_on_support(rho, 0.0).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
-        m = np.einsum("ibjd,ji->bd", proj, sigma.matrix)
-        m = (m + m.conj().T) / 2
-        w, v = np.linalg.eigh(m)
-        top = v[:, -1]
-        tau = DensityOperator(np.outer(top, top.conj()))
-        return best_val, sigma, tau
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return best_val, sigma, rho.marginal_b
     from .prmi import gen_prmi_down

@@ -12,6 +12,11 @@ reference state are optimized:
              minimizer; the iteration is a fixed-point scheme whose fixed points
              coincide with the global minimizers in that range.
 
+One array routine, `_half_step`, is the exact one-sided minimization for
+`gen_prmi_down` and both directions of the loop (B -> A through the transposed
+tensor of rho^alpha). Inputs are validated at the public functions; inside the
+loop the iterates are plain eigenvalue/eigenvector arrays.
+
 All logarithms are natural.
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .classical import rmi_down_down as classical_rmi_down_down
 from .divergences import (
     ALPHA_ONE_WINDOW,
     DivergenceValue,
+    dominated,
     min_entropy,
     petz_divergence,
     relative_entropy,
@@ -37,15 +44,8 @@ from .errors import (
     NumericalDegradationError,
     UnsupportedRegimeError,
 )
-from .linalg import (
-    HermitianOperator,
-    partial_trace,
-    power_on_support,
-    schatten_norm,
-    tensor_product,
-    trace_distance,
-)
-from .states import BipartiteState, DensityOperator, cc_state, random_density
+from .linalg import power_on_support, spectral_power, tensor_product
+from .states import BipartiteState, DensityOperator, random_density
 
 MONOTONICITY_SLACK = 1e-11
 RESTART_AGREEMENT_TOL = 1e-8
@@ -97,34 +97,46 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
 
     Valid for every alpha in (0, 1) and (1, inf): writing
     M = tr_A[rho^alpha (sigma_A^(1-alpha) x 1)], the value is
-    (1/(alpha-1)) log ||M||_(1/alpha)^... i.e. (alpha/(alpha-1)) log tr[M^(1/alpha)]
-    and the minimizer is tau = M^(1/alpha) / tr[M^(1/alpha)].
+    (alpha/(alpha-1)) log tr[M^(1/alpha)] and the minimizer is
+    tau = M^(1/alpha) / tr[M^(1/alpha)]. At alpha = 0 it is the limit
+    -log lambda_max(M), attained on the top eigenvector of M.
     """
-    if alpha <= 0:
-        raise DomainError("closed form requires alpha > 0")
+    if alpha < 0:
+        raise DomainError(f"Renyi order must be nonnegative, got {alpha!r}")
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
-    if alpha > 1:
-        # finite only when supp(rho_A) <= supp(sigma_A)
-        proj = power_on_support(sigma_a, 0.0).matrix
-        leak = 1.0 - float(np.real(np.trace(rho.marginal_a.matrix @ proj)))
-        if leak > 1e-12:
-            return math.inf, None
-    m = _cross_trace(power_on_support(rho, alpha).matrix, sigma_a, alpha, rho.d_a, rho.d_b)
-    m_pow = power_on_support(m, 1.0 / alpha)
-    norm = m_pow.trace()
-    if norm <= 0:
+    if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
-    tau = DensityOperator(m_pow.matrix / norm)
-    value = (alpha / (alpha - 1.0)) * math.log(norm)
-    return value, tau
+    r = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+    value, t_vals, t_vecs = _half_step(alpha, r, sigma_a.spectrum, sigma_a.eigenvectors)
+    if t_vals is None:
+        return math.inf, None
+    return value, DensityOperator(_compose(t_vals, t_vecs))
 
 
-def _cross_trace(rho_alpha: np.ndarray, sigma_a: DensityOperator, alpha: float, d_a: int, d_b: int) -> HermitianOperator:
-    """tr_A[rho^alpha (sigma_A^(1-alpha) x 1_B)] for a precomputed rho^alpha."""
-    s_pow = power_on_support(sigma_a, 1.0 - alpha).matrix
-    r = rho_alpha.reshape(d_a, d_b, d_a, d_b)
-    # contract the A legs against sigma^(1-alpha)
-    return HermitianOperator(np.einsum("ibjd,ji->bd", r, s_pow))
+def _half_step(alpha: float, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The exact one-sided minimization, on arrays.
+
+    r is rho^alpha as a (d, d', d, d') tensor and (vals, vecs) the eigensystem
+    of sigma on the first factor. Returns the value of `gen_prmi_down` and the
+    eigensystem of its minimizer on the second factor, or (inf, None, None)
+    when M vanishes.
+    """
+    m = np.einsum("ibjd,ji->bd", r, _compose(spectral_power(vals, 1.0 - alpha), vecs))
+    m_vals, m_vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    if alpha == 0:
+        top = float(m_vals[-1])
+        if top <= 0:
+            return math.inf, None, None
+        return -math.log(top), np.eye(m_vals.size)[-1], m_vecs
+    powered = spectral_power(m_vals, 1.0 / alpha)
+    norm = float(np.sum(powered))
+    if norm <= 0:
+        return math.inf, None, None
+    return (alpha / (alpha - 1.0)) * math.log(norm), powered / norm, m_vecs
+
+
+def _compose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return (vecs * vals) @ vecs.conj().T
 
 
 def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
@@ -133,13 +145,6 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
         raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return prmi_up_up(1.0, rho)
-    if alpha == 0:
-        # D_0 against sigma_A x tau: -log of the largest eigenvalue of
-        # tr_A[rho^0 (rho_A x 1)] over unit-trace tau
-        proj = power_on_support(rho, 0.0).matrix
-        m = _cross_trace(proj, rho.marginal_a, 0.0, rho.d_a, rho.d_b)
-        top = float(np.max(m.spectrum))
-        return DivergenceValue.infinite() if top <= 0 else DivergenceValue(-math.log(top))
     value, _ = gen_prmi_down(alpha, rho, rho.marginal_a)
     if value == math.inf:
         return DivergenceValue.infinite()
@@ -148,24 +153,8 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
     """One full round A -> B -> A of the alternating-minimization update."""
-    _, tau = gen_prmi_down(alpha, rho, sigma_a)
-    swapped = _swapped(rho)
-    _, sigma_new = gen_prmi_down(alpha, swapped, tau)
-    return sigma_new
-
-
-def _swapped(rho: BipartiteState) -> BipartiteState:
-    from .linalg import permute_factors
-
-    m = permute_factors(rho.matrix, [rho.d_a, rho.d_b], [1, 0])
-    return BipartiteState(m, rho.d_b, rho.d_a)
-
-
-def _pure_amplitudes_or_none(rho: BipartiteState):
-    if not rho.is_pure():
-        return None
-    vecs = rho.eigenvectors
-    return vecs[:, 0]
+    sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
+    return _run_fixed_point(alpha, rho, sigma_a, FixedPointConfig(max_iter=1)).sigma_a
 
 
 def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | None:
@@ -174,7 +163,7 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
     Returns None when no closed form applies. Used for cross-checks and for the
     alpha <= 1/2 regime where the alternating scheme is not guaranteed global.
     """
-    if _pure_amplitudes_or_none(rho) is not None:
+    if rho.is_pure():
         rho_a = rho.marginal_a
         if which == "uu":
             return 2.0 * renyi_entropy(3.0 - 2.0 * alpha, rho_a)
@@ -223,7 +212,7 @@ def _dd_closed_form_solution(alpha: float, rho: BipartiteState) -> PrmiSolution 
     sigma_a = tau_b = None
     if alpha > 0.5:
         # exponent of the optimizing marginal power differs between the cases
-        if _pure_amplitudes_or_none(rho) is not None:
+        if rho.is_pure():
             expo = 1.0 / (2.0 * alpha - 1.0)
         else:
             expo = alpha / (2.0 * alpha - 1.0)
@@ -249,43 +238,46 @@ def _run_fixed_point(
     sigma0: DensityOperator,
     config: FixedPointConfig,
 ) -> PrmiSolution:
-    rho_alpha = power_on_support(rho, alpha).matrix
-    swapped = _swapped(rho)
-    sigma = sigma0
+    # Checked once: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha (sigma^(1-alpha) x 1)]
+    # has support exactly supp(rho_B), so every tau covers rho_B, every later
+    # sigma covers rho_A, and no iterate can leak.
+    if alpha > 1 and not dominated(rho.marginal_a, sigma0):
+        raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
+    r_ab = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+    r_ba = r_ab.transpose(1, 0, 3, 2)
+    # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
+    # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
+    slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alpha / abs(alpha - 1.0)
+    s_vals, s_vecs, sigma = sigma0.spectrum, sigma0.eigenvectors, sigma0.matrix
     trace = []
-    prev = math.inf
     residual = math.inf
     iterations = config.max_iter
     for it in range(1, config.max_iter + 1):
-        m = _cross_trace(rho_alpha, sigma, alpha, rho.d_a, rho.d_b)
-        m_pow = power_on_support(m, 1.0 / alpha)
-        norm = m_pow.trace()
-        if norm <= 0:
+        value, t_vals, t_vecs = _half_step(alpha, r_ab, s_vals, s_vecs)
+        if t_vals is None:
             return PrmiSolution(
-                value=math.nan, alpha=alpha, sigma_a=sigma, tau_b=None,
+                value=math.nan, alpha=alpha, sigma_a=DensityOperator(sigma), tau_b=None,
                 residual=math.inf, iterations=it, objective_trace=tuple(trace),
                 certified=False, is_infinite=True,
             )
-        value = (alpha / (alpha - 1.0)) * math.log(norm)
-        tau = DensityOperator(m_pow.matrix / norm)
-        if value > prev + MONOTONICITY_SLACK:
+        if trace and value > trace[-1] + slack:
             raise NumericalDegradationError(
-                f"objective increased by {value - prev:.3e} at iteration {it}"
+                f"objective increased by {value - trace[-1]:.3e} at iteration {it}"
             )
         trace.append(value)
-        prev = value
-        _, sigma_new = gen_prmi_down(alpha, swapped, tau)
-        residual = trace_distance(sigma_new, sigma)
+        _, s_vals, s_vecs = _half_step(alpha, r_ba, t_vals, t_vecs)
+        sigma_new = _compose(s_vals, s_vecs)
+        residual = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(sigma_new - sigma))))
         sigma = sigma_new
         if residual <= config.tol:
             iterations = it
             break
-    value, tau = gen_prmi_down(alpha, rho, sigma)
+    value, t_vals, t_vecs = _half_step(alpha, r_ab, s_vals, s_vecs)
     return PrmiSolution(
-        value=value,
+        value=max(value, 0.0),  # a divergence of states; rounding can dip below 0
         alpha=alpha,
-        sigma_a=sigma,
-        tau_b=tau,
+        sigma_a=DensityOperator(sigma),
+        tau_b=DensityOperator(_compose(t_vals, t_vecs)),
         residual=residual,
         iterations=iterations,
         objective_trace=tuple(trace),
@@ -349,11 +341,8 @@ def prmi_down_down(
         restarts = config.restarts
         if restarts is None:
             restarts = 1 if alpha <= 1.0 else 8
-        runs = []
-        for idx, sigma0 in enumerate(_initial_points(rho, max(restarts, 1), config.seed)):
-            if idx >= max(restarts, 1):
-                break
-            runs.append(_run_fixed_point(alpha, rho, sigma0, config))
+        starts = islice(_initial_points(rho, max(restarts, 1), config.seed), max(restarts, 1))
+        runs = [_run_fixed_point(alpha, rho, sigma0, config) for sigma0 in starts]
         finite = [r for r in runs if not r.is_infinite]
         if not finite:
             return runs[0]

@@ -7,7 +7,7 @@ from petzmi.divergences import petz_divergence
 from petzmi.errors import UnsupportedRegimeError
 from petzmi.linalg import tensor_product
 from petzmi.oracle import bloch_density, brute_force_dd
-from petzmi.prmi import prmi_down_down
+from petzmi.prmi import prmi_down_down, prmi_up_down
 from petzmi.states import BipartiteState, pure_bipartite, random_bipartite, random_density
 
 
@@ -73,3 +73,11 @@ def test_resolution_one_is_maximally_mixed(qubit_pair):
     value, sigma, _ = brute_force_dd(1.5, qubit_pair, resolution=1)
     sol = prmi_down_down(1.5, qubit_pair)
     assert value >= sol.value - 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_three_dimensional_estimate_never_exceeds_up_down(seed):
+    rho = random_bipartite(3, 3, seed)
+    for alpha in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
+        value, _, _ = brute_force_dd(alpha, rho)
+        assert value <= prmi_up_down(alpha, rho).as_float() + 1e-12

@@ -181,3 +181,29 @@ def test_pure_closed_forms_all_variants():
     assert prmi_closed_form(0.25, PURE_02, "dd") == pytest.approx(
         (4 / 3) * (-math.log(0.8)), abs=1e-12
     )
+
+
+def test_monotonicity_check_allows_rounding_near_alpha_one():
+    # the objective (alpha/(alpha-1)) log tr M^(1/alpha) scales rounding by
+    # alpha/|alpha-1|; these solves tripped the fixed 1e-11 slack
+    cases = [(seed, 1 + h) for seed in range(5000, 5200) for h in (-1e-4, 1e-4)]
+    cases += [(seed, 1 + h) for seed in range(5000, 5010) for h in (-2e-6, 2e-6)]
+    for seed, alpha in cases:
+        sol = prmi_down_down(alpha, random_bipartite(2, 2, seed))
+        assert sol.certified
+
+
+def test_up_up_on_pure_state_with_small_schmidt_coefficient():
+    rng = np.random.default_rng(92)
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    rho = pure_bipartite(v, 3, 3)
+    # 2 H_{3 - 2 alpha} of the marginal; its smallest eigenvalue is ~4e-4, so
+    # the marginal product's negative power has entries near 1e6
+    assert prmi_up_up(2.0, rho).value == pytest.approx(
+        2.0 * renyi_entropy(-1.0, rho.marginal_a), abs=1e-8
+    )
+
+
+def test_dd_of_product_state_is_not_negative():
+    rho = BipartiteState(np.kron(random_density(2, 1).matrix, random_density(2, 2).matrix), 2, 2)
+    assert prmi_down_down(2.0, rho).value >= 0.0

@@ -1,0 +1,45 @@
+"""Property tests of the three mutual-information variants on random states."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from petzmi.prmi import prmi_down_down, prmi_up_down, prmi_up_up
+from petzmi.states import BipartiteState, random_bipartite
+
+states = st.builds(
+    random_bipartite, st.just(2), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)
+)
+alphas = st.floats(0.55, 2.0)
+
+
+def slack(alpha):
+    """1e-10 plus the rounding of (alpha/(alpha-1)) log(...), which grows near alpha = 1."""
+    return 1e-10 + 64 * np.finfo(float).eps * alpha / max(abs(alpha - 1.0), 1e-6)
+
+
+def random_unitary(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=states, alpha=alphas)
+def test_variants_are_ordered(rho, alpha):
+    uu = prmi_up_up(alpha, rho).value
+    ud = prmi_up_down(alpha, rho).value
+    dd = prmi_down_down(alpha, rho).value
+    assert uu >= ud - slack(alpha)
+    assert ud >= dd - slack(alpha)
+    assert dd >= 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=states, alpha=alphas, seed=st.integers(0, 2**32 - 1))
+def test_dd_invariant_under_local_unitaries(rho, alpha, seed):
+    rng = np.random.default_rng(seed)
+    u = np.kron(random_unitary(rng, rho.d_a), random_unitary(rng, rho.d_b))
+    rotated = BipartiteState(u @ rho.matrix @ u.conj().T, rho.d_a, rho.d_b)
+    dd = prmi_down_down(alpha, rho).value
+    assert abs(prmi_down_down(alpha, rotated).value - dd) <= slack(alpha)
