@@ -2,17 +2,21 @@
 
 These serve both as standalone functionality for classical-classical inputs and
 as independent cross-checks for the quantum code paths on commuting states.
+
+For alpha <= 1/2 the doubly minimized value comes from the search of
+`oracle._grid_refine`, started on a simplex grid and refined in the coordinates
+of the diagonal traceless generators.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .divergences import ALPHA_ONE_WINDOW, DivergenceValue
 from .errors import DomainError, InvalidInputError, UnsupportedRegimeError
+from .oracle import _grid_refine, _traceless_basis
 from .states import Pmf
 
 
@@ -109,11 +113,26 @@ def rmi_down_down(alpha: float, pmf: Pmf, tol: float = 1e-12, max_iter: int = 10
     return _down_down_small_alpha(alpha, table)
 
 
-def _simplex_grid(dim: int, steps: int):
-    """All pmfs on `dim` points with entries i/steps."""
-    for combo in itertools.combinations_with_replacement(range(dim), steps):
-        counts = np.bincount(combo, minlength=dim)
-        yield counts / steps
+_SIMPLEX_STEPS = 60
+
+
+def _small_alpha_values(alpha: float, table: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """min_q D_alpha(P || r_k x q) for r_k the diagonal of each sigma_k, for
+    0 <= alpha <= 1/2."""
+    # the pull toward the uniform pmf can leave rounding-level negative entries
+    r = np.clip(np.real(np.diagonal(sigmas, axis1=1, axis2=2)), 0.0, None)
+    if alpha == 0:
+        # D_0(P || r x q) = -log sum over supp(P) of r(x) q(y); optimal over q
+        # is the best column mass, i.e. -log max_y sum_{x: P(x,y)>0} r(x)
+        s, scale = np.max(r @ (table > 0), axis=1), -1.0
+    else:
+        # the closed form of _down_value_and_optimal_q
+        s = np.sum((r ** (1.0 - alpha) @ table**alpha) ** (1.0 / alpha), axis=1)
+        scale = alpha / (alpha - 1.0)
+    out = np.full(len(r), math.inf)
+    pos = s > 0
+    out[pos] = scale * np.log(s[pos])
+    return out
 
 
 def _down_down_small_alpha(alpha: float, table: np.ndarray):
@@ -122,42 +141,23 @@ def _down_down_small_alpha(alpha: float, table: np.ndarray):
         raise UnsupportedRegimeError(
             "exhaustive simplex search for alpha <= 1/2 is limited to alphabets of size <= 3"
         )
-
-    def value_for_r(r):
-        if alpha == 0:
-            # D_0(P || r x q) = -log sum over supp(P) of r(x) q(y); optimal over q
-            # is the best column mass, i.e. -log max_y sum_{x: P(x,y)>0} r(x)
-            col = np.where(table > 0, r[:, None], 0.0).sum(axis=0)
-            best = float(np.max(col))
-            return math.inf if best <= 0 else -math.log(best), None
-        return _down_value_and_optimal_q(alpha, table, r)
-
-    best_val, best_r, best_q = math.inf, None, None
-    for r in _simplex_grid(d, 60):
-        val, q = value_for_r(r)
-        if val < best_val:
-            best_val, best_r, best_q = val, r, q
-    # local refinement: shrink a box around the best point twice
-    width = 1.0 / 60
-    for _ in range(3):
-        base = best_r
-        for delta in itertools.product(np.linspace(-width, width, 9), repeat=d):
-            r = base + np.asarray(delta)
-            if np.min(r) < 0:
-                continue
-            s = r.sum()
-            if s <= 0:
-                continue
-            r = r / s
-            val, q = value_for_r(r)
-            if val < best_val:
-                best_val, best_r, best_q = val, r, q
-        width /= 4
-    if best_q is None and alpha == 0:
-        col = np.where(table > 0, best_r[:, None], 0.0).sum(axis=0)
-        best_q = np.zeros(table.shape[1])
-        best_q[int(np.argmax(col))] = 1.0
-    return best_val, best_r, best_q
+    # all pmfs on d points with entries i / _SIMPLEX_STEPS, as diagonal matrices
+    counts = np.indices((_SIMPLEX_STEPS + 1,) * d).reshape(d, -1).T
+    pmfs = counts[counts.sum(axis=1) == _SIMPLEX_STEPS] / _SIMPLEX_STEPS
+    best_val, best = _grid_refine(
+        pmfs[:, :, None] * np.eye(d),
+        lambda sigmas: _small_alpha_values(alpha, table, sigmas),
+        _traceless_basis(d)[d * d - d:],  # the diagonal generators
+    )
+    r = np.clip(np.real(np.diag(best)), 0.0, None)
+    r /= r.sum()
+    if alpha > 0:
+        _, q = _down_value_and_optimal_q(alpha, table, r)
+    else:
+        col = np.where(table > 0, r[:, None], 0.0).sum(axis=0)
+        q = np.zeros(table.shape[1])
+        q[int(np.argmax(col))] = 1.0
+    return best_val, r, q
 
 
 def rmi_up_down(alpha: float, pmf: Pmf) -> float:

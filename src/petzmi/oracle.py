@@ -4,7 +4,12 @@ information.
 This is a slow, independent reference implementation: it never touches the
 fixed-point solver. The A-side state ranges over a dense grid of density
 matrices; for each grid point the B-side minimization is performed exactly
-through its closed form, so the only approximation is the A-side grid.
+through its closed form, so the only approximation is the A-side search.
+
+One routine, `_grid_refine`, does this search and the classical alpha <= 1/2
+one: the argmin of a batched objective over a starting grid (a Bloch-ball grid
+for a qubit, a seeded Ginibre sample for a qutrit), refined in a shrinking box
+in traceless Hermitian coordinates, with candidates pulled toward I/d until PSD.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import qmc
 
 from .divergences import ALPHA_ONE_WINDOW
 from .errors import DomainError, UnsupportedRegimeError
@@ -20,10 +24,25 @@ from .linalg import default_cutoff, power_on_support
 from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
+_GINIBRE_SEED = 7
+_REFINE_WIDTH = 0.15  # half-width of the first box, in Bloch units
+_REFINE_POINTS = 7  # stencil points per coordinate
+_REFINE_ROUNDS = 8
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _traceless_basis(dim: int) -> np.ndarray:
+    """Traceless Hermitian G_i with tr(G_i G_j) = 2 delta_ij (generalized
+    Gell-Mann), the dim - 1 diagonal ones last; X, Y, Z at dim = 2. Then
+    sigma = I/dim + sum_i n_i G_i / 2 with n_i = tr(sigma G_i)."""
+    eye = np.eye(dim)
+    off = [c * np.outer(eye[j], eye[k])
+           for j in range(dim) for k in range(j + 1, dim) for c in (1, -1j)]
+    diag = [np.diag(np.r_[np.ones(n), -n, np.zeros(dim - n - 1)]) * math.sqrt(2 / (n * n + n))
+            for n in range(1, dim)]
+    return np.array([g + g.conj().T for g in off] + diag, dtype=complex).reshape(-1, dim, dim)
+
+
+_PAULI_X, _PAULI_Y, _PAULI_Z = _traceless_basis(2)
 
 
 def bloch_density(r: float, theta: float, phi: float) -> np.ndarray:
@@ -37,51 +56,64 @@ def bloch_density(r: float, theta: float, phi: float) -> np.ndarray:
 
 def _qubit_grid(resolution: int) -> np.ndarray:
     """Bloch-ball grid of single-qubit density matrices, deduplicated at the
-    poles and at r = 0."""
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
-    points = [np.eye(2) / 2]
-    if resolution > 1:
-        radii = np.linspace(0.0, 1.0, resolution)[1:]
-        thetas = np.linspace(0.0, math.pi, resolution)
-        phis = np.linspace(0.0, 2 * math.pi, 2 * resolution, endpoint=False)
-        for r in radii:
-            for t in thetas:
-                if t in (0.0, math.pi):
-                    points.append(bloch_density(r, t, 0.0))
-                    continue
-                for p in phis:
-                    points.append(bloch_density(r, t, p))
-    return np.stack(points)
+    poles and at r = 0: I/2, then for each radius the pole theta = 0, every
+    azimuth on each interior polar angle, and the pole theta = pi."""
+    if resolution == 1:  # real, as the shell would make the stack complex
+        return (np.eye(2) / 2)[None]
+    radii = np.linspace(0.0, 1.0, resolution)[1:]
+    thetas = np.linspace(0.0, math.pi, resolution)
+    phis = np.linspace(0.0, 2 * math.pi, 2 * resolution, endpoint=False)
+    t, p = np.meshgrid(thetas[1:-1], phis, indexing="ij")
+    t = np.concatenate([[0.0], t.ravel(), [math.pi]])
+    p = np.concatenate([[0.0], p.ravel(), [0.0]])
+    directions = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    n = (radii[:, None, None] * directions).reshape(-1, 3, 1, 1)
+    shell = (np.eye(2) + n[:, 0] * _PAULI_X + n[:, 1] * _PAULI_Y + n[:, 2] * _PAULI_Z) / 2
+    return np.concatenate([(np.eye(2) / 2)[None], shell])
 
 
-def _sobol_grid(dim: int, count: int, seed: int = 7) -> np.ndarray:
-    """Low-discrepancy sample of density matrices via Gaussian-mapped Sobol
-    points pushed through the Ginibre construction."""
-    n_params = 2 * dim * dim
-    sampler = qmc.Sobol(d=n_params, scramble=True, seed=seed)
-    u = sampler.random_base2(max(1, math.ceil(math.log2(count))))
-    count = len(u)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    from scipy.special import ndtri
-
-    z = ndtri(u).reshape(count, dim, 2 * dim)
-    g = z[:, :, :dim] + 1j * z[:, :, dim:]
+def _ginibre_grid(dim: int, count: int) -> np.ndarray:
+    """I/dim and `count` seeded Ginibre-induced density matrices G G^dag / tr."""
+    rng = np.random.default_rng(_GINIBRE_SEED)
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
     mats = g @ np.conj(np.swapaxes(g, 1, 2))
-    traces = np.real(np.einsum("kii->k", mats))
-    out = mats / traces[:, None, None]
-    extra = [np.eye(dim) / dim]
-    return np.concatenate([out, np.stack(extra)])
+    mats /= np.real(np.einsum("kii->k", mats))[:, None, None]
+    return np.concatenate([(np.eye(dim) / dim)[None], mats])
 
 
-def _grid_for_dim(dim: int, resolution: int) -> np.ndarray:
-    if dim == 2:
-        return _qubit_grid(resolution)
-    if dim == 3:
-        return _sobol_grid(3, resolution**3)
-    raise UnsupportedRegimeError(
-        f"exhaustive search supports local dimension <= 3, got {dim}"
-    )
+def _grid_refine(grid: np.ndarray, objective, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimize a batched objective, mapping a (k, d, d) stack of density
+    matrices to k values, and return (value, sigma).
+
+    The argmin over `grid` is refined for _REFINE_ROUNDS rounds around the best
+    point so far, on _REFINE_POINTS steps per coordinate of `basis` over a
+    half-width that starts at _REFINE_WIDTH and shrinks by 1/4 per round: the
+    full box for at most 3 coordinates, one coordinate at a time beyond.
+    """
+    d = grid.shape[-1]
+    vals = objective(grid)
+    k = int(np.argmin(vals))
+    best_val, best = float(vals[k]), grid[k]
+    m = len(basis)
+    steps = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    if m <= 3:
+        stencil = steps[np.indices((_REFINE_POINTS,) * m).reshape(m, _REFINE_POINTS**m).T]
+    else:
+        stencil = (np.eye(m)[:, None, :] * steps[None, :, None]).reshape(-1, m)
+    width = _REFINE_WIDTH
+    for _ in range(_REFINE_ROUNDS):
+        coords = np.real(np.einsum("ij,mji->m", best, basis)) + width * stencil
+        dev = np.einsum("km,mij->kij", coords, basis) / 2
+        # pull I/d + dev toward I/d until PSD: lambda_min(I/d + t dev) = 1/d + t
+        # lambda_min(dev); for a qubit, Bloch vectors longer than 1 get length 1
+        t = 1.0 / np.maximum(1.0, -d * np.linalg.eigvalsh(dev)[:, 0])
+        cands = np.eye(d) / d + t[:, None, None] * dev
+        vals = objective(cands)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best = float(vals[k]), cands[k]
+        width /= 4
+    return best_val, best
 
 
 def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
@@ -91,6 +123,8 @@ def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np
     trace by one einsum, tau-minimization through batched eigenvalues.
     """
     d_a, d_b = rho.d_a, rho.d_b
+    if alpha == 0:
+        return _value_alpha_zero(rho, sigmas)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _batched_values_alpha_one(rho, sigmas)
     vals, vecs = np.linalg.eigh(sigmas)
@@ -118,26 +152,26 @@ def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np
 
 def _batched_values_alpha_one(rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
     """min_tau D(rho || sigma x tau) = tr[rho log rho] - tr[rho_A log sigma] + H(rho_B)
-    minimized at tau = rho_B; infinite when supp(rho_A) exceeds supp(sigma)."""
-    from .divergences import renyi_entropy
-    from .linalg import log_on_support
+    minimized at tau = rho_B; infinite when supp(rho_A) exceeds supp(sigma).
 
-    rho_a = rho.marginal_a.matrix
-    h_b = renyi_entropy(1.0, rho.marginal_b)
-    cutoff = default_cutoff(rho)
+    With sigma_k = sum_j lambda_kj |v_kj><v_kj| and w_kj = <v_kj|rho_A|v_kj>,
+    tr[rho_A log sigma_k] sums w_kj log lambda_kj over the support of sigma_k,
+    and the w_kj off it are the leak.
+    """
+    from .divergences import renyi_entropy
+
+    vals, vecs = np.linalg.eigh(sigmas)
+    vals = np.clip(vals, 0.0, None)
+    # the support cut of `default_cutoff`, per sigma_k
+    keep = vals > rho.d_a * np.max(vals, axis=1, keepdims=True) * np.finfo(float).eps
+    w = np.real(np.einsum("kij,il,klj->kj", vecs.conj(), rho.marginal_a.matrix, vecs))
+    leak = np.sum(np.where(keep, 0.0, w), axis=1)
+    cross = np.sum(np.where(keep, w * np.log(np.where(keep, vals, 1.0)), 0.0), axis=1)
     spec = np.clip(rho.spectrum, 0.0, None)
-    spec = spec[spec > cutoff]
+    spec = spec[spec > default_cutoff(rho)]
     tr_rho_log_rho = float(np.sum(spec * np.log(spec)))
-    out = np.empty(len(sigmas))
-    for k, s in enumerate(sigmas):
-        s_op = DensityOperator(s)
-        proj = power_on_support(s_op, 0.0).matrix
-        leak = np.real(np.trace(rho_a @ (np.eye(rho.d_a) - proj)))
-        if leak > 1e-12:
-            out[k] = math.inf
-            continue
-        log_s = log_on_support(s_op).matrix
-        out[k] = tr_rho_log_rho - float(np.real(np.trace(rho_a @ log_s))) + h_b
+    out = tr_rho_log_rho - cross + renyi_entropy(1.0, rho.marginal_b)
+    out[leak > 1e-12] = math.inf
     return out
 
 
@@ -154,44 +188,6 @@ def _value_alpha_zero(rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refine_qubit(alpha: float, rho: BipartiteState, best_sigma: np.ndarray, values_fn, steps: int = 3):
-    """Shrinking coordinate-box search in Bloch coordinates around a grid
-    optimum."""
-    def bloch_vector(sigma):
-        return np.real(np.array([
-            np.trace(sigma @ _PAULI_X),
-            np.trace(sigma @ _PAULI_Y),
-            np.trace(sigma @ _PAULI_Z),
-        ]))
-
-    n = bloch_vector(best_sigma)
-    width = 0.15
-    best = None
-    best_val = math.inf
-    for _ in range(steps):
-        offsets = np.linspace(-width, width, 7)
-        cands = []
-        for dx in offsets:
-            for dy in offsets:
-                for dz in offsets:
-                    v = n + np.array([dx, dy, dz])
-                    norm = np.linalg.norm(v)
-                    if norm > 1.0:
-                        v = v / norm
-                    cands.append(
-                        (np.eye(2) + v[0] * _PAULI_X + v[1] * _PAULI_Y + v[2] * _PAULI_Z) / 2
-                    )
-        cands = np.stack(cands)
-        vals = values_fn(alpha, rho, cands)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best = cands[k]
-            n = bloch_vector(best)
-        width /= 4
-    return best_val, best
-
-
 def brute_force_dd(
     alpha: float,
     rho: BipartiteState,
@@ -199,26 +195,28 @@ def brute_force_dd(
 ) -> tuple[float, DensityOperator | None, DensityOperator | None]:
     """Grid-search value of min_{sigma, tau} D_alpha(rho || sigma x tau).
 
-    Returns (value, sigma_A, tau_B). sigma ranges over the grid; tau is exact
-    given sigma. One local refinement pass is run around the best qubit grid
-    point.
+    Returns (value, sigma_A, tau_B). sigma ranges over a starting grid (the
+    Bloch-ball grid of `resolution` radii and polar angles for a qubit,
+    resolution**3 Ginibre samples for a qutrit) plus rho_A, refined around
+    the best point by `_grid_refine`; tau is exact given sigma.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
-    # rho_A is where the singly minimized value sits, so the estimate never exceeds it
-    sigmas = np.concatenate([_grid_for_dim(rho.d_a, resolution), rho.marginal_a.matrix[None]])
-    if alpha == 0:
-        values_fn = lambda a, r, s: _value_alpha_zero(r, s)
-    else:
-        values_fn = _batched_values
-    vals = values_fn(alpha, rho, sigmas)
-    k = int(np.argmin(vals))
-    best_val = float(vals[k])
-    best_sigma = sigmas[k]
+    if resolution < 1:
+        raise DomainError("resolution must be >= 1")
     if rho.d_a == 2:
-        refined_val, refined_sigma = _refine_qubit(alpha, rho, best_sigma, values_fn)
-        if refined_val < best_val:
-            best_val, best_sigma = refined_val, refined_sigma
+        grid = _qubit_grid(resolution)
+    elif rho.d_a == 3:
+        grid = _ginibre_grid(3, resolution**3)
+    else:
+        raise UnsupportedRegimeError(
+            f"exhaustive search supports local dimension <= 3, got {rho.d_a}"
+        )
+    # rho_A is where the singly minimized value sits, so the estimate never exceeds it
+    grid = np.concatenate([grid, rho.marginal_a.matrix[None]])
+    best_val, best_sigma = _grid_refine(
+        grid, lambda s: _batched_values(alpha, rho, s), _traceless_basis(rho.d_a)
+    )
     if not np.isfinite(best_val):
         return math.inf, None, None
     sigma = DensityOperator(best_sigma)

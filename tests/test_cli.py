@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import petzmi
 from petzmi.cli import main, parse_input
+from petzmi.states import random_bipartite
 
 
 def write_json(path, payload):
@@ -171,3 +177,21 @@ def test_oracle_command(pure_file, capsys):
                  "--resolution", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert float(out["value"]) > 0
+
+
+def test_oracle_command_rejects_resolution_zero(tmp_path, capsys):
+    rho = random_bipartite(3, 3, 1)
+    flat = [[float(z.real), float(z.imag)] for z in rho.matrix.reshape(-1)]
+    path = write_json(tmp_path / "g33.json", {"dA": 3, "dB": 3, "matrix": flat})
+    assert main(["oracle", "--state", path, "--alpha", "0.8", "--resolution", "0"]) == 4
+    assert "resolution" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(petzmi.__file__).resolve().parents[1])
+    code = ("import sys, petzmi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
