@@ -15,6 +15,7 @@ converge under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -272,27 +273,40 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
+    """The flags accepted before or after the subcommand. The subcommand copy
+    has SUPPRESS defaults, so that it overrides the top-level value only when
+    the flag is given after the subcommand."""
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--tol", type=float, default=default(1e-12))
+    parser.add_argument("--max-iter", type=int, default=default(10000))
+    parser.add_argument("--restarts", type=int, default=default(None))
+    parser.add_argument("--seed", type=int, default=default(0))
+    parser.add_argument("--json", action="store_true", default=default(False))
+    parser.add_argument("--strict", action="store_true", default=default(False),
+                        help="exit 5 when a solver result is not certified")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="petzmi",
         description="Renyi mutual informations of bipartite states and direct error exponents",
     )
-    parser.add_argument("--tol", type=float, default=1e-12)
-    parser.add_argument("--max-iter", type=int, default=10000)
-    parser.add_argument("--restarts", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 5 when a solver result is not certified")
+    _global_flags(parser, suppress=False)
+    common = argparse.ArgumentParser(add_help=False)
+    _global_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("compute", help="one mutual-information value")
+    p = add("compute", help="one mutual-information value")
     p.add_argument("--state", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--which", choices=("uu", "ud", "dd"), default="dd")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("sweep", help="alpha sweep of all three variants, as CSV")
+    p = add("sweep", help="alpha sweep of all three variants, as CSV")
     p.add_argument("--state", required=True)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
@@ -300,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("exponent", help="direct error exponent at a type-II rate")
+    p = add("exponent", help="direct error exponent at a type-II rate")
     p.add_argument("--state", required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--curve", action="store_true")
     p.set_defaults(func=cmd_exponent)
 
-    p = sub.add_parser("simulate", help="finite-blocklength universal tests")
+    p = add("simulate", help="finite-blocklength universal tests")
     p.add_argument("--state", required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exhaustive product-state search")
+    p = add("oracle", help="exhaustive product-state search")
     p.add_argument("--state", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--resolution", type=int, default=24)

@@ -125,33 +125,28 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> fl
     return float(min(max(r, i_zero), i_half))
 
 
-def _golden_section_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal function."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+def _optimal_rate(s: float, rho: BipartiteState, solution: PrmiSolution) -> tuple[float, float]:
+    """The rate psi(s) = I_s - s(1-s) dI/ds at which s is the optimal parameter,
+    and the derivative dI/ds it was formed from."""
+    d = alpha_derivative(s, rho, solution)
+    return solution.as_float() - s * (1.0 - s) * d, d
 
 
 def direct_exponent(rho: BipartiteState, rate: float,
                     config: FixedPointConfig | None = None) -> ExponentReport:
     """sup over s in (1/2, 1) of ((1-s)/s)(I_s - rate).
 
-    The objective is unimodal in s (its derivative is (rate - psi(s))/s^2 with
-    psi increasing), so golden-section search applies. The exponent is zero
-    exactly when the rate is at least the mutual information.
+    The objective's derivative is (rate - psi(s))/s^2, where
+    psi(s) = I_s - s(1-s) dI/ds is the rate at which s is optimal and is
+    increasing in s. So the maximizer s* is the root of g(s) = psi(s) - rate,
+    searched on [1/2 + 1e-4, 1 - 1e-4]: s* is the left end when g >= 0 there,
+    the right end when g <= 0 there, and otherwise the root, found by Illinois
+    regula falsi on a sign-change bracket (a bisection step whenever the secant
+    step leaves the bracket) until the bracket is narrower than 1e-9. Each
+    g(s) costs one solve, as dI/ds comes from the minimizers at s by the
+    envelope theorem. The exponent is the largest objective at s* and at the
+    two ends, and never below 0; it is zero exactly when the rate is at least
+    the mutual information.
     """
     if rate < 0:
         raise DomainError("rate must be nonnegative")
@@ -165,19 +160,54 @@ def direct_exponent(rho: BipartiteState, rate: float,
             mutual_information=i_one, r_half=r_half, guaranteed_exact=guaranteed,
         )
 
+    def g(s: float) -> float:
+        return _optimal_rate(s, rho, cache.solution(s))[0] - rate
+
     def objective(s: float) -> float:
         return ((1.0 - s) / s) * (cache.value(s) - rate)
 
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
-    s_star, best = _golden_section_max(objective, lo, hi)
-    for s in (lo, hi):
-        v = objective(s)
-        if v > best:
-            s_star, best = s, v
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo >= 0:
+        s_star = lo
+    elif g_hi <= 0:
+        s_star = hi
+    else:
+        s_star = _illinois_root(g, lo, hi, g_lo, g_hi)
+    s_star = max((s_star, lo, hi), key=objective)
     return ExponentReport(
-        rate=rate, exponent=max(best, 0.0), s_star=s_star,
+        rate=rate, exponent=max(objective(s_star), 0.0), s_star=s_star,
         mutual_information=i_one, r_half=r_half, guaranteed_exact=guaranteed,
     )
+
+
+def _illinois_root(g, a: float, b: float, g_a: float, g_b: float) -> float:
+    """Root of an increasing g with g(a) < 0 < g(b), to a bracket width of 1e-9.
+
+    Returns the evaluated point with the smallest |g|.
+    """
+    best = min((a, g_a), (b, g_b), key=lambda p: abs(p[1]))
+    side = 0
+    while b - a > 1e-9:
+        c = b - g_b * (b - a) / (g_b - g_a)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        g_c = g(c)
+        best = min(best, (c, g_c), key=lambda p: abs(p[1]))
+        if g_c == 0:
+            break
+        # Illinois: when the same end moves twice, halve the stale end's value
+        if g_c < 0:
+            a, g_a = c, g_c
+            if side < 0:
+                g_b *= 0.5
+            side = -1
+        else:
+            b, g_b = c, g_c
+            if side > 0:
+                g_a *= 0.5
+            side = 1
+    return best[0]
 
 
 def rate_curve(rho: BipartiteState, s_values,
@@ -193,11 +223,6 @@ def rate_curve(rho: BipartiteState, s_values,
     for s in s_values:
         if not 0.5 < s < 1.0:
             raise DomainError(f"curve parameter must lie in (1/2, 1), got {s}")
-        sol = cache.solution(s)
-        d = alpha_derivative(s, rho, sol)
-        points.append(RateCurvePoint(
-            s=float(s),
-            rate=sol.as_float() - s * (1.0 - s) * d,
-            exponent=(1.0 - s) ** 2 * d,
-        ))
+        rate, d = _optimal_rate(s, rho, cache.solution(s))
+        points.append(RateCurvePoint(s=float(s), rate=rate, exponent=(1.0 - s) ** 2 * d))
     return points

@@ -165,6 +165,20 @@ def test_exponent_command(cc_file, capsys):
     assert out["guaranteed_exact"] == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["compute", "--alpha", "0.7"],
+    ["exponent", "--rate", "0.3"],
+])
+def test_global_flags_after_subcommand(cc_file, capsys, command):
+    flags = ["--json", "--tol", "1e-10", "--seed", "3"]
+    argv = [command[0], "--state", cc_file] + command[1:]
+    assert main(flags + argv) == 0
+    before = capsys.readouterr().out
+    assert main(argv + flags) == 0
+    assert capsys.readouterr().out == before
+    json.loads(before)
+
+
 def test_simulate_command(cc_file, capsys):
     assert main(["--json", "simulate", "--state", cc_file, "--rate", "0.3", "--n-max", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

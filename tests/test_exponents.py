@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from petzmi import exponents
 from petzmi.divergences import relative_entropy_variance
 from petzmi.errors import DomainError
 from petzmi.exponents import (
+    _PrmiCache,
     alpha_derivative,
     direct_exponent,
     r_half_threshold,
@@ -16,6 +18,46 @@ from petzmi.prmi import prmi_down_down
 from petzmi.states import copy_cc_state, pure_bipartite, random_bipartite
 
 CC_02 = copy_cc_state([0.2, 0.8])
+LO, HI = 0.5 + 1e-4, 1.0 - 1e-4
+RATE_FRACTIONS = (0.1, 0.45, 0.8, 0.99)
+DIFFERENTIAL_STATES = [
+    copy_cc_state([0.2, 0.8]),
+    pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
+    random_bipartite(2, 2, 8000, rank=2),
+] + [random_bipartite(2, 2 + k % 2, 8100 + k) for k in range(15)]
+
+
+def golden_section_exponent(rho, rate):
+    """(exponent, s_star) of the 60-round golden-section search that the root
+    search on psi(s) = rate replaced, kept as its reference."""
+    cache = _PrmiCache(rho)
+    if rate >= cache.value(1.0):
+        return 0.0, None
+
+    def objective(s):
+        return ((1.0 - s) / s) * (cache.value(s) - rate)
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = LO, HI
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(60):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    s_star = (a + b) / 2
+    best = objective(s_star)
+    for s in (LO, HI):
+        v = objective(s)
+        if v > best:
+            s_star, best = s, v
+    return max(best, 0.0), s_star
 
 
 def test_zero_exponent_at_and_above_mutual_information():
@@ -105,3 +147,33 @@ def test_random_state_exponent_positive_below_mi():
     report = direct_exponent(rho, 0.5 * i_one)
     assert report.exponent > 0
     assert direct_exponent(rho, 1.5 * i_one).exponent == 0.0
+
+
+@pytest.mark.parametrize("index", range(len(DIFFERENTIAL_STATES)))
+def test_root_search_matches_golden_section(index):
+    rho = DIFFERENTIAL_STATES[index]
+    i_one = prmi_down_down(1.0, rho).value
+    for frac in RATE_FRACTIONS:
+        rate = frac * i_one
+        report = direct_exponent(rho, rate)
+        exponent, s_star = golden_section_exponent(rho, rate)
+        assert report.exponent == pytest.approx(exponent, abs=1e-12)
+        if LO < report.s_star < HI:
+            assert report.s_star == pytest.approx(s_star, abs=1e-6)
+
+
+@pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],
+                         ids=["copy-cc", "pure", "random"])
+def test_solves_per_exponent(rho, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return prmi_down_down(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "prmi_down_down", counting)
+    i_one = prmi_down_down(1.0, rho).value
+    for frac in RATE_FRACTIONS:
+        calls.clear()
+        direct_exponent(rho, frac * i_one)
+        assert len(calls) <= 20

@@ -1,9 +1,11 @@
-"""Property tests of the three mutual-information variants on random states."""
+"""Property tests of the three mutual-information variants and of the direct
+exponent on random states."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petzmi.exponents import direct_exponent, rate_curve
 from petzmi.prmi import prmi_down_down, prmi_up_down, prmi_up_up
 from petzmi.states import BipartiteState, random_bipartite
 
@@ -43,3 +45,21 @@ def test_dd_invariant_under_local_unitaries(rho, alpha, seed):
     rotated = BipartiteState(u @ rho.matrix @ u.conj().T, rho.d_a, rho.d_b)
     dd = prmi_down_down(alpha, rho).value
     assert abs(prmi_down_down(alpha, rotated).value - dd) <= slack(alpha)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), low=st.floats(0.05, 0.9), width=st.floats(0.02, 0.5))
+def test_direct_exponent_convex_nonincreasing_in_rate(seed, low, width):
+    rho = random_bipartite(2, 2, seed)
+    i_one = prmi_down_down(1.0, rho).value
+    rates = [i_one * low, i_one * (low + width / 2), i_one * (low + width), i_one]
+    reports = [direct_exponent(rho, rate) for rate in rates]
+    e = [r.exponent for r in reports]
+    assert e[0] >= e[1] - 1e-10 and e[1] >= e[2] - 1e-10
+    assert e[1] <= (e[0] + e[2]) / 2 + 1e-10
+    for rate, report in zip(rates, reports):
+        if rate >= i_one:
+            assert report.exponent == 0.0
+        elif 0.5 + 1e-4 < report.s_star < 1.0 - 1e-4:
+            # s* is the root of psi(s) = rate, psi being the curve's rate
+            assert abs(rate_curve(rho, [report.s_star])[0].rate - rate) <= 1e-8
