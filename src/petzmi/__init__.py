@@ -34,7 +34,6 @@ from .states import (
     Pmf,
     cc_state,
     copy_cc_state,
-    make_density,
     pure_bipartite,
     random_bipartite,
     random_density,
@@ -59,7 +58,6 @@ __all__ = [
     "copy_cc_state",
     "direct_exponent",
     "fixed_point_map",
-    "make_density",
     "petz_divergence",
     "prmi",
     "prmi_closed_form",

@@ -198,6 +198,8 @@ def cmd_sweep(args) -> int:
     state = parse_input(args.state)
     if args.alpha_min < 0 or args.alpha_max > 2.5 or args.alpha_min > args.alpha_max:
         raise InvalidInputError("sweep grid must lie inside [0, 2.5]")
+    if args.steps < 1:
+        raise InvalidInputError(f"--steps must be at least 1, got {args.steps}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     config = _config_from_args(args)
     rows = emit_sweep(state, alphas, args.out, config)

@@ -4,6 +4,15 @@ Both the standard (Petz) and the minimal (sandwiched) quantum Renyi divergence
 are implemented, together with the relative entropy, the relative-entropy
 variance, and the Renyi entropy for all real orders including the limits.
 
+Every Petz quantity is one Nussbaum-Szkola sum over the eigensystems
+rho = sum_i lambda_i |u_i><u_i| and sigma = sum_j mu_j |v_j><v_j|:
+
+    tr[f(rho) g(sigma)] = sum_ij f(lambda_i) W_ij g(mu_j),  W_ij = |<u_i|v_j>|^2,
+
+with powers and logarithms taken on the support by `linalg.spectral_power`.
+`_petz_terms` forms (lambda, mu, W) once; Q_alpha, the relative entropy, its
+variance, and both support tests (domination, orthogonality) are sums over it.
+
 Infinite values are represented explicitly by DivergenceValue.is_infinite; no
 float('inf') ever enters an arithmetic expression.
 """
@@ -16,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .linalg import (
-    HermitianOperator,
-    default_cutoff,
-    log_on_support,
-    power_on_support,
-    support_projector,
-)
+from .linalg import HermitianOperator, power_on_support, spectral_log, spectral_power
 from .states import DensityOperator
 
 ALPHA_ONE_WINDOW = 1e-6
@@ -58,63 +61,69 @@ def _as_density(op) -> DensityOperator:
     return op if isinstance(op, DensityOperator) else DensityOperator(op)
 
 
+def _petz_terms(rho: HermitianOperator, sigma: HermitianOperator):
+    """(lambda, mu, W): the spectra of rho and sigma and W_ij = |<u_i|v_j>|^2
+    between their eigenvectors, from the cached eigensystems."""
+    if rho.dim != sigma.dim:
+        raise InvalidInputError("states must have equal dimension")
+    w = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+    return rho.spectrum, sigma.spectrum, w
+
+
+def _log_ratio(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """log lambda_i - log mu_j, each logarithm taken on its support."""
+    return spectral_log(lam)[:, None] - spectral_log(mu)[None, :]
+
+
+def _finite(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> bool:
+    """Whether D_alpha is finite: for alpha < 1 the supports are not orthogonal,
+    tr[P_rho P_sigma] > tol; otherwise supp(rho) <= supp(sigma), that is, the
+    weight tr[rho (1 - P_sigma)] of rho off supp(sigma) is at most tol."""
+    support = spectral_power(mu, 0.0)
+    if alpha < 1:
+        return float(spectral_power(lam, 0.0) @ w @ support) > SUPPORT_OVERLAP_TOL
+    return float(lam @ w @ (1.0 - support)) <= SUPPORT_OVERLAP_TOL
+
+
 def dominated(rho: DensityOperator, sigma: DensityOperator) -> bool:
     """Whether supp(rho) is contained in supp(sigma), numerically."""
-    proj = support_projector(sigma).matrix
-    leak = np.real(np.trace(rho.matrix @ (np.eye(sigma.dim) - proj)))
-    return leak <= SUPPORT_OVERLAP_TOL
+    return _finite(1.0, *_petz_terms(rho, sigma))
 
 
-def orthogonal(rho: DensityOperator, sigma: DensityOperator) -> bool:
-    """Whether the supports of rho and sigma are (numerically) orthogonal."""
-    pr = support_projector(rho).matrix
-    ps = support_projector(sigma).matrix
-    return float(np.real(np.trace(pr @ ps))) <= SUPPORT_OVERLAP_TOL
-
-
-def _finite_regime(alpha: float, rho: DensityOperator, sigma: DensityOperator) -> bool:
-    if alpha < 1:
-        return not orthogonal(rho, sigma)
-    return dominated(rho, sigma)
+def _relative_entropy(lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> DivergenceValue:
+    if not _finite(1.0, lam, mu, w):
+        return DivergenceValue.infinite()
+    return DivergenceValue(value=float(np.sum(lam[:, None] * w * _log_ratio(lam, mu))))
 
 
 def relative_entropy(rho, sigma) -> DivergenceValue:
-    """Umegaki relative entropy tr[rho (log rho - log sigma)], natural log."""
-    rho = _as_density(rho)
-    sigma = _as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise InvalidInputError("states must have equal dimension")
-    if not dominated(rho, sigma):
-        return DivergenceValue.infinite()
-    diff = log_on_support(rho).matrix - log_on_support(sigma).matrix
-    val = float(np.real(np.trace(rho.matrix @ diff)))
-    return DivergenceValue(value=val)
+    """Umegaki relative entropy tr[rho (log rho - log sigma)], natural log:
+    sum_ij lambda_i W_ij (log lambda_i - log mu_j)."""
+    return _relative_entropy(*_petz_terms(_as_density(rho), _as_density(sigma)))
 
 
 def relative_entropy_variance(rho, sigma) -> float:
-    """V(rho || sigma) = tr[rho (log rho - log sigma - D)^2].
+    """V(rho || sigma) = tr[rho (log rho - log sigma - D)^2]
+    = sum_ij lambda_i W_ij (log lambda_i - log mu_j)^2 - D^2.
 
-    Requires supp(rho) <= supp(sigma). Computed as ||(log rho - log sigma)
-    sqrt(rho)||_F^2 - D^2, which is exact on the support.
+    Requires supp(rho) <= supp(sigma).
     """
-    rho = _as_density(rho)
-    sigma = _as_density(sigma)
-    d = relative_entropy(rho, sigma)
-    if d.is_infinite:
+    lam, mu, w = _petz_terms(_as_density(rho), _as_density(sigma))
+    if not _finite(1.0, lam, mu, w):
         raise DomainError("variance undefined: supp(rho) not contained in supp(sigma)")
-    diff = log_on_support(rho).matrix - log_on_support(sigma).matrix
-    root = power_on_support(rho, 0.5).matrix
-    second_moment = float(np.linalg.norm(diff @ root, "fro") ** 2)
-    return second_moment - d.value**2
+    weights = lam[:, None] * w
+    diff = _log_ratio(lam, mu)
+    d = float(np.sum(weights * diff))
+    return float(np.sum(weights * diff**2)) - d**2
+
+
+def _petz_q(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> float:
+    return float(spectral_power(lam, alpha) @ w @ spectral_power(mu, 1.0 - alpha))
 
 
 def petz_q(alpha: float, rho, sigma) -> float:
     """The trace functional Q_alpha = tr[rho^alpha sigma^(1-alpha)]."""
-    rho = _as_density(rho)
-    sigma = _as_density(sigma)
-    ra = power_on_support(rho, alpha).matrix
-    sb = power_on_support(sigma, 1.0 - alpha).matrix
-    return float(np.real(np.trace(ra @ sb)))
+    return _petz_q(alpha, *_petz_terms(_as_density(rho), _as_density(sigma)))
 
 
 def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
@@ -125,15 +134,12 @@ def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     -log tr[rho^0 sigma].
     """
     _check_order(alpha)
-    rho = _as_density(rho)
-    sigma = _as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise InvalidInputError("states must have equal dimension")
-    if not _finite_regime(alpha, rho, sigma):
+    terms = _petz_terms(_as_density(rho), _as_density(sigma))
+    if not _finite(alpha, *terms):
         return DivergenceValue.infinite()
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return relative_entropy(rho, sigma)
-    q = petz_q(alpha, rho, sigma)
+        return _relative_entropy(*terms)
+    q = _petz_q(alpha, *terms)
     return DivergenceValue(value=math.log(q) / (alpha - 1.0), q_value=q)
 
 
@@ -155,12 +161,11 @@ def sandwiched_divergence(alpha: float, rho, sigma) -> DivergenceValue:
         raise DomainError("sandwiched divergence requires alpha > 0")
     rho = _as_density(rho)
     sigma = _as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise InvalidInputError("states must have equal dimension")
-    if not _finite_regime(alpha, rho, sigma):
+    terms = _petz_terms(rho, sigma)
+    if not _finite(alpha, *terms):
         return DivergenceValue.infinite()
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return relative_entropy(rho, sigma)
+        return _relative_entropy(*terms)
     q = sandwiched_q(alpha, rho, sigma)
     return DivergenceValue(value=math.log(q) / (alpha - 1.0), q_value=q)
 
@@ -175,9 +180,7 @@ def renyi_entropy(alpha: float, rho) -> float:
       negative alpha uses powers taken on the support.
     """
     rho = _as_density(rho)
-    cutoff = default_cutoff(rho)
-    probs = np.clip(rho.spectrum, 0.0, None)
-    probs = probs[probs > cutoff]
+    probs = rho.spectrum[spectral_power(rho.spectrum, 0.0) > 0]
     if alpha == math.inf:
         return -math.log(float(probs.max()))
     if alpha == -math.inf:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import relative_entropy_variance
+from .divergences import _log_ratio, _petz_terms, relative_entropy_variance
 from .errors import DomainError, UnsupportedRegimeError
-from .linalg import log_on_support, power_on_support, tensor_product
+from .linalg import spectral_power, tensor_product
 from .prmi import FixedPointConfig, PrmiSolution, prmi_down_down
 from .states import BipartiteState
 
@@ -62,7 +62,10 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
     alpha-derivative of D_alpha(rho || sigma* x tau*), evaluated analytically:
     with Q = tr[rho^alpha omega^(1-alpha)],
       dD/dalpha = -log Q / (alpha-1)^2 + Q' / (Q (alpha-1)),
-      Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)].
+      Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)],
+    both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
+    Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
+    by log lambda_i - log mu_j.
     At alpha = 1 the derivative equals half the relative-entropy variance to the
     product of the marginals.
     """
@@ -70,15 +73,10 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
         return 0.5 * _mutual_information_variance(rho)
     if solution is None:
         solution = prmi_down_down(alpha, rho, config)
-    omega = tensor_product(solution.sigma_a, solution.tau_b)
-    rho_a = power_on_support(rho, alpha).matrix
-    om_b = power_on_support(omega, 1.0 - alpha).matrix
-    log_rho = log_on_support(rho).matrix
-    log_om = log_on_support(omega).matrix
-    q = float(np.real(np.trace(rho_a @ om_b)))
-    q_prime = float(np.real(np.trace(rho_a @ log_rho @ om_b))) - float(
-        np.real(np.trace(rho_a @ om_b @ log_om))
-    )
+    lam, mu, w = _petz_terms(rho, tensor_product(solution.sigma_a, solution.tau_b))
+    terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
+    q = float(np.sum(terms))
+    q_prime = float(np.sum(terms * _log_ratio(lam, mu)))
     return -math.log(q) / (alpha - 1.0) ** 2 + q_prime / (q * (alpha - 1.0))
 
 
@@ -148,8 +146,8 @@ def direct_exponent(rho: BipartiteState, rate: float,
     two ends, and never below 0; it is zero exactly when the rate is at least
     the mutual information.
     """
-    if rate < 0:
-        raise DomainError("rate must be nonnegative")
+    if not rate >= 0:  # also rejects nan
+        raise DomainError(f"rate must be nonnegative, got {rate!r}")
     cache = _PrmiCache(rho, config)
     i_one = cache.value(1.0)
     r_half = r_half_threshold(rho, cache)

@@ -133,18 +133,25 @@ class TestErrors:
     type_one_bound: float
 
 
+def _universal_setup(rho: BipartiteState, n: int, alpha: float):
+    """rho^(x n), the universal product state omega_A x omega_B, the type
+    counts g_A and g_B, and D_alpha(rho^(x n) || omega_A x omega_B)."""
+    rho_n = iid_block(rho, n)
+    alt = tensor_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    g_a = symmetric_type_count(n, rho.d_a**2)
+    g_b = symmetric_type_count(n, rho.d_b**2)
+    d = petz_divergence(alpha, rho_n, DensityOperator(alt.matrix))
+    if d.is_infinite:
+        raise DomainError("divergence to the universal product state is infinite")
+    return rho_n, alt, g_a, g_b, d.value
+
+
 def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> float:
     """The finite-n lower bound on the doubly minimized Renyi mutual
     information obtained from the universal product state:
     (1/n) (D_alpha(rho^(x n) || omega_A x omega_B) - log g_A - log g_B)."""
-    rho_n = iid_block(rho, n)
-    alt = tensor_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
-    d = petz_divergence(alpha, rho_n, DensityOperator(alt.matrix))
-    if d.is_infinite:
-        raise DomainError("divergence to the universal product state is infinite")
-    g_a = symmetric_type_count(n, rho.d_a**2)
-    g_b = symmetric_type_count(n, rho.d_b**2)
-    return (d.value - math.log(g_a) - math.log(g_b)) / n
+    _, _, g_a, g_b, d = _universal_setup(rho, n, alpha)
+    return (d - math.log(g_a) - math.log(g_b)) / n
 
 
 def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
@@ -160,21 +167,15 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
         raise DomainError(f"s must lie strictly between 0 and 1, got {s}")
     if n < 1:
         raise DomainError("n must be positive")
-    rho_n = iid_block(rho, n)
-    omega_a = universal_state(n, rho.d_a)
-    omega_b = universal_state(n, rho.d_b)
-    alt = tensor_product(omega_a, omega_b)
-    g_a = symmetric_type_count(n, rho.d_a**2)
-    g_b = symmetric_type_count(n, rho.d_b**2)
-    d_s = petz_divergence(s, rho_n, DensityOperator(alt.matrix))
-    if d_s.is_infinite:
-        raise DomainError("divergence to the universal product state is infinite")
+    if not rate >= 0:  # also rejects nan
+        raise DomainError(f"rate must be nonnegative, got {rate!r}")
+    rho_n, alt, g_a, g_b, d_s = _universal_setup(rho, n, s)
     log_g = math.log(g_a) + math.log(g_b)
-    lam = (math.log(g_a) + math.log(g_b) + n * rate - (1.0 - s) * d_s.value) / s
+    lam = (log_g + n * rate - (1.0 - s) * d_s) / s
     test = np_test(rho_n, alt, lam)
     type_one = 1.0 - float(np.real(np.trace(rho_n.matrix @ test.matrix)))
-    type_two_bound = g_a * g_b * math.exp(-s * lam) * math.exp(-(1.0 - s) * d_s.value)
-    type_one_bound = math.exp(((1.0 - s) / s) * (log_g - (d_s.value - n * rate)))
+    type_two_bound = g_a * g_b * math.exp(-s * lam) * math.exp(-(1.0 - s) * d_s)
+    type_one_bound = math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate)))
     return TestErrors(
         n=n, s=s, rate=rate, log_threshold=lam,
         type_one=max(type_one, 0.0),
@@ -187,14 +188,8 @@ def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
                      sigma_a: DensityOperator, tau_b: DensityOperator) -> float:
     """Actual type-II error of the universal test against a specific iid product
     alternative sigma_A^(x n) x tau_B^(x n)."""
-    rho_n = iid_block(rho, n)
-    omega_a = universal_state(n, rho.d_a)
-    omega_b = universal_state(n, rho.d_b)
-    alt = tensor_product(omega_a, omega_b)
-    g_a = symmetric_type_count(n, rho.d_a**2)
-    g_b = symmetric_type_count(n, rho.d_b**2)
-    d_s = petz_divergence(s, rho_n, DensityOperator(alt.matrix))
-    lam = (math.log(g_a) + math.log(g_b) + n * rate - (1.0 - s) * d_s.value) / s
+    rho_n, alt, g_a, g_b, d_s = _universal_setup(rho, n, s)
+    lam = (math.log(g_a) + math.log(g_b) + n * rate - (1.0 - s) * d_s) / s
     test = np_test(rho_n, alt, lam)
     sig_n = power_on_support(sigma_a, 1.0).matrix
     tau_n = power_on_support(tau_b, 1.0).matrix

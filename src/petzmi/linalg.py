@@ -1,6 +1,11 @@
-"""Hermitian/PSD matrix calculus: spectral decompositions, powers on the support,
-tensor products, partial traces, spectral projectors, the geometric operator mean,
-and Schatten (quasi-)norms.
+"""Hermitian/PSD matrix calculus: spectral decompositions, powers and logarithms
+on the support, tensor products, partial traces, spectral projectors, the
+geometric operator mean, and Schatten (quasi-)norms.
+
+`spectral_power` is the one place that decides where the support of a PSD
+operator ends: an eigenvalue counts as zero when it is at most
+dim * max|eigenvalue| * machine epsilon. Every power, logarithm, rank and
+support projector of the package takes its support from it.
 
 All operations are pure functions on immutable values. The index convention for
 composite systems is A-major throughout: the basis vector with composite index
@@ -10,7 +15,6 @@ i_A * d_B + i_B corresponds to |i_A, i_B>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,15 +83,6 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SupportInfo:
-    """Numerical support data of a Hermitian operator."""
-
-    rank: int
-    threshold: float
-    projector: HermitianOperator
-
-
 def _as_operator(op) -> HermitianOperator:
     if isinstance(op, HermitianOperator):
         return op
@@ -95,28 +90,10 @@ def _as_operator(op) -> HermitianOperator:
 
 
 def default_cutoff(op: HermitianOperator) -> float:
-    """Relative numerical-rank threshold: dim * max|eigenvalue| * machine epsilon."""
+    """Sign tolerance of `nonnegative_part_projector` and `geometric_mean`:
+    dim * max|eigenvalue| * machine epsilon, the cut of `spectral_power`."""
     lam_max = float(np.max(np.abs(op.spectrum))) if op.dim else 0.0
     return op.dim * lam_max * np.finfo(float).eps
-
-
-def spectral_decompose(op, cutoff: float | None = None):
-    """Eigenvalues (descending), eigenvectors, and support information.
-
-    Eigenvalues with absolute value <= cutoff are reported as kernel; the
-    support projector is assembled from the retained eigenvectors.
-    """
-    op = _as_operator(op)
-    if cutoff is None:
-        cutoff = default_cutoff(op)
-    if cutoff < 0:
-        raise InvalidInputError("cutoff must be nonnegative")
-    vals = op.spectrum
-    vecs = op.eigenvectors
-    keep = np.abs(vals) > cutoff
-    v_kept = vecs[:, keep]
-    projector = HermitianOperator(v_kept @ v_kept.conj().T)
-    return vals, vecs, SupportInfo(rank=int(keep.sum()), threshold=cutoff, projector=projector)
 
 
 def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
@@ -128,45 +105,46 @@ def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def spectral_power(vals: np.ndarray, p: float, cutoff: float | None = None) -> np.ndarray:
-    """Eigenvalues of op**p from those of a PSD op, with the power taken on the
-    support: eigenvalues <= cutoff (default as `default_cutoff`) map to 0, and
-    negative ones in [-PSD_CLAMP_TOL, 0) are clamped; anything below is an error.
+def spectral_power(vals: np.ndarray, p: float) -> np.ndarray:
+    """Eigenvalues of op**p from those of a PSD op, or of a stack of them
+    (shape (..., d)), with the power taken on the support: per row, eigenvalues
+    <= d * max|eigenvalue| * eps map to 0, and negative ones in
+    [-PSD_CLAMP_TOL, 0) are clamped; anything below is an error.
+    p = 0 gives the support indicator.
     """
-    if cutoff is None:
-        cutoff = vals.size * float(np.max(np.abs(vals), initial=0.0)) * np.finfo(float).eps
+    cut = vals.shape[-1] * np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
     vals = _psd_eigenvalues(vals)
-    keep = vals > cutoff
+    keep = vals > cut * np.finfo(float).eps
     powered = np.zeros_like(vals)
     powered[keep] = vals[keep] ** p
     return powered
 
 
-def power_on_support(op, p: float, cutoff: float | None = None) -> HermitianOperator:
+def spectral_log(vals: np.ndarray) -> np.ndarray:
+    """Natural logarithm of the eigenvalues of a PSD op on its support; kernel
+    eigenvalues map to 0."""
+    return np.log(np.where(spectral_power(vals, 0.0) > 0, vals, 1.0))
+
+
+def power_on_support(op, p: float) -> HermitianOperator:
     """op**p with the power taken on the support; kernel eigenvalues map to 0.
 
     p = 0 returns the support projector; see `spectral_power`.
     """
     op = _as_operator(op)
     vecs = op.eigenvectors
-    return HermitianOperator((vecs * spectral_power(op.spectrum, p, cutoff)) @ vecs.conj().T)
+    return HermitianOperator((vecs * spectral_power(op.spectrum, p)) @ vecs.conj().T)
 
 
-def support_projector(op, cutoff: float | None = None) -> HermitianOperator:
-    return power_on_support(op, 0.0, cutoff=cutoff)
+def support_projector(op) -> HermitianOperator:
+    return power_on_support(op, 0.0)
 
 
-def log_on_support(op, cutoff: float | None = None) -> HermitianOperator:
+def log_on_support(op) -> HermitianOperator:
     """Natural logarithm on the support; kernel eigenvalues map to 0."""
     op = _as_operator(op)
-    vals = _psd_eigenvalues(op.spectrum)
-    if cutoff is None:
-        cutoff = default_cutoff(op)
-    keep = vals > cutoff
-    logged = np.zeros_like(vals)
-    logged[keep] = np.log(vals[keep])
     vecs = op.eigenvectors
-    return HermitianOperator((vecs * logged) @ vecs.conj().T)
+    return HermitianOperator((vecs * spectral_log(op.spectrum)) @ vecs.conj().T)
 
 
 def tensor_product(a, b) -> HermitianOperator:

@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW
+from .divergences import ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, renyi_entropy
 from .errors import DomainError, UnsupportedRegimeError
-from .linalg import default_cutoff, power_on_support
+from .linalg import power_on_support, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
@@ -128,11 +128,7 @@ def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _batched_values_alpha_one(rho, sigmas)
     vals, vecs = np.linalg.eigh(sigmas)
-    vals = np.clip(vals, 0.0, None)
-    cut = d_a * np.max(vals, axis=1, keepdims=True) * np.finfo(float).eps
-    powered = np.where(vals > cut, vals, 1.0) ** (1.0 - alpha)
-    powered = np.where(vals > cut, powered, 0.0)
-    s_pow = np.einsum("kij,kj,klj->kil", vecs, powered, vecs.conj())
+    s_pow = np.einsum("kij,kj,klj->kil", vecs, spectral_power(vals, 1.0 - alpha), vecs.conj())
     r = power_on_support(rho, alpha).matrix.reshape(d_a, d_b, d_a, d_b)
     m = np.einsum("ibjd,kji->kbd", r, s_pow)
     m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
@@ -144,10 +140,16 @@ def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np
     if alpha > 1:
         # finite only when supp(rho_A) <= supp(sigma); rank-deficient grid
         # points otherwise yield a meaningless finite number
-        proj = np.einsum("kij,kj,klj->kil", vecs, (vals > cut).astype(float), vecs.conj())
-        leak = 1.0 - np.real(np.einsum("ij,kji->k", rho.marginal_a.matrix, proj))
-        out[leak > 1e-12] = math.inf
+        _, leak = _weights_and_leak(rho, vals, vecs)
+        out[leak > SUPPORT_OVERLAP_TOL] = math.inf
     return out
+
+
+def _weights_and_leak(rho: BipartiteState, vals: np.ndarray, vecs: np.ndarray):
+    """w_kj = <v_kj|rho_A|v_kj> for the eigensystems (vals, vecs) of a stack of
+    sigma_k, and the leak tr[rho_A (1 - P_sigma_k)], the w_kj off supp(sigma_k)."""
+    w = np.real(np.einsum("kij,il,klj->kj", vecs.conj(), rho.marginal_a.matrix, vecs))
+    return w, np.sum(w * (1.0 - spectral_power(vals, 0.0)), axis=1)
 
 
 def _batched_values_alpha_one(rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
@@ -158,20 +160,11 @@ def _batched_values_alpha_one(rho: BipartiteState, sigmas: np.ndarray) -> np.nda
     tr[rho_A log sigma_k] sums w_kj log lambda_kj over the support of sigma_k,
     and the w_kj off it are the leak.
     """
-    from .divergences import renyi_entropy
-
     vals, vecs = np.linalg.eigh(sigmas)
-    vals = np.clip(vals, 0.0, None)
-    # the support cut of `default_cutoff`, per sigma_k
-    keep = vals > rho.d_a * np.max(vals, axis=1, keepdims=True) * np.finfo(float).eps
-    w = np.real(np.einsum("kij,il,klj->kj", vecs.conj(), rho.marginal_a.matrix, vecs))
-    leak = np.sum(np.where(keep, 0.0, w), axis=1)
-    cross = np.sum(np.where(keep, w * np.log(np.where(keep, vals, 1.0)), 0.0), axis=1)
-    spec = np.clip(rho.spectrum, 0.0, None)
-    spec = spec[spec > default_cutoff(rho)]
-    tr_rho_log_rho = float(np.sum(spec * np.log(spec)))
-    out = tr_rho_log_rho - cross + renyi_entropy(1.0, rho.marginal_b)
-    out[leak > 1e-12] = math.inf
+    w, leak = _weights_and_leak(rho, vals, vecs)
+    cross = np.sum(w * spectral_log(vals), axis=1)
+    out = -renyi_entropy(1.0, rho) - cross + renyi_entropy(1.0, rho.marginal_b)
+    out[leak > SUPPORT_OVERLAP_TOL] = math.inf
     return out
 
 

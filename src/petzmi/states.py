@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import (
-    HermitianOperator,
-    default_cutoff,
-    partial_trace,
-    tensor_product,
-)
+from .linalg import HermitianOperator, partial_trace, spectral_power, tensor_product
 
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-10
@@ -33,8 +28,7 @@ class DensityOperator(HermitianOperator):
             raise InvalidInputError(f"density operator has trace {tr!r}, expected 1")
 
     def rank(self) -> int:
-        cutoff = default_cutoff(self)
-        return int(np.sum(self.spectrum > cutoff))
+        return int(np.sum(spectral_power(self.spectrum, 0.0)))
 
     def is_pure(self) -> bool:
         return self.rank() == 1
@@ -110,10 +104,6 @@ class Pmf:
         return self.table.sum(axis=0)
 
 
-def make_density(matrix) -> DensityOperator:
-    return DensityOperator(matrix)
-
-
 def pure_bipartite(amplitudes, d_a: int, d_b: int) -> BipartiteState:
     """Rank-one bipartite state |psi><psi| from a (normalized) amplitude vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -178,12 +168,9 @@ def purify(rho: DensityOperator) -> tuple[np.ndarray, int]:
     Returns (amplitude vector on dim*d_c entries, d_c). The global phase is fixed
     so the first nonzero component is real and positive.
     """
-    cutoff = default_cutoff(rho)
-    vals = rho.spectrum
-    vecs = rho.eigenvectors
-    keep = vals > cutoff
-    vals = vals[keep]
-    vecs = vecs[:, keep]
+    keep = spectral_power(rho.spectrum, 0.0) > 0
+    vals = rho.spectrum[keep]
+    vecs = rho.eigenvectors[:, keep]
     d_c = vals.size
     # |psi> = sum_k sqrt(lambda_k) |v_k>|k>, system-major indexing
     psi = (vecs * np.sqrt(vals)).reshape(-1)

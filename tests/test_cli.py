@@ -113,6 +113,15 @@ def test_sweep_grid_validation(pure_file, tmp_path):
     assert code == 4
 
 
+def test_sweep_rejects_nonpositive_steps(pure_file, tmp_path, capsys):
+    code = main([
+        "sweep", "--state", pure_file, "--alpha-min", "0.5", "--alpha-max", "1.0",
+        "--steps", "-1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 4
+    assert "--steps" in capsys.readouterr().err
+
+
 def test_formatting_literals():
     from petzmi.cli import _fmt
 
@@ -165,6 +174,11 @@ def test_exponent_command(cc_file, capsys):
     assert out["guaranteed_exact"] == 1
 
 
+def test_exponent_rejects_nan_rate(cc_file, capsys):
+    assert main(["exponent", "--state", cc_file, "--rate", "nan"]) == 4
+    assert "rate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["compute", "--alpha", "0.7"],
     ["exponent", "--rate", "0.3"],
@@ -184,6 +198,11 @@ def test_simulate_command(cc_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["per_n"]) == 2
     assert out["asymptotic_exponent"] > 0
+
+
+def test_simulate_rejects_nan_rate(cc_file, capsys):
+    assert main(["simulate", "--state", cc_file, "--rate", "nan", "--n-max", "1"]) == 4
+    assert "rate" in capsys.readouterr().err
 
 
 def test_oracle_command(pure_file, capsys):

@@ -68,6 +68,13 @@ def test_zero_exponent_at_and_above_mutual_information():
         assert report.s_star is None
 
 
+def test_rate_must_be_a_nonnegative_number():
+    for rate in (math.nan, -0.1):
+        with pytest.raises(DomainError):
+            direct_exponent(CC_02, rate)
+    assert direct_exponent(CC_02, math.inf).exponent == 0.0
+
+
 def test_positive_exponent_below_mutual_information():
     report = direct_exponent(CC_02, 0.3)
     assert report.exponent > 0

@@ -108,6 +108,13 @@ def test_s_and_n_validation(qubit_pair):
         threshold_test_errors(qubit_pair, 0, 0.2, 0.5)
 
 
+def test_rate_validation(qubit_pair):
+    with pytest.raises(DomainError):
+        threshold_test_errors(qubit_pair, 1, math.nan, 0.5)
+    with pytest.raises(DomainError):
+        threshold_test_errors(qubit_pair, 1, -0.1, 0.5)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_universal_divergence_lower_bounds_prmi(n, qubit_pair):
     # the finite-n universal-state bound sits below the doubly minimized value

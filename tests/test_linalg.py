@@ -14,7 +14,6 @@ from petzmi.linalg import (
     permute_factors,
     power_on_support,
     schatten_norm,
-    spectral_decompose,
     support_projector,
     tensor_product,
     trace_distance,
@@ -50,11 +49,10 @@ def test_spectrum_descending(rng):
     assert np.allclose(recon, op.matrix)
 
 
-def test_spectral_decompose_rank(rng):
+def test_support_projector_rank(rng):
     op = random_psd(rng, 4, rank=2)
-    _, _, info = spectral_decompose(op)
-    assert info.rank == 2
-    proj = info.projector.matrix
+    proj = support_projector(op).matrix
+    assert abs(np.trace(proj).real - 2.0) < 1e-8
     assert np.allclose(proj @ proj, proj, atol=1e-10)
     assert np.allclose(proj @ op.matrix, op.matrix, atol=1e-8)
 

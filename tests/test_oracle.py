@@ -6,9 +6,16 @@ import pytest
 from petzmi.divergences import petz_divergence
 from petzmi.errors import UnsupportedRegimeError
 from petzmi.linalg import tensor_product
-from petzmi.oracle import bloch_density, brute_force_dd
-from petzmi.prmi import prmi_down_down, prmi_up_down
-from petzmi.states import BipartiteState, pure_bipartite, random_bipartite, random_density
+from petzmi.divergences import relative_entropy
+from petzmi.oracle import _batched_values, bloch_density, brute_force_dd
+from petzmi.prmi import gen_prmi_down, prmi_down_down, prmi_up_down
+from petzmi.states import (
+    BipartiteState,
+    copy_cc_state,
+    pure_bipartite,
+    random_bipartite,
+    random_density,
+)
 
 
 def test_bloch_density_is_state():
@@ -81,3 +88,17 @@ def test_three_dimensional_estimate_never_exceeds_up_down(seed):
     for alpha in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         value, _, _ = brute_force_dd(alpha, rho)
         assert value <= prmi_up_down(alpha, rho).as_float() + 1e-12
+
+
+def test_leak_tolerance_matches_gen_prmi_down():
+    # rho_A = diag(1 - 5e-11, 5e-11) leaks 5e-11 off supp(sigma) = span{|0>}:
+    # below the support tolerance, so the grid objective is finite like the solver's
+    rho = copy_cc_state([1 - 5e-11, 5e-11])
+    sigma = np.diag([1.0, 0.0])
+    value, _ = gen_prmi_down(1.5, rho, sigma)
+    assert math.isfinite(value)
+    assert _batched_values(1.5, rho, sigma[None])[0] == pytest.approx(value, abs=1e-12)
+    # at alpha = 1 both are finite too; they differ by the leaked term 5e-11 * log(5e-11)
+    ref = relative_entropy(rho, np.kron(sigma, rho.marginal_b.matrix))
+    assert not ref.is_infinite
+    assert _batched_values(1.0, rho, sigma[None])[0] == pytest.approx(ref.value, abs=1e-8)

@@ -63,3 +63,27 @@ def test_direct_exponent_convex_nonincreasing_in_rate(seed, low, width):
         elif 0.5 + 1e-4 < report.s_star < 1.0 - 1e-4:
             # s* is the root of psi(s) = rate, psi being the curve's rate
             assert abs(rate_curve(rho, [report.s_star])[0].rate - rate) <= 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=states, a=alphas, b=alphas)
+def test_dd_nondecreasing_in_alpha(rho, a, b):
+    low, high = sorted((a, b))
+    dd_low = prmi_down_down(low, rho).value
+    assert prmi_down_down(high, rho).value >= dd_low - slack(low) - slack(high)
+
+
+def depolarize(rho, p_a, p_b):
+    """(D_pa x D_pb)(rho) for the partial depolarizations D_p(x) = (1-p) x + p tr(x) I/d."""
+    m = rho.matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+    m = (1 - p_a) * m + p_a * np.einsum("ij,kbkd->ibjd", np.eye(rho.d_a) / rho.d_a, m)
+    m = (1 - p_b) * m + p_b * np.einsum("ikjk,bd->ibjd", m, np.eye(rho.d_b) / rho.d_b)
+    return BipartiteState(m.reshape(rho.dim, rho.dim), rho.d_a, rho.d_b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=states, alpha=alphas, p_a=st.floats(0.0, 1.0), p_b=st.floats(0.0, 1.0))
+def test_dd_data_processing_under_local_depolarization(rho, alpha, p_a, p_b):
+    dd = prmi_down_down(alpha, rho).value
+    for noisy in (depolarize(rho, p_a, 0.0), depolarize(rho, 0.0, p_b), depolarize(rho, p_a, p_b)):
+        assert prmi_down_down(alpha, noisy).value <= dd + slack(alpha)
