@@ -8,8 +8,8 @@ Subcommands:
   oracle    exhaustive product-state search at a single order
 
 Exit codes: 0 success, 2 missing input file, 3 schema violation, 4 invariant
-violation (state fails to be a valid density operator), 5 solver did not
-converge under --strict.
+violation (state fails to be a valid density operator), 5 solver result not
+certified (Frank-Wolfe gap and residual within tolerance) under --strict.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ def cmd_compute(args) -> int:
     if solution is not None:
         payload["residual"] = _fmt(solution.residual)
         payload["iterations"] = solution.iterations
+        # the certificate; null where none exists (the small-alpha search)
+        payload["gap"] = solution.gap if math.isfinite(solution.gap) else None
     _emit(payload, args)
     if args.strict and solution is not None and not solution.certified:
         return EXIT_NOT_CONVERGED

@@ -20,10 +20,11 @@ import numpy as np
 from .divergences import _log_ratio, _petz_terms, relative_entropy_variance
 from .errors import DomainError, UnsupportedRegimeError
 from .linalg import spectral_power, tensor_product
-from .prmi import FixedPointConfig, PrmiSolution, prmi_down_down
+from .prmi import FixedPointConfig, PrmiSolution, prmi_down_down, prmi_down_down_stack
 from .states import BipartiteState
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
+R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
       Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)],
     both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
     Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
-    by log lambda_i - log mu_j.
+    by log lambda_i - log mu_j. The eigensystem of omega = sigma* x tau* is the
+    Kronecker product of the marginals' eigensystems; omega is never formed.
     At alpha = 1 the derivative equals half the relative-entropy variance to the
     product of the marginals.
     """
@@ -73,7 +75,9 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
         return 0.5 * _mutual_information_variance(rho)
     if solution is None:
         solution = prmi_down_down(alpha, rho, config)
-    lam, mu, w = _petz_terms(rho, tensor_product(solution.sigma_a, solution.tau_b))
+    sigma, tau = solution.sigma_a, solution.tau_b
+    lam, mu, w = _petz_terms(rho, (np.kron(sigma.spectrum, tau.spectrum),
+                                   np.kron(sigma.eigenvectors, tau.eigenvectors)))
     terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
     q = float(np.sum(terms))
     q_prime = float(np.sum(terms * _log_ratio(lam, mu)))
@@ -93,6 +97,11 @@ class _PrmiCache:
             self._values[s] = prmi_down_down(s, self.rho, self.config)
         return self._values[s]
 
+    def solve(self, s_values) -> None:
+        """Solve the orders of s_values that are not cached yet, as one stack."""
+        missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
+        self._values.update(zip(missing, prmi_down_down_stack(missing, self.rho, self.config)))
+
     def value(self, s: float) -> float:
         return self.solution(s).as_float()
 
@@ -106,7 +115,7 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> fl
     computable for the state at hand).
     """
     cache = cache or _PrmiCache(rho)
-    h = 1e-3
+    h = R_HALF_STEP
     i_h = cache.value(0.5 + h)
     i_2h = cache.value(0.5 + 2 * h)
     i_half = 2 * i_h - i_2h
@@ -144,12 +153,18 @@ def direct_exponent(rho: BipartiteState, rate: float,
     g(s) costs one solve, as dI/ds comes from the minimizers at s by the
     envelope theorem. The exponent is the largest objective at s* and at the
     two ends, and never below 0; it is zero exactly when the rate is at least
-    the mutual information.
+    the mutual information. The opening solves (the two points of
+    `r_half_threshold`, and lo and hi) run as one stack.
     """
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
     cache = _PrmiCache(rho, config)
     i_one = cache.value(1.0)
+    lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
+    # the opening points as one stack: r_half's two, and lo and hi when the
+    # root search follows
+    opening = [0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP]
+    cache.solve(opening + [lo, hi] if rate < i_one else opening)
     r_half = r_half_threshold(rho, cache)
     guaranteed = rate > r_half
     if rate >= i_one:
@@ -164,7 +179,6 @@ def direct_exponent(rho: BipartiteState, rate: float,
     def objective(s: float) -> float:
         return ((1.0 - s) / s) * (cache.value(s) - rate)
 
-    lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     g_lo, g_hi = g(lo), g(hi)
     if g_lo >= 0:
         s_star = lo
@@ -210,17 +224,20 @@ def _illinois_root(g, a: float, b: float, g_a: float, g_b: float) -> float:
 
 def rate_curve(rho: BipartiteState, s_values,
                config: FixedPointConfig | None = None) -> list[RateCurvePoint]:
-    """Parametric (rate, exponent) curve.
+    """Parametric (rate, exponent) curve, its s grid solved as one stack.
 
     At parameter s the optimizing rate is R(s) = I_s - s(1-s) dI/ds and the
     exponent there is (1-s)^2 dI/ds; the rate increases toward the mutual
     information as s -> 1 while the exponent decays to zero.
     """
-    cache = _PrmiCache(rho, config)
-    points = []
+    s_values = list(s_values)
     for s in s_values:
         if not 0.5 < s < 1.0:
             raise DomainError(f"curve parameter must lie in (1/2, 1), got {s}")
+    cache = _PrmiCache(rho, config)
+    cache.solve(s_values)
+    points = []
+    for s in s_values:
         rate, d = _optimal_rate(s, rho, cache.solution(s))
         points.append(RateCurvePoint(s=float(s), rate=rate, exponent=(1.0 - s) ** 2 * d))
     return points

@@ -22,20 +22,23 @@ from .errors import InvalidInputError
 
 HERMITICITY_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-10
+EPS = np.finfo(float).eps
 
 
 class HermitianOperator:
     """A d x d complex Hermitian matrix with a lazily cached spectral decomposition.
 
-    The cached eigenvalues are sorted in descending order. The matrix is
-    symmetrized at construction; entrywise deviations from hermiticity beyond
-    HERMITICITY_TOL * max(1, max|m_ij|) are rejected, relative to large entries
-    such as those of negative powers of near-singular states.
+    The cached eigenvalues are sorted in descending order. A caller that holds
+    the eigensystem (vals, vecs) of `matrix` may pass it, and no decomposition
+    is taken. The matrix is symmetrized at construction; entrywise deviations
+    from hermiticity beyond HERMITICITY_TOL * max(1, max|m_ij|) are rejected,
+    relative to large entries such as those of negative powers of near-singular
+    states.
     """
 
     __slots__ = ("matrix", "_spectrum", "_eigenvectors")
 
-    def __init__(self, matrix) -> None:
+    def __init__(self, matrix, eigensystem=None) -> None:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
@@ -49,6 +52,12 @@ class HermitianOperator:
         self.matrix.setflags(write=False)
         self._spectrum = None
         self._eigenvectors = None
+        if eigensystem is not None:
+            # an eigensystem the caller already holds, taken instead of eigh
+            vals, vecs = eigensystem
+            order = np.argsort(vals)[::-1]
+            self._spectrum = vals[order]
+            self._eigenvectors = vecs[:, order]
 
     @property
     def dim(self) -> int:
@@ -98,26 +107,29 @@ def default_cutoff(op: HermitianOperator) -> float:
 
 def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Eigenvalues of a PSD operator, clamping rounding noise in [-PSD_CLAMP_TOL, 0)."""
-    if vals.size and np.min(vals) < -PSD_CLAMP_TOL:
+    if vals.size and vals.min() < -PSD_CLAMP_TOL:
         raise InvalidInputError(
-            f"operator is not positive semidefinite (min eigenvalue {np.min(vals):.3e})"
+            f"operator is not positive semidefinite (min eigenvalue {vals.min():.3e})"
         )
-    return np.clip(vals, 0.0, None)
+    return np.maximum(vals, 0.0)
 
 
-def spectral_power(vals: np.ndarray, p: float) -> np.ndarray:
+def spectral_power(vals: np.ndarray, p) -> np.ndarray:
     """Eigenvalues of op**p from those of a PSD op, or of a stack of them
     (shape (..., d)), with the power taken on the support: per row, eigenvalues
     <= d * max|eigenvalue| * eps map to 0, and negative ones in
     [-PSD_CLAMP_TOL, 0) are clamped; anything below is an error.
-    p = 0 gives the support indicator.
+    p = 0 gives the support indicator. p may be an array that broadcasts
+    against vals, such as one power per row of a stack.
     """
-    cut = vals.shape[-1] * np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
+    cut = vals.shape[-1] * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
     vals = _psd_eigenvalues(vals)
-    keep = vals > cut * np.finfo(float).eps
-    powered = np.zeros_like(vals)
-    powered[keep] = vals[keep] ** p
-    return powered
+    keep = vals > cut * EPS
+    if np.ndim(p) == 0:
+        powered = np.zeros_like(vals)
+        powered[keep] = vals[keep] ** p
+        return powered
+    return np.power(vals, p, out=np.zeros(np.broadcast(vals, p).shape), where=keep)
 
 
 def spectral_log(vals: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ reference state are optimized:
 
 One array routine, `_half_step`, is the exact one-sided minimization for
 `gen_prmi_down` and both directions of the loop (B -> A through the transposed
-tensor of rho^alpha). Inputs are validated at the public functions; inside the
-loop the iterates are plain eigenvalue/eigenvector arrays.
+tensor of rho^alpha). It and the loop run on a stack of orders, one row each:
+`prmi_down_down` is a stack of one. Every run stops on the Frank-Wolfe gap of
+its iterate. Inputs are validated at the public functions; inside the loop the
+iterates are plain eigenvalue/eigenvector arrays.
 
 All logarithms are natural.
 """
@@ -57,7 +59,9 @@ class FixedPointConfig:
 
     tol: float = 1e-12
     max_iter: int = 10000
-    restarts: int | None = None  # None: 1 for alpha <= 1, else 8
+    # None: one start, which the Frank-Wolfe gap certifies on all of (1/2, 2];
+    # k > 1 adds starts I/d and k - 2 random states, whose values must agree
+    restarts: int | None = None
     seed: int = 0
 
 
@@ -65,10 +69,16 @@ class FixedPointConfig:
 class PrmiSolution:
     """Result of a doubly minimized Renyi mutual information computation.
 
-    residual is the trace distance between sigma_a and its image under one full
-    round of the fixed-point map; certified means the value is guaranteed to be
-    the global minimum (fixed points are global minimizers for alpha in
-    (1/2, 2], and restarts agreed where uniqueness is not known).
+    gap is the Frank-Wolfe gap G(sigma) = tr[grad f sigma] - lambda_min(grad f)
+    of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the last iterate whose
+    gradient was formed; the returned value is no larger than f there. It is 0
+    for closed forms and exact reductions and inf where no certificate exists
+    (the small-alpha search, infinite values). residual is the trace distance
+    between sigma_a and the iterate before it, one full round of the
+    fixed-point map earlier. certified means the value is the global minimum:
+    for alpha in (1/2, 2] every fixed point is a global minimizer, and a run is
+    certified when gap <= tol and residual <= 10 tol (and its restarts agree
+    when more than one start was asked for).
     """
 
     value: float
@@ -80,6 +90,7 @@ class PrmiSolution:
     objective_trace: tuple[float, ...]
     certified: bool
     is_infinite: bool = False
+    gap: float = math.inf
 
     def as_float(self) -> float:
         return math.inf if self.is_infinite else self.value
@@ -106,37 +117,100 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
     if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
-    r = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
-    value, t_vals, t_vecs = _half_step(alpha, r, sigma_a.spectrum, sigma_a.eigenvectors)
-    if t_vals is None:
+    alphas = np.array([alpha], dtype=float)
+    value, t_vals, t_vecs, _ = _half_step(
+        alphas, _rho_power(rho, alphas), sigma_a.spectrum[None], sigma_a.eigenvectors[None]
+    )
+    if value[0] == math.inf:
         return math.inf, None
-    return value, DensityOperator(_compose(t_vals, t_vecs))
+    return float(value[0]), _density(t_vals[0], t_vecs[0])
 
 
-def _half_step(alpha: float, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
-    """The exact one-sided minimization, on arrays.
+def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
+    """rho^alpha for each order of a stack, as a (k, d_A, d_B, d_A, d_B) tensor."""
+    m = _compose(spectral_power(rho.spectrum, alphas[:, None]), rho.eigenvectors)
+    return ((m + _dagger(m)) / 2).reshape(alphas.size, rho.d_a, rho.d_b, rho.d_a, rho.d_b)
 
-    r is rho^alpha as a (d, d', d, d') tensor and (vals, vecs) the eigensystem
-    of sigma on the first factor. Returns the value of `gen_prmi_down` and the
-    eigensystem of its minimizer on the second factor, or (inf, None, None)
-    when M vanishes.
+
+def _half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The exact one-sided minimization, on a stack of k rows.
+
+    alpha holds the k orders, r the k tensors rho^alpha of shape
+    (k, d, d', d, d'), and (vals, vecs) the eigensystems of sigma on the first
+    factor, (k, d) and (k, d, d). Returns the k values of
+    `gen_prmi_down`, the eigensystems of the minimizers on the second factor,
+    and the k matrices M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were
+    decomposed. A row whose M vanishes has value inf.
     """
-    m = np.einsum("ibjd,ji->bd", r, _compose(spectral_power(vals, 1.0 - alpha), vecs))
-    m_vals, m_vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    if alpha == 0:
-        top = float(m_vals[-1])
-        if top <= 0:
-            return math.inf, None, None
-        return -math.log(top), np.eye(m_vals.size)[-1], m_vecs
-    powered = spectral_power(m_vals, 1.0 / alpha)
-    norm = float(np.sum(powered))
-    if norm <= 0:
-        return math.inf, None, None
-    return (alpha / (alpha - 1.0)) * math.log(norm), powered / norm, m_vecs
+    s_pow = _compose(spectral_power(vals, 1.0 - alpha[:, None]), vecs)
+    m = np.einsum("kibjd,kji->kbd", r, s_pow)
+    m = (m + _dagger(m)) / 2
+    m_vals, m_vecs = np.linalg.eigh(m)
+    zero = alpha == 0
+    powered = spectral_power(m_vals, 1.0 / np.where(zero, 1.0, alpha)[:, None])
+    if zero.any():  # alpha = 0: the top eigenvector, weighted by lambda_max(M)
+        powered[zero] = 0.0
+        powered[zero, -1] = m_vals[zero, -1]
+    norm = powered.sum(axis=1)
+    vanish = norm <= 0
+    norm[vanish] = 1.0
+    log_norm = np.log(norm)
+    value = np.where(zero, -log_norm, alpha / (alpha - 1.0) * log_norm)
+    value[vanish] = math.inf
+    return value, powered / norm[:, None], m_vecs, m
+
+
+def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                 k: np.ndarray) -> np.ndarray:
+    """Gradient of f(sigma) = min_tau D_alpha(rho || sigma x tau) in the
+    eigenbasis U of sigma, per row.
+
+    sigma = U diag(s) U^dag is given by (vals, vecs), value is f(sigma) and
+    k = tr_B[rho^alpha (1 x tau^(1-alpha))] at the minimizing tau. With
+    N = tr[M^(1/alpha)], the gradient is
+        grad f = U (Gamma o U^dag K U) U^dag N^(-alpha) / (alpha - 1),
+    Gamma the divided differences of s^(1-alpha); this returns U^dag grad f U,
+    on supp(sigma) (zero off it). Gamma_ij = s_j^(-alpha) phi(log s_i - log s_j)
+    with phi(l) = expm1((1-alpha) l) / expm1(l) (phi(0) = 1 - alpha) has no
+    cancellation between close eigenvalues.
+    """
+    p = (1.0 - alpha)[:, None, None]
+    support = spectral_power(vals, 0.0)
+    logs = np.log(np.where(support > 0, vals, 1.0))
+    lr = logs[:, :, None] - logs[:, None, :]
+    same = lr == 0
+    phi = np.where(same, p, np.expm1(p * lr) / np.where(same, 1.0, np.expm1(lr)))
+    # s_j^(-alpha) on the support; N^(-alpha) = exp((1 - alpha) f), as
+    # f = (alpha/(alpha-1)) log N
+    col = support * np.exp(-alpha[:, None] * logs)
+    scale = np.exp((1.0 - alpha) * value) / (alpha - 1.0)
+    gamma = phi * (support * scale[:, None])[:, :, None] * col[:, None, :]
+    h = gamma * (_dagger(vecs) @ k @ vecs)
+    return (h + _dagger(h)) / 2
+
+
+def _fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+            k: np.ndarray) -> np.ndarray:
+    """Frank-Wolfe gap G = tr[grad f sigma] - lambda_min(grad f) of f at sigma,
+    per row, on supp(sigma), which the iterates share with rho_A. One
+    d_A x d_A eigvalsh per row; see `_fw_gradient` for the arguments."""
+    h = _fw_gradient(alpha, value, vals, vecs, k)
+    along = np.real(np.einsum("kii,ki->k", h, vals))
+    return along - np.linalg.eigvalsh(h)[:, 0]
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _density(vals: np.ndarray, vecs: np.ndarray) -> DensityOperator:
+    """The density operator of an eigensystem the solver already holds."""
+    return DensityOperator(_compose(vals, vecs), eigensystem=(vals, vecs))
 
 
 def _compose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return (vecs * vals) @ vecs.conj().T
+    """vecs diag(vals) vecs^dag, also on stacks."""
+    return (vecs * vals[..., None, :]) @ _dagger(vecs)
 
 
 def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
@@ -229,60 +303,102 @@ def _dd_closed_form_solution(alpha: float, rho: BipartiteState) -> PrmiSolution 
         iterations=0,
         objective_trace=(value,),
         certified=True,
+        gap=0.0,
     )
 
 
-def _run_fixed_point(
-    alpha: float,
-    rho: BipartiteState,
-    sigma0: DensityOperator,
-    config: FixedPointConfig,
-) -> PrmiSolution:
+def _run_fixed_point(alpha, rho: BipartiteState, sigma0, config: FixedPointConfig):
+    """Alternating minimization from sigma0, on a stack of orders.
+
+    alpha is one order or a stack of k; sigma0 is one start for every row or a
+    sequence of k. Each row runs until the Frank-Wolfe gap of its iterate is at
+    most config.tol, or for config.max_iter rounds, and then leaves the stack.
+    Returns a PrmiSolution for one order and a list of k for a stack.
+    """
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    k = alphas.size
+    starts = [sigma0] * k if isinstance(sigma0, DensityOperator) else list(sigma0)
     # Checked once: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha (sigma^(1-alpha) x 1)]
     # has support exactly supp(rho_B), so every tau covers rho_B, every later
     # sigma covers rho_A, and no iterate can leak.
-    if alpha > 1 and not dominated(rho.marginal_a, sigma0):
-        raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
-    r_ab = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
-    r_ba = r_ab.transpose(1, 0, 3, 2)
+    for a, start in zip(alphas, starts):
+        if a > 1 and not dominated(rho.marginal_a, start):
+            raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
+    r_ab = _rho_power(rho, alphas)
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
-    slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alpha / abs(alpha - 1.0)
-    s_vals, s_vecs, sigma = sigma0.spectrum, sigma0.eigenvectors, sigma0.matrix
-    trace = []
-    residual = math.inf
-    iterations = config.max_iter
+    slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
+    s_vals = np.stack([start.spectrum for start in starts])
+    s_vecs = np.stack([start.eigenvectors for start in starts])
+    # per row: the last iterate, the one before it, the gap, the rounds run
+    last = [s_vals.copy(), s_vecs.copy()]
+    before = [s_vals.copy(), s_vecs.copy()]
+    gap = np.full(k, math.inf)
+    rounds = np.full(k, config.max_iter)
+    infinite = np.zeros(k, dtype=bool)
+    history = []  # (rows, values) of every round
+    rows = np.arange(k)  # the rows still running, indexes into the stack
+    a, r, sl, prev = alphas, r_ab, slack, np.full(k, math.inf)
     for it in range(1, config.max_iter + 1):
-        value, t_vals, t_vecs = _half_step(alpha, r_ab, s_vals, s_vecs)
-        if t_vals is None:
-            return PrmiSolution(
-                value=math.nan, alpha=alpha, sigma_a=DensityOperator(sigma), tau_b=None,
-                residual=math.inf, iterations=it, objective_trace=tuple(trace),
-                certified=False, is_infinite=True,
-            )
-        if trace and value > trace[-1] + slack:
+        value, t_vals, t_vecs, _ = _half_step(a, r, s_vals, s_vecs)
+        lost = value == math.inf
+        rise = value - prev
+        if np.any((rise > sl) & ~lost):
+            j = int(np.argmax(np.where(lost, -math.inf, rise - sl)))
             raise NumericalDegradationError(
-                f"objective increased by {value - trace[-1]:.3e} at iteration {it}"
+                f"objective increased by {rise[j]:.3e} at iteration {it} (alpha = {a[j]})"
             )
-        trace.append(value)
-        _, s_vals, s_vecs = _half_step(alpha, r_ba, t_vals, t_vecs)
-        sigma_new = _compose(s_vals, s_vecs)
-        residual = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(sigma_new - sigma))))
-        sigma = sigma_new
-        if residual <= config.tol:
-            iterations = it
+        history.append((rows, value))
+        # B -> A through the transposed tensor
+        _, n_vals, n_vecs, kmat = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        g = _fw_gap(a, np.where(lost, 0.0, value), s_vals, s_vecs, kmat)
+        g[lost] = math.inf
+        done = lost | (g <= config.tol)
+        if it == config.max_iter:
+            done[:] = True
+        if not done.any():
+            s_vals, s_vecs, prev = n_vals, n_vecs, value
+            continue
+        fin = rows[done]
+        gap[fin] = g[done]
+        rounds[fin] = it
+        infinite[fin] = lost[done]
+        before[0][fin], before[1][fin] = s_vals[done], s_vecs[done]
+        last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
+        keep = ~done
+        rows, a, r, sl = rows[keep], a[keep], r[keep], sl[keep]
+        s_vals, s_vecs, prev = n_vals[keep], n_vecs[keep], value[keep]
+        if rows.size == 0:
             break
-    value, t_vals, t_vecs = _half_step(alpha, r_ab, s_vals, s_vecs)
-    return PrmiSolution(
-        value=max(value, 0.0),  # a divergence of states; rounding can dip below 0
-        alpha=alpha,
-        sigma_a=DensityOperator(sigma),
-        tau_b=DensityOperator(_compose(t_vals, t_vecs)),
-        residual=residual,
-        iterations=iterations,
-        objective_trace=tuple(trace),
-        certified=False,  # filled in by the caller
-    )
+    trace = np.full((len(history), k), math.nan)
+    for t, (r, v) in enumerate(history):
+        trace[t, r] = v
+    # the value, tau and residual of every finite row, as one more stacked step
+    value, t_vals, t_vecs, _ = _half_step(alphas, r_ab, *last)
+    diff = _compose(*last) - _compose(*before)
+    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    solutions = []
+    for j in range(k):
+        if infinite[j]:
+            solutions.append(PrmiSolution(
+                value=math.nan, alpha=float(alphas[j]), sigma_a=_density(before[0][j], before[1][j]),
+                tau_b=None, residual=math.inf, iterations=int(rounds[j]),
+                objective_trace=tuple(trace[: rounds[j] - 1, j].tolist()),
+                certified=False, is_infinite=True,
+            ))
+            continue
+        solutions.append(PrmiSolution(
+            value=max(float(value[j]), 0.0),  # a divergence of states; rounding can dip below 0
+            alpha=float(alphas[j]),
+            sigma_a=_density(last[0][j], last[1][j]),
+            tau_b=_density(t_vals[j], t_vecs[j]),
+            residual=float(residual[j]),
+            iterations=int(rounds[j]),
+            objective_trace=tuple(trace[: rounds[j], j].tolist()),
+            certified=False,  # filled in by the caller
+            gap=float(gap[j]),
+        ))
+    return solutions if np.ndim(alpha) else solutions[0]
 
 
 def _initial_points(rho: BipartiteState, restarts: int, seed: int):
@@ -302,11 +418,14 @@ def prmi_down_down(
 
     Regimes:
       alpha = 1          : the mutual information, minimizers the true marginals.
-      1/2 < alpha <= 2   : alternating minimization; every fixed point is a
-                           global minimizer, so a converged run is certified.
-                           For alpha in (1/2, 1] the minimizer is unique and a
-                           single start suffices; for alpha in (1, 2] multiple
-                           starts are run and must agree.
+      1/2 < alpha <= 2   : alternating minimization from sigma = rho_A. By the
+                           fixed-point theorem every fixed point of the map is
+                           a global minimizer on this range, so one start
+                           suffices: the run stops when the Frank-Wolfe gap of
+                           f(sigma) = min_tau D_alpha(rho || sigma x tau) is at
+                           most config.tol, and it is certified when also its
+                           residual is at most 10 config.tol. With
+                           config.restarts = k > 1 the k starts must agree too.
       0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
                            the classical reduction for diagonal states, or an
                            exhaustive product-state search for small dimensions.
@@ -323,7 +442,7 @@ def prmi_down_down(
         )
         return PrmiSolution(
             value=d.value, alpha=alpha, sigma_a=rho.marginal_a, tau_b=rho.marginal_b,
-            residual=0.0, iterations=0, objective_trace=(d.value,), certified=True,
+            residual=0.0, iterations=0, objective_trace=(d.value,), certified=True, gap=0.0,
         )
 
     if alpha > 2.0:
@@ -338,22 +457,7 @@ def prmi_down_down(
         )
 
     if alpha > 0.5:
-        restarts = config.restarts
-        if restarts is None:
-            restarts = 1 if alpha <= 1.0 else 8
-        starts = islice(_initial_points(rho, max(restarts, 1), config.seed), max(restarts, 1))
-        runs = [_run_fixed_point(alpha, rho, sigma0, config) for sigma0 in starts]
-        finite = [r for r in runs if not r.is_infinite]
-        if not finite:
-            return runs[0]
-        best = min(finite, key=lambda r: r.value)
-        converged = best.residual <= 10 * config.tol
-        agree = all(
-            r.is_infinite or abs(r.value - best.value) <= RESTART_AGREEMENT_TOL
-            for r in runs
-        )
-        certified = converged and (alpha <= 1.0 or agree)
-        return replace(best, certified=certified)
+        return _fixed_point_solutions(np.array([alpha], dtype=float), rho, config)[0]
 
     # alpha in [0, 1/2]
     closed = _dd_closed_form_solution(alpha, rho)
@@ -366,7 +470,7 @@ def prmi_down_down(
             value=value, alpha=alpha,
             sigma_a=DensityOperator(np.diag(r_opt)),
             tau_b=DensityOperator(np.diag(q_opt)),
-            residual=0.0, iterations=0, objective_trace=(value,), certified=True,
+            residual=0.0, iterations=0, objective_trace=(value,), certified=True, gap=0.0,
         )
     if rho.d_a <= 3 and rho.d_b <= 3:
         from .oracle import brute_force_dd
@@ -379,6 +483,47 @@ def prmi_down_down(
     raise UnsupportedRegimeError(
         "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states"
     )
+
+
+def prmi_down_down_stack(alphas, rho: BipartiteState,
+                         config: FixedPointConfig | None = None) -> list[PrmiSolution]:
+    """`prmi_down_down` at each order of alphas, in order. The orders that the
+    alternating minimization serves, (1/2, 2] outside the alpha = 1 window, run
+    as one stack; each row stops on its own gap."""
+    config = config or FixedPointConfig()
+    alphas = [float(a) for a in alphas]
+    stacked = [j for j, a in enumerate(alphas)
+               if 0.5 < a <= 2.0 and abs(a - 1.0) > ALPHA_ONE_WINDOW]
+    solutions = {}
+    if stacked:
+        orders = np.array([alphas[j] for j in stacked])
+        solutions = dict(zip(stacked, _fixed_point_solutions(orders, rho, config)))
+    return [solutions[j] if j in solutions else prmi_down_down(a, rho, config)
+            for j, a in enumerate(alphas)]
+
+
+def _fixed_point_solutions(alphas: np.ndarray, rho: BipartiteState,
+                           config: FixedPointConfig) -> list[PrmiSolution]:
+    """Certified alternating-minimization solves of a stack of orders in
+    (1/2, 2], every start of every order one row of a single stack."""
+    n = max(config.restarts or 1, 1)
+    starts = list(islice(_initial_points(rho, n, config.seed), n))
+    runs = _run_fixed_point(np.repeat(alphas, n), rho, starts * alphas.size, config)
+    solutions = []
+    for j in range(alphas.size):
+        group = runs[j * n:(j + 1) * n]
+        finite = [r for r in group if not r.is_infinite]
+        if not finite:
+            solutions.append(group[0])
+            continue
+        best = min(finite, key=lambda r: r.value)
+        converged = best.gap <= config.tol and best.residual <= 10 * config.tol
+        agree = all(
+            r.is_infinite or abs(r.value - best.value) <= RESTART_AGREEMENT_TOL
+            for r in group
+        )
+        solutions.append(replace(best, certified=converged and agree))
+    return solutions
 
 
 def prmi(alpha: float, rho: BipartiteState, which: str, config: FixedPointConfig | None = None):

@@ -16,8 +16,8 @@ PSD_TOL = 1e-10
 class DensityOperator(HermitianOperator):
     """A Hermitian, positive semidefinite, unit-trace operator."""
 
-    def __init__(self, matrix) -> None:
-        super().__init__(matrix)
+    def __init__(self, matrix, eigensystem=None) -> None:
+        super().__init__(matrix, eigensystem)
         min_eig = self.min_eigenvalue()
         if min_eig < -PSD_TOL:
             raise InvalidInputError(

@@ -1,0 +1,206 @@
+"""The Frank-Wolfe gap that certifies the alternating minimization, the stack
+of orders the solver runs on, and the eigensystems its solutions carry.
+
+f(sigma) = min_tau D_alpha(rho || sigma x tau) is `gen_prmi_down`; its gradient
+and gap are formed from the same arrays as inside the loop.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from petzmi.divergences import _log_ratio, _petz_terms
+from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
+from petzmi.linalg import spectral_power, tensor_product
+from petzmi.prmi import (
+    FixedPointConfig,
+    _fw_gap,
+    _fw_gradient,
+    _half_step,
+    _rho_power,
+    _run_fixed_point,
+    gen_prmi_down,
+    prmi_down_down,
+    prmi_down_down_stack,
+)
+from petzmi.states import (
+    DensityOperator,
+    copy_cc_state,
+    pure_bipartite,
+    random_bipartite,
+    random_density,
+)
+
+GRADIENT_ALPHAS = (0.6, 0.8, 1.3, 1.7, 2.0)
+
+
+def loop_arrays(alpha, rho, sigma):
+    """(value, K) of one round at sigma, as the loop forms them."""
+    a = np.array([alpha])
+    r = _rho_power(rho, a)
+    value, t_vals, t_vecs, _ = _half_step(a, r, sigma.spectrum[None], sigma.eigenvectors[None])
+    _, _, _, k = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+    return value, k
+
+
+def gap(alpha, rho, sigma):
+    value, k = loop_arrays(alpha, rho, sigma)
+    return float(_fw_gap(np.array([alpha]), value, sigma.spectrum[None],
+                         sigma.eigenvectors[None], k)[0])
+
+
+def gradient(alpha, rho, sigma):
+    """grad f, rotated back from the eigenbasis of sigma."""
+    value, k = loop_arrays(alpha, rho, sigma)
+    h = _fw_gradient(np.array([alpha]), value, sigma.spectrum[None],
+                     sigma.eigenvectors[None], k)[0]
+    u = sigma.eigenvectors
+    return u @ h @ u.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("alpha", GRADIENT_ALPHAS)
+def test_gradient_matches_central_difference(dims, alpha):
+    rng = np.random.default_rng(31 + 7 * dims[0] + int(100 * alpha))
+    h = 1e-4
+    for _ in range(3):
+        rho = random_bipartite(*dims, rng)
+        sigma = random_density(dims[0], rng)
+        grad = gradient(alpha, rho, sigma)
+        for _ in range(3):
+            x = rng.standard_normal((dims[0],) * 2) + 1j * rng.standard_normal((dims[0],) * 2)
+            x = x + x.conj().T
+            x -= np.trace(x) / dims[0] * np.eye(dims[0])
+            x *= 0.1 * float(np.min(sigma.spectrum)) / np.max(np.abs(np.linalg.eigvalsh(x)))
+            plus = gen_prmi_down(alpha, rho, DensityOperator(sigma.matrix + h * x))[0]
+            minus = gen_prmi_down(alpha, rho, DensityOperator(sigma.matrix - h * x))[0]
+            fd = (plus - minus) / (2 * h)
+            exact = float(np.real(np.trace(grad @ x)))
+            assert exact == pytest.approx(fd, rel=2e-7, abs=1e-9)
+
+
+def test_gap_is_zero_at_the_minimizer_and_positive_away_from_it():
+    rho = random_bipartite(2, 3, 5)
+    for alpha in GRADIENT_ALPHAS:
+        sol = prmi_down_down(alpha, rho)
+        assert sol.certified
+        assert 0 <= sol.gap <= 1e-12
+        assert abs(gap(alpha, rho, sol.sigma_a)) <= 1e-11
+        assert gap(alpha, rho, rho.marginal_a) > 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_b=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    # the gap is that of the alternating minimization, which alpha = 1 skips
+    alpha=st.floats(0.51, 2.0).filter(lambda a: abs(a - 1.0) > 1e-3),
+    mix=st.floats(1e-6, 1.0),
+)
+def test_gap_bounds_the_suboptimality(d_b, seed, alpha, mix):
+    """G(sigma) >= f(sigma) - dd: the gap brackets the minimum from below."""
+    rng = np.random.default_rng(seed)
+    rho = random_bipartite(2, d_b, rng)
+    best = prmi_down_down(alpha, rho)
+    sigma = DensityOperator((1 - mix) * best.sigma_a.matrix + mix * random_density(2, rng).matrix)
+    f = gen_prmi_down(alpha, rho, sigma)[0]
+    assert gap(alpha, rho, sigma) >= f - best.value - 1e-10
+
+
+def test_stalled_start_runs_to_the_minimum():
+    """Started next to the s = 1/2 boundary, a step-size stop ends after one
+    round, 5.5e-9 above the minimum; the gap keeps the run going."""
+    rho = copy_cc_state([0.2, 0.8])
+    start = prmi_down_down(0.501, rho).sigma_a
+    warm = _run_fixed_point(0.52175, rho, start, FixedPointConfig())
+    cold = prmi_down_down(0.52175, rho)
+    assert warm.iterations > 1
+    assert warm.gap <= 1e-12
+    assert warm.value == pytest.approx(cold.value, abs=1e-12)
+
+
+STACK_STATES = [
+    copy_cc_state([0.2, 0.8]),
+    pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
+    random_bipartite(2, 2, 8000, rank=2),
+    random_bipartite(2, 3, 8101),
+    random_bipartite(3, 2, 8102),
+]
+STACK_ALPHAS = np.concatenate([np.linspace(0.501, 0.999, 9), [1.0, 1.3, 1.7, 2.0]])
+
+
+@pytest.mark.parametrize("index", range(len(STACK_STATES)))
+def test_stacked_rows_match_single_solves(index):
+    rho = STACK_STATES[index]
+    stacked = prmi_down_down_stack(STACK_ALPHAS, rho)
+    for alpha, row in zip(STACK_ALPHAS, stacked):
+        single = prmi_down_down(alpha, rho)
+        assert row.alpha == single.alpha
+        assert row.value == pytest.approx(single.value, abs=1e-12)
+        assert row.certified == single.certified
+        assert row.iterations == single.iterations
+        assert abs(row.gap - single.gap) <= 1e-12
+        if row.iterations:
+            assert row.sigma_a.matrix == pytest.approx(single.sigma_a.matrix, abs=1e-12)
+
+
+def test_stacked_restarts_match_single_solves():
+    rho = random_bipartite(2, 2, 42)
+    config = FixedPointConfig(restarts=4, seed=3)
+    for alpha, row in zip((0.7, 1.4), prmi_down_down_stack([0.7, 1.4], rho, config)):
+        single = prmi_down_down(alpha, rho, config)
+        assert row.value == pytest.approx(single.value, abs=1e-12)
+        assert row.certified and single.certified
+
+
+def test_rate_curve_and_exponent_match_single_solves():
+    rho = random_bipartite(2, 3, 8104)
+    grid = np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)
+    for s, point in zip(grid, rate_curve(rho, grid)):
+        single = prmi_down_down(s, rho)
+        d = alpha_derivative(s, rho, single)
+        assert point.rate == pytest.approx(single.value - s * (1 - s) * d, abs=1e-12)
+        assert point.exponent == pytest.approx((1 - s) ** 2 * d, abs=1e-12)
+    i_one = prmi_down_down(1.0, rho).value
+    report = direct_exponent(rho, 0.45 * i_one)
+    s = report.s_star
+    assert report.exponent == pytest.approx(
+        (1 - s) / s * (prmi_down_down(s, rho).value - 0.45 * i_one), abs=1e-12
+    )
+
+
+def test_solutions_carry_the_loop_eigensystems(monkeypatch):
+    """sigma_a and tau_b come with the eigensystems the loop held: using them
+    takes no further decomposition."""
+    rho = random_bipartite(2, 3, 9)
+    _ = (rho.marginal_a, rho.marginal_b)
+    sol = prmi_down_down(1.4, rho)
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a) or original(a))
+    for op in (sol.sigma_a, sol.tau_b):
+        vals, vecs = op.spectrum, op.eigenvectors
+        assert np.allclose((vecs * vals) @ vecs.conj().T, op.matrix, atol=1e-14)
+    alpha_derivative(1.4, rho, sol)
+    assert calls == []
+
+
+def dense_alpha_derivative(alpha, rho, solution):
+    """The derivative from the decomposition of the dense product sigma x tau."""
+    lam, mu, w = _petz_terms(rho, tensor_product(solution.sigma_a, solution.tau_b))
+    terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
+    q = float(np.sum(terms))
+    q_prime = float(np.sum(terms * _log_ratio(lam, mu)))
+    return -math.log(q) / (alpha - 1.0) ** 2 + q_prime / (q * (alpha - 1.0))
+
+
+@pytest.mark.parametrize("index", range(len(STACK_STATES)))
+def test_alpha_derivative_matches_dense_product(index):
+    rho = STACK_STATES[index]
+    for alpha in (0.55, 0.7, 0.95, 1.3, 2.0):
+        sol = prmi_down_down(alpha, rho)
+        got = alpha_derivative(alpha, rho, sol)
+        assert got == pytest.approx(dense_alpha_derivative(alpha, rho, sol), abs=1e-12, rel=1e-12)
