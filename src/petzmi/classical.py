@@ -14,10 +14,13 @@ import math
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW, DivergenceValue
+from .divergences import ALPHA_ONE_WINDOW, DivergenceValue, _check_order
 from .errors import DomainError, InvalidInputError, UnsupportedRegimeError
 from .oracle import _grid_refine, _traceless_basis
 from .states import Pmf
+
+_TOL = 1e-12  # stop of the alternating minimization, on value and on r
+_MAX_ITER = 10000
 
 
 def _as_pmf_vector(p) -> np.ndarray:
@@ -29,8 +32,7 @@ def _as_pmf_vector(p) -> np.ndarray:
 
 def classical_divergence(alpha: float, p, q) -> DivergenceValue:
     """Classical Renyi divergence D_alpha(p || q), natural log."""
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
+    _check_order(alpha)
     p = _as_pmf_vector(p)
     q = _as_pmf_vector(q)
     if p.size != q.size:
@@ -81,7 +83,7 @@ def _down_value_and_optimal_q(alpha: float, table: np.ndarray, r: np.ndarray):
     return value, q
 
 
-def rmi_down_down(alpha: float, pmf: Pmf, tol: float = 1e-12, max_iter: int = 10000):
+def rmi_down_down(alpha: float, pmf: Pmf):
     """Doubly minimized classical Renyi mutual information
     min_{r, q} D_alpha(P || r x q).
 
@@ -92,18 +94,17 @@ def rmi_down_down(alpha: float, pmf: Pmf, tol: float = 1e-12, max_iter: int = 10
 
     Returns (value, r, q).
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
+    _check_order(alpha)
     table = pmf.table
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return mutual_information(pmf), pmf.marginal_x.copy(), pmf.marginal_y.copy()
     if alpha > 0.5:
         r = pmf.marginal_x.copy()
         prev = math.inf
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             val, q = _down_value_and_optimal_q(alpha, table, r)
             _, r_new = _down_value_and_optimal_q(alpha, table.T, q)
-            if abs(val - prev) <= tol and np.max(np.abs(r_new - r)) <= tol:
+            if abs(val - prev) <= _TOL and np.max(np.abs(r_new - r)) <= _TOL:
                 r = r_new
                 break
             prev = val

@@ -61,17 +61,13 @@ def _as_density(op) -> DensityOperator:
     return op if isinstance(op, DensityOperator) else DensityOperator(op)
 
 
-def _petz_terms(rho: HermitianOperator, sigma):
+def _petz_terms(rho: HermitianOperator, sigma: HermitianOperator):
     """(lambda, mu, W): the spectra of rho and sigma and W_ij = |<u_i|v_j>|^2
-    between their eigenvectors, from the cached eigensystems. sigma is an
-    operator or an eigensystem (mu, V) that the caller already holds."""
-    if isinstance(sigma, HermitianOperator):
-        sigma = sigma.spectrum, sigma.eigenvectors
-    mu, vecs = sigma
-    if rho.dim != mu.size:
+    between their eigenvectors, from the cached eigensystems."""
+    if rho.dim != sigma.dim:
         raise InvalidInputError("states must have equal dimension")
-    w = np.abs(rho.eigenvectors.conj().T @ vecs) ** 2
-    return rho.spectrum, mu, w
+    w = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
+    return rho.spectrum, sigma.spectrum, w
 
 
 def _log_ratio(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .divergences import _log_ratio, _petz_terms, relative_entropy_variance
 from .errors import DomainError, UnsupportedRegimeError
-from .linalg import spectral_power, tensor_product
+from .linalg import spectral_power
 from .prmi import FixedPointConfig, PrmiSolution, prmi_down_down, prmi_down_down_stack
-from .states import BipartiteState
+from .states import BipartiteState, product_state
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
 R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
@@ -51,8 +51,7 @@ class RateCurvePoint:
 
 
 def _mutual_information_variance(rho: BipartiteState) -> float:
-    product = tensor_product(rho.marginal_a, rho.marginal_b).matrix
-    return relative_entropy_variance(rho, product)
+    return relative_entropy_variance(rho, product_state(rho.marginal_a, rho.marginal_b))
 
 
 def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution | None = None,
@@ -67,7 +66,8 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
     both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
     Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
     by log lambda_i - log mu_j. The eigensystem of omega = sigma* x tau* is the
-    Kronecker product of the marginals' eigensystems; omega is never formed.
+    Kronecker product of the marginals' eigensystems (`product_state`); omega
+    is never decomposed.
     At alpha = 1 the derivative equals half the relative-entropy variance to the
     product of the marginals.
     """
@@ -75,9 +75,7 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
         return 0.5 * _mutual_information_variance(rho)
     if solution is None:
         solution = prmi_down_down(alpha, rho, config)
-    sigma, tau = solution.sigma_a, solution.tau_b
-    lam, mu, w = _petz_terms(rho, (np.kron(sigma.spectrum, tau.spectrum),
-                                   np.kron(sigma.eigenvectors, tau.eigenvectors)))
+    lam, mu, w = _petz_terms(rho, product_state(solution.sigma_a, solution.tau_b))
     terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
     q = float(np.sum(terms))
     q_prime = float(np.sum(terms * _log_ratio(lam, mu)))

@@ -1,15 +1,17 @@
 """Finite-blocklength hypothesis tests against all iid product states.
 
 The alternative hypothesis (some product state, n copies) is covered by a single
-universal permutation-invariant state omega: the normalized partial trace of the
-projector onto the symmetric subspace of (H x H')^n satisfies
-sigma^(x n) <= g_n * omega for every state sigma on H, where g_n is the number
-of symmetric types. A Neyman-Pearson-style threshold test against
-omega_A x omega_B then bounds the type-II error uniformly over products.
+universal permutation-invariant state omega_n on H^(x n), the cycle sum of
+`universal_state`: sigma^(x n) <= g_n * omega_n for every state sigma on H,
+where g_n is the number of symmetric types of H x H'. A Neyman-Pearson-style
+threshold test against omega_A x omega_B, which carries the Kronecker product
+of the factors' eigensystems, then bounds the type-II error uniformly over
+products.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,15 +23,16 @@ from .errors import DomainError, ResourceLimitError
 from .exponents import direct_exponent
 from .linalg import (
     HermitianOperator,
-    partial_trace_factors,
+    nonnegative_part_projector,
     permute_factors,
-    power_on_support,
     support_projector,
-    tensor_product,
 )
-from .states import BipartiteState, DensityOperator
+from .states import BipartiteState, DensityOperator, product_state
 
-MAX_TOTAL_DIM = 6561  # (d^2)^n guard for the symmetric projector construction
+# (d^2)^n guard; it bounds the (d_A d_B)^n block rho^(x n) that the caller
+# builds next to omega_A x omega_B
+MAX_TOTAL_DIM = 6561
+S_GRID_SIZE = 20  # the s grid of achievability_sweep
 
 _LOG_THRESHOLD_GUARD = 700.0  # beyond this, e^(+-thr) over/underflows float64
 
@@ -39,63 +42,42 @@ def symmetric_type_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def _permutation_matrix_indices(n: int, d: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Column index hit by each row of the operator permuting n d-dimensional
-    factors: basis index i maps through digit permutation."""
-    idx = np.arange(d**n)
-    digits = np.empty((n, d**n), dtype=np.int64)
-    rem = idx
-    for k in range(n - 1, -1, -1):
-        digits[k] = rem % d
-        rem = rem // d
-    out = np.zeros(d**n, dtype=np.int64)
-    for k in range(n):
-        out = out * d + digits[perm[k]]
-    return out
-
-
 def universal_state(n: int, d: int) -> DensityOperator:
     """The universal permutation-invariant state on (C^d)^(x n).
 
-    Built literally: project onto the symmetric subspace of (C^d x C^d)^(x n),
-    trace out the primed copies, normalize. Guarded against exponential blowup.
+    It is the normalized partial trace, over the primed copies, of the
+    projector onto the symmetric subspace of (C^d x C^d')^(x n),
+    (1/n!) sum_pi V_pi x V'_pi, with V_pi the operator that permutes the n
+    factors. Tracing out V'_pi leaves tr V'_pi = d^c(pi), where c(pi) is the
+    number of cycles of pi, and the normalization is g = C(n + d^2 - 1, n), so
+
+        omega_n = (1/(g n!)) sum_pi d^c(pi) V_pi
+
+    on (C^d)^(x n) alone. Guarded against exponential blowup.
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be positive")
     total = (d * d) ** n
     if total > MAX_TOTAL_DIM:
         raise ResourceLimitError(
-            f"symmetric projector dimension (d^2)^n = {total} exceeds {MAX_TOTAL_DIM}"
+            f"(d^2)^n = {total} exceeds {MAX_TOTAL_DIM}: the block rho^(x n) "
+            f"of the universal test would be too large"
         )
-    dd = d * d
-    proj = np.zeros((total, total))
-    rows = np.arange(total)
-    perms = list(itertools.permutations(range(n)))
-    for perm in perms:
-        cols = _permutation_matrix_indices(n, dd, perm)
-        proj[rows, cols] += 1.0
-    proj /= len(perms)
-    # each factor C^(d^2) is system x primed-copy; keep the system halves
-    dims = []
-    for _ in range(n):
-        dims.extend([d, d])
-    keep = [2 * k for k in range(n)]
-    reduced = partial_trace_factors(proj, dims, keep)
-    g = symmetric_type_count(n, dd)
-    return DensityOperator(reduced / g)
+    dim = d**n
+    eye = np.eye(dim).reshape([d] * (2 * n))
+    omega = np.zeros((dim, dim))
+    for perm in itertools.permutations(range(n)):
+        v_pi = eye.transpose(list(perm) + list(range(n, 2 * n))).reshape(dim, dim)
+        omega += np.trace(v_pi) * v_pi  # tr V_pi = d^c(pi)
+    return DensityOperator(omega / (symmetric_type_count(n, d * d) * math.factorial(n)))
 
 
 def iid_block(rho: BipartiteState, n: int) -> BipartiteState:
     """rho^(x n) reordered from (A1 B1 ... An Bn) to (A1 ... An):(B1 ... Bn)."""
     d_a, d_b = rho.d_a, rho.d_b
-    m = rho.matrix
-    for _ in range(n - 1):
-        m = np.kron(m, rho.matrix)
-    dims = []
-    for _ in range(n):
-        dims.extend([d_a, d_b])
+    m = functools.reduce(np.kron, [rho.matrix] * n)
     order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    m = permute_factors(m, dims, order)
+    m = permute_factors(m, [d_a, d_b] * n, order)
     return BipartiteState(m, d_a**n, d_b**n)
 
 
@@ -114,8 +96,6 @@ def np_test(rho_n, alt, log_threshold: float) -> HermitianOperator:
         return support_projector(pinched)
     if log_threshold < -_LOG_THRESHOLD_GUARD:
         return HermitianOperator(np.eye(rho_n.dim))
-    from .linalg import nonnegative_part_projector
-
     scaled = HermitianOperator(math.exp(log_threshold) * alt.matrix)
     return nonnegative_part_projector(rho_n, scaled)
 
@@ -134,24 +114,32 @@ class TestErrors:
 
 
 def _universal_setup(rho: BipartiteState, n: int, alpha: float):
-    """rho^(x n), the universal product state omega_A x omega_B, the type
-    counts g_A and g_B, and D_alpha(rho^(x n) || omega_A x omega_B)."""
+    """rho^(x n), the universal product state omega_A x omega_B, log g_A + log g_B
+    for the type counts g, and D_alpha(rho^(x n) || omega_A x omega_B)."""
     rho_n = iid_block(rho, n)
-    alt = tensor_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
-    g_a = symmetric_type_count(n, rho.d_a**2)
-    g_b = symmetric_type_count(n, rho.d_b**2)
-    d = petz_divergence(alpha, rho_n, DensityOperator(alt.matrix))
+    alt = product_state(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
+             + math.log(symmetric_type_count(n, rho.d_b**2)))
+    d = petz_divergence(alpha, rho_n, alt)
     if d.is_infinite:
         raise DomainError("divergence to the universal product state is infinite")
-    return rho_n, alt, g_a, g_b, d.value
+    return rho_n, alt, log_g, d.value
 
 
 def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> float:
     """The finite-n lower bound on the doubly minimized Renyi mutual
     information obtained from the universal product state:
     (1/n) (D_alpha(rho^(x n) || omega_A x omega_B) - log g_A - log g_B)."""
-    _, _, g_a, g_b, d = _universal_setup(rho, n, alpha)
-    return (d - math.log(g_a) - math.log(g_b)) / n
+    _, _, log_g, d = _universal_setup(rho, n, alpha)
+    return (d - log_g) / n
+
+
+def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
+    """rho^(x n), log g_A + log g_B, D_s(rho^(x n) || omega_A x omega_B), the
+    threshold lambda_n of `test_errors`, and the test at that threshold."""
+    rho_n, alt, log_g, d_s = _universal_setup(rho, n, s)
+    lam = (log_g + n * rate - (1.0 - s) * d_s) / s
+    return rho_n, log_g, d_s, lam, np_test(rho_n, alt, lam)
 
 
 def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
@@ -169,18 +157,13 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
         raise DomainError("n must be positive")
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
-    rho_n, alt, g_a, g_b, d_s = _universal_setup(rho, n, s)
-    log_g = math.log(g_a) + math.log(g_b)
-    lam = (log_g + n * rate - (1.0 - s) * d_s) / s
-    test = np_test(rho_n, alt, lam)
+    rho_n, log_g, d_s, lam, test = _universal_test(rho, n, rate, s)
     type_one = 1.0 - float(np.real(np.trace(rho_n.matrix @ test.matrix)))
-    type_two_bound = g_a * g_b * math.exp(-s * lam) * math.exp(-(1.0 - s) * d_s)
-    type_one_bound = math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate)))
     return TestErrors(
         n=n, s=s, rate=rate, log_threshold=lam,
         type_one=max(type_one, 0.0),
-        type_two_bound=type_two_bound,
-        type_one_bound=type_one_bound,
+        type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
+        type_one_bound=math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate))),
     )
 
 
@@ -188,30 +171,20 @@ def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
                      sigma_a: DensityOperator, tau_b: DensityOperator) -> float:
     """Actual type-II error of the universal test against a specific iid product
     alternative sigma_A^(x n) x tau_B^(x n)."""
-    rho_n, alt, g_a, g_b, d_s = _universal_setup(rho, n, s)
-    lam = (math.log(g_a) + math.log(g_b) + n * rate - (1.0 - s) * d_s) / s
-    test = np_test(rho_n, alt, lam)
-    sig_n = power_on_support(sigma_a, 1.0).matrix
-    tau_n = power_on_support(tau_b, 1.0).matrix
-    block_a = sig_n
-    block_b = tau_n
-    for _ in range(n - 1):
-        block_a = np.kron(block_a, sig_n)
-        block_b = np.kron(block_b, tau_n)
-    product = np.kron(block_a, block_b)
+    test = _universal_test(rho, n, rate, s)[-1]
+    product = functools.reduce(np.kron, [sigma_a.matrix] * n + [tau_b.matrix] * n)
     return float(np.real(np.trace(product @ test.matrix)))
 
 
-def achievability_sweep(rho: BipartiteState, rate: float, n_max: int,
-                        s_grid_size: int = 20) -> dict:
+def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     """Best finite-n type-I exponents of the universal test, next to the
     asymptotic direct exponent at the same rate.
 
-    For each n up to n_max the test is run over a grid of s in (0, 1) and the
-    largest -(1/n) log(type-I bound) is kept.
+    For each n up to n_max the test is run over a grid of S_GRID_SIZE values
+    of s in (0, 1) and the largest -(1/n) log(type-I bound) is kept.
     """
     report = direct_exponent(rho, rate)
-    s_values = np.linspace(0.05, 0.95, s_grid_size)
+    s_values = np.linspace(0.05, 0.95, S_GRID_SIZE)
     rows = []
     for n in range(1, n_max + 1):
         best = None

@@ -125,10 +125,6 @@ def spectral_power(vals: np.ndarray, p) -> np.ndarray:
     cut = vals.shape[-1] * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
     vals = _psd_eigenvalues(vals)
     keep = vals > cut * EPS
-    if np.ndim(p) == 0:
-        powered = np.zeros_like(vals)
-        powered[keep] = vals[keep] ** p
-        return powered
     return np.power(vals, p, out=np.zeros(np.broadcast(vals, p).shape), where=keep)
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, renyi_entropy
+from .divergences import ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, renyi_entropy
 from .errors import DomainError, UnsupportedRegimeError
 from .linalg import power_on_support, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
@@ -193,8 +193,7 @@ def brute_force_dd(
     resolution**3 Ginibre samples for a qutrit) plus rho_A, refined around
     the best point by `_grid_refine`; tau is exact given sigma.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
+    _check_order(alpha)
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
     if rho.d_a == 2:

@@ -34,6 +34,7 @@ from .classical import rmi_down_down as classical_rmi_down_down
 from .divergences import (
     ALPHA_ONE_WINDOW,
     DivergenceValue,
+    _check_order,
     dominated,
     min_entropy,
     petz_divergence,
@@ -46,8 +47,8 @@ from .errors import (
     NumericalDegradationError,
     UnsupportedRegimeError,
 )
-from .linalg import power_on_support, spectral_power, tensor_product
-from .states import BipartiteState, DensityOperator, random_density
+from .linalg import power_on_support, spectral_power
+from .states import BipartiteState, DensityOperator, product_state, random_density
 
 MONOTONICITY_SLACK = 1e-11
 RESTART_AGREEMENT_TOL = 1e-8
@@ -98,9 +99,7 @@ class PrmiSolution:
 
 def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """D_alpha of the state against the product of its own marginals."""
-    return petz_divergence(
-        alpha, rho, tensor_product(rho.marginal_a, rho.marginal_b).matrix
-    )
+    return petz_divergence(alpha, rho, product_state(rho.marginal_a, rho.marginal_b))
 
 
 def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, DensityOperator]:
@@ -215,8 +214,7 @@ def _compose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """min over tau_B with sigma_A fixed to the true marginal rho_A."""
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
+    _check_order(alpha)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return prmi_up_up(1.0, rho)
     value, _ = gen_prmi_down(alpha, rho, rho.marginal_a)
@@ -432,14 +430,11 @@ def prmi_down_down(
       alpha > 2          : closed forms only (fixed points need not be
                            minimizers); generic states are rejected.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
+    _check_order(alpha)
     config = config or FixedPointConfig()
 
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        d = relative_entropy(
-            rho, tensor_product(rho.marginal_a, rho.marginal_b).matrix
-        )
+        d = relative_entropy(rho, product_state(rho.marginal_a, rho.marginal_b))
         return PrmiSolution(
             value=d.value, alpha=alpha, sigma_a=rho.marginal_a, tau_b=rho.marginal_b,
             residual=0.0, iterations=0, objective_trace=(d.value,), certified=True, gap=0.0,

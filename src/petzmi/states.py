@@ -151,6 +151,14 @@ def random_bipartite(d_a: int, d_b: int, rng_or_seed=None, rank: int | None = No
     return BipartiteState(rho.matrix, d_a, d_b)
 
 
+def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    """a x b, carrying the Kronecker product of the factors' eigensystems: the
+    product is never decomposed, and its eigenvalues keep the factors'
+    relative accuracy."""
+    return DensityOperator(np.kron(a.matrix, b.matrix), eigensystem=(
+        np.kron(a.spectrum, b.spectrum), np.kron(a.eigenvectors, b.eigenvectors)))
+
+
 def tensor_states(rho: BipartiteState, sigma: BipartiteState) -> BipartiteState:
     """Tensor product of bipartite states, regrouped so that the A systems come
     first: (A1 B1) x (A2 B2) -> (A1 A2):(B1 B2)."""

@@ -204,6 +204,18 @@ def test_up_up_on_pure_state_with_small_schmidt_coefficient():
     )
 
 
+@pytest.mark.parametrize("alpha", [1.5, 1.8, 2.0, 2.2, 2.5])
+def test_up_up_on_pure_state_with_tiny_schmidt_probability(alpha):
+    # smallest Schmidt probability 1.2e-6: the marginal product has an
+    # eigenvalue near 1e-12 that mu^(1 - alpha) amplifies, so it must keep
+    # its relative accuracy, as the Kronecker spectrum of its factors does
+    rng = np.random.default_rng(335)
+    rho = pure_bipartite(rng.standard_normal(9) + 1j * rng.standard_normal(9), 3, 3)
+    assert prmi_up_up(alpha, rho).value == pytest.approx(
+        2.0 * renyi_entropy(3.0 - 2.0 * alpha, rho.marginal_a), abs=1e-9
+    )
+
+
 def test_dd_of_product_state_is_not_negative():
     rho = BipartiteState(np.kron(random_density(2, 1).matrix, random_density(2, 2).matrix), 2, 2)
     assert prmi_down_down(2.0, rho).value >= 0.0
