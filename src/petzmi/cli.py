@@ -117,14 +117,12 @@ def _fmt(x: float) -> str:
 
 
 def _config_from_args(args) -> FixedPointConfig:
-    return FixedPointConfig(
-        tol=args.tol, max_iter=args.max_iter, restarts=args.restarts, seed=args.seed
-    )
+    return FixedPointConfig(tol=args.tol, max_iter=args.max_iter)
 
 
 def _dd_point(alpha: float, state: BipartiteState, config: FixedPointConfig):
-    """(value, certified) for the doubly minimized variant, nan on unsupported
-    regimes."""
+    """(value, certified, solution) for the doubly minimized variant; nan,
+    False and None on unsupported regimes."""
     try:
         sol = prmi_down_down(alpha, state, config)
     except UnsupportedRegimeError:
@@ -286,8 +284,6 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
     parser.add_argument("--tol", type=float, default=default(1e-12))
     parser.add_argument("--max-iter", type=int, default=default(10000))
-    parser.add_argument("--restarts", type=int, default=default(None))
-    parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--json", action="store_true", default=default(False))
     parser.add_argument("--strict", action="store_true", default=default(False),
                         help="exit 5 when a solver result is not certified")

@@ -25,8 +25,7 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import islice
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,22 +47,18 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import power_on_support, spectral_power
-from .states import BipartiteState, DensityOperator, product_state, random_density
+from .states import BipartiteState, DensityOperator, product_state
 
 MONOTONICITY_SLACK = 1e-11
-RESTART_AGREEMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Controls for the alternating-minimization solver."""
+    """Controls for the alternating-minimization solver: a run stops once the
+    Frank-Wolfe gap of its iterate is at most tol, or after max_iter rounds."""
 
     tol: float = 1e-12
     max_iter: int = 10000
-    # None: one start, which the Frank-Wolfe gap certifies on all of (1/2, 2];
-    # k > 1 adds starts I/d and k - 2 random states, whose values must agree
-    restarts: int | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -76,10 +71,11 @@ class PrmiSolution:
     for closed forms and exact reductions and inf where no certificate exists
     (the small-alpha search, infinite values). residual is the trace distance
     between sigma_a and the iterate before it, one full round of the
-    fixed-point map earlier. certified means the value is the global minimum:
-    for alpha in (1/2, 2] every fixed point is a global minimizer, and a run is
-    certified when gap <= tol and residual <= 10 tol (and its restarts agree
-    when more than one start was asked for).
+    fixed-point map earlier; likewise 0 for closed forms and exact reductions
+    and inf where no iterate bounds it (the small-alpha search, infinite
+    values). certified means the value is the global minimum: for alpha in
+    (1/2, 2] every fixed point is a global minimizer, so a run is certified
+    when gap <= tol and residual <= 10 tol.
     """
 
     value: float
@@ -109,10 +105,12 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
     M = tr_A[rho^alpha (sigma_A^(1-alpha) x 1)], the value is
     (alpha/(alpha-1)) log tr[M^(1/alpha)] and the minimizer is
     tau = M^(1/alpha) / tr[M^(1/alpha)]. At alpha = 0 it is the limit
-    -log lambda_max(M), attained on the top eigenvector of M.
+    -log lambda_max(M), attained on the top eigenvector of M. Orders within
+    ALPHA_ONE_WINDOW of 1 raise DomainError.
     """
-    if alpha < 0:
-        raise DomainError(f"Renyi order must be nonnegative, got {alpha!r}")
+    _check_order(alpha)
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        raise DomainError(f"gen_prmi_down needs alpha outside the alpha = 1 window, got {alpha!r}")
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
     if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
@@ -225,6 +223,7 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
     """One full round A -> B -> A of the alternating-minimization update."""
+    _check_order(alpha)
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
     return _run_fixed_point(alpha, rho, sigma_a, FixedPointConfig(max_iter=1)).sigma_a
 
@@ -305,29 +304,30 @@ def _dd_closed_form_solution(alpha: float, rho: BipartiteState) -> PrmiSolution 
     )
 
 
-def _run_fixed_point(alpha, rho: BipartiteState, sigma0, config: FixedPointConfig):
+def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
+                     config: FixedPointConfig):
     """Alternating minimization from sigma0, on a stack of orders.
 
-    alpha is one order or a stack of k; sigma0 is one start for every row or a
-    sequence of k. Each row runs until the Frank-Wolfe gap of its iterate is at
-    most config.tol, or for config.max_iter rounds, and then leaves the stack.
-    Returns a PrmiSolution for one order and a list of k for a stack.
+    alpha is one order or a stack of k, every row started from sigma0. Each row
+    runs until the Frank-Wolfe gap of its iterate is at most config.tol, or for
+    config.max_iter rounds, and then leaves the stack. A finite row is
+    certified when its gap is at most config.tol and its residual at most
+    10 config.tol; a row whose value turns infinite is not. Returns a
+    PrmiSolution for one order and a list of k for a stack.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
-    starts = [sigma0] * k if isinstance(sigma0, DensityOperator) else list(sigma0)
     # Checked once: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha (sigma^(1-alpha) x 1)]
     # has support exactly supp(rho_B), so every tau covers rho_B, every later
     # sigma covers rho_A, and no iterate can leak.
-    for a, start in zip(alphas, starts):
-        if a > 1 and not dominated(rho.marginal_a, start):
-            raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
+    if np.any(alphas > 1) and not dominated(rho.marginal_a, sigma0):
+        raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
     r_ab = _rho_power(rho, alphas)
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
     slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
-    s_vals = np.stack([start.spectrum for start in starts])
-    s_vecs = np.stack([start.eigenvectors for start in starts])
+    s_vals = np.repeat(sigma0.spectrum[None], k, axis=0)
+    s_vecs = np.repeat(sigma0.eigenvectors[None], k, axis=0)
     # per row: the last iterate, the one before it, the gap, the rounds run
     last = [s_vals.copy(), s_vecs.copy()]
     before = [s_vals.copy(), s_vecs.copy()]
@@ -393,18 +393,10 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, config: FixedPointConfi
             residual=float(residual[j]),
             iterations=int(rounds[j]),
             objective_trace=tuple(trace[: rounds[j], j].tolist()),
-            certified=False,  # filled in by the caller
+            certified=bool(gap[j] <= config.tol and residual[j] <= 10 * config.tol),
             gap=float(gap[j]),
         ))
     return solutions if np.ndim(alpha) else solutions[0]
-
-
-def _initial_points(rho: BipartiteState, restarts: int, seed: int):
-    yield rho.marginal_a
-    yield DensityOperator(np.eye(rho.d_a) / rho.d_a)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts - 2)):
-        yield random_density(rho.d_a, rng)
 
 
 def prmi_down_down(
@@ -422,11 +414,11 @@ def prmi_down_down(
                            suffices: the run stops when the Frank-Wolfe gap of
                            f(sigma) = min_tau D_alpha(rho || sigma x tau) is at
                            most config.tol, and it is certified when also its
-                           residual is at most 10 config.tol. With
-                           config.restarts = k > 1 the k starts must agree too.
+                           residual is at most 10 config.tol.
       0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
                            the classical reduction for diagonal states, or an
-                           exhaustive product-state search for small dimensions.
+                           exhaustive product-state search for small dimensions,
+                           which is uncertified, with gap and residual inf.
       alpha > 2          : closed forms only (fixed points need not be
                            minimizers); generic states are rejected.
     """
@@ -452,7 +444,7 @@ def prmi_down_down(
         )
 
     if alpha > 0.5:
-        return _fixed_point_solutions(np.array([alpha], dtype=float), rho, config)[0]
+        return _run_fixed_point(alpha, rho, rho.marginal_a, config)
 
     # alpha in [0, 1/2]
     closed = _dd_closed_form_solution(alpha, rho)
@@ -473,7 +465,7 @@ def prmi_down_down(
         value, sigma_a, tau_b = brute_force_dd(alpha, rho)
         return PrmiSolution(
             value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b,
-            residual=0.0, iterations=0, objective_trace=(value,), certified=False,
+            residual=math.inf, iterations=0, objective_trace=(value,), certified=False,
         )
     raise UnsupportedRegimeError(
         "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states"
@@ -492,33 +484,9 @@ def prmi_down_down_stack(alphas, rho: BipartiteState,
     solutions = {}
     if stacked:
         orders = np.array([alphas[j] for j in stacked])
-        solutions = dict(zip(stacked, _fixed_point_solutions(orders, rho, config)))
+        solutions = dict(zip(stacked, _run_fixed_point(orders, rho, rho.marginal_a, config)))
     return [solutions[j] if j in solutions else prmi_down_down(a, rho, config)
             for j, a in enumerate(alphas)]
-
-
-def _fixed_point_solutions(alphas: np.ndarray, rho: BipartiteState,
-                           config: FixedPointConfig) -> list[PrmiSolution]:
-    """Certified alternating-minimization solves of a stack of orders in
-    (1/2, 2], every start of every order one row of a single stack."""
-    n = max(config.restarts or 1, 1)
-    starts = list(islice(_initial_points(rho, n, config.seed), n))
-    runs = _run_fixed_point(np.repeat(alphas, n), rho, starts * alphas.size, config)
-    solutions = []
-    for j in range(alphas.size):
-        group = runs[j * n:(j + 1) * n]
-        finite = [r for r in group if not r.is_infinite]
-        if not finite:
-            solutions.append(group[0])
-            continue
-        best = min(finite, key=lambda r: r.value)
-        converged = best.gap <= config.tol and best.residual <= 10 * config.tol
-        agree = all(
-            r.is_infinite or abs(r.value - best.value) <= RESTART_AGREEMENT_TOL
-            for r in group
-        )
-        solutions.append(replace(best, certified=converged and agree))
-    return solutions
 
 
 def prmi(alpha: float, rho: BipartiteState, which: str, config: FixedPointConfig | None = None):

@@ -41,6 +41,7 @@ from petzmi.prmi import (
 )
 from petzmi.states import (
     BipartiteState,
+    DensityOperator,
     Pmf,
     copy_cc_state,
     pure_bipartite,
@@ -154,17 +155,18 @@ def test_criterion_4_additivity():
 
 def test_criterion_5_uniqueness_and_fixed_point():
     ok = True
-    config = FixedPointConfig(restarts=8, seed=97)
+    config = FixedPointConfig()
     for seed in range(5):
         rho = random_bipartite(2, 2, 3000 + seed)
+        # 8 starts: rho_A, I/2 and 6 random states
+        rng = np.random.default_rng(97)
+        starts = [rho.marginal_a, DensityOperator(np.eye(2) / 2)]
+        starts += [random_density(2, rng) for _ in range(6)]
         for alpha in (0.56, 0.7, 0.85, 0.999):
-            # run 8 restarts explicitly and compare the minimizers pairwise
-            from petzmi.prmi import _initial_points, _run_fixed_point
+            # run every start explicitly and compare the minimizers pairwise
+            from petzmi.prmi import _run_fixed_point
 
-            sols = [
-                _run_fixed_point(alpha, rho, s0, config)
-                for s0 in _initial_points(rho, 8, config.seed)
-            ]
+            sols = [_run_fixed_point(alpha, rho, s0, config) for s0 in starts]
             for other in sols[1:]:
                 ok &= trace_distance(other.sigma_a, sols[0].sigma_a) <= 1e-8
             best = prmi_down_down(alpha, rho, config)

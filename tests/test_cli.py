@@ -184,13 +184,30 @@ def test_exponent_rejects_nan_rate(cc_file, capsys):
     ["exponent", "--rate", "0.3"],
 ])
 def test_global_flags_after_subcommand(cc_file, capsys, command):
-    flags = ["--json", "--tol", "1e-10", "--seed", "3"]
+    flags = ["--json", "--tol", "1e-10", "--max-iter", "500"]
     argv = [command[0], "--state", cc_file] + command[1:]
     assert main(flags + argv) == 0
     before = capsys.readouterr().out
     assert main(argv + flags) == 0
     assert capsys.readouterr().out == before
     json.loads(before)
+
+
+def test_compute_dd_search_reports_inf_residual(tmp_path, capsys):
+    path = generic_state_file(tmp_path)
+    assert main(["--json", "compute", "--which", "dd", "--alpha", "0.3", "--state", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["residual"] == "inf"
+    assert out["gap"] is None
+    assert out["certified"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--seed"])
+def test_restart_flags_are_gone(cc_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--state", cc_file, "--alpha", "0.7", flag, "8"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_simulate_command(cc_file, capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petzmi.divergences import _log_ratio, _petz_terms
+from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _petz_terms
 from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power, tensor_product
 from petzmi.prmi import (
@@ -22,11 +22,13 @@ from petzmi.prmi import (
     _half_step,
     _rho_power,
     _run_fixed_point,
+    fixed_point_map,
     gen_prmi_down,
     prmi_down_down,
     prmi_down_down_stack,
 )
 from petzmi.states import (
+    BipartiteState,
     DensityOperator,
     copy_cc_state,
     pure_bipartite,
@@ -122,6 +124,58 @@ def test_stalled_start_runs_to_the_minimum():
     assert warm.value == pytest.approx(cold.value, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d_b=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.one_of(
+        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0, 2.0, exclude_min=True),
+    ).filter(lambda a: abs(a - 1.0) > ALPHA_ONE_WINDOW),
+)
+def test_value_does_not_depend_on_the_start(d_b, seed, alpha):
+    """Every fixed point is a global minimizer on (1/2, 2]: runs from I/d and
+    from a full-rank random state reach the value of the run from rho_A, and
+    each run certifies itself."""
+    rng = np.random.default_rng(seed)
+    rho = random_bipartite(2, d_b, rng)
+    config = FixedPointConfig()
+    base = _run_fixed_point(alpha, rho, rho.marginal_a, config)
+    assert base.certified
+    for start in (DensityOperator(np.eye(2) / 2), random_density(2, rng)):
+        run = _run_fixed_point(alpha, rho, start, config)
+        assert run.certified
+        assert abs(run.value - base.value) <= 1e-8
+
+
+def test_loop_certifies_its_own_rows():
+    rho = random_bipartite(2, 3, 11)
+    single = _run_fixed_point(1.4, rho, rho.marginal_a, FixedPointConfig())
+    assert single.gap <= 1e-12 and single.residual <= 1e-11
+    assert single.certified
+    rows = _run_fixed_point(np.array([0.7, 1.4]), rho, rho.marginal_a, FixedPointConfig())
+    assert [row.certified for row in rows] == [True, True]
+    # one round is not converged: its gap is above tol
+    assert not _run_fixed_point(1.4, rho, rho.marginal_a, FixedPointConfig(max_iter=1)).certified
+
+
+def swap(rho):
+    """rho_AB as a state on BA."""
+    m = rho.matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b).transpose(1, 0, 3, 2)
+    return BipartiteState(m.reshape(rho.matrix.shape), rho.d_b, rho.d_a)
+
+
+@pytest.mark.parametrize("alpha", GRADIENT_ALPHAS)
+def test_fixed_point_map_is_one_round(alpha):
+    """fixed_point_map is the A -> B minimizer followed by the B -> A one."""
+    rng = np.random.default_rng(23)
+    rho = random_bipartite(2, 3, rng)
+    sigma = random_density(2, rng)
+    _, tau = gen_prmi_down(alpha, rho, sigma)
+    _, expected = gen_prmi_down(alpha, swap(rho), tau)
+    assert fixed_point_map(alpha, rho, sigma).matrix == pytest.approx(expected.matrix, abs=1e-12)
+
+
 STACK_STATES = [
     copy_cc_state([0.2, 0.8]),
     pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
@@ -145,15 +199,6 @@ def test_stacked_rows_match_single_solves(index):
         assert abs(row.gap - single.gap) <= 1e-12
         if row.iterations:
             assert row.sigma_a.matrix == pytest.approx(single.sigma_a.matrix, abs=1e-12)
-
-
-def test_stacked_restarts_match_single_solves():
-    rho = random_bipartite(2, 2, 42)
-    config = FixedPointConfig(restarts=4, seed=3)
-    for alpha, row in zip((0.7, 1.4), prmi_down_down_stack([0.7, 1.4], rho, config)):
-        single = prmi_down_down(alpha, rho, config)
-        assert row.value == pytest.approx(single.value, abs=1e-12)
-        assert row.certified and single.certified
 
 
 def test_rate_curve_and_exponent_match_single_solves():

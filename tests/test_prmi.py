@@ -5,7 +5,7 @@ import pytest
 
 from petzmi.classical import rmi_down_down as classical_dd
 from petzmi.divergences import petz_divergence, renyi_entropy
-from petzmi.errors import UnsupportedRegimeError
+from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.linalg import tensor_product, trace_distance
 from petzmi.prmi import (
     FixedPointConfig,
@@ -110,14 +110,6 @@ def test_fixed_point_of_solution(qubit_pair):
     assert trace_distance(mapped, sol.sigma_a) < 1e-10
 
 
-def test_restarts_agree(qubit_pair):
-    config = FixedPointConfig(restarts=8, seed=5)
-    baseline = prmi_down_down(0.9, qubit_pair)
-    multi = prmi_down_down(0.9, qubit_pair, config)
-    assert multi.value == pytest.approx(baseline.value, abs=1e-9)
-    assert multi.certified
-
-
 def test_cc_state_agrees_with_classical():
     pmf = Pmf(np.array([[0.35, 0.15], [0.05, 0.45]]))
     rho = cc_state(pmf)
@@ -141,6 +133,20 @@ def test_small_alpha_generic_state_uses_search(qubit_pair):
     # singly minimized variant
     assert sol.value <= prmi_up_down(0.4, qubit_pair).as_float() + 1e-6
     assert not sol.certified
+    # no iterate bounds a grid estimate
+    assert sol.residual == math.inf and sol.gap == math.inf
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0, 1.0 + 5e-7])
+def test_gen_down_rejects_orders_outside_its_domain(qubit_pair, alpha):
+    with pytest.raises(DomainError):
+        gen_prmi_down(alpha, qubit_pair, qubit_pair.marginal_a)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1])
+def test_fixed_point_map_rejects_invalid_orders(qubit_pair, alpha):
+    with pytest.raises(DomainError):
+        fixed_point_map(alpha, qubit_pair, qubit_pair.marginal_a)
 
 
 def test_alpha_above_two_rejected(qubit_pair):
