@@ -201,6 +201,23 @@ def test_stacked_rows_match_single_solves(index):
             assert row.sigma_a.matrix == pytest.approx(single.sigma_a.matrix, abs=1e-12)
 
 
+def test_stacked_restarts_match_single_solves():
+    """From each of several starts, the rows of a stacked run match the single
+    runs from that start, and all reach the value of the start rho_A."""
+    rho = random_bipartite(2, 2, 42)
+    rng = np.random.default_rng(3)
+    config = FixedPointConfig()
+    alphas = (0.7, 1.4)
+    starts = [DensityOperator(np.eye(2) / 2)] + [random_density(2, rng) for _ in range(3)]
+    for start in starts:
+        rows = _run_fixed_point(np.array(alphas), rho, start, config)
+        for alpha, row in zip(alphas, rows):
+            single = _run_fixed_point(alpha, rho, start, config)
+            assert row.value == pytest.approx(single.value, abs=1e-12)
+            assert row.certified and single.certified
+            assert row.value == pytest.approx(prmi_down_down(alpha, rho).value, abs=1e-9)
+
+
 def test_rate_curve_and_exponent_match_single_solves():
     rho = random_bipartite(2, 3, 8104)
     grid = np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)

@@ -9,6 +9,7 @@ from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.linalg import tensor_product, trace_distance
 from petzmi.prmi import (
     FixedPointConfig,
+    _run_fixed_point,
     fixed_point_map,
     gen_prmi_down,
     prmi,
@@ -19,6 +20,7 @@ from petzmi.prmi import (
 )
 from petzmi.states import (
     BipartiteState,
+    DensityOperator,
     Pmf,
     cc_state,
     copy_cc_state,
@@ -108,6 +110,18 @@ def test_fixed_point_of_solution(qubit_pair):
     sol = prmi_down_down(0.75, qubit_pair)
     mapped = fixed_point_map(0.75, qubit_pair, sol.sigma_a)
     assert trace_distance(mapped, sol.sigma_a) < 1e-10
+
+
+def test_restarts_agree(qubit_pair):
+    """Runs from I/d and from seven random full-rank states reach the value of
+    the one start rho_A that prmi_down_down takes, and each certifies itself."""
+    rng = np.random.default_rng(5)
+    baseline = prmi_down_down(0.9, qubit_pair)
+    starts = [DensityOperator(np.eye(2) / 2)] + [random_density(2, rng) for _ in range(7)]
+    for start in starts:
+        run = _run_fixed_point(0.9, qubit_pair, start, FixedPointConfig())
+        assert run.value == pytest.approx(baseline.value, abs=1e-9)
+        assert run.certified
 
 
 def test_cc_state_agrees_with_classical():
