@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from petzmi.cli import emit_sweep
-from petzmi.prmi import FixedPointConfig
 from petzmi.states import copy_cc_state, pure_bipartite
 
 
@@ -20,14 +19,13 @@ def main():
     args = parser.parse_args()
 
     alphas = np.linspace(0.0, 2.5, args.steps)
-    config = FixedPointConfig()
     states = {
         "pure": pure_bipartite([math.sqrt(args.p), 0, 0, math.sqrt(1 - args.p)], 2, 2),
         "cc": copy_cc_state([args.p, 1 - args.p]),
     }
     for label, state in states.items():
         out = f"{args.out_prefix}_{label}.csv"
-        emit_sweep(state, alphas, out, config)
+        emit_sweep(state, alphas, out)
         print(f"wrote {out}")
 
 

@@ -19,7 +19,6 @@ from .errors import (
 )
 from .exponents import ExponentReport, alpha_derivative, direct_exponent, rate_curve
 from .prmi import (
-    FixedPointConfig,
     PrmiSolution,
     fixed_point_map,
     prmi,
@@ -45,7 +44,6 @@ __all__ = [
     "DivergenceValue",
     "DomainError",
     "ExponentReport",
-    "FixedPointConfig",
     "InvalidInputError",
     "NumericalDegradationError",
     "PetzmiError",

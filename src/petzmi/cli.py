@@ -26,7 +26,7 @@ from .errors import InvalidInputError, PetzmiError, UnsupportedRegimeError
 from .exponents import direct_exponent, rate_curve
 from .hypotest import achievability_sweep
 from .oracle import brute_force_dd
-from .prmi import FixedPointConfig, prmi_down_down, prmi_up_down, prmi_up_up
+from .prmi import prmi_down_down, prmi_up_down, prmi_up_up
 from .states import BipartiteState, Pmf, cc_state, pure_bipartite
 
 EXIT_OK = 0
@@ -116,15 +116,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _config_from_args(args) -> FixedPointConfig:
-    return FixedPointConfig(tol=args.tol, max_iter=args.max_iter)
-
-
-def _dd_point(alpha: float, state: BipartiteState, config: FixedPointConfig):
+def _dd_point(alpha: float, state: BipartiteState):
     """(value, certified, solution) for the doubly minimized variant; nan,
     False and None on unsupported regimes."""
     try:
-        sol = prmi_down_down(alpha, state, config)
+        sol = prmi_down_down(alpha, state)
     except UnsupportedRegimeError:
         return math.nan, False, None
     return sol.as_float(), sol.certified, sol
@@ -142,7 +138,6 @@ def _emit(payload: dict, args) -> None:
 
 def cmd_compute(args) -> int:
     state = parse_input(args.state)
-    config = _config_from_args(args)
     certified = True
     solution = None
     if args.which == "uu":
@@ -150,7 +145,7 @@ def cmd_compute(args) -> int:
     elif args.which == "ud":
         value = prmi_up_down(args.alpha, state).as_float()
     else:
-        value, certified, solution = _dd_point(args.alpha, state, config)
+        value, certified, solution = _dd_point(args.alpha, state)
     payload = {
         "which": args.which,
         "alpha": args.alpha,
@@ -168,23 +163,23 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def sweep_rows(state: BipartiteState, alphas, config: FixedPointConfig):
+def sweep_rows(state: BipartiteState, alphas):
     rows = []
     for alpha in alphas:
         rmi0 = prmi_up_up(alpha, state).as_float()
         rmi1 = prmi_up_down(alpha, state).as_float()
-        rmi2, certified, _ = _dd_point(alpha, state, config)
+        rmi2, certified, _ = _dd_point(alpha, state)
         rows.append((alpha, rmi0, rmi1, rmi2, int(certified)))
     return rows
 
 
-def emit_sweep(state: BipartiteState, alphas, out: str, config: FixedPointConfig) -> list:
+def emit_sweep(state: BipartiteState, alphas, out: str) -> list:
     """Write the alpha sweep of all three variants as CSV.
 
     Points are evaluated in grid order (the evaluation is deterministic either
     way, and the rows are written in grid order regardless).
     """
-    rows = sweep_rows(state, alphas, config)
+    rows = sweep_rows(state, alphas)
     with open(out, "w") as fh:
         fh.write("alpha,rmi0,rmi1,rmi2,certified\n")
         for alpha, rmi0, rmi1, rmi2, certified in rows:
@@ -201,8 +196,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be at least 1, got {args.steps}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    config = _config_from_args(args)
-    rows = emit_sweep(state, alphas, args.out, config)
+    rows = emit_sweep(state, alphas, args.out)
     if args.json:
         print(json.dumps({
             "out": args.out,
@@ -221,8 +215,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_exponent(args) -> int:
     state = parse_input(args.state)
-    config = _config_from_args(args)
-    report = direct_exponent(state, args.rate, config)
+    report = direct_exponent(state, args.rate)
     payload = {
         "rate": _fmt(report.rate),
         "exponent": _fmt(report.exponent),
@@ -235,7 +228,7 @@ def cmd_exponent(args) -> int:
         grid = np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)
         payload["curve"] = [
             {"s": _fmt(p.s), "rate": _fmt(p.rate), "exponent": _fmt(p.exponent)}
-            for p in rate_curve(state, grid, config)
+            for p in rate_curve(state, grid)
         ]
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -282,8 +275,6 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--tol", type=float, default=default(1e-12))
-    parser.add_argument("--max-iter", type=int, default=default(10000))
     parser.add_argument("--json", action="store_true", default=default(False))
     parser.add_argument("--strict", action="store_true", default=default(False),
                         help="exit 5 when a solver result is not certified")

@@ -20,7 +20,7 @@ import numpy as np
 from .divergences import _log_ratio, _petz_terms, relative_entropy_variance
 from .errors import DomainError, UnsupportedRegimeError
 from .linalg import spectral_power
-from .prmi import FixedPointConfig, PrmiSolution, prmi_down_down, prmi_down_down_stack
+from .prmi import PrmiSolution, prmi_down_down, prmi_down_down_stack
 from .states import BipartiteState, product_state
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
@@ -54,8 +54,8 @@ def _mutual_information_variance(rho: BipartiteState) -> float:
     return relative_entropy_variance(rho, product_state(rho.marginal_a, rho.marginal_b))
 
 
-def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution | None = None,
-                     config: FixedPointConfig | None = None) -> float:
+def alpha_derivative(alpha: float, rho: BipartiteState,
+                     solution: PrmiSolution | None = None) -> float:
     """d/d alpha of the doubly minimized Renyi mutual information.
 
     By the envelope theorem the minimizers may be held fixed, so this is the
@@ -74,7 +74,7 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
     if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
         return 0.5 * _mutual_information_variance(rho)
     if solution is None:
-        solution = prmi_down_down(alpha, rho, config)
+        solution = prmi_down_down(alpha, rho)
     lam, mu, w = _petz_terms(rho, product_state(solution.sigma_a, solution.tau_b))
     terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
     q = float(np.sum(terms))
@@ -83,22 +83,21 @@ def alpha_derivative(alpha: float, rho: BipartiteState, solution: PrmiSolution |
 
 
 class _PrmiCache:
-    """Memoized I_s evaluations sharing one solver configuration."""
+    """Memoized I_s evaluations of one state."""
 
-    def __init__(self, rho: BipartiteState, config: FixedPointConfig | None = None):
+    def __init__(self, rho: BipartiteState):
         self.rho = rho
-        self.config = config
         self._values: dict[float, PrmiSolution] = {}
 
     def solution(self, s: float) -> PrmiSolution:
         if s not in self._values:
-            self._values[s] = prmi_down_down(s, self.rho, self.config)
+            self._values[s] = prmi_down_down(s, self.rho)
         return self._values[s]
 
     def solve(self, s_values) -> None:
         """Solve the orders of s_values that are not cached yet, as one stack."""
         missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
-        self._values.update(zip(missing, prmi_down_down_stack(missing, self.rho, self.config)))
+        self._values.update(zip(missing, prmi_down_down_stack(missing, self.rho)))
 
     def value(self, s: float) -> float:
         return self.solution(s).as_float()
@@ -122,7 +121,7 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> fl
     d_half = 2 * d_h - d_2h
     r = i_half - 0.25 * d_half
     try:
-        i_zero = prmi_down_down(0.0, rho, cache.config).as_float()
+        i_zero = prmi_down_down(0.0, rho).as_float()
     except UnsupportedRegimeError:
         i_zero = 0.0
     if not np.isfinite(i_zero):
@@ -137,8 +136,7 @@ def _optimal_rate(s: float, rho: BipartiteState, solution: PrmiSolution) -> tupl
     return solution.as_float() - s * (1.0 - s) * d, d
 
 
-def direct_exponent(rho: BipartiteState, rate: float,
-                    config: FixedPointConfig | None = None) -> ExponentReport:
+def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     """sup over s in (1/2, 1) of ((1-s)/s)(I_s - rate).
 
     The objective's derivative is (rate - psi(s))/s^2, where
@@ -156,7 +154,7 @@ def direct_exponent(rho: BipartiteState, rate: float,
     """
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
-    cache = _PrmiCache(rho, config)
+    cache = _PrmiCache(rho)
     i_one = cache.value(1.0)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     # the opening points as one stack: r_half's two, and lo and hi when the
@@ -220,8 +218,7 @@ def _illinois_root(g, a: float, b: float, g_a: float, g_b: float) -> float:
     return best[0]
 
 
-def rate_curve(rho: BipartiteState, s_values,
-               config: FixedPointConfig | None = None) -> list[RateCurvePoint]:
+def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:
     """Parametric (rate, exponent) curve, its s grid solved as one stack.
 
     At parameter s the optimizing rate is R(s) = I_s - s(1-s) dI/ds and the
@@ -232,7 +229,7 @@ def rate_curve(rho: BipartiteState, s_values,
     for s in s_values:
         if not 0.5 < s < 1.0:
             raise DomainError(f"curve parameter must lie in (1/2, 1), got {s}")
-    cache = _PrmiCache(rho, config)
+    cache = _PrmiCache(rho)
     cache.solve(s_values)
     points = []
     for s in s_values:

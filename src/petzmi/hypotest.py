@@ -182,7 +182,10 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
 
     For each n up to n_max the test is run over a grid of S_GRID_SIZE values
     of s in (0, 1) and the largest -(1/n) log(type-I bound) is kept.
+    n_max must be at least 1.
     """
+    if not n_max >= 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max!r}")
     report = direct_exponent(rho, rate)
     s_values = np.linspace(0.05, 0.95, S_GRID_SIZE)
     rows = []

@@ -15,9 +15,10 @@ reference state are optimized:
 One array routine, `_half_step`, is the exact one-sided minimization for
 `gen_prmi_down` and both directions of the loop (B -> A through the transposed
 tensor of rho^alpha). It and the loop run on a stack of orders, one row each:
-`prmi_down_down` is a stack of one. Every run stops on the Frank-Wolfe gap of
-its iterate. Inputs are validated at the public functions; inside the loop the
-iterates are plain eigenvalue/eigenvector arrays.
+`prmi_down_down` is a stack of one. Every run stops once the Frank-Wolfe gap
+of its iterate is at most GAP_TOL. Inputs are validated at the public
+functions; inside the loop the iterates are plain eigenvalue/eigenvector
+arrays.
 
 All logarithms are natural.
 """
@@ -50,15 +51,8 @@ from .linalg import power_on_support, spectral_power
 from .states import BipartiteState, DensityOperator, product_state
 
 MONOTONICITY_SLACK = 1e-11
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    """Controls for the alternating-minimization solver: a run stops once the
-    Frank-Wolfe gap of its iterate is at most tol, or after max_iter rounds."""
-
-    tol: float = 1e-12
-    max_iter: int = 10000
+GAP_TOL = 1e-12  # a run stops once the Frank-Wolfe gap of its iterate is at most this
+MAX_ITER = 10000  # or after this many rounds
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class PrmiSolution:
     and inf where no iterate bounds it (the small-alpha search, infinite
     values). certified means the value is the global minimum: for alpha in
     (1/2, 2] every fixed point is a global minimizer, so a run is certified
-    when gap <= tol and residual <= 10 tol.
+    when gap <= GAP_TOL and residual <= 10 GAP_TOL.
     """
 
     value: float
@@ -222,10 +216,13 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
-    """One full round A -> B -> A of the alternating-minimization update."""
+    """One full round A -> B -> A of the alternating-minimization update.
+    Orders within ALPHA_ONE_WINDOW of 1 raise DomainError."""
     _check_order(alpha)
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        raise DomainError(f"fixed_point_map needs alpha outside the alpha = 1 window, got {alpha!r}")
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
-    return _run_fixed_point(alpha, rho, sigma_a, FixedPointConfig(max_iter=1)).sigma_a
+    return _run_fixed_point(alpha, rho, sigma_a, max_iter=1).sigma_a
 
 
 def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | None:
@@ -305,15 +302,15 @@ def _dd_closed_form_solution(alpha: float, rho: BipartiteState) -> PrmiSolution 
 
 
 def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
-                     config: FixedPointConfig):
+                     max_iter: int = MAX_ITER):
     """Alternating minimization from sigma0, on a stack of orders.
 
     alpha is one order or a stack of k, every row started from sigma0. Each row
-    runs until the Frank-Wolfe gap of its iterate is at most config.tol, or for
-    config.max_iter rounds, and then leaves the stack. A finite row is
-    certified when its gap is at most config.tol and its residual at most
-    10 config.tol; a row whose value turns infinite is not. Returns a
-    PrmiSolution for one order and a list of k for a stack.
+    runs until the Frank-Wolfe gap of its iterate is at most GAP_TOL, or for
+    max_iter rounds, and then leaves the stack. A finite row is certified when
+    its gap is at most GAP_TOL and its residual at most 10 GAP_TOL; a row whose
+    value turns infinite is not. Returns a PrmiSolution for one order and a
+    list of k for a stack.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
@@ -332,12 +329,12 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
     last = [s_vals.copy(), s_vecs.copy()]
     before = [s_vals.copy(), s_vecs.copy()]
     gap = np.full(k, math.inf)
-    rounds = np.full(k, config.max_iter)
+    rounds = np.full(k, max_iter)
     infinite = np.zeros(k, dtype=bool)
     history = []  # (rows, values) of every round
     rows = np.arange(k)  # the rows still running, indexes into the stack
     a, r, sl, prev = alphas, r_ab, slack, np.full(k, math.inf)
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, max_iter + 1):
         value, t_vals, t_vecs, _ = _half_step(a, r, s_vals, s_vecs)
         lost = value == math.inf
         rise = value - prev
@@ -351,8 +348,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
         _, n_vals, n_vecs, kmat = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
         g = _fw_gap(a, np.where(lost, 0.0, value), s_vals, s_vecs, kmat)
         g[lost] = math.inf
-        done = lost | (g <= config.tol)
-        if it == config.max_iter:
+        done = lost | (g <= GAP_TOL)
+        if it == max_iter:
             done[:] = True
         if not done.any():
             s_vals, s_vecs, prev = n_vals, n_vecs, value
@@ -393,17 +390,13 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
             residual=float(residual[j]),
             iterations=int(rounds[j]),
             objective_trace=tuple(trace[: rounds[j], j].tolist()),
-            certified=bool(gap[j] <= config.tol and residual[j] <= 10 * config.tol),
+            certified=bool(gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL),
             gap=float(gap[j]),
         ))
     return solutions if np.ndim(alpha) else solutions[0]
 
 
-def prmi_down_down(
-    alpha: float,
-    rho: BipartiteState,
-    config: FixedPointConfig | None = None,
-) -> PrmiSolution:
+def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
     """min over sigma_A, tau_B of D_alpha(rho_AB || sigma_A x tau_B).
 
     Regimes:
@@ -413,8 +406,8 @@ def prmi_down_down(
                            a global minimizer on this range, so one start
                            suffices: the run stops when the Frank-Wolfe gap of
                            f(sigma) = min_tau D_alpha(rho || sigma x tau) is at
-                           most config.tol, and it is certified when also its
-                           residual is at most 10 config.tol.
+                           most GAP_TOL, and it is certified when also its
+                           residual is at most 10 GAP_TOL.
       0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
                            the classical reduction for diagonal states, or an
                            exhaustive product-state search for small dimensions,
@@ -423,7 +416,6 @@ def prmi_down_down(
                            minimizers); generic states are rejected.
     """
     _check_order(alpha)
-    config = config or FixedPointConfig()
 
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         d = relative_entropy(rho, product_state(rho.marginal_a, rho.marginal_b))
@@ -444,7 +436,7 @@ def prmi_down_down(
         )
 
     if alpha > 0.5:
-        return _run_fixed_point(alpha, rho, rho.marginal_a, config)
+        return _run_fixed_point(alpha, rho, rho.marginal_a)
 
     # alpha in [0, 1/2]
     closed = _dd_closed_form_solution(alpha, rho)
@@ -472,29 +464,27 @@ def prmi_down_down(
     )
 
 
-def prmi_down_down_stack(alphas, rho: BipartiteState,
-                         config: FixedPointConfig | None = None) -> list[PrmiSolution]:
+def prmi_down_down_stack(alphas, rho: BipartiteState) -> list[PrmiSolution]:
     """`prmi_down_down` at each order of alphas, in order. The orders that the
     alternating minimization serves, (1/2, 2] outside the alpha = 1 window, run
     as one stack; each row stops on its own gap."""
-    config = config or FixedPointConfig()
     alphas = [float(a) for a in alphas]
     stacked = [j for j, a in enumerate(alphas)
                if 0.5 < a <= 2.0 and abs(a - 1.0) > ALPHA_ONE_WINDOW]
     solutions = {}
     if stacked:
         orders = np.array([alphas[j] for j in stacked])
-        solutions = dict(zip(stacked, _run_fixed_point(orders, rho, rho.marginal_a, config)))
-    return [solutions[j] if j in solutions else prmi_down_down(a, rho, config)
+        solutions = dict(zip(stacked, _run_fixed_point(orders, rho, rho.marginal_a)))
+    return [solutions[j] if j in solutions else prmi_down_down(a, rho)
             for j, a in enumerate(alphas)]
 
 
-def prmi(alpha: float, rho: BipartiteState, which: str, config: FixedPointConfig | None = None):
+def prmi(alpha: float, rho: BipartiteState, which: str):
     """Dispatch on the variant name: 'uu', 'ud', or 'dd'."""
     if which == "uu":
         return prmi_up_up(alpha, rho)
     if which == "ud":
         return prmi_up_down(alpha, rho)
     if which == "dd":
-        return prmi_down_down(alpha, rho, config)
+        return prmi_down_down(alpha, rho)
     raise InvalidInputError(f"unknown variant {which!r}; expected 'uu', 'ud', or 'dd'")

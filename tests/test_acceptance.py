@@ -32,7 +32,6 @@ from petzmi.linalg import (
 )
 from petzmi.oracle import brute_force_dd
 from petzmi.prmi import (
-    FixedPointConfig,
     fixed_point_map,
     prmi_closed_form,
     prmi_down_down,
@@ -155,7 +154,6 @@ def test_criterion_4_additivity():
 
 def test_criterion_5_uniqueness_and_fixed_point():
     ok = True
-    config = FixedPointConfig()
     for seed in range(5):
         rho = random_bipartite(2, 2, 3000 + seed)
         # 8 starts: rho_A, I/2 and 6 random states
@@ -166,10 +164,10 @@ def test_criterion_5_uniqueness_and_fixed_point():
             # run every start explicitly and compare the minimizers pairwise
             from petzmi.prmi import _run_fixed_point
 
-            sols = [_run_fixed_point(alpha, rho, s0, config) for s0 in starts]
+            sols = [_run_fixed_point(alpha, rho, s0) for s0 in starts]
             for other in sols[1:]:
                 ok &= trace_distance(other.sigma_a, sols[0].sigma_a) <= 1e-8
-            best = prmi_down_down(alpha, rho, config)
+            best = prmi_down_down(alpha, rho)
             if best.certified:
                 ok &= best.residual <= 1e-10
                 mapped = fixed_point_map(alpha, rho, best.sigma_a)

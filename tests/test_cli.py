@@ -174,6 +174,23 @@ def test_exponent_command(cc_file, capsys):
     assert out["guaranteed_exact"] == 1
 
 
+def test_exponent_curve(cc_file, capsys):
+    argv = ["exponent", "--state", cc_file, "--rate", "0.3", "--curve"]
+    assert main(["--json"] + argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    points = [(float(p["s"]), float(p["rate"]), float(p["exponent"])) for p in out["curve"]]
+    assert len(points) == 25
+    s, rates, exponents = (np.array(col) for col in zip(*points))
+    assert np.all((s > 0.5) & (s < 1.0)) and np.all(np.diff(s) > 0)
+    assert np.all(np.diff(rates) >= 0)
+    assert np.all(rates <= float(out["mutual_information"]) + 1e-9)
+    assert np.all(exponents >= 0)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("s,rate,exponent")
+    assert len(lines[header + 1:]) == 25
+
+
 def test_exponent_rejects_nan_rate(cc_file, capsys):
     assert main(["exponent", "--state", cc_file, "--rate", "nan"]) == 4
     assert "rate" in capsys.readouterr().err
@@ -184,7 +201,7 @@ def test_exponent_rejects_nan_rate(cc_file, capsys):
     ["exponent", "--rate", "0.3"],
 ])
 def test_global_flags_after_subcommand(cc_file, capsys, command):
-    flags = ["--json", "--tol", "1e-10", "--max-iter", "500"]
+    flags = ["--json", "--strict"]
     argv = [command[0], "--state", cc_file] + command[1:]
     assert main(flags + argv) == 0
     before = capsys.readouterr().out
@@ -202,7 +219,7 @@ def test_compute_dd_search_reports_inf_residual(tmp_path, capsys):
     assert out["certified"] == 0
 
 
-@pytest.mark.parametrize("flag", ["--restarts", "--seed"])
+@pytest.mark.parametrize("flag", ["--restarts", "--seed", "--tol", "--max-iter"])
 def test_restart_flags_are_gone(cc_file, capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--state", cc_file, "--alpha", "0.7", flag, "8"])
@@ -215,6 +232,12 @@ def test_simulate_command(cc_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["per_n"]) == 2
     assert out["asymptotic_exponent"] > 0
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_simulate_rejects_nonpositive_n_max(cc_file, capsys, n_max):
+    assert main(["simulate", "--state", cc_file, "--rate", "0.1", "--n-max", n_max]) == 4
+    assert "n_max" in capsys.readouterr().err
 
 
 def test_simulate_rejects_nan_rate(cc_file, capsys):

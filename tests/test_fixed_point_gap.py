@@ -16,7 +16,6 @@ from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _petz_terms
 from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power, tensor_product
 from petzmi.prmi import (
-    FixedPointConfig,
     _fw_gap,
     _fw_gradient,
     _half_step,
@@ -117,7 +116,7 @@ def test_stalled_start_runs_to_the_minimum():
     round, 5.5e-9 above the minimum; the gap keeps the run going."""
     rho = copy_cc_state([0.2, 0.8])
     start = prmi_down_down(0.501, rho).sigma_a
-    warm = _run_fixed_point(0.52175, rho, start, FixedPointConfig())
+    warm = _run_fixed_point(0.52175, rho, start)
     cold = prmi_down_down(0.52175, rho)
     assert warm.iterations > 1
     assert warm.gap <= 1e-12
@@ -139,24 +138,23 @@ def test_value_does_not_depend_on_the_start(d_b, seed, alpha):
     each run certifies itself."""
     rng = np.random.default_rng(seed)
     rho = random_bipartite(2, d_b, rng)
-    config = FixedPointConfig()
-    base = _run_fixed_point(alpha, rho, rho.marginal_a, config)
+    base = _run_fixed_point(alpha, rho, rho.marginal_a)
     assert base.certified
     for start in (DensityOperator(np.eye(2) / 2), random_density(2, rng)):
-        run = _run_fixed_point(alpha, rho, start, config)
+        run = _run_fixed_point(alpha, rho, start)
         assert run.certified
         assert abs(run.value - base.value) <= 1e-8
 
 
 def test_loop_certifies_its_own_rows():
     rho = random_bipartite(2, 3, 11)
-    single = _run_fixed_point(1.4, rho, rho.marginal_a, FixedPointConfig())
+    single = _run_fixed_point(1.4, rho, rho.marginal_a)
     assert single.gap <= 1e-12 and single.residual <= 1e-11
     assert single.certified
-    rows = _run_fixed_point(np.array([0.7, 1.4]), rho, rho.marginal_a, FixedPointConfig())
+    rows = _run_fixed_point(np.array([0.7, 1.4]), rho, rho.marginal_a)
     assert [row.certified for row in rows] == [True, True]
-    # one round is not converged: its gap is above tol
-    assert not _run_fixed_point(1.4, rho, rho.marginal_a, FixedPointConfig(max_iter=1)).certified
+    # one round is not converged: its gap is above GAP_TOL
+    assert not _run_fixed_point(1.4, rho, rho.marginal_a, max_iter=1).certified
 
 
 def swap(rho):
@@ -206,13 +204,12 @@ def test_stacked_restarts_match_single_solves():
     runs from that start, and all reach the value of the start rho_A."""
     rho = random_bipartite(2, 2, 42)
     rng = np.random.default_rng(3)
-    config = FixedPointConfig()
     alphas = (0.7, 1.4)
     starts = [DensityOperator(np.eye(2) / 2)] + [random_density(2, rng) for _ in range(3)]
     for start in starts:
-        rows = _run_fixed_point(np.array(alphas), rho, start, config)
+        rows = _run_fixed_point(np.array(alphas), rho, start)
         for alpha, row in zip(alphas, rows):
-            single = _run_fixed_point(alpha, rho, start, config)
+            single = _run_fixed_point(alpha, rho, start)
             assert row.value == pytest.approx(single.value, abs=1e-12)
             assert row.certified and single.certified
             assert row.value == pytest.approx(prmi_down_down(alpha, rho).value, abs=1e-9)

@@ -5,6 +5,7 @@ import pytest
 
 from petzmi.errors import DomainError, ResourceLimitError
 from petzmi.hypotest import (
+    achievability_sweep,
     iid_block,
     np_test,
     symmetric_type_count,
@@ -106,6 +107,12 @@ def test_s_and_n_validation(qubit_pair):
         threshold_test_errors(qubit_pair, 1, 0.2, 1.0)
     with pytest.raises(DomainError):
         threshold_test_errors(qubit_pair, 0, 0.2, 0.5)
+
+
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_achievability_sweep_needs_a_blocklength(qubit_pair, n_max):
+    with pytest.raises(DomainError):
+        achievability_sweep(qubit_pair, 0.1, n_max)
 
 
 def test_rate_validation(qubit_pair):

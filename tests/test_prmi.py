@@ -8,7 +8,6 @@ from petzmi.divergences import petz_divergence, renyi_entropy
 from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.linalg import tensor_product, trace_distance
 from petzmi.prmi import (
-    FixedPointConfig,
     _run_fixed_point,
     fixed_point_map,
     gen_prmi_down,
@@ -119,7 +118,7 @@ def test_restarts_agree(qubit_pair):
     baseline = prmi_down_down(0.9, qubit_pair)
     starts = [DensityOperator(np.eye(2) / 2)] + [random_density(2, rng) for _ in range(7)]
     for start in starts:
-        run = _run_fixed_point(0.9, qubit_pair, start, FixedPointConfig())
+        run = _run_fixed_point(0.9, qubit_pair, start)
         assert run.value == pytest.approx(baseline.value, abs=1e-9)
         assert run.certified
 
@@ -157,7 +156,7 @@ def test_gen_down_rejects_orders_outside_its_domain(qubit_pair, alpha):
         gen_prmi_down(alpha, qubit_pair, qubit_pair.marginal_a)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0, 1.0 + 5e-7])
 def test_fixed_point_map_rejects_invalid_orders(qubit_pair, alpha):
     with pytest.raises(DomainError):
         fixed_point_map(alpha, qubit_pair, qubit_pair.marginal_a)

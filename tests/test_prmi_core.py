@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from petzmi.linalg import HermitianOperator, permute_factors, power_on_support, trace_distance
-from petzmi.prmi import FixedPointConfig, _run_fixed_point, gen_prmi_down, prmi_down_down
+from petzmi.prmi import GAP_TOL, MAX_ITER, _run_fixed_point, gen_prmi_down, prmi_down_down
 from petzmi.states import (
     BipartiteState,
     DensityOperator,
@@ -39,17 +39,17 @@ def reference_down(alpha, rho, sigma):
     return (alpha / (alpha - 1.0)) * math.log(norm), DensityOperator(m_pow.matrix / norm)
 
 
-def reference_run(alpha, rho, sigma, config):
+def reference_run(alpha, rho, sigma):
     """The alternating loop on operators: B -> A through the A <-> B swapped state."""
     swapped = BipartiteState(
         permute_factors(rho.matrix, [rho.d_a, rho.d_b], [1, 0]), rho.d_b, rho.d_a
     )
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         _, tau = reference_down(alpha, rho, sigma)
         _, sigma_new = reference_down(alpha, swapped, tau)
         residual = trace_distance(sigma_new, sigma)
         sigma = sigma_new
-        if residual <= config.tol:
+        if residual <= GAP_TOL:
             break
     value, _ = reference_down(alpha, rho, sigma)
     return value, sigma
@@ -57,14 +57,13 @@ def reference_run(alpha, rho, sigma, config):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_half_step_matches_operator_loop(alpha):
-    config = FixedPointConfig()
     for rho in STATES:
         value, tau = gen_prmi_down(alpha, rho, rho.marginal_a)
         ref_value, ref_tau = reference_down(alpha, rho, rho.marginal_a)
         assert value == pytest.approx(ref_value, abs=1e-12)
         assert trace_distance(tau, ref_tau) <= 1e-9
-        sol = _run_fixed_point(alpha, rho, rho.marginal_a, config)
-        ref_value, ref_sigma = reference_run(alpha, rho, rho.marginal_a, config)
+        sol = _run_fixed_point(alpha, rho, rho.marginal_a)
+        ref_value, ref_sigma = reference_run(alpha, rho, rho.marginal_a)
         assert sol.value == pytest.approx(ref_value, abs=1e-12)
         assert trace_distance(sol.sigma_a, ref_sigma) <= 1e-9
 
