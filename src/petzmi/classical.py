@@ -5,7 +5,8 @@ as independent cross-checks for the quantum code paths on commuting states.
 
 For alpha <= 1/2 the doubly minimized value comes from the search of
 `oracle._grid_refine`, started on a simplex grid and refined in the coordinates
-of the diagonal traceless generators.
+of the diagonal traceless generators; the reduction is exact, but a grid
+solves it, so its value is an estimate from above.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW, DivergenceValue, _check_order
+from .divergences import ALPHA_ONE_WINDOW, DivergenceValue, _check_order, _one_sided_min
 from .errors import DomainError, InvalidInputError, UnsupportedRegimeError
 from .oracle import _grid_refine, _traceless_basis
 from .states import Pmf
@@ -67,13 +68,11 @@ def rmi_up_up(alpha: float, pmf: Pmf) -> DivergenceValue:
 
 
 def _down_value_and_optimal_q(alpha: float, table: np.ndarray, r: np.ndarray):
-    """Given a candidate first-argument marginal r, the optimal second-argument
-    pmf and the resulting divergence value for fixed r.
-
-    m_y = sum_x P(x,y)^alpha r(x)^(1-alpha); the optimum is q ~ m^(1/alpha) and
-    the value is (alpha/(alpha-1)) log ||m||_(1/alpha)^(1/alpha) ... expressed
-    below directly through the 1/alpha-quasi-norm of m.
-    """
+    """min_q D_alpha(P || r x q) and its minimizer for one pmf r and alpha > 0:
+    with m_y = sum_x P(x,y)^alpha r(x)^(1-alpha), the value is
+    (alpha/(alpha-1)) log sum_y m_y^(1/alpha) at q ~ m^(1/alpha). The loop
+    for alpha > 1/2 runs on it, and the tests take it as the reference for
+    `_down_values`."""
     with np.errstate(divide="ignore"):
         ra = np.where(r > 0, r ** (1.0 - alpha), 0.0)
     m = (table**alpha * ra[:, None]).sum(axis=0)
@@ -90,7 +89,7 @@ def rmi_down_down(alpha: float, pmf: Pmf):
     For alpha > 1/2 this alternates the two closed-form one-sided minimizations,
     which monotonically decreases the objective. For alpha <= 1/2 the objective
     can have non-interior optima; a dense simplex grid with local refinement is
-    used instead (alphabets of size <= 3 only).
+    used instead (alphabets of size <= 3 only), which only estimates it.
 
     Returns (value, r, q).
     """
@@ -117,23 +116,14 @@ def rmi_down_down(alpha: float, pmf: Pmf):
 _SIMPLEX_STEPS = 60
 
 
-def _small_alpha_values(alpha: float, table: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """min_q D_alpha(P || r_k x q) for r_k the diagonal of each sigma_k, for
-    0 <= alpha <= 1/2."""
+def _down_values(alpha: float, table: np.ndarray, sigmas: np.ndarray):
+    """min_q D_alpha(P || r_k x q) and the minimizing q for r_k the diagonal of
+    each sigma_k: `_one_sided_min` on the diagonal sum_x r(x)^(1-alpha)
+    P(x,y)^alpha of M, with P^alpha taken on its support."""
     # the pull toward the uniform pmf can leave rounding-level negative entries
     r = np.clip(np.real(np.diagonal(sigmas, axis1=1, axis2=2)), 0.0, None)
-    if alpha == 0:
-        # D_0(P || r x q) = -log sum over supp(P) of r(x) q(y); optimal over q
-        # is the best column mass, i.e. -log max_y sum_{x: P(x,y)>0} r(x)
-        s, scale = np.max(r @ (table > 0), axis=1), -1.0
-    else:
-        # the closed form of _down_value_and_optimal_q
-        s = np.sum((r ** (1.0 - alpha) @ table**alpha) ** (1.0 / alpha), axis=1)
-        scale = alpha / (alpha - 1.0)
-    out = np.full(len(r), math.inf)
-    pos = s > 0
-    out[pos] = scale * np.log(s[pos])
-    return out
+    p_pow = np.power(table, alpha, out=np.zeros_like(table), where=table > 0)
+    return _one_sided_min(alpha, r ** (1.0 - alpha) @ p_pow)
 
 
 def _down_down_small_alpha(alpha: float, table: np.ndarray):
@@ -147,18 +137,12 @@ def _down_down_small_alpha(alpha: float, table: np.ndarray):
     pmfs = counts[counts.sum(axis=1) == _SIMPLEX_STEPS] / _SIMPLEX_STEPS
     best_val, best = _grid_refine(
         pmfs[:, :, None] * np.eye(d),
-        lambda sigmas: _small_alpha_values(alpha, table, sigmas),
+        lambda sigmas: _down_values(alpha, table, sigmas)[0],
         _traceless_basis(d)[d * d - d:],  # the diagonal generators
     )
     r = np.clip(np.real(np.diag(best)), 0.0, None)
-    r /= r.sum()
-    if alpha > 0:
-        _, q = _down_value_and_optimal_q(alpha, table, r)
-    else:
-        col = np.where(table > 0, r[:, None], 0.0).sum(axis=0)
-        q = np.zeros(table.shape[1])
-        q[int(np.argmax(col))] = 1.0
-    return best_val, r, q
+    # q is the same for r and its normalization, which scales M by a constant
+    return best_val, r / r.sum(), _down_values(alpha, table, best[None])[1][0]
 
 
 def rmi_up_down(alpha: float, pmf: Pmf) -> float:

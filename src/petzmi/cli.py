@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -268,16 +269,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    """The flags accepted before or after the subcommand. The subcommand copy
-    has SUPPRESS defaults, so that it overrides the top-level value only when
-    the flag is given after the subcommand."""
+def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> argparse.ArgumentParser:
+    """Add the flags accepted before or after the subcommand to parser, and
+    return it. The subcommand copy has SUPPRESS defaults, so that it overrides
+    the top-level value only when the flag is given after the subcommand."""
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--json", action="store_true", default=default(False))
     parser.add_argument("--strict", action="store_true", default=default(False),
                         help="exit 5 when a solver result is not certified")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Renyi mutual informations of bipartite states and direct error exponents",
     )
     _global_flags(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _global_flags(common, suppress=True)
+    common = _global_flags(argparse.ArgumentParser(add_help=False), suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
     add = functools.partial(sub.add_parser, parents=[common])
 
@@ -327,6 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads the value of an unknown flag given before the subcommand as
+    # the subcommand: report such flags as unrecognized, as it does after it
+    flags = _global_flags(argparse.ArgumentParser(add_help=False), suppress=True)
+    head = itertools.takewhile(lambda a: a.startswith("-"), argv)
+    unknown = flags.parse_known_args([a for a in head if a not in ("-h", "--help")])[1]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -57,6 +57,28 @@ def _check_order(alpha: float) -> None:
         raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
 
 
+def _one_sided_min(alpha, m_vals: np.ndarray):
+    """min over tau of D_alpha(rho || sigma x tau) = (alpha/(alpha-1)) log tr[M^(1/alpha)],
+    attained at tau = M^(1/alpha) / tr[M^(1/alpha)], for each row of a (k, d)
+    stack of the eigenvalues of M = tr_A[rho^alpha (sigma^(1-alpha) x 1)];
+    alpha is one order or one per row. At alpha = 0 it is -log lambda_max(M),
+    attained on the top eigenvector (the last one of a tie). Returns the k
+    values, inf where M vanishes, and the eigenvalues of the k minimizers."""
+    alpha = np.broadcast_to(alpha, m_vals.shape[:1])
+    zero = alpha == 0
+    powered = spectral_power(m_vals, 1.0 / np.where(zero, 1.0, alpha)[:, None])
+    if zero.any():  # all weight on lambda_max(M), at the last index of a tie
+        top = m_vals.shape[1] - 1 - np.argmax(m_vals[:, ::-1], axis=1)
+        powered[zero] = np.where(np.arange(m_vals.shape[1]) == top[:, None], m_vals, 0.0)[zero]
+    norm = powered.sum(axis=1)
+    vanish = norm <= 0
+    norm[vanish] = 1.0
+    log_norm = np.log(norm)
+    value = np.where(zero, -log_norm, alpha / (alpha - 1.0) * log_norm)
+    value[vanish] = math.inf
+    return value, powered / norm[:, None]
+
+
 def _as_density(op) -> DensityOperator:
     return op if isinstance(op, DensityOperator) else DensityOperator(op)
 

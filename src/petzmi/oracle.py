@@ -1,10 +1,11 @@
 """Exhaustive product-state search for the doubly minimized Renyi mutual
 information.
 
-This is a slow, independent reference implementation: it never touches the
-fixed-point solver. The A-side state ranges over a dense grid of density
-matrices; for each grid point the B-side minimization is performed exactly
-through its closed form, so the only approximation is the A-side search.
+This is a slow, independent reference implementation: it shares only the
+closed form with the fixed-point solver. The A-side state ranges over a dense
+grid of density matrices; for each grid point the B-side minimization is
+performed exactly through its closed form, so the only approximation is the
+A-side search.
 
 One routine, `_grid_refine`, does this search and the classical alpha <= 1/2
 one: the argmin of a batched objective over a starting grid (a Bloch-ball grid
@@ -18,7 +19,8 @@ import math
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, renyi_entropy
+from .divergences import (ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, _one_sided_min,
+                          renyi_entropy)
 from .errors import DomainError, UnsupportedRegimeError
 from .linalg import power_on_support, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
@@ -119,24 +121,18 @@ def _grid_refine(grid: np.ndarray, objective, basis: np.ndarray) -> tuple[float,
 def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
     """Objective values min_tau D_alpha(rho || sigma_k x tau) for all sigma_k.
 
-    Vectorized: sigma^(1-alpha) by batched eigendecomposition, the partial
-    trace by one einsum, tau-minimization through batched eigenvalues.
+    Vectorized: sigma^(1-alpha) by batched eigendecomposition (sigma at alpha = 0),
+    the partial trace by one einsum, tau-minimization by `_one_sided_min`.
     """
-    d_a, d_b = rho.d_a, rho.d_b
-    if alpha == 0:
-        return _value_alpha_zero(rho, sigmas)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _batched_values_alpha_one(rho, sigmas)
-    vals, vecs = np.linalg.eigh(sigmas)
-    s_pow = np.einsum("kij,kj,klj->kil", vecs, spectral_power(vals, 1.0 - alpha), vecs.conj())
-    r = power_on_support(rho, alpha).matrix.reshape(d_a, d_b, d_a, d_b)
+    s_pow = sigmas
+    if alpha != 0:
+        vals, vecs = np.linalg.eigh(sigmas)
+        s_pow = np.einsum("kij,kj,klj->kil", vecs, spectral_power(vals, 1.0 - alpha), vecs.conj())
+    r = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
     m = np.einsum("ibjd,kji->kbd", r, s_pow)
-    m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
-    ev = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    s = np.sum(ev ** (1.0 / alpha), axis=1)
-    out = np.full(len(sigmas), math.inf)
-    pos = s > 0
-    out[pos] = (alpha / (alpha - 1.0)) * np.log(s[pos])
+    out, _ = _one_sided_min(alpha, np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2))
     if alpha > 1:
         # finite only when supp(rho_A) <= supp(sigma); rank-deficient grid
         # points otherwise yield a meaningless finite number
@@ -165,19 +161,6 @@ def _batched_values_alpha_one(rho: BipartiteState, sigmas: np.ndarray) -> np.nda
     cross = np.sum(w * spectral_log(vals), axis=1)
     out = -renyi_entropy(1.0, rho) - cross + renyi_entropy(1.0, rho.marginal_b)
     out[leak > SUPPORT_OVERLAP_TOL] = math.inf
-    return out
-
-
-def _value_alpha_zero(rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
-    """D_0(rho || sigma x tau) minimized over tau:
-    -log lambda_max(tr_A[rho^0 (sigma x 1)])."""
-    proj = power_on_support(rho, 0.0).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
-    m = np.einsum("ibjd,kji->kbd", proj, sigmas)
-    m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
-    top = np.max(np.linalg.eigvalsh(m), axis=1)
-    out = np.full(len(sigmas), math.inf)
-    pos = top > 0
-    out[pos] = -np.log(top[pos])
     return out
 
 

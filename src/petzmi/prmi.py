@@ -35,6 +35,7 @@ from .divergences import (
     ALPHA_ONE_WINDOW,
     DivergenceValue,
     _check_order,
+    _one_sided_min,
     dominated,
     min_entropy,
     petz_divergence,
@@ -63,13 +64,14 @@ class PrmiSolution:
     of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the last iterate whose
     gradient was formed; the returned value is no larger than f there. It is 0
     for closed forms and exact reductions and inf where no certificate exists
-    (the small-alpha search, infinite values). residual is the trace distance
-    between sigma_a and the iterate before it, one full round of the
+    (the small-alpha grid search, infinite values). residual is the trace
+    distance between sigma_a and the iterate before it, one full round of the
     fixed-point map earlier; likewise 0 for closed forms and exact reductions
-    and inf where no iterate bounds it (the small-alpha search, infinite
-    values). certified means the value is the global minimum: for alpha in
-    (1/2, 2] every fixed point is a global minimizer, so a run is certified
-    when gap <= GAP_TOL and residual <= 10 GAP_TOL.
+    and inf where no iterate bounds it (the same cases). A classical reduction
+    that a grid search solves is not an exact reduction: both are inf for it.
+    certified means the value is the global minimum: for alpha in (1/2, 2]
+    every fixed point is a global minimizer, so a run is certified when
+    gap <= GAP_TOL and residual <= 10 GAP_TOL.
     """
 
     value: float
@@ -93,15 +95,9 @@ def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 
 def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, DensityOperator]:
-    """min over tau_B of D_alpha(rho_AB || sigma_A x tau_B), with its minimizer.
-
-    Valid for every alpha in (0, 1) and (1, inf): writing
-    M = tr_A[rho^alpha (sigma_A^(1-alpha) x 1)], the value is
-    (alpha/(alpha-1)) log tr[M^(1/alpha)] and the minimizer is
-    tau = M^(1/alpha) / tr[M^(1/alpha)]. At alpha = 0 it is the limit
-    -log lambda_max(M), attained on the top eigenvector of M. Orders within
-    ALPHA_ONE_WINDOW of 1 raise DomainError.
-    """
+    """min over tau_B of D_alpha(rho_AB || sigma_A x tau_B), with its minimizer:
+    the closed form of `_one_sided_min`, for alpha = 0 and every order outside
+    ALPHA_ONE_WINDOW of 1, where DomainError is raised."""
     _check_order(alpha)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         raise DomainError(f"gen_prmi_down needs alpha outside the alpha = 1 window, got {alpha!r}")
@@ -137,18 +133,7 @@ def _half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vecs: np.ndar
     m = np.einsum("kibjd,kji->kbd", r, s_pow)
     m = (m + _dagger(m)) / 2
     m_vals, m_vecs = np.linalg.eigh(m)
-    zero = alpha == 0
-    powered = spectral_power(m_vals, 1.0 / np.where(zero, 1.0, alpha)[:, None])
-    if zero.any():  # alpha = 0: the top eigenvector, weighted by lambda_max(M)
-        powered[zero] = 0.0
-        powered[zero, -1] = m_vals[zero, -1]
-    norm = powered.sum(axis=1)
-    vanish = norm <= 0
-    norm[vanish] = 1.0
-    log_norm = np.log(norm)
-    value = np.where(zero, -log_norm, alpha / (alpha - 1.0) * log_norm)
-    value[vanish] = math.inf
-    return value, powered / norm[:, None], m_vecs, m
+    return (*_one_sided_min(alpha, m_vals), m_vecs, m)
 
 
 def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -409,9 +394,9 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
                            most GAP_TOL, and it is certified when also its
                            residual is at most 10 GAP_TOL.
       0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
-                           the classical reduction for diagonal states, or an
-                           exhaustive product-state search for small dimensions,
-                           which is uncertified, with gap and residual inf.
+                           else a grid search, on the classical reduction for
+                           diagonal states or over product states for small
+                           dimensions: uncertified, with gap and residual inf.
       alpha > 2          : closed forms only (fixed points need not be
                            minimizers); generic states are rejected.
     """
@@ -445,22 +430,19 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
     pmf = rho.diagonal_pmf_or_none()
     if pmf is not None:
         value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
-        return PrmiSolution(
-            value=value, alpha=alpha,
-            sigma_a=DensityOperator(np.diag(r_opt)),
-            tau_b=DensityOperator(np.diag(q_opt)),
-            residual=0.0, iterations=0, objective_trace=(value,), certified=True, gap=0.0,
-        )
-    if rho.d_a <= 3 and rho.d_b <= 3:
+        sigma_a, tau_b = DensityOperator(np.diag(r_opt)), DensityOperator(np.diag(q_opt))
+    elif rho.d_a <= 3 and rho.d_b <= 3:
         from .oracle import brute_force_dd
 
         value, sigma_a, tau_b = brute_force_dd(alpha, rho)
-        return PrmiSolution(
-            value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b,
-            residual=math.inf, iterations=0, objective_trace=(value,), certified=False,
+    else:
+        raise UnsupportedRegimeError(
+            "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states"
         )
-    raise UnsupportedRegimeError(
-        "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states"
+    value = max(value, 0.0)  # a divergence of states; rounding can dip below 0
+    return PrmiSolution(
+        value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b,
+        residual=math.inf, iterations=0, objective_trace=(value,), certified=False,
     )
 
 

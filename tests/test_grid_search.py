@@ -4,7 +4,9 @@ replaced: the Bloch-grid loop with its qubit refinement, the classical simplex
 loop with its box refinement, and the per-candidate alpha = 1 objective. The
 qubit reference evaluates candidates with the library's `_batched_values`, so
 the comparison isolates the search; the 3x3 reference needed scipy and is kept
-as recorded values."""
+as recorded values. The grid objectives, which now share the closed form
+`divergences._one_sided_min` with the solver, are checked against copies of
+the closed forms they wrote out before."""
 
 import functools
 import itertools
@@ -13,14 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from petzmi.classical import _down_value_and_optimal_q, rmi_down_down
-from petzmi.divergences import renyi_entropy
+from petzmi.classical import _down_value_and_optimal_q, _down_values, rmi_down_down
+from petzmi.divergences import SUPPORT_OVERLAP_TOL, renyi_entropy
 from petzmi.errors import DomainError
-from petzmi.linalg import log_on_support, power_on_support
+from petzmi.linalg import log_on_support, power_on_support, spectral_power
 from petzmi.oracle import (
     _batched_values,
     _batched_values_alpha_one,
+    _ginibre_grid,
     _qubit_grid,
+    _weights_and_leak,
     brute_force_dd,
 )
 from petzmi.prmi import prmi_up_down
@@ -148,6 +152,97 @@ def loop_values_alpha_one(rho, sigmas):
             continue
         out[k] = tr_rho_log_rho - float(np.real(np.trace(rho_a @ log_on_support(s_op).matrix))) + h_b
     return out
+
+
+# --- reference: the grid objectives' own copies of the closed form --------
+
+def written_out_value_alpha_zero(rho, sigmas):
+    proj = power_on_support(rho, 0.0).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+    m = np.einsum("ibjd,kji->kbd", proj, sigmas)
+    m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
+    top = np.max(np.linalg.eigvalsh(m), axis=1)
+    out = np.full(len(sigmas), math.inf)
+    pos = top > 0
+    out[pos] = -np.log(top[pos])
+    return out
+
+
+def written_out_batched_values(alpha, rho, sigmas):
+    d_a, d_b = rho.d_a, rho.d_b
+    if alpha == 0:
+        return written_out_value_alpha_zero(rho, sigmas)
+    vals, vecs = np.linalg.eigh(sigmas)
+    s_pow = np.einsum("kij,kj,klj->kil", vecs, spectral_power(vals, 1.0 - alpha), vecs.conj())
+    r = power_on_support(rho, alpha).matrix.reshape(d_a, d_b, d_a, d_b)
+    m = np.einsum("ibjd,kji->kbd", r, s_pow)
+    m = (m + np.conj(np.swapaxes(m, 1, 2))) / 2
+    ev = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    s = np.sum(ev ** (1.0 / alpha), axis=1)
+    out = np.full(len(sigmas), math.inf)
+    pos = s > 0
+    out[pos] = (alpha / (alpha - 1.0)) * np.log(s[pos])
+    if alpha > 1:
+        _, leak = _weights_and_leak(rho, vals, vecs)
+        out[leak > SUPPORT_OVERLAP_TOL] = math.inf
+    return out
+
+
+def written_out_small_alpha_values(alpha, table, sigmas):
+    r = np.clip(np.real(np.diagonal(sigmas, axis1=1, axis2=2)), 0.0, None)
+    if alpha == 0:
+        s, scale = np.max(r @ (table > 0), axis=1), -1.0
+    else:
+        s = np.sum((r ** (1.0 - alpha) @ table**alpha) ** (1.0 / alpha), axis=1)
+        scale = alpha / (alpha - 1.0)
+    out = np.full(len(r), math.inf)
+    pos = s > 0
+    out[pos] = scale * np.log(s[pos])
+    return out
+
+
+def assert_same_values(got, ref):
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.max(np.abs(got[finite] - ref[finite]), initial=0.0) <= 1e-12
+
+
+SHARED_FORM_ALPHAS = [0.0, 0.1, 0.25, 0.5, 0.75, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("alpha", SHARED_FORM_ALPHAS)
+def test_qubit_grid_objective_matches_written_out_form(alpha):
+    sigmas = _qubit_grid(6)  # includes the pure states of the r = 1 shell
+    # rank-deficient states too: for full-rank ones rho^0 = 1 and M = 1 at alpha = 0
+    for rho in [random_bipartite(2, 2, seed, rank=rank) for seed in range(3) for rank in (None, 2)]:
+        assert_same_values(_batched_values(alpha, rho, sigmas),
+                           written_out_batched_values(alpha, rho, sigmas))
+
+
+@pytest.mark.parametrize("alpha", SHARED_FORM_ALPHAS)
+def test_qutrit_grid_objective_matches_written_out_form(alpha):
+    sigmas = _ginibre_grid(3, 500)
+    for rho in [random_bipartite(3, 3, seed, rank=rank) for seed in range(2) for rank in (None, 4)]:
+        assert_same_values(_batched_values(alpha, rho, sigmas),
+                           written_out_batched_values(alpha, rho, sigmas))
+
+
+@pytest.mark.parametrize("alpha", SHARED_FORM_ALPHAS)
+def test_simplex_objective_matches_written_out_form(alpha):
+    steps = 30
+    rng = np.random.default_rng(77)
+    for d in (2, 3):
+        counts = np.indices((steps + 1,) * d).reshape(d, -1).T
+        sigmas = (counts[counts.sum(axis=1) == steps] / steps)[:, :, None] * np.eye(d)
+        for _ in range(3):
+            table = rng.random((d, 3))
+            table[0, 1] = 0.0  # a hole in the support, which alpha = 0 sees
+            table /= table.sum()
+            # above alpha = 1 a boundary r raises 0 to a negative power: inf
+            # in both forms, as D_alpha is; the search only runs alpha <= 1/2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = _down_values(alpha, table, sigmas)[0]
+                ref = written_out_small_alpha_values(alpha, table, sigmas)
+            assert_same_values(got, ref)
 
 
 # brute_force_dd(alpha, random_bipartite(3, 3, seed)) at alpha = 0, 0.25, 0.5,
