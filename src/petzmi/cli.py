@@ -156,7 +156,7 @@ def cmd_compute(args) -> int:
     if solution is not None:
         payload["residual"] = _fmt(solution.residual)
         payload["iterations"] = solution.iterations
-        # the certificate; null where none exists (the small-alpha search)
+        # a certificate above 1/2, a stationarity figure below; null without iterates
         payload["gap"] = solution.gap if math.isfinite(solution.gap) else None
     _emit(payload, args)
     if args.strict and solution is not None and not solution.certified:

@@ -61,11 +61,16 @@ def _one_sided_min(alpha, m_vals: np.ndarray):
     """min over tau of D_alpha(rho || sigma x tau) = (alpha/(alpha-1)) log tr[M^(1/alpha)],
     attained at tau = M^(1/alpha) / tr[M^(1/alpha)], for each row of a (k, d)
     stack of the eigenvalues of M = tr_A[rho^alpha (sigma^(1-alpha) x 1)];
-    alpha is one order or one per row. At alpha = 0 it is -log lambda_max(M),
-    attained on the top eigenvector (the last one of a tie). Returns the k
-    values, inf where M vanishes, and the eigenvalues of the k minimizers."""
+    alpha is one order or one per row. At alpha = 0, and wherever 1/alpha
+    overflows, it is -log lambda_max(M) / (1 - alpha), attained on the top
+    eigenvector (the last one of a tie). Returns the k values, inf where M
+    vanishes, and the eigenvalues of the k minimizers."""
     alpha = np.broadcast_to(alpha, m_vals.shape[:1])
-    zero = alpha == 0
+    zero = alpha < 1.0 / np.finfo(float).max
+    # at alpha <= 1/2, M / lambda_max(M) keeps M^(1/alpha) from under- or overflowing
+    m_max = np.max(m_vals, axis=1)
+    scale = np.where((alpha <= 0.5) & (m_max > 0), m_max, 1.0)
+    m_vals = m_vals / scale[:, None]
     powered = spectral_power(m_vals, 1.0 / np.where(zero, 1.0, alpha)[:, None])
     if zero.any():  # all weight on lambda_max(M), at the last index of a tie
         top = m_vals.shape[1] - 1 - np.argmax(m_vals[:, ::-1], axis=1)
@@ -73,8 +78,7 @@ def _one_sided_min(alpha, m_vals: np.ndarray):
     norm = powered.sum(axis=1)
     vanish = norm <= 0
     norm[vanish] = 1.0
-    log_norm = np.log(norm)
-    value = np.where(zero, -log_norm, alpha / (alpha - 1.0) * log_norm)
+    value = alpha / (alpha - 1.0) * np.log(norm) + np.log(scale) / (alpha - 1.0)
     value[vanish] = math.inf
     return value, powered / norm[:, None]
 

@@ -1,11 +1,11 @@
 """Exhaustive product-state search for the doubly minimized Renyi mutual
 information.
 
-This is a slow, independent reference implementation: it shares only the
-closed form with the fixed-point solver. The A-side state ranges over a dense
-grid of density matrices; for each grid point the B-side minimization is
-performed exactly through its closed form, so the only approximation is the
-A-side search.
+This is a slow, independent reference for the tests and the `oracle` command;
+the solver no longer calls it, and shares only the closed form and the
+Ginibre states of `_ginibre_grid`, its starts below 1/2. The A-side state
+ranges over a dense grid of density matrices; for each the B-side minimization
+is exact through its closed form, so the only approximation is the A-side search.
 
 One routine, `_grid_refine`, does this search and the classical alpha <= 1/2
 one: the argmin of a batched objective over a starting grid (a Bloch-ball grid

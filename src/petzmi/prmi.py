@@ -7,10 +7,10 @@ reference state are optimized:
              I = D_alpha(rho_AB || rho_A x rho_B);
   up_down  : the B argument minimized, closed form through a Schatten
              quasi-norm of a partial trace;
-  down_down: both arguments minimized. For alpha in (1/2, 2] this is solved by
-             alternating minimization, each half-step being the exact one-sided
-             minimizer; the iteration is a fixed-point scheme whose fixed points
-             coincide with the global minimizers in that range.
+  down_down: both arguments minimized, by alternating minimization, each
+             half-step being the exact one-sided minimizer. On (1/2, 2] its
+             fixed points are the global minimizers; below 1/2 the best run of
+             ten starts is returned, uncertified.
 
 One array routine, `_half_step`, is the exact one-sided minimization for
 `gen_prmi_down` and both directions of the loop (B -> A through the transposed
@@ -49,6 +49,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import power_on_support, spectral_power
+from .oracle import _ginibre_grid
 from .states import BipartiteState, DensityOperator, product_state
 
 MONOTONICITY_SLACK = 1e-11
@@ -63,15 +64,15 @@ class PrmiSolution:
     gap is the Frank-Wolfe gap G(sigma) = tr[grad f sigma] - lambda_min(grad f)
     of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the last iterate whose
     gradient was formed; the returned value is no larger than f there. It is 0
-    for closed forms and exact reductions and inf where no certificate exists
-    (the small-alpha grid search, infinite values). residual is the trace
-    distance between sigma_a and the iterate before it, one full round of the
-    fixed-point map earlier; likewise 0 for closed forms and exact reductions
-    and inf where no iterate bounds it (the same cases). A classical reduction
-    that a grid search solves is not an exact reduction: both are inf for it.
-    certified means the value is the global minimum: for alpha in (1/2, 2]
-    every fixed point is a global minimizer, so a run is certified when
-    gap <= GAP_TOL and residual <= 10 GAP_TOL.
+    for closed forms and exact reductions and inf where no iterate exists
+    (infinite values, and the grid search that solves the classical reduction
+    below 1/2). residual is the trace distance between sigma_a and the iterate
+    before it, one full round of the fixed-point map earlier; likewise 0 for
+    closed forms and exact reductions and inf in the same cases. certified
+    means the value is the global minimum: for alpha in (1/2, 2] every fixed
+    point is a global minimizer, so a run is certified when gap <= GAP_TOL and
+    residual <= 10 GAP_TOL. Below 1/2 f is not convex: there the gap is a
+    stationarity figure, not a certificate, and nothing is certified.
     """
 
     value: float
@@ -286,30 +287,31 @@ def _dd_closed_form_solution(alpha: float, rho: BipartiteState) -> PrmiSolution 
     )
 
 
-def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
-                     max_iter: int = MAX_ITER):
+def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITER):
     """Alternating minimization from sigma0, on a stack of orders.
 
-    alpha is one order or a stack of k, every row started from sigma0. Each row
-    runs until the Frank-Wolfe gap of its iterate is at most GAP_TOL, or for
-    max_iter rounds, and then leaves the stack. A finite row is certified when
-    its gap is at most GAP_TOL and its residual at most 10 GAP_TOL; a row whose
-    value turns infinite is not. Returns a PrmiSolution for one order and a
-    list of k for a stack.
+    alpha is one order or a stack of k; sigma0 is one start for every row or a
+    list of k, one per row. A row stops once the Frank-Wolfe gap of its iterate
+    is at most GAP_TOL and, at alpha <= 1/2, where an eigenvalue lost under the
+    support cut zeroes the gap, its value fell by at most GAP_TOL in the round;
+    or after max_iter rounds. A finite row at alpha > 1/2 is certified when its
+    gap is at most GAP_TOL and its residual at most 10 GAP_TOL. Returns a
+    PrmiSolution for one order and a list of k for a stack.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
+    starts = sigma0 if isinstance(sigma0, list) else [sigma0] * k
     # Checked once: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha (sigma^(1-alpha) x 1)]
     # has support exactly supp(rho_B), so every tau covers rho_B, every later
     # sigma covers rho_A, and no iterate can leak.
-    if np.any(alphas > 1) and not dominated(rho.marginal_a, sigma0):
+    if np.any(alphas > 1) and not all(dominated(rho.marginal_a, s) for s in starts):
         raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
+    s_vals = np.array([s.spectrum for s in starts])
+    s_vecs = np.array([s.eigenvectors for s in starts])
     r_ab = _rho_power(rho, alphas)
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
     slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
-    s_vals = np.repeat(sigma0.spectrum[None], k, axis=0)
-    s_vecs = np.repeat(sigma0.eigenvectors[None], k, axis=0)
     # per row: the last iterate, the one before it, the gap, the rounds run
     last = [s_vals.copy(), s_vecs.copy()]
     before = [s_vals.copy(), s_vecs.copy()]
@@ -333,7 +335,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
         _, n_vals, n_vecs, kmat = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
         g = _fw_gap(a, np.where(lost, 0.0, value), s_vals, s_vecs, kmat)
         g[lost] = math.inf
-        done = lost | (g <= GAP_TOL)
+        done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL)))
         if it == max_iter:
             done[:] = True
         if not done.any():
@@ -368,14 +370,15 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0: DensityOperator,
             ))
             continue
         solutions.append(PrmiSolution(
-            value=max(float(value[j]), 0.0),  # a divergence of states; rounding can dip below 0
+            # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
+            value=max(float(value[j]), 0.0) + 0.0,
             alpha=float(alphas[j]),
             sigma_a=_density(last[0][j], last[1][j]),
             tau_b=_density(t_vals[j], t_vecs[j]),
             residual=float(residual[j]),
             iterations=int(rounds[j]),
             objective_trace=tuple(trace[: rounds[j], j].tolist()),
-            certified=bool(gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL),
+            certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL),
             gap=float(gap[j]),
         ))
     return solutions if np.ndim(alpha) else solutions[0]
@@ -394,9 +397,9 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
                            most GAP_TOL, and it is certified when also its
                            residual is at most 10 GAP_TOL.
       0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
-                           else a grid search, on the classical reduction for
-                           diagonal states or over product states for small
-                           dimensions: uncertified, with gap and residual inf.
+                           else uncertified: a grid on the classical reduction
+                           for diagonal states, or for d_A, d_B <= 3 the best
+                           run of the loop from rho_A, I/d_A and 8 Ginibre states.
       alpha > 2          : closed forms only (fixed points need not be
                            minimizers); generic states are rejected.
     """
@@ -428,18 +431,17 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
     if closed is not None:
         return closed
     pmf = rho.diagonal_pmf_or_none()
-    if pmf is not None:
-        value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
-        sigma_a, tau_b = DensityOperator(np.diag(r_opt)), DensityOperator(np.diag(q_opt))
-    elif rho.d_a <= 3 and rho.d_b <= 3:
-        from .oracle import brute_force_dd
-
-        value, sigma_a, tau_b = brute_force_dd(alpha, rho)
-    else:
+    if pmf is None and rho.d_a <= 3 and rho.d_b <= 3:
+        starts = [rho.marginal_a, *map(DensityOperator, _ginibre_grid(rho.d_a, 8))]
+        return min(_run_fixed_point(np.full(len(starts), alpha), rho, starts),
+                   key=PrmiSolution.as_float)
+    if pmf is None:
         raise UnsupportedRegimeError(
             "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states"
         )
-    value = max(value, 0.0)  # a divergence of states; rounding can dip below 0
+    value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
+    sigma_a, tau_b = DensityOperator(np.diag(r_opt)), DensityOperator(np.diag(q_opt))
+    value = max(value, 0.0) + 0.0  # as in _run_fixed_point
     return PrmiSolution(
         value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b,
         residual=math.inf, iterations=0, objective_trace=(value,), certified=False,

@@ -210,13 +210,21 @@ def test_global_flags_after_subcommand(cc_file, capsys, command):
     json.loads(before)
 
 
-def test_compute_dd_search_reports_inf_residual(tmp_path, capsys):
+def test_compute_dd_below_half_reports_uncertified_gap(tmp_path, capsys):
     path = generic_state_file(tmp_path)
     assert main(["--json", "compute", "--which", "dd", "--alpha", "0.3", "--state", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["residual"] == "inf"
-    assert out["gap"] is None
+    # the loop's last iterate: finite figures, but no certificate below 1/2
+    assert math.isfinite(float(out["residual"]))
+    assert math.isfinite(out["gap"])
     assert out["certified"] == 0
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.3", "0.7"])
+def test_compute_dd_prints_positive_zero(tmp_path, capsys, alpha):
+    path = write_json(tmp_path / "product.json", {"pmf": [[0.06, 0.14], [0.24, 0.56]]})
+    assert main(["--json", "compute", "--which", "dd", "--alpha", alpha, "--state", path]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
 
 
 @pytest.mark.parametrize("flag", ["--restarts", "--seed", "--tol", "--max-iter"])

@@ -102,3 +102,27 @@ def test_leak_tolerance_matches_gen_prmi_down():
     ref = relative_entropy(rho, np.kron(sigma, rho.marginal_b.matrix))
     assert not ref.is_infinite
     assert _batched_values(1.0, rho, sigma[None])[0] == pytest.approx(ref.value, abs=1e-8)
+
+
+_SHAPES = [(2, 2, None), (2, 3, None), (3, 2, None), (3, 3, None), (2, 2, 2), (2, 3, 2), (3, 3, 2)]
+_ORDERS = [0.0, 0.02, 0.05, 0.1, 0.25, 0.5]
+# four of the six orders per state and seed, rotated so that every order meets every shape
+_BELOW_HALF = [((d_a, d_b, seed, rank), _ORDERS[(2 * i + seed + j) % len(_ORDERS)])
+               for i, (d_a, d_b, rank) in enumerate(_SHAPES) for seed in (0, 1) for j in range(4)]
+# where rows stopped on the support gap alone sat 4.0e-5, 1.9e-3, 1.2e-4 and
+# 3.7e-5 above the grid: an iterate had lost an eigenvalue under the support cut
+_BELOW_HALF += [((2, 3, 6, 2), 0.05), ((2, 3, 9, 3), 0.02), ((2, 2, 9, 2), 0.02),
+                ((2, 2, 1, 2), 0.0)]
+
+
+@pytest.mark.parametrize("shape, alpha", _BELOW_HALF,
+                         ids=[f"{a}x{b}-s{s}-r{r}-a{alpha}" for (a, b, s, r), alpha in _BELOW_HALF])
+def test_solver_below_half_never_above_grid(shape, alpha):
+    # the loop from ten starts replaced this grid search in prmi_down_down
+    d_a, d_b, seed, rank = shape
+    rho = random_bipartite(d_a, d_b, seed, rank=rank)
+    sol = prmi_down_down(alpha, rho)
+    grid, _, _ = brute_force_dd(alpha, rho)
+    assert sol.value <= max(grid, 0.0) + 1e-12
+    ref = tensor_product(sol.sigma_a, sol.tau_b).matrix
+    assert abs(petz_divergence(alpha, rho, ref).value - sol.value) <= 1e-10

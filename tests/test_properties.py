@@ -27,7 +27,7 @@ def random_unitary(rng, dim):
 
 
 @settings(max_examples=25, deadline=None)
-@given(rho=states, alpha=alphas)
+@given(rho=states, alpha=st.one_of(alphas, st.floats(0.0, 0.5)))
 def test_variants_are_ordered(rho, alpha):
     uu = prmi_up_up(alpha, rho).value
     ud = prmi_up_down(alpha, rho).value
