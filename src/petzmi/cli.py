@@ -68,8 +68,6 @@ def parse_input(path: str) -> BipartiteState:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):

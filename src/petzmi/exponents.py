@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import _log_ratio, _petz_terms, relative_entropy_variance
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import DomainError
 from .linalg import spectral_power
-from .prmi import PrmiSolution, prmi_down_down, prmi_down_down_stack
+from .prmi import PrmiSolution, prmi_closed_form, prmi_down_down, prmi_down_down_stack
 from .states import BipartiteState, product_state
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
@@ -50,10 +50,6 @@ class RateCurvePoint:
     exponent: float
 
 
-def _mutual_information_variance(rho: BipartiteState) -> float:
-    return relative_entropy_variance(rho, product_state(rho.marginal_a, rho.marginal_b))
-
-
 def alpha_derivative(alpha: float, rho: BipartiteState,
                      solution: PrmiSolution | None = None) -> float:
     """d/d alpha of the doubly minimized Renyi mutual information.
@@ -72,7 +68,7 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
     product of the marginals.
     """
     if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
-        return 0.5 * _mutual_information_variance(rho)
+        return 0.5 * relative_entropy_variance(rho, product_state(rho.marginal_a, rho.marginal_b))
     if solution is None:
         solution = prmi_down_down(alpha, rho)
     lam, mu, w = _petz_terms(rho, product_state(solution.sigma_a, solution.tau_b))
@@ -107,26 +103,18 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> fl
     """The rate threshold R_(1/2) = I_(1/2) - (1/4) d/ds I_s at s = 1/2+.
 
     Both the value and the one-sided derivative are extrapolated to s = 1/2 from
-    the right with a two-point Richardson step, then clamped into the a-priori
-    interval [I_0, I_(1/2)] (with 0 as a trivial lower bound when I_0 is not
-    computable for the state at hand).
+    the right with a two-point Richardson step, then clamped into [a known lower
+    bound of I_0, I_(1/2)]: the closed form of I_0 on pure and perfectly
+    correlated states, else 0. A search for I_0 is not used: it returns an
+    estimate from above, which is no lower bound.
     """
     cache = cache or _PrmiCache(rho)
-    h = R_HALF_STEP
-    i_h = cache.value(0.5 + h)
-    i_2h = cache.value(0.5 + 2 * h)
-    i_half = 2 * i_h - i_2h
-    d_h = alpha_derivative(0.5 + h, rho, cache.solution(0.5 + h))
-    d_2h = alpha_derivative(0.5 + 2 * h, rho, cache.solution(0.5 + 2 * h))
-    d_half = 2 * d_h - d_2h
+    s1, s2 = 0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP
+    i_half = 2 * cache.value(s1) - cache.value(s2)
+    d_half = (2 * alpha_derivative(s1, rho, cache.solution(s1))
+              - alpha_derivative(s2, rho, cache.solution(s2)))
     r = i_half - 0.25 * d_half
-    try:
-        i_zero = prmi_down_down(0.0, rho).as_float()
-    except UnsupportedRegimeError:
-        i_zero = 0.0
-    if not np.isfinite(i_zero):
-        i_zero = 0.0
-    return float(min(max(r, i_zero), i_half))
+    return float(min(max(r, prmi_closed_form(0.0, rho, "dd") or 0.0), i_half))
 
 
 def _optimal_rate(s: float, rho: BipartiteState, solution: PrmiSolution) -> tuple[float, float]:

@@ -170,7 +170,16 @@ def _fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.nda
             k: np.ndarray) -> np.ndarray:
     """Frank-Wolfe gap G = tr[grad f sigma] - lambda_min(grad f) of f at sigma,
     per row, on supp(sigma), which the iterates share with rho_A. One
-    d_A x d_A eigvalsh per row; see `_fw_gradient` for the arguments."""
+    d_A x d_A eigvalsh per row; see `_fw_gradient` for the arguments.
+
+    On [1/2, 1), dd >= f(sigma) - G(sigma) for f differentiable at sigma and
+    supp sigma = supp rho_A. By Ando's tensor form of Lieb concavity (Linear
+    Algebra Appl. 26, 203 (1979)), (A, B) -> A^p x B^q is jointly concave for
+    p, q >= 0 with p + q <= 1; with p = q = 1 - alpha, which needs alpha >= 1/2,
+    Q(sigma, tau) = tr[rho^alpha (sigma^(1-alpha) x tau^(1-alpha))] is jointly
+    concave, so g = max_tau Q is concave and f = -log g / (1 - alpha) is convex:
+    it lies above its tangent at sigma. On (1, 2] the bound is tested, not proven.
+    """
     h = _fw_gradient(alpha, value, vals, vecs, k)
     along = np.real(np.einsum("kii,ki->k", h, vals))
     return along - np.linalg.eigvalsh(h)[:, 0]
@@ -198,7 +207,7 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
     value, _ = gen_prmi_down(alpha, rho, rho.marginal_a)
     if value == math.inf:
         return DivergenceValue.infinite()
-    return DivergenceValue(value=value)
+    return DivergenceValue(value=max(value, 0.0) + 0.0)  # as in _run_fixed_point
 
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
@@ -214,8 +223,8 @@ def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator)
 def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | None:
     """Known closed forms: pure states and perfectly correlated cc states.
 
-    Returns None when no closed form applies. Used for cross-checks and for the
-    alpha <= 1/2 regime where the alternating scheme is not guaranteed global.
+    Returns None when no closed form applies. Used for cross-checks, below 1/2,
+    where the loop is not known to be global, and as the I_0 floor of R_(1/2).
     """
     if rho.is_pure():
         rho_a = rho.marginal_a

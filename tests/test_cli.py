@@ -220,10 +220,13 @@ def test_compute_dd_below_half_reports_uncertified_gap(tmp_path, capsys):
     assert out["certified"] == 0
 
 
-@pytest.mark.parametrize("alpha", ["0", "0.3", "0.7"])
-def test_compute_dd_prints_positive_zero(tmp_path, capsys, alpha):
+@pytest.mark.parametrize("which, alpha", [
+    *(pytest.param("dd", a, id=a) for a in ("0", "0.3", "0.7")),
+    *(pytest.param("ud", a, id=f"ud-{a}") for a in ("0", "0.3", "0.7")),
+])
+def test_compute_dd_prints_positive_zero(tmp_path, capsys, which, alpha):
     path = write_json(tmp_path / "product.json", {"pmf": [[0.06, 0.14], [0.24, 0.56]]})
-    assert main(["--json", "compute", "--which", "dd", "--alpha", alpha, "--state", path]) == 0
+    assert main(["--json", "compute", "--which", which, "--alpha", alpha, "--state", path]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "0"
 
 

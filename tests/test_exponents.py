@@ -5,7 +5,7 @@ import pytest
 
 from petzmi import exponents
 from petzmi.divergences import relative_entropy_variance
-from petzmi.errors import DomainError
+from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.exponents import (
     _PrmiCache,
     alpha_derivative,
@@ -14,8 +14,8 @@ from petzmi.exponents import (
     rate_curve,
 )
 from petzmi.linalg import tensor_product
-from petzmi.prmi import prmi_down_down
-from petzmi.states import copy_cc_state, pure_bipartite, random_bipartite
+from petzmi.prmi import prmi_down_down, prmi_down_down_stack
+from petzmi.states import Pmf, cc_state, copy_cc_state, pure_bipartite, random_bipartite
 
 CC_02 = copy_cc_state([0.2, 0.8])
 LO, HI = 0.5 + 1e-4, 1.0 - 1e-4
@@ -184,3 +184,83 @@ def test_solves_per_exponent(rho, monkeypatch):
         calls.clear()
         direct_exponent(rho, frac * i_one)
         assert len(calls) <= 20
+
+
+ORDER_STATES = [
+    pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
+    CC_02,
+    random_bipartite(2, 2, 8100),
+    random_bipartite(2, 3, 0, rank=2),
+    random_bipartite(3, 3, 0, rank=4),
+]
+
+
+@pytest.mark.parametrize("rho", ORDER_STATES, ids=["pure", "copy-cc", "2x2", "2x3-rank2", "3x3-rank4"])
+def test_exponent_solves_only_above_half(rho, monkeypatch):
+    """The exponent, R_(1/2) and the rate curve solve I_s on (1/2, 1] only:
+    no small-alpha search sits on their path."""
+    i_one = prmi_down_down(1.0, rho).value
+    orders = []
+
+    def recording(alpha, rho):
+        orders.append(alpha)
+        return prmi_down_down(alpha, rho)
+
+    def recording_stack(alphas, rho):
+        orders.extend(alphas)
+        return prmi_down_down_stack(alphas, rho)
+
+    monkeypatch.setattr(exponents, "prmi_down_down", recording)
+    monkeypatch.setattr(exponents, "prmi_down_down_stack", recording_stack)
+    for frac in RATE_FRACTIONS + (1.2,):
+        direct_exponent(rho, frac * i_one)
+    r_half_threshold(rho)
+    rate_curve(rho, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25))
+    assert orders and all(0.5 < s <= 1.0 for s in orders)
+
+
+def floored_at_search(rho, cache=None):
+    """R_(1/2) clamped below by the alpha = 0 solve, as before the floor
+    became a known lower bound of I_0; kept as the differential reference."""
+    cache = cache or _PrmiCache(rho)
+    h = exponents.R_HALF_STEP
+    i_half = 2 * cache.value(0.5 + h) - cache.value(0.5 + 2 * h)
+    d_half = (2 * alpha_derivative(0.5 + h, rho, cache.solution(0.5 + h))
+              - alpha_derivative(0.5 + 2 * h, rho, cache.solution(0.5 + 2 * h)))
+    r = i_half - 0.25 * d_half
+    try:
+        i_zero = prmi_down_down(0.0, rho).as_float()
+    except UnsupportedRegimeError:
+        i_zero = 0.0
+    if not np.isfinite(i_zero):
+        i_zero = 0.0
+    return float(min(max(r, i_zero), i_half))
+
+
+FLOOR_STATES = {
+    "2x2-42": random_bipartite(2, 2, 42),
+    "2x2-8100": random_bipartite(2, 2, 8100),
+    "2x3-0": random_bipartite(2, 3, 0),
+    "2x3-1": random_bipartite(2, 3, 1),
+    "3x3-0": random_bipartite(3, 3, 0),
+    "2x3-rank2": random_bipartite(2, 3, 0, rank=2),
+    "3x3-rank2": random_bipartite(3, 3, 0, rank=2),
+    "3x3-rank3": random_bipartite(3, 3, 0, rank=3),
+    "3x3-rank4": random_bipartite(3, 3, 0, rank=4),
+    "pure-2x2": pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
+    "pure-3x3": pure_bipartite(np.random.default_rng(3).normal(size=9), 3, 3),
+    "copy-cc": CC_02,
+    "diagonal-zero": cc_state(Pmf(np.array([[0.35, 0.15, 0], [0, 0.05, 0.45]]))),
+}
+
+
+@pytest.mark.parametrize("rho", FLOOR_STATES.values(), ids=FLOOR_STATES.keys())
+def test_known_floor_matches_search_floor(rho, monkeypatch):
+    """Flooring R_(1/2) at the closed form of I_0, or 0, changes no output
+    against flooring it at the alpha = 0 solve."""
+    i_one = prmi_down_down(1.0, rho).value
+    rates = [frac * i_one for frac in (0.1, 0.8, 1.2)]
+    new = [r_half_threshold(rho)] + [direct_exponent(rho, rate) for rate in rates]
+    monkeypatch.setattr(exponents, "r_half_threshold", floored_at_search)
+    old = [floored_at_search(rho)] + [direct_exponent(rho, rate) for rate in rates]
+    assert new == old

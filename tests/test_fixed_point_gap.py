@@ -102,7 +102,9 @@ def test_gap_is_zero_at_the_minimizer_and_positive_away_from_it():
     mix=st.floats(1e-6, 1.0),
 )
 def test_gap_bounds_the_suboptimality(d_b, seed, alpha, mix):
-    """G(sigma) >= f(sigma) - dd: the gap brackets the minimum from below."""
+    """G(sigma) >= f(sigma) - dd: the gap brackets the minimum from below.
+    On [1/2, 1) this is proven (f is convex there, see `_fw_gap`), for sigma
+    of full support as here; on (1, 2] it is a tested property."""
     rng = np.random.default_rng(seed)
     rho = random_bipartite(2, d_b, rng)
     best = prmi_down_down(alpha, rho)

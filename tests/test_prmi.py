@@ -7,6 +7,7 @@ from petzmi.classical import rmi_down_down as classical_dd
 from petzmi.divergences import petz_divergence, renyi_entropy
 from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.linalg import tensor_product, trace_distance
+from petzmi.oracle import _ginibre_grid
 from petzmi.prmi import (
     _run_fixed_point,
     fixed_point_map,
@@ -140,6 +141,21 @@ def test_small_alpha_cc_uses_classical_path():
     # the classical reduction is exact, but a grid solves it: no certificate
     assert not sol.certified
     assert sol.gap == math.inf and sol.residual == math.inf
+
+
+@pytest.mark.parametrize("table, alpha, margin", [
+    # the loop stops at a stationary point 0.0135 above the simplex search:
+    # why diagonal states keep the classical reduction below 1/2
+    pytest.param([[0.64, 0.02, 0], [0, 0.15, 0.19]], 0.02, 1e-2, id="search-wins"),
+    # here the simplex search stops 8.3e-4 above the loop
+    pytest.param([[0.35, 0.15, 0], [0, 0.05, 0.45]], 0.25, -1e-9, id="loop-wins",
+                 marks=pytest.mark.xfail(strict=True, reason="the simplex search misses")),
+])
+def test_diagonal_search_against_ten_start_loop(table, alpha, margin):
+    rho = cc_state(Pmf(np.array(table)))
+    starts = [rho.marginal_a, *map(DensityOperator, _ginibre_grid(rho.d_a, 8))]
+    loop = min(run.value for run in _run_fixed_point(np.full(len(starts), alpha), rho, starts))
+    assert prmi_down_down(alpha, rho).value <= loop - margin
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
