@@ -6,7 +6,9 @@ universal permutation-invariant state omega_n on H^(x n), the cycle sum of
 where g_n is the number of symmetric types of H x H'. A Neyman-Pearson-style
 threshold test against omega_A x omega_B, which carries the Kronecker product
 of the factors' eigensystems, then bounds the type-II error uniformly over
-products.
+products. rho^(x n) likewise carries the permuted Kronecker power of rho's
+eigensystem, and omega_n is built once per (n, d), so each test decomposes
+only the threshold difference rho^(x n) - e^(lambda) omega_A x omega_B.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def symmetric_type_count(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
+@functools.lru_cache(maxsize=None)
 def universal_state(n: int, d: int) -> DensityOperator:
     """The universal permutation-invariant state on (C^d)^(x n).
 
@@ -53,7 +56,9 @@ def universal_state(n: int, d: int) -> DensityOperator:
 
         omega_n = (1/(g n!)) sum_pi d^c(pi) V_pi
 
-    on (C^d)^(x n) alone. Guarded against exponential blowup.
+    on (C^d)^(x n) alone. Guarded against exponential blowup. Cached per
+    (n, d): the operator is immutable, and the guard keeps each entry at most
+    81 x 81.
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be positive")
@@ -73,12 +78,22 @@ def universal_state(n: int, d: int) -> DensityOperator:
 
 
 def iid_block(rho: BipartiteState, n: int) -> BipartiteState:
-    """rho^(x n) reordered from (A1 B1 ... An Bn) to (A1 ... An):(B1 ... Bn)."""
+    """rho^(x n) reordered from (A1 B1 ... An Bn) to (A1 ... An):(B1 ... Bn).
+
+    The block carries its eigensystem: the n-fold Kronecker power of rho's
+    eigenvalues, and of rho's eigenvectors with their rows reordered like the
+    matrix. It is never decomposed, so `test_errors` decomposes only the
+    threshold difference, and its small eigenvalues keep rho's relative
+    accuracy.
+    """
     d_a, d_b = rho.d_a, rho.d_b
-    m = functools.reduce(np.kron, [rho.matrix] * n)
+    dims = [d_a, d_b] * n
     order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    m = permute_factors(m, [d_a, d_b] * n, order)
-    return BipartiteState(m, d_a**n, d_b**n)
+    m = permute_factors(functools.reduce(np.kron, [rho.matrix] * n), dims, order)
+    vals = functools.reduce(np.kron, [rho.spectrum] * n)
+    vecs = functools.reduce(np.kron, [rho.eigenvectors] * n)
+    vecs = vecs.reshape(dims + [-1]).transpose(order + [2 * n]).reshape(m.shape)
+    return BipartiteState(m, d_a**n, d_b**n, eigensystem=(vals, vecs))
 
 
 def np_test(rho_n, alt, log_threshold: float) -> HermitianOperator:
@@ -158,7 +173,8 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
     rho_n, log_g, d_s, lam, test = _universal_test(rho, n, rate, s)
-    type_one = 1.0 - float(np.real(np.trace(rho_n.matrix @ test.matrix)))
+    # tr(rho_n Pi) as sum_ij conj(Pi_ij) rho_ij, Pi being Hermitian
+    type_one = 1.0 - float(np.real(np.vdot(test.matrix, rho_n.matrix)))
     return TestErrors(
         n=n, s=s, rate=rate, log_threshold=lam,
         type_one=max(type_one, 0.0),

@@ -25,8 +25,9 @@ All logarithms are natural.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,7 +93,10 @@ class PrmiSolution:
 
 def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """D_alpha of the state against the product of its own marginals."""
-    return petz_divergence(alpha, rho, product_state(rho.marginal_a, rho.marginal_b))
+    d = petz_divergence(alpha, rho, product_state(rho.marginal_a, rho.marginal_b))
+    if d.is_infinite:
+        return d
+    return replace(d, value=max(d.value, 0.0) + 0.0)  # as in _run_fixed_point
 
 
 def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, DensityOperator]:
@@ -441,7 +445,7 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
         return closed
     pmf = rho.diagonal_pmf_or_none()
     if pmf is None and rho.d_a <= 3 and rho.d_b <= 3:
-        starts = [rho.marginal_a, *map(DensityOperator, _ginibre_grid(rho.d_a, 8))]
+        starts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
         return min(_run_fixed_point(np.full(len(starts), alpha), rho, starts),
                    key=PrmiSolution.as_float)
     if pmf is None:
@@ -455,6 +459,13 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
         value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b,
         residual=math.inf, iterations=0, objective_trace=(value,), certified=False,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _small_alpha_starts(d_a: int) -> tuple[DensityOperator, ...]:
+    """The fixed starts I/d_A and 8 Ginibre states of the loop below 1/2, built
+    and decomposed once per d_A (at most 3)."""
+    return tuple(map(DensityOperator, _ginibre_grid(d_a, 8)))
 
 
 def prmi_down_down_stack(alphas, rho: BipartiteState) -> list[PrmiSolution]:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import petzmi
-from petzmi.cli import main, parse_input
-from petzmi.states import random_bipartite
+from petzmi.cli import _fmt, main, parse_input, sweep_rows
+from petzmi.states import cc_state, random_bipartite
 
 
 def write_json(path, payload):
@@ -123,8 +123,6 @@ def test_sweep_rejects_nonpositive_steps(pure_file, tmp_path, capsys):
 
 
 def test_formatting_literals():
-    from petzmi.cli import _fmt
-
     assert _fmt(math.inf) == "inf"
     assert _fmt(-math.inf) == "-inf"
     assert _fmt(math.nan) == "nan"
@@ -228,6 +226,14 @@ def test_compute_dd_prints_positive_zero(tmp_path, capsys, which, alpha):
     path = write_json(tmp_path / "product.json", {"pmf": [[0.06, 0.14], [0.24, 0.56]]})
     assert main(["--json", "compute", "--which", which, "--alpha", alpha, "--state", path]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
+def test_sweep_rmi0_is_never_negative():
+    # uu of a product state is 0, which rounding can turn into -0 or -1.85e-16
+    state = cc_state([[0.06, 0.14], [0.24, 0.56]])
+    rows = sweep_rows(state, np.linspace(0.0, 2.5, 26))
+    for alpha, rmi0, *_ in rows:
+        assert rmi0 >= 0.0 and _fmt(rmi0) != "-0", alpha
 
 
 @pytest.mark.parametrize("flag", ["--restarts", "--seed", "--tol", "--max-iter"])

@@ -7,9 +7,9 @@ from petzmi.classical import rmi_down_down as classical_dd
 from petzmi.divergences import petz_divergence, renyi_entropy
 from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.linalg import tensor_product, trace_distance
-from petzmi.oracle import _ginibre_grid
 from petzmi.prmi import (
     _run_fixed_point,
+    _small_alpha_starts,
     fixed_point_map,
     gen_prmi_down,
     prmi,
@@ -153,7 +153,7 @@ def test_small_alpha_cc_uses_classical_path():
 ])
 def test_diagonal_search_against_ten_start_loop(table, alpha, margin):
     rho = cc_state(Pmf(np.array(table)))
-    starts = [rho.marginal_a, *map(DensityOperator, _ginibre_grid(rho.d_a, 8))]
+    starts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
     loop = min(run.value for run in _run_fixed_point(np.full(len(starts), alpha), rho, starts))
     assert prmi_down_down(alpha, rho).value <= loop - margin
 
@@ -166,6 +166,25 @@ def test_small_alpha_search_is_nonnegative_at_zero(dims):
         assert sol.value >= 0.0
         # the loop's own trace, which no round raises beyond rounding
         assert np.all(np.diff(sol.objective_trace) <= 1e-12)
+
+
+def test_small_alpha_starts_are_decomposed_once(monkeypatch):
+    rho = random_bipartite(2, 2, 42)
+    first = prmi_down_down(0.3, rho)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    second = prmi_down_down(0.3, rho)
+    # the loop decomposes stacks of shape (k, 2, 2); a start would be one 2 x 2
+    assert shapes and (2, 2) not in shapes
+    assert second.value == first.value
+    assert np.array_equal(second.sigma_a.matrix, first.sigma_a.matrix)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
