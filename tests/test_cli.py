@@ -256,6 +256,18 @@ def test_simulate_command(cc_file, capsys):
     assert out["asymptotic_exponent"] > 0
 
 
+def test_simulate_flags_vacuous_rows(cc_file, capsys):
+    assert main(["--json", "simulate", "--state", cc_file, "--rate", "0.3", "--n-max", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["per_n"]
+    assert all(isinstance(r["vacuous"], bool) and r["vacuous"] == (r["exponent"] <= 0)
+               for r in rows)
+    # the plain-text table keeps its six columns
+    assert main(["simulate", "--state", cc_file, "--rate", "0.3", "--n-max", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "n,s,exponent,type_one,type_one_bound,type_two_bound"
+    assert [len(line.split(",")) for line in lines[3:]] == [6, 6]
+
+
 @pytest.mark.parametrize("n_max", ["0", "-2"])
 def test_simulate_rejects_nonpositive_n_max(cc_file, capsys, n_max):
     assert main(["simulate", "--state", cc_file, "--rate", "0.1", "--n-max", n_max]) == 4

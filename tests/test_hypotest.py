@@ -14,7 +14,6 @@ from petzmi.hypotest import (
     universal_divergence_rate,
     universal_state,
 )
-from petzmi.linalg import HermitianOperator, tensor_product
 from petzmi.prmi import prmi_down_down
 from petzmi.states import copy_cc_state, random_bipartite, random_density
 
@@ -64,17 +63,17 @@ def test_iid_block_marginals(qubit_pair):
 
 
 def test_np_test_is_projector(qubit_pair):
-    t = np_test(qubit_pair, HermitianOperator(np.eye(4) / 4), 0.3)
-    m = t.matrix
+    # one block: the operators themselves
+    [m] = np_test([qubit_pair.matrix], [np.eye(4) / 4], 0.3)
     assert np.allclose(m @ m, m, atol=1e-10)
 
 
 def test_np_test_extreme_thresholds(qubit_pair):
-    low = np_test(qubit_pair, HermitianOperator(np.eye(4) / 4), -1000.0)
-    assert np.allclose(low.matrix, np.eye(4))
-    high = np_test(qubit_pair, HermitianOperator(np.eye(4) / 4), 1000.0)
+    [low] = np_test([qubit_pair.matrix], [np.eye(4) / 4], -1000.0)
+    assert np.allclose(low, np.eye(4))
+    [high] = np_test([qubit_pair.matrix], [np.eye(4) / 4], 1000.0)
     # full-rank alternative: nothing survives an impossibly high threshold
-    assert np.allclose(high.matrix, 0.0, atol=1e-12)
+    assert np.allclose(high, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,8 +1,9 @@
-"""Product states from their factors, against the dense constructions they
-replace: the cycle-sum universal state against the symmetric projector on
-(C^d x C^d')^(x n) traced over the primed copies, and the Kronecker
-eigensystems of omega_A x omega_B and of rho^(x n) against decompositions of
-the dense products.
+"""Product states from their factors, and the universal test in symmetry
+blocks, against the dense constructions they replace: the cycle-sum universal
+state against the symmetric projector on (C^d x C^d')^(x n) traced over the
+primed copies; the Kronecker eigensystems of omega_A x omega_B and of
+rho^(x n) against decompositions of the dense products; and the block-by-block
+threshold test against one decomposition of the whole threshold difference.
 """
 
 import functools
@@ -13,15 +14,27 @@ import numpy as np
 import pytest
 
 from petzmi import hypotest
+from petzmi.divergences import petz_divergence
 from petzmi.hypotest import (
     achievability_sweep,
     iid_block,
+    np_test,
+    symmetric_blocks,
     symmetric_type_count,
+    symmetry_basis,
     test_errors as threshold_test_errors,
+    type_two_against,
     universal_divergence_rate,
     universal_state,
 )
-from petzmi.linalg import permute_factors, tensor_product
+from petzmi.linalg import (
+    HermitianOperator,
+    nonnegative_part_projector,
+    permute_factors,
+    spectral_power,
+    support_projector,
+    tensor_product,
+)
 from petzmi.states import (
     BipartiteState,
     DensityOperator,
@@ -156,7 +169,18 @@ def assert_matches_reference(rho, monkeypatch, name, reference):
 
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_universal_test_matches_dense_alternative(index, monkeypatch):
-    assert_matches_reference(STATES[index], monkeypatch, "product_state", dense_product)
+    # symmetry_basis caches omega_A x omega_B: build the basis afresh on every
+    # call, so that the reference run forms the alternative with dense_product
+    # and no dense product stays in the cache for later tests
+    monkeypatch.setattr(hypotest, "symmetry_basis", hypotest.symmetry_basis.__wrapped__)
+    calls = []
+
+    def counted_dense_product(a, b):
+        calls.append((a.dim, b.dim))
+        return dense_product(a, b)
+
+    assert_matches_reference(STATES[index], monkeypatch, "product_state", counted_dense_product)
+    assert calls
 
 
 @pytest.mark.parametrize("index", range(len(STATES)))
@@ -164,11 +188,143 @@ def test_universal_test_matches_dense_block(index, monkeypatch):
     assert_matches_reference(STATES[index], monkeypatch, "iid_block", dense_iid_block)
 
 
-def test_errors_decomposes_one_block(monkeypatch):
+def test_errors_decomposes_no_large_matrix(monkeypatch):
     rho = random_bipartite(2, 2, 17)
+    threshold_test_errors(rho, 3, 0.1, 0.6)  # builds and caches the symmetry basis
     shapes = counted_eigh(monkeypatch)
     threshold_test_errors(rho, 3, 0.1, 0.6)
-    # only the Neyman-Pearson difference: rho^(x 3) carries the Kronecker power
-    # of rho's eigensystem, and omega_A x omega_B that of its 8 x 8 factors,
-    # which are decomposed at most once per (n, d)
-    assert [shape for shape in shapes if max(shape) >= 64] == [(64, 64)]
+    # only the blocks of the Neyman-Pearson difference, the largest 20 x 20:
+    # rho^(x 3) carries the Kronecker power of rho's eigensystem, and the basis
+    # with omega_A x omega_B and its blocks is cached per (n, d_A, d_B)
+    assert shapes and max(max(shape) for shape in shapes) < 64
+
+
+def dense_np_test(rho_n, alt, log_threshold):
+    """The threshold test on whole matrices, one decomposition each, with the
+    same rules beyond thresholds of +-700."""
+    rho_n, alt = HermitianOperator(rho_n), HermitianOperator(alt)
+    if log_threshold > 700.0:
+        kernel = np.eye(alt.dim) - support_projector(alt).matrix
+        return support_projector(kernel @ rho_n.matrix @ kernel).matrix
+    if log_threshold < -700.0:
+        return np.eye(rho_n.dim)
+    return nonnegative_part_projector(rho_n, math.exp(log_threshold) * alt.matrix).matrix
+
+
+def assembled(basis, blocks):
+    """sum_b Q_b X_b Q_b^T."""
+    return sum(basis.q[:, b] @ x @ basis.q[:, b].T for b, x in zip(basis.blocks, blocks))
+
+
+def spanning_thresholds(rho_n, alt, count):
+    """log thresholds from log(lambda_min / mu_max) to log(lambda_max / mu_min),
+    lambda over the support of rho_n and mu over the spectrum of alt: at the
+    low end the test accepts all of supp(rho_n), at the high end nothing."""
+    lam = rho_n.spectrum[spectral_power(rho_n.spectrum, 0.0) > 0]
+    mu = alt.spectrum
+    return np.linspace(math.log(lam.min() / mu.max()), math.log(lam.max() / mu.min()), count)
+
+
+def block_and_dense_weights(rho, n, count):
+    """tr(rho^(x n) Pi) at `count` spanning thresholds from the blocks and from
+    one dense decomposition each, and the largest entrywise gap between the
+    assembled and the dense projector."""
+    rho_n = iid_block(rho, n)
+    basis = symmetry_basis(n, rho.d_a, rho.d_b)
+    r_blocks = symmetric_blocks(rho_n, basis)
+    got, want, gap = [], [], 0.0
+    for lam in spanning_thresholds(rho_n, basis.alt, count):
+        test = np_test(r_blocks, basis.omega_blocks, lam)
+        dense = dense_np_test(rho_n.matrix, basis.alt.matrix, lam)
+        got.append(sum(np.vdot(pi, r).real for pi, r in zip(test, r_blocks)))
+        want.append(np.vdot(dense, rho_n.matrix).real)
+        gap = max(gap, np.max(np.abs(assembled(basis, test) - dense)))
+    return np.array(got), np.array(want), gap
+
+
+@pytest.mark.parametrize("index", range(len(STATES)))
+def test_thresholds_across_the_spectrum_match_dense_projector(index):
+    # at rate >= 0 the universal test is empty for n <= 4, so test_errors alone
+    # never reaches a projector that accepts anything
+    nonempty = 0
+    for n in (2, 3, 4):
+        got, want, gap = block_and_dense_weights(STATES[index], n, 15)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # the projectors themselves are conditioned by 1/(the eigen-gap of the
+        # difference at 0): up to 4e-11 apart on these states
+        assert gap <= 1e-9
+        nonempty += int(np.sum(want > 1e-12))
+    assert nonempty >= 15
+
+
+@pytest.mark.parametrize("rho, n, count", [
+    (random_bipartite(2, 3, 5), 2, 15),
+    (random_bipartite(2, 3, 5), 3, 15),
+    (random_bipartite(2, 2, 17), 5, 3),
+], ids=["2x3-n2", "2x3-n3", "2x2-n5"])
+def test_unequal_sides_and_n5_match_dense_projector(rho, n, count):
+    got, want, gap = block_and_dense_weights(rho, n, count)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert gap <= 1e-9
+    assert np.any((want > 1e-12) & (want < 1 - 1e-12))
+
+
+def dense_test_errors(rho, n, rate, s):
+    """test_errors from one decomposition of the whole threshold difference."""
+    rho_n = iid_block(rho, n)
+    alt = product_state(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
+             + math.log(symmetric_type_count(n, rho.d_b**2)))
+    d_s = petz_divergence(s, rho_n, alt).value
+    lam = (log_g + n * rate - (1.0 - s) * d_s) / s
+    type_one = 1.0 - np.vdot(dense_np_test(rho_n.matrix, alt.matrix, lam), rho_n.matrix).real
+    return lam, max(type_one, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_errors_match_dense_reference_on_unequal_sides(n):
+    rho = random_bipartite(2, 3, 5)
+    for rate, s in ((0.0, 0.3), (0.05, 0.8)):
+        errs = threshold_test_errors(rho, n, rate, s)
+        lam, type_one = dense_test_errors(rho, n, rate, s)
+        assert errs.log_threshold == pytest.approx(lam, rel=1e-12)
+        assert errs.type_one == pytest.approx(type_one, abs=1e-12)
+
+
+def test_type_two_against_matches_dense_projector(monkeypatch):
+    # the threshold moved into the spectrum, so that the test accepts part of
+    # rho^(x 2) and has a type-II error to compare
+    rho = random_bipartite(2, 3, 5)
+    rng = np.random.default_rng(4)
+    sigma, tau = random_density(2, rng), random_density(3, rng)
+    rho_n = iid_block(rho, 2)
+    alt = product_state(universal_state(2, 2), universal_state(2, 3))
+    lam = spanning_thresholds(rho_n, alt, 3)[1]
+    block_np_test = hypotest.np_test
+    monkeypatch.setattr(hypotest, "np_test", lambda r, a, _: block_np_test(r, a, lam))
+    got = type_two_against(rho, 2, 0.1, 0.6, sigma, tau)
+    product = functools.reduce(np.kron, [sigma.matrix] * 2 + [tau.matrix] * 2)
+    want = np.vdot(dense_np_test(rho_n.matrix, alt.matrix, lam), product).real
+    assert want > 1e-3
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def block_diag(*blocks):
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
+
+
+@pytest.mark.parametrize("log_threshold", [-1000.0, -2.0, 0.5, 1000.0])
+def test_np_test_blocks_match_dense_rules(log_threshold):
+    # rank-deficient alternatives, so that supp(rho) meets ker(alt) beyond +700;
+    # the sign cut is taken over both blocks at once, as on the whole operator
+    rho = [random_bipartite(2, 2, 30).matrix / 2, random_density(3, 31).matrix / 2]
+    alt = [random_bipartite(2, 2, 32, rank=2).matrix / 2, random_density(3, 33, rank=1).matrix / 2]
+    got = block_diag(*np_test(rho, alt, log_threshold))
+    want = dense_np_test(block_diag(*rho), block_diag(*alt), log_threshold)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.trace(want).real >= 1 - 1e-12
