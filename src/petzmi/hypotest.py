@@ -11,12 +11,14 @@ rho^(x n) and omega_A x omega_B both commute with every simultaneous
 permutation of the n copies of AB, so by Schur-Weyl duality both are block
 diagonal in a Gelfand-Tsetlin basis of (C^(d_A d_B))^(x n): one block per
 standard Young tableau with n boxes, of the size of the matching irrep of
-U(d_A d_B). `symmetry_basis` builds that real orthonormal basis once per
-(n, d_A, d_B), with omega_A x omega_B and its blocks. rho^(x n) carries the
-permuted Kronecker power of rho's eigensystem, from which each test takes its
-blocks, so a test decomposes only the blocks of the threshold difference
-rho^(x n) - e^(lambda) omega_A x omega_B (at n = 4 on a qubit pair, ten
-blocks of sizes 1 to 45 in place of one 256 x 256 matrix).
+U(d_A d_B), and both are held only as these blocks. `symmetry_basis` builds
+the real orthonormal basis Q once per (n, d_A, d_B), with the blocks Omega_b
+of omega_A x omega_B and their eigensystems (mu_b, U_b). From rho's
+eigensystem (`iid_block`: Lambda, V) P = Q^T V gives the blocks
+R_b = P_b Lambda P_b^dag, so a test decomposes only R_b - e^(lambda) Omega_b
+(at n = 4 on a qubit pair, ten blocks of sizes 1 to 45 in place of one
+256 x 256 matrix), and D_alpha(rho^(x n) || omega_A x omega_B) is the
+Nussbaum-Szkola sum over Lambda and mu_b with overlaps |U_b^T P_b|^2.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import petz_divergence
+from .divergences import _check_order, _petz_value
 from .errors import DomainError, NumericalDegradationError, ResourceLimitError
 from .exponents import direct_exponent
-from .linalg import EPS, permute_factors, spectral_power
-from .states import BipartiteState, DensityOperator, product_state
+from .linalg import EPS, spectral_power
+from .states import BipartiteState, DensityOperator
 
-# (d^2)^n guard; it bounds the (d_A d_B)^n block rho^(x n) that the caller
-# builds next to omega_A x omega_B
+# (d^2)^n guard; it bounds N = (d_A d_B)^n, the size of rho^(x n)'s eigenvectors and Q
 MAX_TOTAL_DIM = 6561
 S_GRID_SIZE = 20  # the s grid of achievability_sweep
 
@@ -70,8 +71,7 @@ def universal_state(n: int, d: int) -> DensityOperator:
     total = (d * d) ** n
     if total > MAX_TOTAL_DIM:
         raise ResourceLimitError(
-            f"(d^2)^n = {total} exceeds {MAX_TOTAL_DIM}: the block rho^(x n) "
-            f"of the universal test would be too large"
+            f"(d^2)^n = {total} exceeds {MAX_TOTAL_DIM}: the universal test would be too large"
         )
     dim = d**n
     eye = np.eye(dim).reshape([d] * (2 * n))
@@ -87,22 +87,15 @@ def _a_then_b(n: int) -> list[int]:
     return [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
 
 
-def iid_block(rho: BipartiteState, n: int) -> BipartiteState:
-    """rho^(x n) reordered from (A1 B1 ... An Bn) to (A1 ... An):(B1 ... Bn).
-
-    The block carries its eigensystem: the n-fold Kronecker power of rho's
-    eigenvalues, and of rho's eigenvectors with their rows reordered like the
-    matrix. It is never decomposed, and its small eigenvalues keep rho's
-    relative accuracy.
-    """
-    d_a, d_b = rho.d_a, rho.d_b
-    dims = [d_a, d_b] * n
-    order = _a_then_b(n)
-    m = permute_factors(functools.reduce(np.kron, [rho.matrix] * n), dims, order)
+def iid_block(rho: BipartiteState, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem (vals, vecs) of rho^(x n), rows reordered from
+    (A1 B1 ... An Bn) to (A1 ... An)(B1 ... Bn): the n-fold Kronecker powers of
+    rho's eigenvalues and eigenvectors. The matrix is never formed, and the
+    small eigenvalues keep rho's relative accuracy."""
     vals = functools.reduce(np.kron, [rho.spectrum] * n)
     vecs = functools.reduce(np.kron, [rho.eigenvectors] * n)
-    vecs = vecs.reshape(dims + [-1]).transpose(order + [2 * n]).reshape(m.shape)
-    return BipartiteState(m, d_a**n, d_b**n, eigensystem=(vals, vecs))
+    vecs = vecs.reshape([rho.d_a, rho.d_b] * n + [-1]).transpose(_a_then_b(n) + [2 * n])
+    return vals, vecs.reshape(len(vals), -1)
 
 
 def _orbit_basis(counts: tuple[int, ...]):
@@ -143,25 +136,24 @@ def _orbit_basis(counts: tuple[int, ...]):
 class SymmetryBasis(NamedTuple):
     """A real orthonormal Gelfand-Tsetlin basis of (C^(d_A d_B))^(x n), rows
     in the (A1 ... An)(B1 ... Bn) order of `iid_block`, with its columns
-    grouped in blocks, one per standard tableau; and omega_A x omega_B with its
-    blocks Q_b^T (omega_A x omega_B) Q_b."""
+    grouped in blocks, one per standard tableau; the blocks
+    Omega_b = Q_b^T (omega_A x omega_B) Q_b, and their eigensystems (mu_b, U_b)."""
 
     q: np.ndarray
     blocks: tuple[slice, ...]
-    alt: DensityOperator
     omega_blocks: tuple[np.ndarray, ...]
+    omega_eigh: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=4)
 def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
-    """The Gelfand-Tsetlin basis and omega_A x omega_B for blocklength n,
-    cached per (n, d_A, d_B) under the guard of `universal_state`.
+    """The Gelfand-Tsetlin basis and the blocks of omega_A x omega_B for
+    blocklength n, cached per (n, d_A, d_B) under the guard of `universal_state`.
 
-    An entry holds about 2.5 complex N x N arrays, N = (d_A d_B)^n (Q, and the
-    matrix and eigenvectors of omega_A x omega_B): 0.7 GB at N = 4096 and
-    1.7 GB at the guard's largest N = 6561. The cache keeps the four entries
-    used last, enough for a sweep that asks for one n at a time or for
-    n = 1 ... 4 in turn.
+    An entry holds Q, one real N x N array, N = (d_A d_B)^n (0.34 GB at the
+    guard's largest N = 6561), and the blocks with their eigenvectors, smaller
+    than Q. The cache keeps the four entries used last, enough for a sweep that
+    asks for one n at a time or for n = 1 ... 4 in turn.
 
     The basis is built orbit by orbit: the S_n orbit of a computational basis
     word spans an invariant subspace of at most n! vectors, on which
@@ -169,7 +161,6 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
     A block gathers, over all orbits, the columns of one content vector, that
     is of one standard tableau. n = 1 is one identity block.
     """
-    alt = product_state(universal_state(n, d_a), universal_state(n, d_b))
     d = d_a * d_b
     place = d ** np.arange(n - 1, -1, -1)
     orbits = {}
@@ -194,26 +185,28 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
         start = stop
     # rows from (A1 B1 ... An Bn) to (A1 ... An)(B1 ... Bn)
     q = q[np.arange(d**n).reshape([d_a, d_b] * n).transpose(_a_then_b(n)).reshape(-1)]
-    projected = q.T @ alt.matrix.real
-    omega_blocks = []
-    for b in blocks:
-        block = projected[b] @ q[:, b]
-        omega_blocks.append((block + block.T) / 2)
-    for array in [q, *omega_blocks]:
+    alt = np.kron(universal_state(n, d_a).matrix.real, universal_state(n, d_b).matrix.real)
+    omega_blocks = [(x + x.T) / 2 for x in (q[:, b].T @ alt @ q[:, b] for b in blocks)]
+    omega_eigh = tuple(np.linalg.eigh(block) for block in omega_blocks)
+    for array in [q, *omega_blocks, *itertools.chain(*omega_eigh)]:
         array.setflags(write=False)
-    return SymmetryBasis(q, tuple(blocks), alt, tuple(omega_blocks))
+    return SymmetryBasis(q, tuple(blocks), tuple(omega_blocks), omega_eigh)
 
 
-def symmetric_blocks(rho_n: DensityOperator, basis: SymmetryBasis) -> list[np.ndarray]:
-    """The blocks R_b = Q_b^T rho_n Q_b of a permutation-invariant rho_n, such
-    as `iid_block`'s, as (Q_b^T V) Lambda (Q_b^T V)^dag from the eigensystem it
-    carries, over its support."""
-    support = spectral_power(rho_n.spectrum, 0.0) > 0
-    vals = rho_n.spectrum[support]
-    vecs = np.ascontiguousarray(rho_n.eigenvectors[:, support], dtype=complex)
-    # Q^T V as one real product on the (re, im) pairs of V's rows
-    projected = (basis.q.T @ vecs.view(np.float64)).view(np.complex128)
-    return [(projected[b] * vals) @ projected[b].conj().T for b in basis.blocks]
+def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for real m, as one real product on the (re, im) pairs of x."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (m @ x.view(np.float64)).view(np.complex128)
+
+
+def symmetric_blocks(rho_n, basis: SymmetryBasis) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lambda over the support of a permutation-invariant rho_n given as its
+    eigensystem (Lambda, V), such as `iid_block`'s, and the blocks P_b = Q_b^T V
+    there, so that R_b = Q_b^T rho_n Q_b = P_b Lambda P_b^dag."""
+    vals, vecs = rho_n
+    support = spectral_power(vals, 0.0) > 0
+    projected = _real_product(basis.q.T, vecs if support.all() else vecs[:, support])
+    return vals[support], [projected[b] for b in basis.blocks]
 
 
 def _block_projectors(blocks, keep) -> list[np.ndarray]:
@@ -266,24 +259,34 @@ class TestErrors:
     type_one_bound: float
 
 
-def _universal_setup(rho: BipartiteState, n: int, alpha: float):
-    """rho^(x n), the symmetry basis with omega_A x omega_B, log g_A + log g_B
-    for the type counts g, and D_alpha(rho^(x n) || omega_A x omega_B)."""
-    rho_n = iid_block(rho, n)
+def _universal_setup(rho: BipartiteState, n: int, alpha: float, rate: float | None = None):
+    """`symmetric_blocks` of rho^(x n), the symmetry basis, log g_A + log g_B
+    for the type counts g, and D_alpha(rho^(x n) || omega_A x omega_B).
+    Checks the arguments of every public function: n >= 1, and alpha an order
+    or, for a test (rate given), s = alpha in (0, 1) and rate >= 0."""
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n!r}")
+    if rate is not None and not (0.0 < alpha < 1.0 and rate >= 0):  # also rejects nan
+        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={alpha!r}, rate={rate!r}")
+    _check_order(alpha)
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
-    log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
-             + math.log(symmetric_type_count(n, rho.d_b**2)))
-    d = petz_divergence(alpha, rho_n, basis.alt)
+    lam, p_blocks = symmetric_blocks(iid_block(rho, n), basis)
+    mu = np.concatenate([mu_b for mu_b, _ in basis.omega_eigh])
+    w = np.vstack([np.abs(_real_product(u_b.T, p_b)) ** 2
+                   for (_, u_b), p_b in zip(basis.omega_eigh, p_blocks, strict=True)])
+    d = _petz_value(alpha, lam, mu, w.T)
     if d.is_infinite:
         raise DomainError("divergence to the universal product state is infinite")
-    return rho_n, basis, log_g, d.value
+    log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
+             + math.log(symmetric_type_count(n, rho.d_b**2)))
+    return lam, p_blocks, basis, log_g, d.value
 
 
 def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> float:
     """The finite-n lower bound on the doubly minimized Renyi mutual
     information obtained from the universal product state:
     (1/n) (D_alpha(rho^(x n) || omega_A x omega_B) - log g_A - log g_B)."""
-    _, _, log_g, d = _universal_setup(rho, n, alpha)
+    *_, log_g, d = _universal_setup(rho, n, alpha)
     return (d - log_g) / n
 
 
@@ -291,9 +294,9 @@ def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
     """log g_A + log g_B, D_s(rho^(x n) || omega_A x omega_B), the threshold
     lambda_n of `test_errors`, the symmetry basis, and the blocks R_b of
     rho^(x n) and Pi_b of the test at that threshold."""
-    rho_n, basis, log_g, d_s = _universal_setup(rho, n, s)
+    vals, p_blocks, basis, log_g, d_s = _universal_setup(rho, n, s, rate)
     lam = (log_g + n * rate - (1.0 - s) * d_s) / s
-    r_blocks = symmetric_blocks(rho_n, basis)
+    r_blocks = [(p_b * vals) @ p_b.conj().T for p_b in p_blocks]
     return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam)
 
 
@@ -306,12 +309,6 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
     The reported type-I bound is the analytic one,
       exp(((1-s)/s)(log g_A + log g_B - (D_s - n*rate))).
     """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"s must lie strictly between 0 and 1, got {s}")
-    if n < 1:
-        raise DomainError("n must be positive")
-    if not rate >= 0:  # also rejects nan
-        raise DomainError(f"rate must be nonnegative, got {rate!r}")
     log_g, d_s, lam, _, r_blocks, test = _universal_test(rho, n, rate, s)
     # tr(R_b Pi_b) as sum_ij conj(Pi_ij) R_ij, Pi_b being Hermitian
     accepted = sum(np.vdot(pi, r).real for pi, r in zip(test, r_blocks, strict=True))

@@ -35,11 +35,10 @@ class DensityOperator(HermitianOperator):
 
 
 class BipartiteState(DensityOperator):
-    """A density operator on A x B with cached marginals (A-major indexing).
-    As for `DensityOperator`, a caller that holds the eigensystem may pass it."""
+    """A density operator on A x B with cached marginals (A-major indexing)."""
 
-    def __init__(self, matrix, d_a: int, d_b: int, eigensystem=None) -> None:
-        super().__init__(matrix, eigensystem)
+    def __init__(self, matrix, d_a: int, d_b: int) -> None:
+        super().__init__(matrix)
         if d_a < 1 or d_b < 1:
             raise InvalidInputError("local dimensions must be positive")
         if self.dim != d_a * d_b:

@@ -15,7 +15,7 @@ from petzmi.hypotest import (
     universal_state,
 )
 from petzmi.prmi import prmi_down_down
-from petzmi.states import copy_cc_state, random_bipartite, random_density
+from petzmi.states import BipartiteState, copy_cc_state, random_bipartite, random_density
 
 CC_02 = copy_cc_state([0.2, 0.8])
 
@@ -57,7 +57,8 @@ def test_universal_state_guard():
 
 
 def test_iid_block_marginals(qubit_pair):
-    block = iid_block(qubit_pair, 2)
+    vals, vecs = iid_block(qubit_pair, 2)
+    block = BipartiteState((vecs * vals) @ vecs.conj().T, 4, 4)
     expected = np.kron(qubit_pair.marginal_a.matrix, qubit_pair.marginal_a.matrix)
     assert np.allclose(block.marginal_a.matrix, expected, atol=1e-10)
 
@@ -108,6 +109,31 @@ def test_s_and_n_validation(qubit_pair):
         threshold_test_errors(qubit_pair, 0, 0.2, 0.5)
 
 
+SIGMA, TAU = random_density(2, 5), random_density(2, 6)
+BAD_ARGUMENTS = {  # (n, rate, s), or (n, alpha) for the divergence rate
+    threshold_test_errors: [(1, 0.2, 0.0), (1, 0.2, 1.0), (1, -1.0, 0.5),
+                            (1, math.nan, 0.5), (0, 0.2, 0.5)],
+    type_two_against: [(1, 0.2, 0.0), (1, 0.2, 1.0), (1, -1.0, 0.5),
+                       (1, math.nan, 0.5), (0, 0.2, 0.5)],
+    universal_divergence_rate: [(0, 0.5), (1, -1.0), (1, math.nan)],
+}
+
+
+@pytest.mark.parametrize("function, args", [
+    (f, args) for f, cases in BAD_ARGUMENTS.items() for args in cases
+], ids=lambda x: getattr(x, "__name__", None) or str(x))
+def test_bad_arguments_raise_domain_error(function, args):
+    rho = random_bipartite(2, 2, 1)
+    with pytest.raises(DomainError):
+        if function is type_two_against:
+            function(rho, *args, SIGMA, TAU)
+        elif function is universal_divergence_rate:
+            n, alpha = args
+            function(rho, alpha, n)
+        else:
+            function(rho, *args)
+
+
 @pytest.mark.parametrize("n_max", [0, -2])
 def test_achievability_sweep_needs_a_blocklength(qubit_pair, n_max):
     with pytest.raises(DomainError):
@@ -140,7 +166,7 @@ def test_trade_off_against_product_decomposition():
     # for perfectly correlated states every test obeys
     # type-I + type-II >= 1 against the optimal product decomposition,
     # with equality along the trivial tests mu * identity
-    rho_n = iid_block(CC_02, 1)
+    rho_n = CC_02  # rho^(x 1)
     p = np.array([0.2, 0.8])
     components = [np.outer(e, e) for e in np.eye(2)]
     for mu in np.linspace(0.0, 1.0, 5):

@@ -1,9 +1,12 @@
 """Product states from their factors, and the universal test in symmetry
 blocks, against the dense constructions they replace: the cycle-sum universal
 state against the symmetric projector on (C^d x C^d')^(x n) traced over the
-primed copies; the Kronecker eigensystems of omega_A x omega_B and of
-rho^(x n) against decompositions of the dense products; and the block-by-block
-threshold test against one decomposition of the whole threshold difference.
+primed copies; the Kronecker eigensystems of a x b and of rho^(x n) against
+decompositions of the dense products; D_alpha(rho^(x n) || omega_A x omega_B)
+from the blocks against `petz_divergence` on the dense operators; and the
+block-by-block threshold test against one decomposition of the whole threshold
+difference. The dense n-copy operators are built here only, by
+`dense_iid_block` and `dense_product`.
 """
 
 import functools
@@ -15,6 +18,7 @@ import pytest
 
 from petzmi import hypotest
 from petzmi.divergences import petz_divergence
+from petzmi.errors import DomainError
 from petzmi.hypotest import (
     achievability_sweep,
     iid_block,
@@ -114,22 +118,33 @@ def dense_iid_block(rho, n):
     return BipartiteState(m, rho.d_a**n, rho.d_b**n)
 
 
+def dense_iid_eigensystem(rho, n):
+    """`iid_block` as the eigensystem of the dense rho^(x n), decomposed afresh."""
+    dense = dense_iid_block(rho, n)
+    return dense.spectrum, dense.eigenvectors
+
+
+def block_matrices(rho_n, basis):
+    """The blocks R_b = P_b Lambda P_b^dag of an eigensystem rho_n."""
+    vals, p_blocks = symmetric_blocks(rho_n, basis)
+    return [(p * vals) @ p.conj().T for p in p_blocks]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_iid_block_carries_kronecker_eigensystem(index, n, monkeypatch):
     rho = STATES[index]
     shapes = counted_eigh(monkeypatch)
-    block = iid_block(rho, n)
+    vals, vecs = iid_block(rho, n)
     assert shapes == []
-    vals, vecs = block.spectrum, block.eigenvectors
-    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - block.matrix)) <= 1e-14
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(block.dim))) <= 1e-14
-    kron_power = functools.reduce(np.kron, [rho.spectrum] * n)
-    assert np.array_equal(vals, np.sort(kron_power)[::-1])
     dense = dense_iid_block(rho, n)
-    assert np.array_equal(block.matrix, dense.matrix)
-    assert np.array_equal(block.marginal_a.matrix, dense.marginal_a.matrix)
-    assert np.array_equal(block.marginal_b.matrix, dense.marginal_b.matrix)
+    rebuilt = (vecs * vals) @ vecs.conj().T
+    assert np.max(np.abs(rebuilt - dense.matrix)) <= 1e-14
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dense.dim))) <= 1e-14
+    assert np.array_equal(vals, functools.reduce(np.kron, [rho.spectrum] * n))
+    rebuilt = BipartiteState(rebuilt, rho.d_a**n, rho.d_b**n)
+    assert np.max(np.abs(rebuilt.marginal_a.matrix - dense.marginal_a.matrix)) <= 1e-14
+    assert np.max(np.abs(rebuilt.marginal_b.matrix - dense.marginal_b.matrix)) <= 1e-14
 
 
 def test_iid_block_keeps_small_eigenvalues_accurate():
@@ -142,7 +157,7 @@ def test_iid_block_keeps_small_eigenvalues_accurate():
     with mpmath.workdps(50):
         exact = mpmath.eigh(mpmath.matrix(rho.matrix.tolist()), eigvals_only=True)
         want = min(exact) ** 4
-        carried = float(abs(iid_block(rho, 4).spectrum[-1] - want) / want)
+        carried = float(abs(np.min(iid_block(rho, 4)[0]) - want) / want)
     assert carried <= 1e-13
 
 
@@ -169,23 +184,57 @@ def assert_matches_reference(rho, monkeypatch, name, reference):
 
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_universal_test_matches_dense_alternative(index, monkeypatch):
-    # symmetry_basis caches omega_A x omega_B: build the basis afresh on every
-    # call, so that the reference run forms the alternative with dense_product
-    # and no dense product stays in the cache for later tests
+    # symmetry_basis caches the blocks of omega_A x omega_B: build the basis
+    # afresh on every call, so that the reference run projects the product of
+    # the literal universal states and no such basis stays in the cache
     monkeypatch.setattr(hypotest, "symmetry_basis", hypotest.symmetry_basis.__wrapped__)
     calls = []
 
-    def counted_dense_product(a, b):
-        calls.append((a.dim, b.dim))
-        return dense_product(a, b)
+    def counted_literal_state(n, d):
+        calls.append((n, d))
+        return DensityOperator(literal_universal_state(n, d))
 
-    assert_matches_reference(STATES[index], monkeypatch, "product_state", counted_dense_product)
+    assert_matches_reference(STATES[index], monkeypatch, "universal_state", counted_literal_state)
     assert calls
 
 
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_universal_test_matches_dense_block(index, monkeypatch):
-    assert_matches_reference(STATES[index], monkeypatch, "iid_block", dense_iid_block)
+    assert_matches_reference(STATES[index], monkeypatch, "iid_block", dense_iid_eigensystem)
+
+
+DIVERGENCE_STATES = {
+    "full-rank": random_bipartite(2, 2, 17),
+    "rank-2": random_bipartite(2, 2, 19, rank=2),
+    "pure": random_bipartite(2, 2, 21, rank=1),
+    "copy-cc": copy_cc_state([0.2, 0.8]),
+    "2x3": random_bipartite(2, 3, 5),
+    "2x3-rank-2": random_bipartite(2, 3, 6, rank=2),
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name, rho in DIVERGENCE_STATES.items() for n in range(1, 7 - rho.d_b)
+])
+def test_block_divergence_matches_dense(name, n):
+    # the dense rho^(x n) carries its Kronecker eigensystem, as the N x N
+    # overlap it replaces did: a fresh eigh would lose up to 8e-12 relative at
+    # alpha = 0.05 through the smallest eigenvalues. The paths agree to 5.4e-15.
+    rho = DIVERGENCE_STATES[name]
+    rho_n = DensityOperator(dense_iid_block(rho, n).matrix, eigensystem=iid_block(rho, n))
+    alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    for alpha in (0.0, 0.05, 0.3, 0.6, 0.95, 1.0, 1.5, 2.0):
+        want = petz_divergence(alpha, rho_n, alt)
+        if want.is_infinite:
+            with pytest.raises(DomainError):
+                hypotest._universal_setup(rho, n, alpha)
+            continue
+        *_, got = hypotest._universal_setup(rho, n, alpha)
+        # D_0 of a full-rank state is -log 1, zero up to the rounding of a sum
+        # over N^2 overlaps: both paths read up to 1.6e-15 there
+        assert got == pytest.approx(want.value, rel=1e-12, abs=1e-14), alpha
+    with pytest.raises(DomainError):
+        universal_divergence_rate(rho, -0.5, n)
 
 
 def test_errors_decomposes_no_large_matrix(monkeypatch):
@@ -216,12 +265,12 @@ def assembled(basis, blocks):
     return sum(basis.q[:, b] @ x @ basis.q[:, b].T for b, x in zip(basis.blocks, blocks))
 
 
-def spanning_thresholds(rho_n, alt, count):
+def spanning_thresholds(vals, mu, count):
     """log thresholds from log(lambda_min / mu_max) to log(lambda_max / mu_min),
-    lambda over the support of rho_n and mu over the spectrum of alt: at the
-    low end the test accepts all of supp(rho_n), at the high end nothing."""
-    lam = rho_n.spectrum[spectral_power(rho_n.spectrum, 0.0) > 0]
-    mu = alt.spectrum
+    lambda over the support of the eigenvalues vals of rho_n and mu over the
+    spectrum of alt: at the low end the test accepts all of supp(rho_n), at
+    the high end nothing."""
+    lam = vals[spectral_power(vals, 0.0) > 0]
     return np.linspace(math.log(lam.min() / mu.max()), math.log(lam.max() / mu.min()), count)
 
 
@@ -229,13 +278,15 @@ def block_and_dense_weights(rho, n, count):
     """tr(rho^(x n) Pi) at `count` spanning thresholds from the blocks and from
     one dense decomposition each, and the largest entrywise gap between the
     assembled and the dense projector."""
-    rho_n = iid_block(rho, n)
+    vals, vecs = iid_block(rho, n)
+    rho_n = dense_iid_block(rho, n)
+    alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
-    r_blocks = symmetric_blocks(rho_n, basis)
+    r_blocks = block_matrices((vals, vecs), basis)
     got, want, gap = [], [], 0.0
-    for lam in spanning_thresholds(rho_n, basis.alt, count):
+    for lam in spanning_thresholds(vals, alt.spectrum, count):
         test = np_test(r_blocks, basis.omega_blocks, lam)
-        dense = dense_np_test(rho_n.matrix, basis.alt.matrix, lam)
+        dense = dense_np_test(rho_n.matrix, alt.matrix, lam)
         got.append(sum(np.vdot(pi, r).real for pi, r in zip(test, r_blocks)))
         want.append(np.vdot(dense, rho_n.matrix).real)
         gap = max(gap, np.max(np.abs(assembled(basis, test) - dense)))
@@ -271,8 +322,8 @@ def test_unequal_sides_and_n5_match_dense_projector(rho, n, count):
 
 def dense_test_errors(rho, n, rate, s):
     """test_errors from one decomposition of the whole threshold difference."""
-    rho_n = iid_block(rho, n)
-    alt = product_state(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    rho_n = dense_iid_block(rho, n)
+    alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
     log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
              + math.log(symmetric_type_count(n, rho.d_b**2)))
     d_s = petz_divergence(s, rho_n, alt).value
@@ -297,9 +348,9 @@ def test_type_two_against_matches_dense_projector(monkeypatch):
     rho = random_bipartite(2, 3, 5)
     rng = np.random.default_rng(4)
     sigma, tau = random_density(2, rng), random_density(3, rng)
-    rho_n = iid_block(rho, 2)
-    alt = product_state(universal_state(2, 2), universal_state(2, 3))
-    lam = spanning_thresholds(rho_n, alt, 3)[1]
+    rho_n = dense_iid_block(rho, 2)
+    alt = dense_product(universal_state(2, 2), universal_state(2, 3))
+    lam = spanning_thresholds(iid_block(rho, 2)[0], alt.spectrum, 3)[1]
     block_np_test = hypotest.np_test
     monkeypatch.setattr(hypotest, "np_test", lambda r, a, _: block_np_test(r, a, lam))
     got = type_two_against(rho, 2, 0.1, 0.6, sigma, tau)

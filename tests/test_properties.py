@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from petzmi.exponents import direct_exponent, rate_curve
 from petzmi.prmi import prmi_down_down, prmi_up_down, prmi_up_up
-from petzmi.states import BipartiteState, random_bipartite
+from petzmi.states import BipartiteState, random_bipartite, tensor_states
 
 states = st.builds(
     random_bipartite, st.just(2), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)
 )
+qubit_pairs = st.builds(random_bipartite, st.just(2), st.just(2), st.integers(0, 2**32 - 1))
 alphas = st.floats(0.55, 2.0)
 
 
@@ -35,6 +36,14 @@ def test_variants_are_ordered(rho, alpha):
     assert uu >= ud - slack(alpha)
     assert ud >= dd - slack(alpha)
     assert dd >= 0.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(rho=qubit_pairs, tau=qubit_pairs, alpha=alphas)
+def test_dd_additive_on_tensor_products(rho, tau, alpha):
+    lhs = prmi_down_down(alpha, tensor_states(rho, tau)).value
+    rhs = prmi_down_down(alpha, rho).value + prmi_down_down(alpha, tau).value
+    assert abs(lhs - rhs) <= slack(alpha)
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,11 +3,12 @@ block per standard Young tableau of the size of its U(d_A d_B) irrep, and
 block diagonalizing rho^(x n) and omega_A x omega_B."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from petzmi.hypotest import iid_block, symmetric_blocks, symmetry_basis
+from petzmi.hypotest import iid_block, symmetric_blocks, symmetry_basis, universal_state
 from petzmi.states import BipartiteState, copy_cc_state, random_bipartite
 
 CASES = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2)]
@@ -35,6 +36,23 @@ def irrep_block_sizes(n, d):
         dim = math.prod(d + j - i for i, j in boxes) // math.prod(hooks)
         sizes += [dim] * (math.factorial(n) // math.prod(hooks)) if dim else []
     return sorted(sizes)
+
+
+def dense_alternative(n, d_a, d_b):
+    """omega_A x omega_B as one dense matrix."""
+    return np.kron(universal_state(n, d_a).matrix, universal_state(n, d_b).matrix).real
+
+
+def dense_power(rho, n):
+    """rho^(x n) as one dense matrix, from the eigensystem of `iid_block`."""
+    vals, vecs = iid_block(rho, n)
+    return (vecs * vals) @ vecs.conj().T
+
+
+def block_matrices(rho_n, basis):
+    """The blocks R_b = P_b Lambda P_b^dag of an eigensystem rho_n."""
+    vals, p_blocks = symmetric_blocks(rho_n, basis)
+    return [(p * vals) @ p.conj().T for p in p_blocks]
 
 
 def off_block(basis, matrix):
@@ -76,37 +94,46 @@ def test_n1_is_one_identity_block():
 @pytest.mark.parametrize("n, d_a, d_b", CASES)
 def test_states_are_block_diagonal(n, d_a, d_b):
     basis = symmetry_basis(n, d_a, d_b)
-    assert off_block(basis, basis.alt.matrix.real) <= 1e-14
+    assert off_block(basis, dense_alternative(n, d_a, d_b)) <= 1e-14
     for rho in (random_bipartite(d_a, d_b, 7), random_bipartite(d_a, d_b, 8, rank=2)):
-        assert off_block(basis, iid_block(rho, n).matrix) <= 1e-14
+        assert off_block(basis, dense_power(rho, n)) <= 1e-14
     if d_a == d_b:
-        assert off_block(basis, iid_block(copy_cc_state([0.3, 0.7]), n).matrix) <= 1e-14
+        assert off_block(basis, dense_power(copy_cc_state([0.3, 0.7]), n)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, d_a, d_b", CASES)
 def test_omega_blocks_are_the_projected_state(n, d_a, d_b):
     basis = symmetry_basis(n, d_a, d_b)
+    alt = dense_alternative(n, d_a, d_b)
     for b, block in zip(basis.blocks, basis.omega_blocks, strict=True):
-        want = basis.q[:, b].T @ basis.alt.matrix.real @ basis.q[:, b]
+        want = basis.q[:, b].T @ alt @ basis.q[:, b]
         assert np.max(np.abs(block - want)) <= 1e-15
         assert np.array_equal(block, block.T)
 
 
+@pytest.mark.parametrize("n, d_a, d_b", CASES)
+def test_omega_eigensystems_decompose_the_blocks(n, d_a, d_b):
+    basis = symmetry_basis(n, d_a, d_b)
+    for block, (mu, u) in zip(basis.omega_blocks, basis.omega_eigh, strict=True):
+        assert np.max(np.abs((u * mu) @ u.T - block)) <= 1e-15
+        assert np.max(np.abs(u.T @ u - np.eye(len(u)))) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_blocks_from_a_real_carried_eigensystem(n):
-    # a caller may hand a state a real eigensystem; its blocks are those of the
-    # same state decomposed afresh, whose eigenvectors are complex
+    # a state whose eigensystem is real; its blocks are those of the same
+    # state decomposed afresh, whose eigenvectors are complex
     m = random_bipartite(2, 2, 9).matrix.real
     vals, vecs = np.linalg.eigh(m)
-    carried = BipartiteState(m, 2, 2, eigensystem=(vals, vecs))
-    assert carried.eigenvectors.dtype == np.float64
+    carried = SimpleNamespace(spectrum=vals, eigenvectors=vecs, d_a=2, d_b=2)
+    assert iid_block(carried, n)[1].dtype == np.float64
     basis = symmetry_basis(n, 2, 2)
-    got = symmetric_blocks(iid_block(carried, n), basis)
-    want = symmetric_blocks(iid_block(BipartiteState(m, 2, 2), n), basis)
+    got = block_matrices(iid_block(carried, n), basis)
+    want = block_matrices(iid_block(BipartiteState(m, 2, 2), n), basis)
     for g, w in zip(got, want, strict=True):
         assert np.max(np.abs(g - w)) <= 1e-14
 
 
 def test_cache_is_bounded():
-    # an entry at the guard's largest N = 6561 holds about 1.7 GB
+    # an entry at the guard's largest N = 6561 holds about 0.42 GB
     assert symmetry_basis.cache_info().maxsize == 4
