@@ -148,7 +148,7 @@ class SymmetryBasis(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
     """The Gelfand-Tsetlin basis and the blocks of omega_A x omega_B for
-    blocklength n, cached per (n, d_A, d_B) under the guard of `universal_state`.
+    blocklength n, cached per (n, d_A, d_B); `universal_state`'s guard runs first.
 
     An entry holds Q, one real N x N array, N = (d_A d_B)^n (0.34 GB at the
     guard's largest N = 6561), and the blocks with their eigenvectors, smaller
@@ -161,6 +161,7 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
     A block gathers, over all orbits, the columns of one content vector, that
     is of one standard tableau. n = 1 is one identity block.
     """
+    omega_a, omega_b = (universal_state(n, side).matrix.real for side in (d_a, d_b))
     d = d_a * d_b
     place = d ** np.arange(n - 1, -1, -1)
     orbits = {}
@@ -185,7 +186,7 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
         start = stop
     # rows from (A1 B1 ... An Bn) to (A1 ... An)(B1 ... Bn)
     q = q[np.arange(d**n).reshape([d_a, d_b] * n).transpose(_a_then_b(n)).reshape(-1)]
-    alt = np.kron(universal_state(n, d_a).matrix.real, universal_state(n, d_b).matrix.real)
+    alt = np.kron(omega_a, omega_b)
     omega_blocks = [(x + x.T) / 2 for x in (q[:, b].T @ alt @ q[:, b] for b in blocks)]
     omega_eigh = tuple(np.linalg.eigh(block) for block in omega_blocks)
     for array in [q, *omega_blocks, *itertools.chain(*omega_eigh)]:
@@ -207,6 +208,11 @@ def symmetric_blocks(rho_n, basis: SymmetryBasis) -> tuple[np.ndarray, list[np.n
     support = spectral_power(vals, 0.0) > 0
     projected = _real_product(basis.q.T, vecs if support.all() else vecs[:, support])
     return vals[support], [projected[b] for b in basis.blocks]
+
+
+def block_matrices(vals: np.ndarray, p_blocks) -> list[np.ndarray]:
+    """The blocks R_b = P_b Lambda P_b^dag from `symmetric_blocks`' (Lambda, [P_b])."""
+    return [(p_b * vals) @ p_b.conj().T for p_b in p_blocks]
 
 
 def _block_projectors(blocks, keep) -> list[np.ndarray]:
@@ -259,15 +265,12 @@ class TestErrors:
     type_one_bound: float
 
 
-def _universal_setup(rho: BipartiteState, n: int, alpha: float, rate: float | None = None):
+def _universal_setup(rho: BipartiteState, n: int, alpha: float):
     """`symmetric_blocks` of rho^(x n), the symmetry basis, log g_A + log g_B
     for the type counts g, and D_alpha(rho^(x n) || omega_A x omega_B).
-    Checks the arguments of every public function: n >= 1, and alpha an order
-    or, for a test (rate given), s = alpha in (0, 1) and rate >= 0."""
+    Checks n >= 1 and the order alpha for every public function."""
     if n < 1:
         raise DomainError(f"n must be positive, got {n!r}")
-    if rate is not None and not (0.0 < alpha < 1.0 and rate >= 0):  # also rejects nan
-        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={alpha!r}, rate={rate!r}")
     _check_order(alpha)
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
     lam, p_blocks = symmetric_blocks(iid_block(rho, n), basis)
@@ -294,9 +297,11 @@ def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
     """log g_A + log g_B, D_s(rho^(x n) || omega_A x omega_B), the threshold
     lambda_n of `test_errors`, the symmetry basis, and the blocks R_b of
     rho^(x n) and Pi_b of the test at that threshold."""
-    vals, p_blocks, basis, log_g, d_s = _universal_setup(rho, n, s, rate)
+    if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
+        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
+    vals, p_blocks, basis, log_g, d_s = _universal_setup(rho, n, s)
     lam = (log_g + n * rate - (1.0 - s) * d_s) / s
-    r_blocks = [(p_b * vals) @ p_b.conj().T for p_b in p_blocks]
+    r_blocks = block_matrices(vals, p_blocks)
     return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam)
 
 
@@ -312,12 +317,10 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
     log_g, d_s, lam, _, r_blocks, test = _universal_test(rho, n, rate, s)
     # tr(R_b Pi_b) as sum_ij conj(Pi_ij) R_ij, Pi_b being Hermitian
     accepted = sum(np.vdot(pi, r).real for pi, r in zip(test, r_blocks, strict=True))
-    return TestErrors(
-        n=n, s=s, rate=rate, log_threshold=lam,
-        type_one=max(1.0 - float(accepted), 0.0),
-        type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
-        type_one_bound=math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate))),
-    )
+    return TestErrors(n=n, s=s, rate=rate, log_threshold=lam,
+                      type_one=max(1.0 - float(accepted), 0.0),
+                      type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
+                      type_one_bound=math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate))))
 
 
 def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
@@ -352,12 +355,9 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
             errs = test_errors(rho, n, rate, float(s))
             expo = -math.log(max(errs.type_one_bound, 1e-300)) / n
             if best is None or expo > best["exponent"]:
-                best = {
-                    "n": n, "s": float(s), "exponent": expo,
-                    "type_one": errs.type_one,
-                    "type_one_bound": errs.type_one_bound,
-                    "type_two_bound": errs.type_two_bound,
-                }
+                best = {"n": n, "s": float(s), "exponent": expo, "type_one": errs.type_one,
+                        "type_one_bound": errs.type_one_bound,
+                        "type_two_bound": errs.type_two_bound}
         best["vacuous"] = best["exponent"] <= 0
         rows.append(best)
     return {"rate": rate, "asymptotic_exponent": report.exponent, "per_n": rows}

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from petzmi import hypotest
 from petzmi.errors import DomainError, ResourceLimitError
 from petzmi.hypotest import (
     achievability_sweep,
     iid_block,
     np_test,
     symmetric_type_count,
+    symmetry_basis,
     test_errors as threshold_test_errors,
     type_two_against,
     universal_divergence_rate,
@@ -54,6 +56,19 @@ def test_universal_state_dominates_iid():
 def test_universal_state_guard():
     with pytest.raises(ResourceLimitError):
         universal_state(5, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: threshold_test_errors(random_bipartite(2, 2, 1), 7, 0.1, 0.5),  # N = 16,384
+    lambda: symmetry_basis(5, 3, 3),  # N = 59,049
+], ids=["test_errors", "symmetry_basis"])
+def test_guard_runs_before_the_basis_is_built(call, monkeypatch):
+    def build_orbit(counts):
+        raise AssertionError("the symmetry basis was built past the guard")
+
+    monkeypatch.setattr(hypotest, "_orbit_basis", build_orbit)
+    with pytest.raises(ResourceLimitError):
+        call()
 
 
 def test_iid_block_marginals(qubit_pair):

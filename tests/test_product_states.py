@@ -21,6 +21,7 @@ from petzmi.divergences import petz_divergence
 from petzmi.errors import DomainError
 from petzmi.hypotest import (
     achievability_sweep,
+    block_matrices,
     iid_block,
     np_test,
     symmetric_blocks,
@@ -122,12 +123,6 @@ def dense_iid_eigensystem(rho, n):
     """`iid_block` as the eigensystem of the dense rho^(x n), decomposed afresh."""
     dense = dense_iid_block(rho, n)
     return dense.spectrum, dense.eigenvectors
-
-
-def block_matrices(rho_n, basis):
-    """The blocks R_b = P_b Lambda P_b^dag of an eigensystem rho_n."""
-    vals, p_blocks = symmetric_blocks(rho_n, basis)
-    return [(p * vals) @ p.conj().T for p in p_blocks]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -282,7 +277,7 @@ def block_and_dense_weights(rho, n, count):
     rho_n = dense_iid_block(rho, n)
     alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
-    r_blocks = block_matrices((vals, vecs), basis)
+    r_blocks = block_matrices(*symmetric_blocks((vals, vecs), basis))
     got, want, gap = [], [], 0.0
     for lam in spanning_thresholds(vals, alt.spectrum, count):
         test = np_test(r_blocks, basis.omega_blocks, lam)

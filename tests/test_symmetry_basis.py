@@ -8,7 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from petzmi.hypotest import iid_block, symmetric_blocks, symmetry_basis, universal_state
+from petzmi.hypotest import (
+    block_matrices,
+    iid_block,
+    symmetric_blocks,
+    symmetry_basis,
+    universal_state,
+)
 from petzmi.states import BipartiteState, copy_cc_state, random_bipartite
 
 CASES = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2)]
@@ -47,12 +53,6 @@ def dense_power(rho, n):
     """rho^(x n) as one dense matrix, from the eigensystem of `iid_block`."""
     vals, vecs = iid_block(rho, n)
     return (vecs * vals) @ vecs.conj().T
-
-
-def block_matrices(rho_n, basis):
-    """The blocks R_b = P_b Lambda P_b^dag of an eigensystem rho_n."""
-    vals, p_blocks = symmetric_blocks(rho_n, basis)
-    return [(p * vals) @ p.conj().T for p in p_blocks]
 
 
 def off_block(basis, matrix):
@@ -128,8 +128,8 @@ def test_blocks_from_a_real_carried_eigensystem(n):
     carried = SimpleNamespace(spectrum=vals, eigenvectors=vecs, d_a=2, d_b=2)
     assert iid_block(carried, n)[1].dtype == np.float64
     basis = symmetry_basis(n, 2, 2)
-    got = block_matrices(iid_block(carried, n), basis)
-    want = block_matrices(iid_block(BipartiteState(m, 2, 2), n), basis)
+    got = block_matrices(*symmetric_blocks(iid_block(carried, n), basis))
+    want = block_matrices(*symmetric_blocks(iid_block(BipartiteState(m, 2, 2), n), basis))
     for g, w in zip(got, want, strict=True):
         assert np.max(np.abs(g - w)) <= 1e-14
 
