@@ -160,11 +160,7 @@ def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     -log tr[rho^0 sigma].
     """
     _check_order(alpha)
-    return _petz_value(alpha, *_petz_terms(_as_density(rho), _as_density(sigma)))
-
-
-def _petz_value(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> DivergenceValue:
-    """D_alpha from Nussbaum-Szkola terms (lambda, mu, W), in any eigenvalue order."""
+    lam, mu, w = _petz_terms(_as_density(rho), _as_density(sigma))
     if not _finite(alpha, lam, mu, w):
         return DivergenceValue.infinite()
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:

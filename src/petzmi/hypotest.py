@@ -7,18 +7,17 @@ where g_n is the number of symmetric types of H x H'. A Neyman-Pearson-style
 threshold test against omega_A x omega_B then bounds the type-II error
 uniformly over products.
 
-rho^(x n) and omega_A x omega_B both commute with every simultaneous
-permutation of the n copies of AB, so by Schur-Weyl duality both are block
-diagonal in a Gelfand-Tsetlin basis of (C^(d_A d_B))^(x n): one block per
-standard Young tableau with n boxes, of the size of the matching irrep of
-U(d_A d_B), and both are held only as these blocks. `symmetry_basis` builds
-the real orthonormal basis Q once per (n, d_A, d_B), with the blocks Omega_b
-of omega_A x omega_B and their eigensystems (mu_b, U_b). From rho's
-eigensystem (`iid_block`: Lambda, V) P = Q^T V gives the blocks
-R_b = P_b Lambda P_b^dag, so a test decomposes only R_b - e^(lambda) Omega_b
-(at n = 4 on a qubit pair, ten blocks of sizes 1 to 45 in place of one
-256 x 256 matrix), and D_alpha(rho^(x n) || omega_A x omega_B) is the
-Nussbaum-Szkola sum over Lambda and mu_b with overlaps |U_b^T P_b|^2.
+Every operator the test reads (rho^(x n), (rho^alpha)^(x n), omega_A x omega_B
+and (sigma x tau)^(x n)) commutes with every permutation of the n copies of
+AB, so by Schur-Weyl duality it acts on the component of a Young shape lambda
+as I_(f^lambda) x X_lambda, f^lambda the number of standard tableaux of that
+shape: one block X_lambda per shape carries it. `symmetry_basis` caches the
+Gelfand-Tsetlin columns Q_lambda of one tableau per shape with the blocks
+Omega_lambda of omega_A x omega_B; `iid_block` gives the blocks
+Q_lambda^T x^(x n) Q_lambda of a tensor power by n mode products. A test at
+log threshold t decomposes only R_lambda - e^t Omega_lambda (at n = 4 on a
+qubit pair, five blocks of sizes 1 to 45, not one 256 x 256 matrix), each
+counted f^lambda times.
 """
 
 from __future__ import annotations
@@ -26,18 +25,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import _check_order, _petz_value
+from .divergences import ALPHA_ONE_WINDOW, _check_order
 from .errors import DomainError, NumericalDegradationError, ResourceLimitError
 from .exponents import direct_exponent
-from .linalg import EPS, spectral_power
+from .linalg import EPS, power_on_support, spectral_log
 from .states import BipartiteState, DensityOperator
 
-# (d^2)^n guard; it bounds N = (d_A d_B)^n, the size of rho^(x n)'s eigenvectors and Q
+# (d^2)^n guard; it bounds N = (d_A d_B)^n, the number of rows of Q
 MAX_TOTAL_DIM = 6561
 S_GRID_SIZE = 20  # the s grid of achievability_sweep
 
@@ -82,22 +82,6 @@ def universal_state(n: int, d: int) -> DensityOperator:
     return DensityOperator(omega / (symmetric_type_count(n, d * d) * math.factorial(n)))
 
 
-def _a_then_b(n: int) -> list[int]:
-    """The factor order (A1 ... An)(B1 ... Bn) of n copies (A_k B_k)."""
-    return [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-
-
-def iid_block(rho: BipartiteState, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eigensystem (vals, vecs) of rho^(x n), rows reordered from
-    (A1 B1 ... An Bn) to (A1 ... An)(B1 ... Bn): the n-fold Kronecker powers of
-    rho's eigenvalues and eigenvectors. The matrix is never formed, and the
-    small eigenvalues keep rho's relative accuracy."""
-    vals = functools.reduce(np.kron, [rho.spectrum] * n)
-    vecs = functools.reduce(np.kron, [rho.eigenvectors] * n)
-    vecs = vecs.reshape([rho.d_a, rho.d_b] * n + [-1]).transpose(_a_then_b(n) + [2 * n])
-    return vals, vecs.reshape(len(vals), -1)
-
-
 def _orbit_basis(counts: tuple[int, ...]):
     """Joint eigenvectors of the Jucys-Murphy elements J_k = sum_(i<k) W_(ik),
     k = 2 ... n, on the orbit of the sorted word with these letter counts.
@@ -134,36 +118,39 @@ def _orbit_basis(counts: tuple[int, ...]):
 
 
 class SymmetryBasis(NamedTuple):
-    """A real orthonormal Gelfand-Tsetlin basis of (C^(d_A d_B))^(x n), rows
-    in the (A1 ... An)(B1 ... Bn) order of `iid_block`, with its columns
-    grouped in blocks, one per standard tableau; the blocks
-    Omega_b = Q_b^T (omega_A x omega_B) Q_b, and their eigensystems (mu_b, U_b)."""
+    """Real orthonormal Gelfand-Tsetlin columns Q of (C^(d_A d_B))^(x n), rows in
+    (A1 ... An)(B1 ... Bn) order, one block of columns per Young shape lambda
+    (one standard tableau of it); f^lambda; the blocks Omega_lambda of
+    omega_A x omega_B with their eigensystems (mu, U); and (d_A, d_B)."""
 
     q: np.ndarray
     blocks: tuple[slice, ...]
+    mult: tuple[int, ...]
     omega_blocks: tuple[np.ndarray, ...]
     omega_eigh: tuple[tuple[np.ndarray, np.ndarray], ...]
+    d_a: int
+    d_b: int
 
 
 @functools.lru_cache(maxsize=4)
 def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
-    """The Gelfand-Tsetlin basis and the blocks of omega_A x omega_B for
+    """The Gelfand-Tsetlin columns and the blocks of omega_A x omega_B for
     blocklength n, cached per (n, d_A, d_B); `universal_state`'s guard runs first.
 
-    An entry holds Q, one real N x N array, N = (d_A d_B)^n (0.34 GB at the
-    guard's largest N = 6561), and the blocks with their eigenvectors, smaller
-    than Q. The cache keeps the four entries used last, enough for a sweep that
-    asks for one n at a time or for n = 1 ... 4 in turn.
+    An entry holds Q, a real N x K array, N = (d_A d_B)^n and K the sum of the
+    irrep dimensions dim_lambda(d_A d_B) (0.15 GB at the guard's largest
+    N = 6561, K = 2781), and smaller blocks. The last four entries are kept,
+    enough for a sweep over one n at a time or over n = 1 ... 4 in turn.
 
-    The basis is built orbit by orbit: the S_n orbit of a computational basis
-    word spans an invariant subspace of at most n! vectors, on which
-    `_orbit_basis` splits the joint eigenspaces of the Jucys-Murphy elements.
-    A block gathers, over all orbits, the columns of one content vector, that
-    is of one standard tableau. n = 1 is one identity block.
+    The S_n orbit of each computational basis word spans an invariant subspace
+    of at most n! vectors, which `_orbit_basis` splits into content vectors:
+    standard tableaux, of one shape when their sorted contents agree. A block
+    gathers, over all orbits, the columns of the first tableau of its shape,
+    and `mult` counts the tableaux. n = 1 is one identity block.
     """
     omega_a, omega_b = (universal_state(n, side).matrix.real for side in (d_a, d_b))
     d = d_a * d_b
-    place = d ** np.arange(n - 1, -1, -1)
+    place_a, place_b = (side ** np.arange(n - 1, -1, -1) for side in (d_a, d_b))
     orbits = {}
     columns = {}  # content vector -> [(rows of the orbit's words, columns)]
     for word in itertools.combinations_with_replacement(range(d), n):
@@ -172,55 +159,64 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
         if counts not in orbits:
             orbits[counts] = _orbit_basis(counts)
         words, spaces = orbits[counts]
-        rows = np.asarray(letters)[np.asarray(words)] @ place
+        # the letter a * d_B + b of copy k is digit k of the A and of the B index
+        digits_a, digits_b = np.divmod(np.asarray(letters)[np.asarray(words)], d_b)
+        rows = (digits_a @ place_a) * d_b**n + digits_b @ place_b
         for content, vecs in spaces:
             columns.setdefault(content, []).append((rows, vecs))
-    q = np.zeros((d**n, d**n))
-    blocks, start = [], 0
+    shapes = {}  # sorted contents, which fix the shape -> its content vectors
     for content in sorted(columns):
-        stop = start
-        for rows, vecs in columns[content]:
-            q[rows, stop:stop + vecs.shape[1]] = vecs
-            stop += vecs.shape[1]
-        blocks.append(slice(start, stop))
-        start = stop
-    # rows from (A1 B1 ... An Bn) to (A1 ... An)(B1 ... Bn)
-    q = q[np.arange(d**n).reshape([d_a, d_b] * n).transpose(_a_then_b(n)).reshape(-1)]
-    alt = np.kron(omega_a, omega_b)
-    omega_blocks = [(x + x.T) / 2 for x in (q[:, b].T @ alt @ q[:, b] for b in blocks)]
+        shapes.setdefault(tuple(sorted(content)), []).append(content)
+    kept = [columns[tableaux[0]] for tableaux in shapes.values()]
+    edges = np.cumsum([0] + [sum(vecs.shape[1] for _, vecs in parts) for parts in kept])
+    q = np.zeros((d**n, edges[-1]))
+    for start, parts in zip(edges, kept):
+        for rows, vecs in parts:
+            q[rows, start:start + vecs.shape[1]] = vecs
+            start += vecs.shape[1]
+    blocks = tuple(slice(int(a), int(b)) for a, b in zip(edges, edges[1:]))
+    # (omega_A x omega_B) Q: omega_A on the A index of each row, omega_B on the B index
+    alt_q = (omega_a @ q.reshape(d_a**n, -1)).reshape(d_a**n, d_b**n, -1)
+    alt_q = (omega_b @ alt_q).reshape(q.shape)
+    omega_blocks = [(x + x.T) / 2 for x in (q[:, b].T @ alt_q[:, b] for b in blocks)]
     omega_eigh = tuple(np.linalg.eigh(block) for block in omega_blocks)
     for array in [q, *omega_blocks, *itertools.chain(*omega_eigh)]:
         array.setflags(write=False)
-    return SymmetryBasis(q, tuple(blocks), tuple(omega_blocks), omega_eigh)
+    return SymmetryBasis(q, blocks, tuple(len(t) for t in shapes.values()),
+                         tuple(omega_blocks), omega_eigh, d_a, d_b)
 
 
-def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for real m, as one real product on the (re, im) pairs of x."""
-    x = np.ascontiguousarray(x, dtype=complex)
-    return (m @ x.view(np.float64)).view(np.complex128)
+def iid_block(x: np.ndarray, n: int, basis: SymmetryBasis) -> list[np.ndarray]:
+    """The blocks Q_lambda^T x^(x n) Q_lambda of the n-fold tensor power of a
+    one-copy operator x, a (d_A d_B)-square matrix with rows in (A B) order.
+
+    x^(x n) is never formed: the rows of Q, reshaped to [d_A]^n [d_B]^n, are
+    put in the copy order (A1 B1) ... (An Bn), and x is applied to the axis of
+    copy k, k = 1 ... n, by n mode products on the K columns. A real x gives
+    real blocks."""
+    d = basis.d_a * basis.d_b
+    copies = [axis for k in range(n) for axis in (k, n + k)] + [2 * n]
+    q = basis.q.reshape([basis.d_a] * n + [basis.d_b] * n + [-1]).transpose(copies)
+    y = q = q.reshape(basis.q.shape)
+    for k in range(n):
+        y = np.matmul(x, y.reshape(d**k, d, -1))
+    y = y.reshape(q.shape)
+    return [q[:, b].T @ y[:, b] for b in basis.blocks]
 
 
-def symmetric_blocks(rho_n, basis: SymmetryBasis) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Lambda over the support of a permutation-invariant rho_n given as its
-    eigensystem (Lambda, V), such as `iid_block`'s, and the blocks P_b = Q_b^T V
-    there, so that R_b = Q_b^T rho_n Q_b = P_b Lambda P_b^dag."""
-    vals, vecs = rho_n
-    support = spectral_power(vals, 0.0) > 0
-    projected = _real_product(basis.q.T, vecs if support.all() else vecs[:, support])
-    return vals[support], [projected[b] for b in basis.blocks]
+def _omega_trace(x, n: int, basis: SymmetryBasis, g) -> float:
+    """sum_lambda f^lambda tr[X_lambda g(Omega_lambda)] for the blocks X_lambda
+    of x^(x n): the diagonal of U^T X_lambda U against g(mu)."""
+    return sum(f * float(np.einsum("ij,ij->j", u, y @ u).real @ g(mu)) for f, y, (mu, u)
+               in zip(basis.mult, iid_block(x, n, basis), basis.omega_eigh, strict=True))
 
 
-def block_matrices(vals: np.ndarray, p_blocks) -> list[np.ndarray]:
-    """The blocks R_b = P_b Lambda P_b^dag from `symmetric_blocks`' (Lambda, [P_b])."""
-    return [(p_b * vals) @ p_b.conj().T for p_b in p_blocks]
-
-
-def _block_projectors(blocks, keep) -> list[np.ndarray]:
+def _block_projectors(blocks, keep, mult) -> list[np.ndarray]:
     """Spectral projectors of Hermitian blocks onto their eigenvalues v with
-    keep(v, cut), where cut = N * max|v| * eps, N the total size of the blocks
-    and the maximum over all of them: the cut of `linalg.spectral_power`."""
+    keep(v, cut), cut = N * max|v| * eps over all blocks, N their total size
+    with block b counted mult[b] times: the cut of `linalg.spectral_power`."""
     spectra = [np.linalg.eigh(b) for b in blocks]
-    dim = sum(len(b) for b in blocks)
+    dim = sum(f * len(b) for f, b in zip(mult, blocks, strict=True))
     cut = dim * max(np.max(np.abs(vals), initial=0.0) for vals, _ in spectra) * EPS
     projectors = []
     for vals, vecs in spectra:
@@ -229,27 +225,27 @@ def _block_projectors(blocks, keep) -> list[np.ndarray]:
     return projectors
 
 
-def np_test(rho_blocks, alt_blocks, log_threshold: float) -> list[np.ndarray]:
+def np_test(rho_blocks, alt_blocks, log_threshold: float, mult) -> list[np.ndarray]:
     """The projector {rho_n >= e^(log_threshold) * alt}, block by block, for
-    two operators given as the diagonal blocks they share (one block is the
-    operator itself).
+    two operators given as the diagonal blocks they share, block b repeated
+    mult[b] times (one block of multiplicity 1 is the operator itself).
 
     An eigenvalue of the difference counts as nonnegative down to
-    -N * max|eigenvalue| * eps, over all blocks, the sign rule of
-    `linalg.nonnegative_part_projector` on the whole operator. Extreme
+    -N * max|eigenvalue| * eps over all blocks, N the size of the whole
+    operator: the sign rule of `linalg.nonnegative_part_projector`. Extreme
     thresholds are handled without forming e^(threshold): for very large
     thresholds the test accepts only on supp(rho_n) intersected with ker(alt),
     for very negative ones it accepts everywhere.
     """
     if log_threshold > _LOG_THRESHOLD_GUARD:
-        kernels = _block_projectors(alt_blocks, lambda vals, cut: vals <= cut)
+        kernels = _block_projectors(alt_blocks, lambda vals, cut: vals <= cut, mult)
         pinched = [k @ r @ k for k, r in zip(kernels, rho_blocks, strict=True)]
-        return _block_projectors(pinched, lambda vals, cut: vals > cut)
+        return _block_projectors(pinched, lambda vals, cut: vals > cut, mult)
     if log_threshold < -_LOG_THRESHOLD_GUARD:
         return [np.eye(len(r)) for r in rho_blocks]
     scale = math.exp(log_threshold)
     diff = [r - scale * a for r, a in zip(rho_blocks, alt_blocks, strict=True)]
-    return _block_projectors(diff, lambda vals, cut: vals >= -cut)
+    return _block_projectors(diff, lambda vals, cut: vals >= -cut, mult)
 
 
 @dataclass(frozen=True)
@@ -265,44 +261,55 @@ class TestErrors:
     type_one_bound: float
 
 
+def _positive_int(value, name: str) -> int:
+    """value as an int (numpy integers too), if it is one and at least 1."""
+    try:
+        number = operator.index(value)
+    except TypeError:  # floats, even integral ones
+        number = 0
+    if number < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return number
+
+
 def _universal_setup(rho: BipartiteState, n: int, alpha: float):
-    """`symmetric_blocks` of rho^(x n), the symmetry basis, log g_A + log g_B
-    for the type counts g, and D_alpha(rho^(x n) || omega_A x omega_B).
-    Checks n >= 1 and the order alpha for every public function."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n!r}")
+    """The blocklength n as an int, the symmetry basis, log g_A + log g_B for the
+    type counts g, and D_alpha(rho^(x n) || omega_A x omega_B): from the blocks
+    of (rho^alpha)^(x n), at alpha = 1 from those of rho^(x n) and n times
+    rho's entropy. It is finite, omega_A x omega_B having full rank. Checks n
+    and the order alpha for every public function."""
+    n = _positive_int(n, "n")
     _check_order(alpha)
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
-    lam, p_blocks = symmetric_blocks(iid_block(rho, n), basis)
-    mu = np.concatenate([mu_b for mu_b, _ in basis.omega_eigh])
-    w = np.vstack([np.abs(_real_product(u_b.T, p_b)) ** 2
-                   for (_, u_b), p_b in zip(basis.omega_eigh, p_blocks, strict=True)])
-    d = _petz_value(alpha, lam, mu, w.T)
-    if d.is_infinite:
-        raise DomainError("divergence to the universal product state is infinite")
-    log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
-             + math.log(symmetric_type_count(n, rho.d_b**2)))
-    return lam, p_blocks, basis, log_g, d.value
+    log_g = sum(math.log(symmetric_type_count(n, side**2)) for side in (rho.d_a, rho.d_b))
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        d = (n * float(rho.spectrum @ spectral_log(rho.spectrum))
+             - _omega_trace(rho.matrix, n, basis, np.log))
+    else:
+        q = _omega_trace(power_on_support(rho, alpha).matrix, n, basis,
+                         lambda mu: mu ** (1.0 - alpha))
+        d = math.log(q) / (alpha - 1.0)
+    return n, basis, log_g, d
 
 
 def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> float:
     """The finite-n lower bound on the doubly minimized Renyi mutual
     information obtained from the universal product state:
     (1/n) (D_alpha(rho^(x n) || omega_A x omega_B) - log g_A - log g_B)."""
-    *_, log_g, d = _universal_setup(rho, n, alpha)
+    n, _, log_g, d = _universal_setup(rho, n, alpha)
     return (d - log_g) / n
 
 
 def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
     """log g_A + log g_B, D_s(rho^(x n) || omega_A x omega_B), the threshold
-    lambda_n of `test_errors`, the symmetry basis, and the blocks R_b of
-    rho^(x n) and Pi_b of the test at that threshold."""
+    lambda_n of `test_errors`, the symmetry basis, and the blocks R_lambda of
+    rho^(x n) and Pi_lambda of the test at that threshold."""
     if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
         raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
-    vals, p_blocks, basis, log_g, d_s = _universal_setup(rho, n, s)
+    n, basis, log_g, d_s = _universal_setup(rho, n, s)
     lam = (log_g + n * rate - (1.0 - s) * d_s) / s
-    r_blocks = block_matrices(vals, p_blocks)
-    return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam)
+    r_blocks = iid_block(rho.matrix, n, basis)
+    return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
 
 
 def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
@@ -314,9 +321,9 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
     The reported type-I bound is the analytic one,
       exp(((1-s)/s)(log g_A + log g_B - (D_s - n*rate))).
     """
-    log_g, d_s, lam, _, r_blocks, test = _universal_test(rho, n, rate, s)
-    # tr(R_b Pi_b) as sum_ij conj(Pi_ij) R_ij, Pi_b being Hermitian
-    accepted = sum(np.vdot(pi, r).real for pi, r in zip(test, r_blocks, strict=True))
+    log_g, d_s, lam, basis, r_blocks, test = _universal_test(rho, n, rate, s)
+    # sum_lambda f^lambda tr(R Pi) as sum_ij conj(Pi_ij) R_ij, Pi being Hermitian
+    accepted = sum(f * np.vdot(pi, r).real for f, pi, r in zip(basis.mult, test, r_blocks))
     return TestErrors(n=n, s=s, rate=rate, log_threshold=lam,
                       type_one=max(1.0 - float(accepted), 0.0),
                       type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
@@ -326,13 +333,10 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
 def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
                      sigma_a: DensityOperator, tau_b: DensityOperator) -> float:
     """Actual type-II error of the universal test against a specific iid product
-    alternative sigma_A^(x n) x tau_B^(x n)."""
+    alternative sigma_A^(x n) x tau_B^(x n): the blocks of (sigma x tau)^(x n)."""
     *_, basis, _, test = _universal_test(rho, n, rate, s)
-    # Pi = sum_b Q_b Pi_b Q_b^T
-    test = sum(basis.q[:, b] @ pi @ basis.q[:, b].T
-               for b, pi in zip(basis.blocks, test, strict=True))
-    product = functools.reduce(np.kron, [sigma_a.matrix] * n + [tau_b.matrix] * n)
-    return float(np.real(np.vdot(test, product)))
+    product = iid_block(np.kron(sigma_a.matrix, tau_b.matrix), n, basis)
+    return float(sum(f * np.vdot(pi, x).real for f, pi, x in zip(basis.mult, test, product)))
 
 
 def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
@@ -342,10 +346,9 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     For each n up to n_max the test is run over a grid of S_GRID_SIZE values
     of s in (0, 1) and the largest -(1/n) log(type-I bound) is kept. A row is
     `vacuous` when that best exponent is <= 0: no s gives a type-I bound
-    below 1. n_max must be at least 1.
+    below 1. n_max must be a positive integer.
     """
-    if not n_max >= 1:
-        raise DomainError(f"n_max must be at least 1, got {n_max!r}")
+    n_max = _positive_int(n_max, "n_max")
     report = direct_exponent(rho, rate)
     s_values = np.linspace(0.05, 0.95, S_GRID_SIZE)
     rows = []

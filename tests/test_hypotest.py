@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -42,15 +43,17 @@ def test_universal_state_permutation_invariant():
 
 
 def test_universal_state_dominates_iid():
-    # sigma^(x n) <= g * omega for every sigma
-    n, d = 2, 2
-    w = universal_state(n, d).matrix
-    g = symmetric_type_count(n, d * d)
+    # sigma^(x n) <= g * omega for every sigma; omega has full rank, so that
+    # D_alpha(rho^(x n) || omega_A x omega_B) is finite at every order
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        sigma = random_density(d, rng).matrix
-        gap = g * w - np.kron(sigma, sigma)
-        assert np.min(np.linalg.eigvalsh(gap)) >= -1e-10
+    for n, d in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
+        w = universal_state(n, d).matrix
+        assert np.min(np.linalg.eigvalsh(w)) > 0
+        g = symmetric_type_count(n, d * d)
+        for _ in range(10):
+            sigma = random_density(d, rng).matrix
+            gap = g * w - functools.reduce(np.kron, [sigma] * n)
+            assert np.min(np.linalg.eigvalsh(gap)) >= -1e-10
 
 
 def test_universal_state_guard():
@@ -72,22 +75,28 @@ def test_guard_runs_before_the_basis_is_built(call, monkeypatch):
 
 
 def test_iid_block_marginals(qubit_pair):
-    vals, vecs = iid_block(qubit_pair, 2)
-    block = BipartiteState((vecs * vals) @ vecs.conj().T, 4, 4)
-    expected = np.kron(qubit_pair.marginal_a.matrix, qubit_pair.marginal_a.matrix)
-    assert np.allclose(block.marginal_a.matrix, expected, atol=1e-10)
+    # tr[rho^(x n) (sigma x 1)^(x n)] = tr(rho_A sigma)^n, and likewise on B
+    n = 3
+    basis = symmetry_basis(n, 2, 2)
+    rho_blocks = iid_block(qubit_pair.matrix, n, basis)
+    sigma = random_density(2, 4).matrix
+    for local, marginal in ((np.kron(sigma, np.eye(2)), qubit_pair.marginal_a),
+                            (np.kron(np.eye(2), sigma), qubit_pair.marginal_b)):
+        blocks = iid_block(local, n, basis)
+        got = sum(f * np.trace(r @ x) for f, r, x in zip(basis.mult, rho_blocks, blocks))
+        assert got == pytest.approx(np.trace(marginal.matrix @ sigma) ** n, rel=1e-12)
 
 
 def test_np_test_is_projector(qubit_pair):
     # one block: the operators themselves
-    [m] = np_test([qubit_pair.matrix], [np.eye(4) / 4], 0.3)
+    [m] = np_test([qubit_pair.matrix], [np.eye(4) / 4], 0.3, [1])
     assert np.allclose(m @ m, m, atol=1e-10)
 
 
 def test_np_test_extreme_thresholds(qubit_pair):
-    [low] = np_test([qubit_pair.matrix], [np.eye(4) / 4], -1000.0)
+    [low] = np_test([qubit_pair.matrix], [np.eye(4) / 4], -1000.0, [1])
     assert np.allclose(low, np.eye(4))
-    [high] = np_test([qubit_pair.matrix], [np.eye(4) / 4], 1000.0)
+    [high] = np_test([qubit_pair.matrix], [np.eye(4) / 4], 1000.0, [1])
     # full-rank alternative: nothing survives an impossibly high threshold
     assert np.allclose(high, 0.0, atol=1e-12)
 
@@ -127,10 +136,11 @@ def test_s_and_n_validation(qubit_pair):
 SIGMA, TAU = random_density(2, 5), random_density(2, 6)
 BAD_ARGUMENTS = {  # (n, rate, s), or (n, alpha) for the divergence rate
     threshold_test_errors: [(1, 0.2, 0.0), (1, 0.2, 1.0), (1, -1.0, 0.5),
-                            (1, math.nan, 0.5), (0, 0.2, 0.5)],
+                            (1, math.nan, 0.5), (0, 0.2, 0.5), (2.5, 0.2, 0.5),
+                            (2.0, 0.2, 0.5)],
     type_two_against: [(1, 0.2, 0.0), (1, 0.2, 1.0), (1, -1.0, 0.5),
-                       (1, math.nan, 0.5), (0, 0.2, 0.5)],
-    universal_divergence_rate: [(0, 0.5), (1, -1.0), (1, math.nan)],
+                       (1, math.nan, 0.5), (0, 0.2, 0.5), (2.5, 0.2, 0.5)],
+    universal_divergence_rate: [(0, 0.5), (1, -1.0), (1, math.nan), (1.5, 0.5)],
 }
 
 
@@ -149,7 +159,7 @@ def test_bad_arguments_raise_domain_error(function, args):
             function(rho, *args)
 
 
-@pytest.mark.parametrize("n_max", [0, -2])
+@pytest.mark.parametrize("n_max", [0, -2, 2.5, 2.0])
 def test_achievability_sweep_needs_a_blocklength(qubit_pair, n_max):
     with pytest.raises(DomainError):
         achievability_sweep(qubit_pair, 0.1, n_max)
@@ -205,3 +215,12 @@ def test_trade_off_against_product_decomposition():
             float(np.real(np.trace(np.kron(c, c) @ t))) for c in components
         )
         assert alpha_err + beta >= 1.0 - 1e-10
+
+
+def test_numpy_integer_blocklengths_are_accepted():
+    rho = random_bipartite(2, 2, 1)
+    want = threshold_test_errors(rho, 2, 0.1, 0.5)
+    assert threshold_test_errors(rho, np.int64(2), 0.1, 0.5) == want
+    rate = universal_divergence_rate(rho, 0.5, 2)
+    assert universal_divergence_rate(rho, 0.5, np.int32(2)) == rate
+    assert len(achievability_sweep(rho, 0.1, np.int64(1))["per_n"]) == 1

@@ -1,17 +1,19 @@
 """Product states from their factors, and the universal test in symmetry
 blocks, against the dense constructions they replace: the cycle-sum universal
 state against the symmetric projector on (C^d x C^d')^(x n) traced over the
-primed copies; the Kronecker eigensystems of a x b and of rho^(x n) against
-decompositions of the dense products; D_alpha(rho^(x n) || omega_A x omega_B)
-from the blocks against `petz_divergence` on the dense operators; and the
-block-by-block threshold test against one decomposition of the whole threshold
-difference. The dense n-copy operators are built here only, by
-`dense_iid_block` and `dense_product`.
+primed copies; the Kronecker eigensystem of a x b against a decomposition of
+the dense product; the blocks of rho^(x n) by mode products against the
+projected dense power; D_alpha(rho^(x n) || omega_A x omega_B) from the blocks
+against `petz_divergence` on the dense operators; and the block-by-block
+threshold test, one block per Young shape, against one decomposition of the
+whole threshold difference. The dense n-copy operators are built here only,
+by `dense_iid_block`, `kronecker_eigensystem` and `dense_product`.
 """
 
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +23,8 @@ from petzmi.divergences import petz_divergence
 from petzmi.errors import DomainError
 from petzmi.hypotest import (
     achievability_sweep,
-    block_matrices,
     iid_block,
     np_test,
-    symmetric_blocks,
     symmetric_type_count,
     symmetry_basis,
     test_errors as threshold_test_errors,
@@ -119,41 +119,42 @@ def dense_iid_block(rho, n):
     return BipartiteState(m, rho.d_a**n, rho.d_b**n)
 
 
-def dense_iid_eigensystem(rho, n):
-    """`iid_block` as the eigensystem of the dense rho^(x n), decomposed afresh."""
-    dense = dense_iid_block(rho, n)
-    return dense.spectrum, dense.eigenvectors
+def kronecker_eigensystem(rho, n):
+    """The eigensystem (vals, vecs) of rho^(x n) as the n-fold Kronecker powers
+    of rho's, rows in (A1 ... An)(B1 ... Bn) order: the small eigenvalues keep
+    rho's relative accuracy, which a fresh decomposition of the dense power
+    would lose."""
+    vals = functools.reduce(np.kron, [rho.spectrum] * n)
+    vecs = functools.reduce(np.kron, [rho.eigenvectors] * n)
+    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    vecs = vecs.reshape([rho.d_a, rho.d_b] * n + [-1]).transpose(order + [2 * n])
+    return vals, vecs.reshape(len(vals), -1)
+
+
+def dense_blocks(x, n, basis):
+    """`iid_block` as Q_lambda^T (x^(x n)) Q_lambda with the dense power."""
+    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    power = permute_factors(functools.reduce(np.kron, [np.asarray(x)] * n),
+                            [basis.d_a, basis.d_b] * n, order)
+    return [basis.q[:, b].T @ power @ basis.q[:, b] for b in basis.blocks]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_iid_block_carries_kronecker_eigensystem(index, n, monkeypatch):
+    # the blocks of rho^(x n) by mode products are those of the operator that
+    # the Kronecker eigensystem carries, and of the dense power; no eigh
     rho = STATES[index]
+    basis = symmetry_basis(n, rho.d_a, rho.d_b)
     shapes = counted_eigh(monkeypatch)
-    vals, vecs = iid_block(rho, n)
+    got = iid_block(rho.matrix, n, basis)
     assert shapes == []
-    dense = dense_iid_block(rho, n)
-    rebuilt = (vecs * vals) @ vecs.conj().T
-    assert np.max(np.abs(rebuilt - dense.matrix)) <= 1e-14
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dense.dim))) <= 1e-14
-    assert np.array_equal(vals, functools.reduce(np.kron, [rho.spectrum] * n))
-    rebuilt = BipartiteState(rebuilt, rho.d_a**n, rho.d_b**n)
-    assert np.max(np.abs(rebuilt.marginal_a.matrix - dense.marginal_a.matrix)) <= 1e-14
-    assert np.max(np.abs(rebuilt.marginal_b.matrix - dense.marginal_b.matrix)) <= 1e-14
-
-
-def test_iid_block_keeps_small_eigenvalues_accurate():
-    # a dense eigh of rho^(x 4) errs by about eps * ||rho^(x 4)||, much more
-    # than eps * lambda_min(rho)^4 relative to its smallest eigenvalue (on this
-    # state 1e-10 to 3e-11 relative, by LAPACK build); the Kronecker power
-    # keeps the relative accuracy of rho's eigenvalues
-    mpmath = pytest.importorskip("mpmath")
-    rho = random_bipartite(2, 2, 2)
-    with mpmath.workdps(50):
-        exact = mpmath.eigh(mpmath.matrix(rho.matrix.tolist()), eigvals_only=True)
-        want = min(exact) ** 4
-        carried = float(abs(np.min(iid_block(rho, 4)[0]) - want) / want)
-    assert carried <= 1e-13
+    vals, vecs = kronecker_eigensystem(rho, n)
+    carried = (vecs * vals) @ vecs.conj().T
+    assert np.max(np.abs(carried - dense_iid_block(rho, n).matrix)) <= 1e-14
+    for b, block, dense in zip(basis.blocks, got, dense_blocks(rho.matrix, n, basis), strict=True):
+        assert np.max(np.abs(block - basis.q[:, b].T @ carried @ basis.q[:, b])) <= 1e-14
+        assert np.max(np.abs(block - dense)) <= 1e-14
 
 
 def assert_matches_reference(rho, monkeypatch, name, reference):
@@ -195,7 +196,7 @@ def test_universal_test_matches_dense_alternative(index, monkeypatch):
 
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_universal_test_matches_dense_block(index, monkeypatch):
-    assert_matches_reference(STATES[index], monkeypatch, "iid_block", dense_iid_eigensystem)
+    assert_matches_reference(STATES[index], monkeypatch, "iid_block", dense_blocks)
 
 
 DIVERGENCE_STATES = {
@@ -208,22 +209,26 @@ DIVERGENCE_STATES = {
 }
 
 
+@functools.cache
+def dense_alternative(n, d_a, d_b):
+    """omega_A x omega_B as one dense operator, decomposed once per (n, d_A, d_B)."""
+    return dense_product(universal_state(n, d_a), universal_state(n, d_b))
+
+
 @pytest.mark.parametrize("name, n", [
-    (name, n) for name, rho in DIVERGENCE_STATES.items() for n in range(1, 7 - rho.d_b)
+    (name, n) for name, rho in DIVERGENCE_STATES.items() for n in range(1, 10 - 2 * rho.d_b)
 ])
 def test_block_divergence_matches_dense(name, n):
-    # the dense rho^(x n) carries its Kronecker eigensystem, as the N x N
-    # overlap it replaces did: a fresh eigh would lose up to 8e-12 relative at
-    # alpha = 0.05 through the smallest eigenvalues. The paths agree to 5.4e-15.
+    # the dense rho^(x n) carries its Kronecker eigensystem: a fresh eigh would
+    # lose up to 8e-12 relative at alpha = 0.05 through the smallest eigenvalues
     rho = DIVERGENCE_STATES[name]
-    rho_n = DensityOperator(dense_iid_block(rho, n).matrix, eigensystem=iid_block(rho, n))
-    alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    rho_n = DensityOperator(dense_iid_block(rho, n).matrix,
+                            eigensystem=kronecker_eigensystem(rho, n))
+    alt = dense_alternative(n, rho.d_a, rho.d_b)
     for alpha in (0.0, 0.05, 0.3, 0.6, 0.95, 1.0, 1.5, 2.0):
         want = petz_divergence(alpha, rho_n, alt)
-        if want.is_infinite:
-            with pytest.raises(DomainError):
-                hypotest._universal_setup(rho, n, alpha)
-            continue
+        # omega_A x omega_B has full rank: the divergence is finite at every order
+        assert not want.is_infinite
         *_, got = hypotest._universal_setup(rho, n, alpha)
         # D_0 of a full-rank state is -log 1, zero up to the rounding of a sum
         # over N^2 overlaps: both paths read up to 1.6e-15 there
@@ -255,11 +260,6 @@ def dense_np_test(rho_n, alt, log_threshold):
     return nonnegative_part_projector(rho_n, math.exp(log_threshold) * alt.matrix).matrix
 
 
-def assembled(basis, blocks):
-    """sum_b Q_b X_b Q_b^T."""
-    return sum(basis.q[:, b] @ x @ basis.q[:, b].T for b, x in zip(basis.blocks, blocks))
-
-
 def spanning_thresholds(vals, mu, count):
     """log thresholds from log(lambda_min / mu_max) to log(lambda_max / mu_min),
     lambda over the support of the eigenvalues vals of rho_n and mu over the
@@ -271,20 +271,20 @@ def spanning_thresholds(vals, mu, count):
 
 def block_and_dense_weights(rho, n, count):
     """tr(rho^(x n) Pi) at `count` spanning thresholds from the blocks and from
-    one dense decomposition each, and the largest entrywise gap between the
-    assembled and the dense projector."""
-    vals, vecs = iid_block(rho, n)
+    one dense decomposition each, and the largest entrywise gap between a
+    block Pi_lambda and the dense projector projected onto its columns."""
     rho_n = dense_iid_block(rho, n)
-    alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    alt = dense_alternative(n, rho.d_a, rho.d_b)
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
-    r_blocks = block_matrices(*symmetric_blocks((vals, vecs), basis))
+    r_blocks = iid_block(rho.matrix, n, basis)
     got, want, gap = [], [], 0.0
-    for lam in spanning_thresholds(vals, alt.spectrum, count):
-        test = np_test(r_blocks, basis.omega_blocks, lam)
+    for lam in spanning_thresholds(kronecker_eigensystem(rho, n)[0], alt.spectrum, count):
+        test = np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
         dense = dense_np_test(rho_n.matrix, alt.matrix, lam)
-        got.append(sum(np.vdot(pi, r).real for pi, r in zip(test, r_blocks)))
+        got.append(sum(f * np.vdot(pi, r).real for f, pi, r in zip(basis.mult, test, r_blocks)))
         want.append(np.vdot(dense, rho_n.matrix).real)
-        gap = max(gap, np.max(np.abs(assembled(basis, test) - dense)))
+        for b, pi in zip(basis.blocks, test, strict=True):
+            gap = max(gap, np.max(np.abs(pi - basis.q[:, b].T @ dense @ basis.q[:, b])))
     return np.array(got), np.array(want), gap
 
 
@@ -345,9 +345,9 @@ def test_type_two_against_matches_dense_projector(monkeypatch):
     sigma, tau = random_density(2, rng), random_density(3, rng)
     rho_n = dense_iid_block(rho, 2)
     alt = dense_product(universal_state(2, 2), universal_state(2, 3))
-    lam = spanning_thresholds(iid_block(rho, 2)[0], alt.spectrum, 3)[1]
+    lam = spanning_thresholds(kronecker_eigensystem(rho, 2)[0], alt.spectrum, 3)[1]
     block_np_test = hypotest.np_test
-    monkeypatch.setattr(hypotest, "np_test", lambda r, a, _: block_np_test(r, a, lam))
+    monkeypatch.setattr(hypotest, "np_test", lambda r, a, _, mult: block_np_test(r, a, lam, mult))
     got = type_two_against(rho, 2, 0.1, 0.6, sigma, tau)
     product = functools.reduce(np.kron, [sigma.matrix] * 2 + [tau.matrix] * 2)
     want = np.vdot(dense_np_test(rho_n.matrix, alt.matrix, lam), product).real
@@ -370,7 +370,34 @@ def test_np_test_blocks_match_dense_rules(log_threshold):
     # the sign cut is taken over both blocks at once, as on the whole operator
     rho = [random_bipartite(2, 2, 30).matrix / 2, random_density(3, 31).matrix / 2]
     alt = [random_bipartite(2, 2, 32, rank=2).matrix / 2, random_density(3, 33, rank=1).matrix / 2]
-    got = block_diag(*np_test(rho, alt, log_threshold))
+    got = block_diag(*np_test(rho, alt, log_threshold, [1, 1]))
     want = dense_np_test(block_diag(*rho), block_diag(*alt), log_threshold)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.trace(want).real >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("log_threshold", [-2.0, 0.5, 1000.0])
+def test_np_test_counts_repeated_blocks(log_threshold):
+    # a block of multiplicity 2 is the operator with that block twice on its
+    # diagonal: the sign cut N * max|v| * eps counts it twice
+    rho = [random_bipartite(2, 2, 30).matrix / 3, random_density(3, 31).matrix / 3]
+    alt = [random_bipartite(2, 2, 32, rank=2).matrix / 3, random_density(3, 33, rank=1).matrix / 3]
+    first, second = np_test(rho, alt, log_threshold, [2, 1])
+    want = dense_np_test(block_diag(rho[0], *rho), block_diag(alt[0], *alt), log_threshold)
+    assert np.max(np.abs(block_diag(first, first, second) - want)) <= 1e-12
+
+
+def test_cached_call_allocates_no_n_by_n_array():
+    # at n = 6 on a qubit pair, N = 4096 and K = 560: one real N x N array
+    # would take 134 MB, the blocks' N x K work arrays take 37 MB each
+    rho = random_bipartite(2, 2, 17)
+    basis = symmetry_basis(6, 2, 2)
+    threshold_test_errors(rho, 6, 0.1, 0.6)
+    tracemalloc.start()
+    try:
+        threshold_test_errors(rho, 6, 0.1, 0.6)
+        type_two_against(rho, 6, 0.1, 0.6, random_density(2, 1), random_density(2, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(basis.q) ** 2

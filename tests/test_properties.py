@@ -1,13 +1,19 @@
-"""Property tests of the three mutual-information variants and of the direct
-exponent on random states."""
+"""Property tests of the three mutual-information variants, of the direct
+exponent and of the universal threshold test on random states."""
+
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petzmi.exponents import direct_exponent, rate_curve
+from petzmi import hypotest
+from petzmi.hypotest import symmetric_type_count, type_two_against
+from petzmi.hypotest import test_errors as threshold_test_errors
 from petzmi.prmi import prmi_down_down, prmi_up_down, prmi_up_up
-from petzmi.states import BipartiteState, random_bipartite, tensor_states
+from petzmi.states import BipartiteState, random_bipartite, random_density, tensor_states
 
 states = st.builds(
     random_bipartite, st.just(2), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)
@@ -96,3 +102,37 @@ def test_dd_data_processing_under_local_depolarization(rho, alpha, p_a, p_b):
     dd = prmi_down_down(alpha, rho).value
     for noisy in (depolarize(rho, p_a, 0.0), depolarize(rho, 0.0, p_b), depolarize(rho, p_a, p_b)):
         assert prmi_down_down(alpha, noisy).value <= dd + slack(alpha)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 2]), n=st.integers(1, 3),
+       s=st.floats(0.05, 0.95), rate=st.floats(0.0, 1.0))
+def test_universal_test_meets_its_bounds(seed, rank, n, s, rate):
+    # on generic qubit pairs, full rank or rank 2: the type-I error lies in
+    # [0, its analytic bound], and the type-II error against a random product
+    # sigma^(x n) x tau^(x n) stays below the data-processing bound e^(-n rate)
+    rho = random_bipartite(2, 2, seed, rank=rank)
+    errs = threshold_test_errors(rho, n, rate, s)
+    assert 0.0 <= errs.type_one <= errs.type_one_bound + 1e-10
+    rng = np.random.default_rng(seed)
+    sigma, tau = random_density(2, rng), random_density(2, rng)
+    assert type_two_against(rho, n, rate, s, sigma, tau) <= errs.type_two_bound + 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 2]), n=st.integers(1, 3),
+       log_threshold=st.floats(-2.0, 6.0))
+def test_threshold_test_bounds_type_two_at_any_threshold(seed, rank, n, log_threshold):
+    # at rate >= 0 the universal test is empty for n <= 3, so the threshold is
+    # set into the spectrum: Pi = {rho_n >= e^t omega} gives tr(Pi omega) <=
+    # e^(-t) tr(Pi rho_n), and sigma^(x n) x tau^(x n) <= g_A g_B omega_A x omega_B
+    rho = random_bipartite(2, 2, seed, rank=rank)
+    rng = np.random.default_rng(seed)
+    sigma, tau = random_density(2, rng), random_density(2, rng)
+    block_np_test = hypotest.np_test
+    with mock.patch.object(hypotest, "np_test",
+                           lambda r, a, _, mult: block_np_test(r, a, log_threshold, mult)):
+        accepted = 1.0 - threshold_test_errors(rho, n, 0.0, 0.5).type_one
+        beta = type_two_against(rho, n, 0.0, 0.5, sigma, tau)
+    g = symmetric_type_count(n, 4) ** 2
+    assert -1e-12 <= beta <= g * math.exp(-log_threshold) * accepted + 1e-12
