@@ -47,13 +47,26 @@ def _require(obj: dict, field: str, path: str):
     return obj[field]
 
 
+# exact types: JSON true and false load as bool, a subclass of int
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _dims(raw: dict) -> tuple[int, int]:
+    d_a = _require(raw, "dA", "$")
+    d_b = _require(raw, "dB", "$")
+    if type(d_a) is not int or type(d_b) is not int:
+        raise SchemaError("$.dA/$.dB: expected integers")
+    return d_a, d_b
+
+
 def _complex_array(entries, path: str) -> np.ndarray:
     out = []
     for idx, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"{path}[{idx}]: expected a [re, im] pair")
         re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if not _is_number(re) or not _is_number(im):
             raise SchemaError(f"{path}[{idx}]: entries must be numbers")
         out.append(complex(re, im))
     return np.asarray(out)
@@ -74,17 +87,15 @@ def parse_input(path: str) -> BipartiteState:
         raise SchemaError("$: expected a JSON object")
     if "pmf" in raw:
         table = raw["pmf"]
-        if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
+        if not isinstance(table, list) or not all(
+                isinstance(r, list) and all(map(_is_number, r)) for r in table):
             raise SchemaError("$.pmf: expected a list of rows of numbers")
         try:
             return cc_state(Pmf(np.asarray(table, dtype=float)))
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"$.pmf: {exc}") from exc
     if "amplitudes" in raw:
-        d_a = _require(raw, "dA", "$")
-        d_b = _require(raw, "dB", "$")
-        if not isinstance(d_a, int) or not isinstance(d_b, int):
-            raise SchemaError("$.dA/$.dB: expected integers")
+        d_a, d_b = _dims(raw)
         amps = _complex_array(raw["amplitudes"], "$.amplitudes")
         if amps.size != d_a * d_b:
             raise SchemaError(
@@ -92,10 +103,7 @@ def parse_input(path: str) -> BipartiteState:
             )
         return pure_bipartite(amps, d_a, d_b)
     if "matrix" in raw:
-        d_a = _require(raw, "dA", "$")
-        d_b = _require(raw, "dB", "$")
-        if not isinstance(d_a, int) or not isinstance(d_b, int):
-            raise SchemaError("$.dA/$.dB: expected integers")
+        d_a, d_b = _dims(raw)
         flat = _complex_array(raw["matrix"], "$.matrix")
         dim = d_a * d_b
         if flat.size != dim * dim:

@@ -147,11 +147,6 @@ def _petz_q(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> flo
     return float(spectral_power(lam, alpha) @ w @ spectral_power(mu, 1.0 - alpha))
 
 
-def petz_q(alpha: float, rho, sigma) -> float:
-    """The trace functional Q_alpha = tr[rho^alpha sigma^(1-alpha)]."""
-    return _petz_q(alpha, *_petz_terms(_as_density(rho), _as_density(sigma)))
-
-
 def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     """Petz Renyi divergence D_alpha(rho || sigma), natural log.
 

@@ -232,7 +232,8 @@ def np_test(rho_blocks, alt_blocks, log_threshold: float, mult) -> list[np.ndarr
 
     An eigenvalue of the difference counts as nonnegative down to
     -N * max|eigenvalue| * eps over all blocks, N the size of the whole
-    operator: the sign rule of `linalg.nonnegative_part_projector`. Extreme
+    operator: an eigenvalue that small counts as zero, whatever its sign, and
+    the test accepts on it. Extreme
     thresholds are handled without forming e^(threshold): for very large
     thresholds the test accepts only on supp(rho_n) intersected with ker(alt),
     for very negative ones it accepts everywhere.
@@ -312,6 +313,12 @@ def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
     return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
 
 
+def _type_one_bound(n: int, rate: float, s: float, log_g: float, d_s: float) -> float:
+    """The analytic type-I bound of the test at s,
+    exp(((1-s)/s)(log g_A + log g_B - (D_s - n*rate))): it reads D_s, not the test."""
+    return math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate)))
+
+
 def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
     """Run the universal threshold test on rho^(x n) at type-II rate e^(-n*rate).
 
@@ -327,7 +334,7 @@ def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestError
     return TestErrors(n=n, s=s, rate=rate, log_threshold=lam,
                       type_one=max(1.0 - float(accepted), 0.0),
                       type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
-                      type_one_bound=math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate))))
+                      type_one_bound=_type_one_bound(n, rate, s, log_g, d_s))
 
 
 def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
@@ -343,24 +350,24 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     """Best finite-n type-I exponents of the universal test, next to the
     asymptotic direct exponent at the same rate.
 
-    For each n up to n_max the test is run over a grid of S_GRID_SIZE values
-    of s in (0, 1) and the largest -(1/n) log(type-I bound) is kept. A row is
-    `vacuous` when that best exponent is <= 0: no s gives a type-I bound
+    For each n up to n_max, s is the value of a grid of S_GRID_SIZE values in
+    (0, 1) with the largest -(1/n) log(type-I bound), the first of a tie;
+    the bound reads only D_s, so the test runs once per n, at that s. A row
+    is `vacuous` when that best exponent is <= 0: no s gives a type-I bound
     below 1. n_max must be a positive integer.
     """
     n_max = _positive_int(n_max, "n_max")
     report = direct_exponent(rho, rate)
-    s_values = np.linspace(0.05, 0.95, S_GRID_SIZE)
+    s_values = [float(s) for s in np.linspace(0.05, 0.95, S_GRID_SIZE)]
     rows = []
     for n in range(1, n_max + 1):
-        best = None
+        exponents = {}
         for s in s_values:
-            errs = test_errors(rho, n, rate, float(s))
-            expo = -math.log(max(errs.type_one_bound, 1e-300)) / n
-            if best is None or expo > best["exponent"]:
-                best = {"n": n, "s": float(s), "exponent": expo, "type_one": errs.type_one,
-                        "type_one_bound": errs.type_one_bound,
-                        "type_two_bound": errs.type_two_bound}
-        best["vacuous"] = best["exponent"] <= 0
-        rows.append(best)
+            _, _, log_g, d_s = _universal_setup(rho, n, s)
+            exponents[s] = -math.log(max(_type_one_bound(n, rate, s, log_g, d_s), 1e-300)) / n
+        s = max(exponents, key=exponents.get)
+        errs = test_errors(rho, n, rate, s)
+        rows.append({"n": n, "s": s, "exponent": exponents[s], "type_one": errs.type_one,
+                     "type_one_bound": errs.type_one_bound,
+                     "type_two_bound": errs.type_two_bound, "vacuous": exponents[s] <= 0})
     return {"rate": rate, "asymptotic_exponent": report.exponent, "per_n": rows}

@@ -1,11 +1,12 @@
-"""Hermitian/PSD matrix calculus: spectral decompositions, powers and logarithms
-on the support, tensor products, partial traces, spectral projectors, the
-geometric operator mean, and Schatten (quasi-)norms.
+"""Hermitian/PSD matrix calculus: validated Hermitian operators with a cached
+spectral decomposition, powers and logarithms of spectra on the support, and
+the bipartite partial trace.
 
 `spectral_power` is the one place that decides where the support of a PSD
 operator ends: an eigenvalue counts as zero when it is at most
 dim * max|eigenvalue| * machine epsilon. Every power, logarithm, rank and
-support projector of the package takes its support from it.
+support projector of the package takes its support from it; a support
+projector is `power_on_support(op, 0.0)`.
 
 All operations are pure functions on immutable values. The index convention for
 composite systems is A-major throughout: the basis vector with composite index
@@ -13,8 +14,6 @@ i_A * d_B + i_B corresponds to |i_A, i_B>.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -98,13 +97,6 @@ def _as_operator(op) -> HermitianOperator:
     return HermitianOperator(op)
 
 
-def default_cutoff(op: HermitianOperator) -> float:
-    """Sign tolerance of `nonnegative_part_projector` and `geometric_mean`:
-    dim * max|eigenvalue| * machine epsilon, the cut of `spectral_power`."""
-    lam_max = float(np.max(np.abs(op.spectrum))) if op.dim else 0.0
-    return op.dim * lam_max * np.finfo(float).eps
-
-
 def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Eigenvalues of a PSD operator, clamping rounding noise in [-PSD_CLAMP_TOL, 0)."""
     if vals.size and vals.min() < -PSD_CLAMP_TOL:
@@ -144,24 +136,6 @@ def power_on_support(op, p: float) -> HermitianOperator:
     return HermitianOperator((vecs * spectral_power(op.spectrum, p)) @ vecs.conj().T)
 
 
-def support_projector(op) -> HermitianOperator:
-    return power_on_support(op, 0.0)
-
-
-def log_on_support(op) -> HermitianOperator:
-    """Natural logarithm on the support; kernel eigenvalues map to 0."""
-    op = _as_operator(op)
-    vecs = op.eigenvectors
-    return HermitianOperator((vecs * spectral_log(op.spectrum)) @ vecs.conj().T)
-
-
-def tensor_product(a, b) -> HermitianOperator:
-    """Kronecker product under the A-major index convention."""
-    a = _as_operator(a)
-    b = _as_operator(b)
-    return HermitianOperator(np.kron(a.matrix, b.matrix))
-
-
 def partial_trace(op, dims: tuple[int, int], keep: str) -> HermitianOperator:
     """Trace out one tensor factor of a bipartite operator.
 
@@ -179,102 +153,3 @@ def partial_trace(op, dims: tuple[int, int], keep: str) -> HermitianOperator:
     if keep == "B":
         return HermitianOperator(np.einsum("aiaj->ij", m))
     raise InvalidInputError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def partial_trace_factors(matrix: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Partial trace over a multi-factor system, keeping the listed factor indices.
-
-    The kept factors retain their original relative order.
-    """
-    n = len(dims)
-    m = np.asarray(matrix).reshape(dims + dims)
-    traced = sorted(set(range(n)) - set(keep))
-    for count, idx in enumerate(traced):
-        ax = idx - count  # axes shift left after each trace
-        m = np.trace(m, axis1=ax, axis2=ax + (n - count))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return m.reshape(d_keep, d_keep)
-
-
-def permute_factors(matrix: np.ndarray, dims: list[int], order: list[int]) -> np.ndarray:
-    """Reorder the tensor factors of an operator: factor i of the output is
-    factor order[i] of the input."""
-    n = len(dims)
-    m = np.asarray(matrix).reshape(dims + dims)
-    perm = list(order) + [n + i for i in order]
-    m = np.transpose(m, perm)
-    d = int(np.prod(dims))
-    return m.reshape(d, d)
-
-
-def nonnegative_part_projector(x, y) -> HermitianOperator:
-    """The spectral projector {X >= Y} onto the nonnegative eigenspace of X - Y."""
-    x = _as_operator(x)
-    y = _as_operator(y)
-    if x.dim != y.dim:
-        raise InvalidInputError("operators must have the same dimension")
-    diff = HermitianOperator(x.matrix - y.matrix)
-    vals = diff.spectrum
-    # tiny eigenvalues of either sign count as zero, hence nonnegative
-    tol = default_cutoff(diff)
-    keep = vals >= -tol
-    v = diff.eigenvectors[:, keep]
-    return HermitianOperator(v @ v.conj().T)
-
-
-def _geometric_mean_regular(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xs = HermitianOperator(x)
-    x_half = power_on_support(xs, 0.5).matrix
-    x_neg_half = power_on_support(xs, -0.5).matrix
-    pivot = x_neg_half @ y @ x_neg_half
-    # symmetrize: ill-conditioned x leaves rounding asymmetry here
-    inner = power_on_support(HermitianOperator((pivot + pivot.conj().T) / 2), 0.5).matrix
-    out = x_half @ inner @ x_half
-    return (out + out.conj().T) / 2
-
-
-def geometric_mean(x, y) -> HermitianOperator:
-    """Geometric operator mean X # Y.
-
-    For singular inputs this evaluates the defining epsilon-regularized limit at
-    eps in {1e-6, 1e-8, 1e-10} and extrapolates to eps -> 0 with a quadratic fit
-    in sqrt(eps).
-    """
-    x = _as_operator(x)
-    y = _as_operator(y)
-    if x.dim != y.dim:
-        raise InvalidInputError("operators must have the same dimension")
-    _psd_eigenvalues(x.spectrum)
-    _psd_eigenvalues(y.spectrum)
-    cutoff = max(default_cutoff(x), default_cutoff(y), 1e-13)
-    if x.min_eigenvalue() > cutoff and y.min_eigenvalue() > cutoff:
-        return HermitianOperator(_geometric_mean_regular(x.matrix, y.matrix))
-    eye = np.eye(x.dim)
-    eps_values = (1e-6, 1e-8, 1e-10)
-    samples = [
-        _geometric_mean_regular(x.matrix + e * eye, y.matrix + e * eye) for e in eps_values
-    ]
-    # fit G(eps) = G0 + a*sqrt(eps) + b*eps entrywise and keep G0
-    roots = np.sqrt(eps_values)
-    vander = np.stack([np.ones(3), roots, roots**2], axis=1)
-    coeffs = np.linalg.solve(vander, np.stack([s.reshape(-1) for s in samples]))
-    g0 = coeffs[0].reshape(x.dim, x.dim)
-    return HermitianOperator((g0 + g0.conj().T) / 2)
-
-
-def schatten_norm(x, p: float) -> float:
-    """Schatten p-(quasi-)norm; p = math.inf returns the largest singular value."""
-    x = _as_operator(x)
-    if p != math.inf and p <= 0:
-        raise InvalidInputError("Schatten norm requires p > 0")
-    sing = np.abs(x.spectrum)
-    if p == math.inf:
-        return float(np.max(sing)) if sing.size else 0.0
-    return float(np.sum(sing**p) ** (1.0 / p))
-
-
-def trace_distance(a, b) -> float:
-    """(1/2) * trace norm of the difference."""
-    a = _as_operator(a)
-    b = _as_operator(b)
-    return 0.5 * schatten_norm(HermitianOperator(a.matrix - b.matrix), 1.0)

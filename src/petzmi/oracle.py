@@ -47,15 +47,6 @@ def _traceless_basis(dim: int) -> np.ndarray:
 _PAULI_X, _PAULI_Y, _PAULI_Z = _traceless_basis(2)
 
 
-def bloch_density(r: float, theta: float, phi: float) -> np.ndarray:
-    n = r * np.array([
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    ])
-    return (np.eye(2) + n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z) / 2
-
-
 def _qubit_grid(resolution: int) -> np.ndarray:
     """Bloch-ball grid of single-qubit density matrices, deduplicated at the
     poles and at r = 0: I/2, then for each radius the pole theta = 0, every

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import HermitianOperator, partial_trace, spectral_power, tensor_product
+from .linalg import HermitianOperator, partial_trace, spectral_power
 
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-10
@@ -157,33 +157,3 @@ def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     relative accuracy."""
     return DensityOperator(np.kron(a.matrix, b.matrix), eigensystem=(
         np.kron(a.spectrum, b.spectrum), np.kron(a.eigenvectors, b.eigenvectors)))
-
-
-def tensor_states(rho: BipartiteState, sigma: BipartiteState) -> BipartiteState:
-    """Tensor product of bipartite states, regrouped so that the A systems come
-    first: (A1 B1) x (A2 B2) -> (A1 A2):(B1 B2)."""
-    from .linalg import permute_factors
-
-    m = tensor_product(rho, sigma).matrix
-    dims = [rho.d_a, rho.d_b, sigma.d_a, sigma.d_b]
-    regrouped = permute_factors(m, dims, [0, 2, 1, 3])
-    return BipartiteState(regrouped, rho.d_a * sigma.d_a, rho.d_b * sigma.d_b)
-
-
-def purify(rho: DensityOperator) -> tuple[np.ndarray, int]:
-    """An eigenbasis purification of rho on H x H_C with d_C = rank(rho).
-
-    Returns (amplitude vector on dim*d_c entries, d_c). The global phase is fixed
-    so the first nonzero component is real and positive.
-    """
-    keep = spectral_power(rho.spectrum, 0.0) > 0
-    vals = rho.spectrum[keep]
-    vecs = rho.eigenvectors[:, keep]
-    d_c = vals.size
-    # |psi> = sum_k sqrt(lambda_k) |v_k>|k>, system-major indexing
-    psi = (vecs * np.sqrt(vals)).reshape(-1)
-    for x in psi:
-        if abs(x) > 1e-12:
-            psi = psi * (x.conjugate() / abs(x))
-            break
-    return psi, d_c

@@ -1,0 +1,296 @@
+"""Reference implementations that the tests compare the library against, and
+helpers that several test modules share. No library code calls them; the test
+modules import this one as `reference`, `tests/` being on their import path."""
+
+import functools
+import math
+
+import numpy as np
+
+from petzmi import classical
+from petzmi.divergences import (ALPHA_ONE_WINDOW, DivergenceValue, _as_density, _check_order,
+                                _petz_q, _petz_terms)
+from petzmi.errors import DomainError, InvalidInputError
+from petzmi.hypotest import universal_state
+from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _psd_eigenvalues,
+                           power_on_support, spectral_log, spectral_power)
+from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
+from petzmi.states import BipartiteState, DensityOperator, Pmf
+
+
+def log_on_support(op) -> HermitianOperator:
+    """Natural logarithm on the support; kernel eigenvalues map to 0."""
+    op = _as_operator(op)
+    vecs = op.eigenvectors
+    return HermitianOperator((vecs * spectral_log(op.spectrum)) @ vecs.conj().T)
+
+
+def tensor_product(a, b) -> HermitianOperator:
+    """Kronecker product under the A-major index convention."""
+    a = _as_operator(a)
+    b = _as_operator(b)
+    return HermitianOperator(np.kron(a.matrix, b.matrix))
+
+
+def partial_trace_factors(matrix: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
+    """Partial trace over a multi-factor system, keeping the listed factor indices.
+
+    The kept factors retain their original relative order.
+    """
+    n = len(dims)
+    m = np.asarray(matrix).reshape(dims + dims)
+    traced = sorted(set(range(n)) - set(keep))
+    for count, idx in enumerate(traced):
+        ax = idx - count  # axes shift left after each trace
+        m = np.trace(m, axis1=ax, axis2=ax + (n - count))
+    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return m.reshape(d_keep, d_keep)
+
+
+def permute_factors(matrix: np.ndarray, dims: list[int], order: list[int]) -> np.ndarray:
+    """Reorder the tensor factors of an operator: factor i of the output is
+    factor order[i] of the input."""
+    n = len(dims)
+    m = np.asarray(matrix).reshape(dims + dims)
+    perm = list(order) + [n + i for i in order]
+    m = np.transpose(m, perm)
+    d = int(np.prod(dims))
+    return m.reshape(d, d)
+
+
+def nonnegative_part_projector(x, y) -> HermitianOperator:
+    """The spectral projector {X >= Y} onto the nonnegative eigenspace of X - Y."""
+    x = _as_operator(x)
+    y = _as_operator(y)
+    if x.dim != y.dim:
+        raise InvalidInputError("operators must have the same dimension")
+    diff = HermitianOperator(x.matrix - y.matrix)
+    vals = diff.spectrum
+    # tiny eigenvalues of either sign count as zero, hence nonnegative:
+    # dim * max|eigenvalue| * eps, the cut of `spectral_power`
+    tol = diff.dim * float(np.max(np.abs(vals), initial=0.0)) * EPS
+    keep = vals >= -tol
+    v = diff.eigenvectors[:, keep]
+    return HermitianOperator(v @ v.conj().T)
+
+
+def _geometric_mean_regular(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    xs = HermitianOperator(x)
+    x_half = power_on_support(xs, 0.5).matrix
+    x_neg_half = power_on_support(xs, -0.5).matrix
+    pivot = x_neg_half @ y @ x_neg_half
+    # symmetrize: ill-conditioned x leaves rounding asymmetry here
+    inner = power_on_support(HermitianOperator((pivot + pivot.conj().T) / 2), 0.5).matrix
+    out = x_half @ inner @ x_half
+    return (out + out.conj().T) / 2
+
+
+def geometric_mean(x, y) -> HermitianOperator:
+    """Geometric operator mean X # Y.
+
+    For singular inputs this evaluates the defining epsilon-regularized limit at
+    eps in {1e-6, 1e-8, 1e-10} and extrapolates to eps -> 0 with a quadratic fit
+    in sqrt(eps).
+    """
+    x = _as_operator(x)
+    y = _as_operator(y)
+    if x.dim != y.dim:
+        raise InvalidInputError("operators must have the same dimension")
+    _psd_eigenvalues(x.spectrum)
+    _psd_eigenvalues(y.spectrum)
+    # dim * max|eigenvalue| * eps, the cut of `spectral_power`, of either input
+    cutoff = max(*(op.dim * float(np.max(np.abs(op.spectrum), initial=0.0)) * EPS
+                   for op in (x, y)), 1e-13)
+    if x.min_eigenvalue() > cutoff and y.min_eigenvalue() > cutoff:
+        return HermitianOperator(_geometric_mean_regular(x.matrix, y.matrix))
+    eye = np.eye(x.dim)
+    eps_values = (1e-6, 1e-8, 1e-10)
+    samples = [
+        _geometric_mean_regular(x.matrix + e * eye, y.matrix + e * eye) for e in eps_values
+    ]
+    # fit G(eps) = G0 + a*sqrt(eps) + b*eps entrywise and keep G0
+    roots = np.sqrt(eps_values)
+    vander = np.stack([np.ones(3), roots, roots**2], axis=1)
+    coeffs = np.linalg.solve(vander, np.stack([s.reshape(-1) for s in samples]))
+    g0 = coeffs[0].reshape(x.dim, x.dim)
+    return HermitianOperator((g0 + g0.conj().T) / 2)
+
+
+def trace_distance(a, b) -> float:
+    """(1/2) * trace norm of the difference."""
+    diff = _as_operator(a).matrix - _as_operator(b).matrix
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def random_unitary(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def tensor_states(rho: BipartiteState, sigma: BipartiteState) -> BipartiteState:
+    """Tensor product of bipartite states, regrouped so that the A systems come
+    first: (A1 B1) x (A2 B2) -> (A1 A2):(B1 B2)."""
+    m = tensor_product(rho, sigma).matrix
+    dims = [rho.d_a, rho.d_b, sigma.d_a, sigma.d_b]
+    regrouped = permute_factors(m, dims, [0, 2, 1, 3])
+    return BipartiteState(regrouped, rho.d_a * sigma.d_a, rho.d_b * sigma.d_b)
+
+
+def purify(rho: DensityOperator) -> tuple[np.ndarray, int]:
+    """An eigenbasis purification of rho on H x H_C with d_C = rank(rho).
+
+    Returns (amplitude vector on dim*d_c entries, d_c). The global phase is fixed
+    so the first nonzero component is real and positive.
+    """
+    keep = spectral_power(rho.spectrum, 0.0) > 0
+    vals = rho.spectrum[keep]
+    vecs = rho.eigenvectors[:, keep]
+    d_c = vals.size
+    # |psi> = sum_k sqrt(lambda_k) |v_k>|k>, system-major indexing
+    psi = (vecs * np.sqrt(vals)).reshape(-1)
+    for x in psi:
+        if abs(x) > 1e-12:
+            psi = psi * (x.conjugate() / abs(x))
+            break
+    return psi, d_c
+
+
+def bloch_density(r: float, theta: float, phi: float) -> np.ndarray:
+    n = r * np.array([
+        math.sin(theta) * math.cos(phi),
+        math.sin(theta) * math.sin(phi),
+        math.cos(theta),
+    ])
+    return (np.eye(2) + n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z) / 2
+
+
+def dense_power(x, n, d_a, d_b):
+    """x^(x n) as one dense matrix, rows in (A1 ... An)(B1 ... Bn) order."""
+    m = functools.reduce(np.kron, [x] * n)
+    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    return permute_factors(m, [d_a, d_b] * n, order)
+
+
+@functools.cache
+def dense_alternative(n, d_a, d_b):
+    """omega_A x omega_B as one dense operator, decomposed once per (n, d_A, d_B)."""
+    return DensityOperator(np.kron(universal_state(n, d_a).matrix, universal_state(n, d_b).matrix))
+
+
+def petz_q(alpha: float, rho, sigma) -> float:
+    """The trace functional Q_alpha = tr[rho^alpha sigma^(1-alpha)]."""
+    return _petz_q(alpha, *_petz_terms(_as_density(rho), _as_density(sigma)))
+
+
+def entropy(p, alpha):
+    """Renyi entropy of a probability vector, natural log, as a scalar formula."""
+    p = np.asarray(p, dtype=float)
+    p = p[p > 0]
+    if alpha == 1.0:
+        return float(-np.sum(p * np.log(p)))
+    if alpha == math.inf:
+        return -math.log(p.max())
+    return float(np.log(np.sum(p**alpha)) / (1 - alpha))
+
+
+_TOL = 1e-12  # stop of the alternating minimization, on value and on r
+_MAX_ITER = 10000
+
+
+def _as_pmf_vector(p) -> np.ndarray:
+    v = np.asarray(p, dtype=float).reshape(-1)
+    if np.min(v) < -1e-12:
+        raise InvalidInputError("probability vector has negative entries")
+    return np.clip(v, 0.0, None)
+
+
+def classical_divergence(alpha: float, p, q) -> DivergenceValue:
+    """Classical Renyi divergence D_alpha(p || q), natural log."""
+    _check_order(alpha)
+    p = _as_pmf_vector(p)
+    q = _as_pmf_vector(q)
+    if p.size != q.size:
+        raise InvalidInputError("pmf supports must have equal size")
+    sp = p > 0
+    sq = q > 0
+    if alpha < 1:
+        if not np.any(sp & sq):
+            return DivergenceValue.infinite()
+    elif np.any(sp & ~sq):
+        return DivergenceValue.infinite()
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        mask = sp
+        return DivergenceValue(value=float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+    mask = sp & sq
+    if alpha == 0:
+        return DivergenceValue(value=-math.log(float(np.sum(q[sp]))))
+    s = float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
+    return DivergenceValue(value=math.log(s) / (alpha - 1.0), q_value=s)
+
+
+def mutual_information(pmf: Pmf) -> float:
+    table = pmf.table
+    prod = np.outer(pmf.marginal_x, pmf.marginal_y)
+    mask = table > 0
+    return float(np.sum(table[mask] * np.log(table[mask] / prod[mask])))
+
+
+def rmi_up_up(alpha: float, pmf: Pmf) -> DivergenceValue:
+    """I_alpha^(up,up): divergence to the product of the true marginals."""
+    return classical_divergence(alpha, pmf.table.reshape(-1), np.outer(pmf.marginal_x, pmf.marginal_y).reshape(-1))
+
+
+def _down_value_and_optimal_q(alpha: float, table: np.ndarray, r: np.ndarray):
+    """min_q D_alpha(P || r x q) and its minimizer for one pmf r and alpha > 0:
+    with m_y = sum_x P(x,y)^alpha r(x)^(1-alpha), the value is
+    (alpha/(alpha-1)) log sum_y m_y^(1/alpha) at q ~ m^(1/alpha). The loop
+    for alpha > 1/2 runs on it, and the tests take it as the reference for
+    `classical._down_values`."""
+    with np.errstate(divide="ignore"):
+        ra = np.where(r > 0, r ** (1.0 - alpha), 0.0)
+    m = (table**alpha * ra[:, None]).sum(axis=0)
+    s = float(np.sum(m ** (1.0 / alpha)))
+    q = m ** (1.0 / alpha) / s
+    value = (alpha / (alpha - 1.0)) * math.log(s)
+    return value, q
+
+
+def rmi_down_down(alpha: float, pmf: Pmf):
+    """Doubly minimized classical Renyi mutual information
+    min_{r, q} D_alpha(P || r x q).
+
+    For alpha > 1/2 this alternates the two closed-form one-sided minimizations,
+    which monotonically decreases the objective. For alpha <= 1/2 it is the
+    simplex search of `classical.rmi_down_down`.
+
+    Returns (value, r, q).
+    """
+    _check_order(alpha)
+    table = pmf.table
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        return mutual_information(pmf), pmf.marginal_x.copy(), pmf.marginal_y.copy()
+    if alpha > 0.5:
+        r = pmf.marginal_x.copy()
+        prev = math.inf
+        for _ in range(_MAX_ITER):
+            val, q = _down_value_and_optimal_q(alpha, table, r)
+            _, r_new = _down_value_and_optimal_q(alpha, table.T, q)
+            if abs(val - prev) <= _TOL and np.max(np.abs(r_new - r)) <= _TOL:
+                r = r_new
+                break
+            prev = val
+            r = r_new
+        val, q = _down_value_and_optimal_q(alpha, table, r)
+        return val, r, q
+    return classical.rmi_down_down(alpha, pmf)
+
+
+def rmi_up_down(alpha: float, pmf: Pmf) -> float:
+    """I_alpha^(up,down): first marginal fixed to the true one, second minimized."""
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        return mutual_information(pmf)
+    if alpha <= 0:
+        raise DomainError("closed form requires alpha > 0")
+    val, _ = _down_value_and_optimal_q(alpha, pmf.table, pmf.marginal_x)
+    return val

@@ -10,11 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from petzmi.classical import rmi_down_down as classical_dd
-from petzmi.classical import rmi_up_down as classical_ud
-from petzmi.classical import rmi_up_up as classical_uu
 from petzmi.divergences import (
-    petz_q,
     relative_entropy_variance,
     renyi_entropy,
     sandwiched_q,
@@ -22,14 +18,7 @@ from petzmi.divergences import (
 from petzmi.exponents import direct_exponent, rate_curve
 from petzmi.hypotest import universal_divergence_rate
 from petzmi.hypotest import test_errors as threshold_test_errors
-from petzmi.linalg import (
-    HermitianOperator,
-    geometric_mean,
-    partial_trace_factors,
-    power_on_support,
-    tensor_product,
-    trace_distance,
-)
+from petzmi.linalg import HermitianOperator, power_on_support
 from petzmi.oracle import brute_force_dd
 from petzmi.prmi import (
     fixed_point_map,
@@ -44,11 +33,15 @@ from petzmi.states import (
     Pmf,
     copy_cc_state,
     pure_bipartite,
-    purify,
     random_bipartite,
     random_density,
-    tensor_states,
 )
+from reference import entropy as pmf_entropy
+from reference import geometric_mean, partial_trace_factors, petz_q, purify, tensor_product
+from reference import rmi_down_down as classical_dd
+from reference import rmi_up_down as classical_ud
+from reference import rmi_up_up as classical_uu
+from reference import tensor_states, trace_distance
 
 P = 0.2
 PURE = pure_bipartite([math.sqrt(P), 0, 0, math.sqrt(1 - P)], 2, 2)
@@ -62,12 +55,7 @@ def report(number, ok):
 
 def entropy(alpha):
     # Renyi entropy of the (p, 1-p) marginal, independent scalar evaluation
-    probs = np.array([P, 1 - P])
-    if alpha == 1.0:
-        return float(-np.sum(probs * np.log(probs)))
-    if alpha == math.inf:
-        return -math.log(probs.max())
-    return float(np.log(np.sum(probs**alpha)) / (1 - alpha))
+    return pmf_entropy([P, 1 - P], alpha)
 
 
 def test_criterion_1_pure_state_figure():

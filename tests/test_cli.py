@@ -65,6 +65,19 @@ def test_schema_error_names_field(tmp_path):
         parse_input(path)
 
 
+@pytest.mark.parametrize("state, field", [
+    ({"dA": True, "dB": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "$.dA"),
+    ({"dA": 1, "dB": 2, "matrix": [[True, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+     "$.matrix[0]"),
+    ({"pmf": [[True, 0.0], [0.0, 0.0]]}, "$.pmf"),
+], ids=["dims", "matrix-pair", "pmf-row"])
+def test_booleans_are_not_numbers(tmp_path, capsys, state, field):
+    # JSON true is a Python bool, a subclass of int: it must not pass as 1
+    path = write_json(tmp_path / "bool.json", state)
+    assert main(["compute", "--state", path, "--alpha", "1.0"]) == 3
+    assert field in capsys.readouterr().err
+
+
 def test_invariant_violation_exit_code(tmp_path, capsys):
     flat = []
     for i in range(4):

@@ -13,9 +13,9 @@ from petzmi.exponents import (
     r_half_threshold,
     rate_curve,
 )
-from petzmi.linalg import tensor_product
 from petzmi.prmi import prmi_down_down, prmi_down_down_stack
 from petzmi.states import Pmf, cc_state, copy_cc_state, pure_bipartite, random_bipartite
+from reference import tensor_product
 
 CC_02 = copy_cc_state([0.2, 0.8])
 LO, HI = 0.5 + 1e-4, 1.0 - 1e-4

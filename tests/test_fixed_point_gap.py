@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _petz_terms
 from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
-from petzmi.linalg import spectral_power, tensor_product
+from petzmi.linalg import spectral_power
 from petzmi.prmi import (
     _fw_gap,
     _fw_gradient,
@@ -34,6 +34,7 @@ from petzmi.states import (
     random_bipartite,
     random_density,
 )
+from reference import tensor_product
 
 GRADIENT_ALPHAS = (0.6, 0.8, 1.3, 1.7, 2.0)
 

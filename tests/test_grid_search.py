@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from petzmi.classical import _down_value_and_optimal_q, _down_values, rmi_down_down
+from petzmi.classical import _down_values, rmi_down_down
 from petzmi.divergences import SUPPORT_OVERLAP_TOL, renyi_entropy
 from petzmi.errors import DomainError
-from petzmi.linalg import log_on_support, power_on_support, spectral_power
+from petzmi.linalg import power_on_support, spectral_power
 from petzmi.oracle import (
     _batched_values,
     _batched_values_alpha_one,
@@ -29,6 +29,7 @@ from petzmi.oracle import (
 )
 from petzmi.prmi import prmi_up_down
 from petzmi.states import DensityOperator, Pmf, random_bipartite
+from reference import _down_value_and_optimal_q, log_on_support
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -317,3 +318,8 @@ def test_batched_alpha_one_matches_loop(qubit_pair):
 def test_resolution_zero_rejected(d_a):
     with pytest.raises(DomainError):
         brute_force_dd(0.8, random_bipartite(d_a, 3, 1), resolution=0)
+
+
+def test_classical_search_rejects_orders_above_half():
+    with pytest.raises(DomainError):
+        rmi_down_down(0.6, Pmf(np.diag([0.2, 0.8])))

@@ -19,6 +19,7 @@ from petzmi.hypotest import (
 )
 from petzmi.prmi import prmi_down_down
 from petzmi.states import BipartiteState, copy_cc_state, random_bipartite, random_density
+from reference import permute_factors
 
 CC_02 = copy_cc_state([0.2, 0.8])
 
@@ -36,8 +37,6 @@ def test_universal_state_n1_is_maximally_mixed():
 
 def test_universal_state_permutation_invariant():
     w = universal_state(2, 2)
-    from petzmi.linalg import permute_factors
-
     swapped = permute_factors(w.matrix, [2, 2], [1, 0])
     assert np.allclose(swapped, w.matrix, atol=1e-12)
 
@@ -163,6 +162,39 @@ def test_bad_arguments_raise_domain_error(function, args):
 def test_achievability_sweep_needs_a_blocklength(qubit_pair, n_max):
     with pytest.raises(DomainError):
         achievability_sweep(qubit_pair, 0.1, n_max)
+
+
+def loop_sweep_rows(rho, rate, n_max):
+    """The sweep's rows as it ran before: the whole test at each of the 20
+    values of s, keeping the row of the largest type-I exponent, the first of a tie."""
+    rows = []
+    for n in range(1, n_max + 1):
+        best = None
+        for s in np.linspace(0.05, 0.95, 20):
+            errs = threshold_test_errors(rho, n, rate, float(s))
+            expo = -math.log(max(errs.type_one_bound, 1e-300)) / n
+            if best is None or expo > best["exponent"]:
+                best = {"n": n, "s": float(s), "exponent": expo, "type_one": errs.type_one,
+                        "type_one_bound": errs.type_one_bound,
+                        "type_two_bound": errs.type_two_bound}
+        best["vacuous"] = best["exponent"] <= 0
+        rows.append(best)
+    return rows
+
+
+@pytest.mark.parametrize("rho, n_max", [
+    (random_bipartite(2, 2, 42), 4),
+    (random_bipartite(2, 2, 19, rank=2), 4),
+    (CC_02, 4),
+    (random_bipartite(2, 3, 5), 2),
+], ids=["qubits", "qubits-rank-2", "copy-cc", "2x3"])
+def test_sweep_runs_one_test_per_n_and_matches_the_loop(rho, n_max, monkeypatch):
+    calls = []
+    block_np_test = hypotest.np_test
+    monkeypatch.setattr(hypotest, "np_test", lambda *args: calls.append(1) or block_np_test(*args))
+    rows = achievability_sweep(rho, 0.1, n_max)["per_n"]
+    assert len(calls) == n_max
+    assert rows == loop_sweep_rows(rho, 0.1, n_max)
 
 
 def test_rate_validation(qubit_pair):

@@ -5,9 +5,8 @@ import pytest
 
 from petzmi.divergences import petz_divergence
 from petzmi.errors import UnsupportedRegimeError
-from petzmi.linalg import tensor_product
 from petzmi.divergences import relative_entropy
-from petzmi.oracle import _batched_values, bloch_density, brute_force_dd
+from petzmi.oracle import _batched_values, brute_force_dd
 from petzmi.prmi import gen_prmi_down, prmi_down_down, prmi_up_down
 from petzmi.states import (
     BipartiteState,
@@ -16,6 +15,7 @@ from petzmi.states import (
     random_bipartite,
     random_density,
 )
+from reference import bloch_density, tensor_product
 
 
 def test_bloch_density_is_state():

@@ -18,16 +18,16 @@ from petzmi.divergences import (
     SUPPORT_OVERLAP_TOL,
     dominated,
     petz_divergence,
-    petz_q,
     relative_entropy,
     relative_entropy_variance,
     sandwiched_divergence,
 )
 from petzmi.errors import DomainError
 from petzmi.exponents import alpha_derivative
-from petzmi.linalg import log_on_support, power_on_support, support_projector, tensor_product
+from petzmi.linalg import power_on_support
 from petzmi.prmi import PrmiSolution
 from petzmi.states import BipartiteState, DensityOperator, random_density
+from reference import log_on_support, petz_q, random_unitary, tensor_product
 
 ALPHAS = (0.0, 0.3, 0.7, 1.0, 1.5, 2.0)
 
@@ -35,14 +35,14 @@ ALPHAS = (0.0, 0.3, 0.7, 1.0, 1.5, 2.0)
 # -- the dense forms, as they were before the spectral functional -----------
 
 def dense_dominated(rho, sigma):
-    proj = support_projector(sigma).matrix
+    proj = power_on_support(sigma, 0.0).matrix
     leak = np.real(np.trace(rho.matrix @ (np.eye(sigma.dim) - proj)))
     return leak <= SUPPORT_OVERLAP_TOL
 
 
 def dense_orthogonal(rho, sigma):
-    pr = support_projector(rho).matrix
-    ps = support_projector(sigma).matrix
+    pr = power_on_support(rho, 0.0).matrix
+    ps = power_on_support(sigma, 0.0).matrix
     return float(np.real(np.trace(pr @ ps))) <= SUPPORT_OVERLAP_TOL
 
 
@@ -94,12 +94,6 @@ def dense_alpha_derivative(alpha, rho, solution):
 
 
 # -- random pairs ------------------------------------------------------------
-
-def random_unitary(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
 
 def random_pair(seed):
     """(rho, sigma) of dimension 2-6 and ranks 1..d, by seed % 5: independent (0),
@@ -157,7 +151,7 @@ def test_pairs_cover_every_kind():
     assert any(rho.rank() == rho.dim for rho, _ in PAIRS)
     assert any(not dense_dominated(rho, sigma) for rho, sigma in PAIRS)
     assert any(dense_orthogonal(rho, sigma) for rho, sigma in PAIRS)
-    leaks = [np.real(np.trace(rho.matrix @ (np.eye(rho.dim) - support_projector(sigma).matrix)))
+    leaks = [np.real(np.trace(rho.matrix @ (np.eye(rho.dim) - power_on_support(sigma, 0.0).matrix)))
              for rho, sigma in PAIRS]
     assert any(0 < x <= SUPPORT_OVERLAP_TOL for x in leaks)
     assert any(SUPPORT_OVERLAP_TOL < x < 1e-5 for x in leaks)

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from petzmi.classical import rmi_down_down as classical_dd
 from petzmi.divergences import petz_divergence, renyi_entropy
 from petzmi.errors import DomainError, UnsupportedRegimeError
-from petzmi.linalg import tensor_product, trace_distance
 from petzmi.prmi import (
     _run_fixed_point,
     _small_alpha_starts,
@@ -27,8 +25,9 @@ from petzmi.states import (
     pure_bipartite,
     random_bipartite,
     random_density,
-    tensor_states,
 )
+from reference import rmi_down_down as classical_dd
+from reference import tensor_product, tensor_states, trace_distance
 
 PURE_02 = pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2)
 CC_02 = copy_cc_state([0.2, 0.8])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from petzmi.linalg import HermitianOperator, permute_factors, power_on_support, trace_distance
+from petzmi.linalg import HermitianOperator, power_on_support
 from petzmi.prmi import GAP_TOL, MAX_ITER, _run_fixed_point, gen_prmi_down, prmi_down_down
 from petzmi.states import (
     BipartiteState,
@@ -15,6 +15,7 @@ from petzmi.states import (
     pure_bipartite,
     random_bipartite,
 )
+from reference import permute_factors, trace_distance
 
 ALPHAS = (0.55, 0.7, 0.9, 1.3, 1.7, 2.0)
 DIMS = ((2, 2), (2, 3), (3, 3))

@@ -7,7 +7,7 @@ projected dense power; D_alpha(rho^(x n) || omega_A x omega_B) from the blocks
 against `petz_divergence` on the dense operators; and the block-by-block
 threshold test, one block per Young shape, against one decomposition of the
 whole threshold difference. The dense n-copy operators are built here only,
-by `dense_iid_block`, `kronecker_eigensystem` and `dense_product`.
+by `dense_iid_block`, `kronecker_eigensystem` and `reference.dense_alternative`.
 """
 
 import functools
@@ -32,14 +32,7 @@ from petzmi.hypotest import (
     universal_divergence_rate,
     universal_state,
 )
-from petzmi.linalg import (
-    HermitianOperator,
-    nonnegative_part_projector,
-    permute_factors,
-    spectral_power,
-    support_projector,
-    tensor_product,
-)
+from petzmi.linalg import HermitianOperator, power_on_support, spectral_power
 from petzmi.states import (
     BipartiteState,
     DensityOperator,
@@ -48,6 +41,7 @@ from petzmi.states import (
     random_bipartite,
     random_density,
 )
+from reference import dense_alternative, dense_power, nonnegative_part_projector, tensor_product
 
 STATES = [copy_cc_state([0.2, 0.8]), random_bipartite(2, 2, 17), random_bipartite(2, 2, 18),
           random_bipartite(2, 2, 19, rank=2)]
@@ -106,17 +100,9 @@ def test_product_state_carries_kronecker_eigensystem(monkeypatch):
     assert np.allclose(vecs.conj().T @ vecs, np.eye(6), atol=1e-14)
 
 
-def dense_product(a, b):
-    """The product as the parent formed it: a new operator, decomposed afresh."""
-    return DensityOperator(np.kron(a.matrix, b.matrix))
-
-
 def dense_iid_block(rho, n):
     """rho^(x n) without its eigensystem: the same matrix, decomposed afresh."""
-    m = functools.reduce(np.kron, [rho.matrix] * n)
-    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    m = permute_factors(m, [rho.d_a, rho.d_b] * n, order)
-    return BipartiteState(m, rho.d_a**n, rho.d_b**n)
+    return BipartiteState(dense_power(rho.matrix, n, rho.d_a, rho.d_b), rho.d_a**n, rho.d_b**n)
 
 
 def kronecker_eigensystem(rho, n):
@@ -133,9 +119,7 @@ def kronecker_eigensystem(rho, n):
 
 def dense_blocks(x, n, basis):
     """`iid_block` as Q_lambda^T (x^(x n)) Q_lambda with the dense power."""
-    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    power = permute_factors(functools.reduce(np.kron, [np.asarray(x)] * n),
-                            [basis.d_a, basis.d_b] * n, order)
+    power = dense_power(np.asarray(x), n, basis.d_a, basis.d_b)
     return [basis.q[:, b].T @ power @ basis.q[:, b] for b in basis.blocks]
 
 
@@ -209,12 +193,6 @@ DIVERGENCE_STATES = {
 }
 
 
-@functools.cache
-def dense_alternative(n, d_a, d_b):
-    """omega_A x omega_B as one dense operator, decomposed once per (n, d_A, d_B)."""
-    return dense_product(universal_state(n, d_a), universal_state(n, d_b))
-
-
 @pytest.mark.parametrize("name, n", [
     (name, n) for name, rho in DIVERGENCE_STATES.items() for n in range(1, 10 - 2 * rho.d_b)
 ])
@@ -253,8 +231,8 @@ def dense_np_test(rho_n, alt, log_threshold):
     same rules beyond thresholds of +-700."""
     rho_n, alt = HermitianOperator(rho_n), HermitianOperator(alt)
     if log_threshold > 700.0:
-        kernel = np.eye(alt.dim) - support_projector(alt).matrix
-        return support_projector(kernel @ rho_n.matrix @ kernel).matrix
+        kernel = np.eye(alt.dim) - power_on_support(alt, 0.0).matrix
+        return power_on_support(kernel @ rho_n.matrix @ kernel, 0.0).matrix
     if log_threshold < -700.0:
         return np.eye(rho_n.dim)
     return nonnegative_part_projector(rho_n, math.exp(log_threshold) * alt.matrix).matrix
@@ -318,7 +296,7 @@ def test_unequal_sides_and_n5_match_dense_projector(rho, n, count):
 def dense_test_errors(rho, n, rate, s):
     """test_errors from one decomposition of the whole threshold difference."""
     rho_n = dense_iid_block(rho, n)
-    alt = dense_product(universal_state(n, rho.d_a), universal_state(n, rho.d_b))
+    alt = dense_alternative(n, rho.d_a, rho.d_b)
     log_g = (math.log(symmetric_type_count(n, rho.d_a**2))
              + math.log(symmetric_type_count(n, rho.d_b**2)))
     d_s = petz_divergence(s, rho_n, alt).value
@@ -344,7 +322,7 @@ def test_type_two_against_matches_dense_projector(monkeypatch):
     rng = np.random.default_rng(4)
     sigma, tau = random_density(2, rng), random_density(3, rng)
     rho_n = dense_iid_block(rho, 2)
-    alt = dense_product(universal_state(2, 2), universal_state(2, 3))
+    alt = dense_alternative(2, 2, 3)
     lam = spanning_thresholds(kronecker_eigensystem(rho, 2)[0], alt.spectrum, 3)[1]
     block_np_test = hypotest.np_test
     monkeypatch.setattr(hypotest, "np_test", lambda r, a, _, mult: block_np_test(r, a, lam, mult))

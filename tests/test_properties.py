@@ -13,7 +13,8 @@ from petzmi import hypotest
 from petzmi.hypotest import symmetric_type_count, type_two_against
 from petzmi.hypotest import test_errors as threshold_test_errors
 from petzmi.prmi import prmi_down_down, prmi_up_down, prmi_up_up
-from petzmi.states import BipartiteState, random_bipartite, random_density, tensor_states
+from petzmi.states import BipartiteState, random_bipartite, random_density
+from reference import random_unitary, tensor_states
 
 states = st.builds(
     random_bipartite, st.just(2), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1)
@@ -25,12 +26,6 @@ alphas = st.floats(0.55, 2.0)
 def slack(alpha):
     """1e-10 plus the rounding of (alpha/(alpha-1)) log(...), which grows near alpha = 1."""
     return 1e-10 + 64 * np.finfo(float).eps * alpha / max(abs(alpha - 1.0), 1e-6)
-
-
-def random_unitary(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @settings(max_examples=25, deadline=None)

