@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _log_ratio, _petz_terms, relative_entropy_variance
+from .divergences import _log_ratio, _product_terms, _variance, dominated
 from .errors import DomainError
 from .linalg import spectral_power
-from .prmi import PrmiSolution, prmi_closed_form, prmi_down_down, prmi_down_down_stack
-from .states import BipartiteState, product_state
+from .prmi import (PrmiSolution, _run_fixed_point, prmi_closed_form, prmi_down_down,
+                   prmi_down_down_stack)
+from .states import BipartiteState
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
 R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
@@ -61,17 +62,17 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
       Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)],
     both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
     Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
-    by log lambda_i - log mu_j. The eigensystem of omega = sigma* x tau* is the
-    Kronecker product of the marginals' eigensystems (`product_state`); omega
-    is never decomposed.
+    by log lambda_i - log mu_j. The eigensystem of omega = sigma* x tau* is
+    formed from the factors' (`divergences._product_terms`); omega itself is
+    never built.
     At alpha = 1 the derivative equals half the relative-entropy variance to the
     product of the marginals.
     """
     if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
-        return 0.5 * relative_entropy_variance(rho, product_state(rho.marginal_a, rho.marginal_b))
+        return 0.5 * _variance(*_product_terms(rho, rho.marginal_a, rho.marginal_b))
     if solution is None:
         solution = prmi_down_down(alpha, rho)
-    lam, mu, w = _petz_terms(rho, product_state(solution.sigma_a, solution.tau_b))
+    lam, mu, w = _product_terms(rho, solution.sigma_a, solution.tau_b)
     terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
     q = float(np.sum(terms))
     q_prime = float(np.sum(terms * _log_ratio(lam, mu)))
@@ -79,7 +80,9 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
 
 
 class _PrmiCache:
-    """Memoized I_s evaluations of one state."""
+    """Memoized I_s evaluations of one state. A single solve on (1/2, 1) starts
+    from the minimizer cached at the nearest order if that covers supp(rho_A),
+    else from rho_A; the gap stop certifies either start."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
@@ -87,7 +90,11 @@ class _PrmiCache:
 
     def solution(self, s: float) -> PrmiSolution:
         if s not in self._values:
-            self._values[s] = prmi_down_down(s, self.rho)
+            near = min(self._values, key=lambda t: abs(t - s), default=None)
+            start = self._values[near].sigma_a if near is not None and 0.5 < s < 1.0 else None
+            warm = start is not None and dominated(self.rho.marginal_a, start)
+            self._values[s] = (_run_fixed_point(s, self.rho, start) if warm
+                               else prmi_down_down(s, self.rho))
         return self._values[s]
 
     def solve(self, s_values) -> None:

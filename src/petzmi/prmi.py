@@ -14,11 +14,13 @@ reference state are optimized:
 
 One array routine, `_half_step`, is the exact one-sided minimization for
 `gen_prmi_down` and both directions of the loop (B -> A through the transposed
-tensor of rho^alpha). It and the loop run on a stack of orders, one row each:
-`prmi_down_down` is a stack of one. Every run stops once the Frank-Wolfe gap
-of its iterate is at most GAP_TOL. Inputs are validated at the public
-functions; inside the loop the iterates are plain eigenvalue/eigenvector
-arrays.
+tensor of rho^alpha). It and the loop run on a stack of orders, one row each,
+with the orders' constants (`_orders`) formed once: `prmi_down_down` is a
+stack of one. Every run stops once the Frank-Wolfe gap of its iterate, read
+from the half-step's s^(1-alpha), is at most GAP_TOL. Inputs are validated at
+the public functions; inside the loop the iterates are plain eigensystems.
+uu and dd at alpha = 1 take the terms against rho_A x rho_B from the
+marginals' eigensystems (`divergences._product_terms`).
 
 All logarithms are natural.
 """
@@ -37,10 +39,11 @@ from .divergences import (
     DivergenceValue,
     _check_order,
     _one_sided_min,
+    _petz_divergence,
+    _product_terms,
+    _relative_entropy,
     dominated,
     min_entropy,
-    petz_divergence,
-    relative_entropy,
     renyi_entropy,
 )
 from .errors import (
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .linalg import power_on_support, spectral_power
 from .oracle import _ginibre_grid
-from .states import BipartiteState, DensityOperator, product_state
+from .states import BipartiteState, DensityOperator
 
 MONOTONICITY_SLACK = 1e-11
 GAP_TOL = 1e-12  # a run stops once the Frank-Wolfe gap of its iterate is at most this
@@ -93,7 +96,8 @@ class PrmiSolution:
 
 def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """D_alpha of the state against the product of its own marginals."""
-    d = petz_divergence(alpha, rho, product_state(rho.marginal_a, rho.marginal_b))
+    _check_order(alpha)
+    d = _petz_divergence(alpha, *_product_terms(rho, rho.marginal_a, rho.marginal_b))
     if d.is_infinite:
         return d
     return replace(d, value=max(d.value, 0.0) + 0.0)  # as in _run_fixed_point
@@ -110,9 +114,8 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
     if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
     alphas = np.array([alpha], dtype=float)
-    value, t_vals, t_vecs, _ = _half_step(
-        alphas, _rho_power(rho, alphas), sigma_a.spectrum[None], sigma_a.eigenvectors[None]
-    )
+    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), _rho_power(rho, alphas),
+                                             sigma_a.spectrum[None], sigma_a.eigenvectors[None])
     if value[0] == math.inf:
         return math.inf, None
     return float(value[0]), _density(t_vals[0], t_vecs[0])
@@ -124,57 +127,56 @@ def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
     return ((m + _dagger(m)) / 2).reshape(alphas.size, rho.d_a, rho.d_b, rho.d_a, rho.d_b)
 
 
-def _half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+def _orders(alpha: np.ndarray) -> tuple:
+    """The per-row constants of a stack of k orders, formed once per stack:
+    alpha, the (k, 1) columns 1 - alpha and 1/alpha, and alpha/(alpha - 1).
+    1/alpha is None when a row is at most 1/2, where `_one_sided_min` applies."""
+    inv = None if np.any(alpha <= 0.5) else (1.0 / alpha)[:, None]
+    return alpha, (1.0 - alpha)[:, None], inv, alpha / (alpha - 1.0)
+
+
+def _half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     """The exact one-sided minimization, on a stack of k rows.
 
-    alpha holds the k orders, r the k tensors rho^alpha of shape
+    orders holds the `_orders` constants, r the k tensors rho^alpha of shape
     (k, d, d', d, d'), and (vals, vecs) the eigensystems of sigma on the first
-    factor, (k, d) and (k, d, d). Returns the k values of
-    `gen_prmi_down`, the eigensystems of the minimizers on the second factor,
-    and the k matrices M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were
-    decomposed. A row whose M vanishes has value inf.
+    factor, (k, d) and (k, d, d). Returns the k values of `gen_prmi_down`, the
+    eigensystems of the minimizers on the second factor, the k matrices
+    M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were decomposed, and
+    sigma's powered spectrum s^(1-alpha). A row whose M vanishes has value inf.
     """
-    s_pow = _compose(spectral_power(vals, 1.0 - alpha[:, None]), vecs)
-    m = np.einsum("kibjd,kji->kbd", r, s_pow)
+    alpha, p, inv, ratio = orders
+    s_pow = spectral_power(vals, p)
+    m = np.einsum("kibjd,kji->kbd", r, _compose(s_pow, vecs))
     m = (m + _dagger(m)) / 2
     m_vals, m_vecs = np.linalg.eigh(m)
-    return (*_one_sided_min(alpha, m_vals), m_vecs, m)
+    if inv is None:
+        return (*_one_sided_min(alpha, m_vals), m_vecs, m, s_pow)
+    # the closed form of `_one_sided_min` above 1/2, with the constants at hand
+    powered = spectral_power(m_vals, inv)
+    norm = powered.sum(axis=1)
+    vanish = norm <= 0
+    norm[vanish] = 1.0
+    value = np.where(vanish, math.inf, ratio * np.log(norm))
+    return value, powered / norm[:, None], m_vecs, m, s_pow
 
 
-def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                 k: np.ndarray) -> np.ndarray:
-    """Gradient of f(sigma) = min_tau D_alpha(rho || sigma x tau) in the
-    eigenbasis U of sigma, per row.
+def _fw_gap(orders: tuple, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+            s_pow: np.ndarray, k: np.ndarray):
+    """Frank-Wolfe gap G = tr[grad f sigma] - lambda_min(grad f) of
+    f(sigma) = min_tau D_alpha(rho || sigma x tau) at sigma, per row, on
+    supp(sigma), which the iterates share with rho_A, and the gradient it is
+    formed from. One d_A x d_A eigvalsh per row.
 
-    sigma = U diag(s) U^dag is given by (vals, vecs), value is f(sigma) and
-    k = tr_B[rho^alpha (1 x tau^(1-alpha))] at the minimizing tau. With
-    N = tr[M^(1/alpha)], the gradient is
+    sigma = U diag(s) U^dag is given by (vals, vecs) and s^(1-alpha) by s_pow
+    (as `_half_step` returns it), which is nonzero on the support; value is
+    f(sigma) and k = tr_B[rho^alpha (1 x tau^(1-alpha))] at the minimizing tau.
+    With N = tr[M^(1/alpha)], the gradient is
         grad f = U (Gamma o U^dag K U) U^dag N^(-alpha) / (alpha - 1),
-    Gamma the divided differences of s^(1-alpha); this returns U^dag grad f U,
-    on supp(sigma) (zero off it). Gamma_ij = s_j^(-alpha) phi(log s_i - log s_j)
-    with phi(l) = expm1((1-alpha) l) / expm1(l) (phi(0) = 1 - alpha) has no
-    cancellation between close eigenvalues.
-    """
-    p = (1.0 - alpha)[:, None, None]
-    support = spectral_power(vals, 0.0)
-    logs = np.log(np.where(support > 0, vals, 1.0))
-    lr = logs[:, :, None] - logs[:, None, :]
-    same = lr == 0
-    phi = np.where(same, p, np.expm1(p * lr) / np.where(same, 1.0, np.expm1(lr)))
-    # s_j^(-alpha) on the support; N^(-alpha) = exp((1 - alpha) f), as
-    # f = (alpha/(alpha-1)) log N
-    col = support * np.exp(-alpha[:, None] * logs)
-    scale = np.exp((1.0 - alpha) * value) / (alpha - 1.0)
-    gamma = phi * (support * scale[:, None])[:, :, None] * col[:, None, :]
-    h = gamma * (_dagger(vecs) @ k @ vecs)
-    return (h + _dagger(h)) / 2
-
-
-def _fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-            k: np.ndarray) -> np.ndarray:
-    """Frank-Wolfe gap G = tr[grad f sigma] - lambda_min(grad f) of f at sigma,
-    per row, on supp(sigma), which the iterates share with rho_A. One
-    d_A x d_A eigvalsh per row; see `_fw_gradient` for the arguments.
+    Gamma the divided differences of s^(1-alpha); the second result is
+    U^dag grad f U, on supp(sigma) (zero off it). Gamma_ij =
+    s_j^(-alpha) phi(log s_i - log s_j) with phi(l) = expm1((1-alpha) l) / expm1(l)
+    (phi(0) = 1 - alpha) has no cancellation between close eigenvalues.
 
     On [1/2, 1), dd >= f(sigma) - G(sigma) for f differentiable at sigma and
     supp sigma = supp rho_A. By Ando's tensor form of Lieb concavity (Linear
@@ -184,9 +186,20 @@ def _fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.nda
     concave, so g = max_tau Q is concave and f = -log g / (1 - alpha) is convex:
     it lies above its tangent at sigma. On (1, 2] the bound is tested, not proven.
     """
-    h = _fw_gradient(alpha, value, vals, vecs, k)
-    along = np.real(np.einsum("kii,ki->k", h, vals))
-    return along - np.linalg.eigvalsh(h)[:, 0]
+    alpha, p = orders[0], orders[1][:, :, None]
+    support = s_pow > 0
+    safe = np.where(support, vals, 1.0)
+    logs = np.log(safe)
+    lr = logs[:, :, None] - logs[:, None, :]
+    same = lr == 0
+    phi = np.where(same, p, np.expm1(p * lr) / np.where(same, 1.0, np.expm1(lr)))
+    # s_j^(-alpha) = s_j^(1-alpha) / s_j on the support; N^(-alpha) =
+    # exp((1 - alpha) f), as f = (alpha/(alpha-1)) log N
+    scale = np.exp((1.0 - alpha) * value) / (alpha - 1.0)
+    gamma = phi * (support * scale[:, None])[:, :, None] * (s_pow / safe)[:, None, :]
+    h = gamma * (_dagger(vecs) @ k @ vecs)
+    h = (h + _dagger(h)) / 2
+    return np.real(np.einsum("kii,ki->k", h, vals)) - np.linalg.eigvalsh(h)[:, 0], h
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -333,9 +346,9 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     infinite = np.zeros(k, dtype=bool)
     history = []  # (rows, values) of every round
     rows = np.arange(k)  # the rows still running, indexes into the stack
-    a, r, sl, prev = alphas, r_ab, slack, np.full(k, math.inf)
+    a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
-        value, t_vals, t_vecs, _ = _half_step(a, r, s_vals, s_vecs)
+        value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
         lost = value == math.inf
         rise = value - prev
         if np.any((rise > sl) & ~lost):
@@ -345,8 +358,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             )
         history.append((rows, value))
         # B -> A through the transposed tensor
-        _, n_vals, n_vecs, kmat = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
-        g = _fw_gap(a, np.where(lost, 0.0, value), s_vals, s_vecs, kmat)
+        _, n_vals, n_vecs, kmat, _ = _half_step(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        g = _fw_gap(o, np.where(lost, 0.0, value), s_vals, s_vecs, s_pow, kmat)[0]
         g[lost] = math.inf
         done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL)))
         if it == max_iter:
@@ -361,7 +374,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         before[0][fin], before[1][fin] = s_vals[done], s_vecs[done]
         last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
         keep = ~done
-        rows, a, r, sl = rows[keep], a[keep], r[keep], sl[keep]
+        rows, a, o, r, sl = rows[keep], a[keep], _orders(a[keep]), r[keep], sl[keep]
         s_vals, s_vecs, prev = n_vals[keep], n_vecs[keep], value[keep]
         if rows.size == 0:
             break
@@ -369,7 +382,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
     # the value, tau and residual of every finite row, as one more stacked step
-    value, t_vals, t_vecs, _ = _half_step(alphas, r_ab, *last)
+    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
     diff = _compose(*last) - _compose(*before)
     residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
     solutions = []
@@ -419,7 +432,7 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
     _check_order(alpha)
 
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        d = relative_entropy(rho, product_state(rho.marginal_a, rho.marginal_b))
+        d = _relative_entropy(*_product_terms(rho, rho.marginal_a, rho.marginal_b))
         return PrmiSolution(
             value=d.value, alpha=alpha, sigma_a=rho.marginal_a, tau_b=rho.marginal_b,
             residual=0.0, iterations=0, objective_trace=(d.value,), certified=True, gap=0.0,

@@ -150,10 +150,3 @@ def random_bipartite(d_a: int, d_b: int, rng_or_seed=None, rank: int | None = No
     rho = random_density(d_a * d_b, rng_or_seed, rank=rank)
     return BipartiteState(rho.matrix, d_a, d_b)
 
-
-def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """a x b, carrying the Kronecker product of the factors' eigensystems: the
-    product is never decomposed, and its eigenvalues keep the factors'
-    relative accuracy."""
-    return DensityOperator(np.kron(a.matrix, b.matrix), eigensystem=(
-        np.kron(a.spectrum, b.spectrum), np.kron(a.eigenvectors, b.eigenvectors)))

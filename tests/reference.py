@@ -9,12 +9,13 @@ import numpy as np
 
 from petzmi import classical
 from petzmi.divergences import (ALPHA_ONE_WINDOW, DivergenceValue, _as_density, _check_order,
-                                _petz_q, _petz_terms)
+                                _one_sided_min, _petz_q, _petz_terms)
 from petzmi.errors import DomainError, InvalidInputError
 from petzmi.hypotest import universal_state
 from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _psd_eigenvalues,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
+from petzmi.prmi import _compose, _dagger
 from petzmi.states import BipartiteState, DensityOperator, Pmf
 
 
@@ -193,6 +194,84 @@ def entropy(p, alpha):
         return -math.log(p.max())
     return float(np.log(np.sum(p**alpha)) / (1 - alpha))
 
+
+
+def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    """a x b, carrying the Kronecker product of the factors' eigensystems: the
+    product is never decomposed, and its eigenvalues keep the factors'
+    relative accuracy."""
+    return DensityOperator(np.kron(a.matrix, b.matrix), eigensystem=(
+        np.kron(a.spectrum, b.spectrum), np.kron(a.eigenvectors, b.eigenvectors)))
+
+
+# The solver's half-step and Frank-Wolfe gap as they were before the order
+# constants were hoisted out of the loop and the gap read sigma's powered
+# spectrum from the half-step; `test_fixed_point_gap` compares the two.
+
+
+def _half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The exact one-sided minimization, on a stack of k rows.
+
+    alpha holds the k orders, r the k tensors rho^alpha of shape
+    (k, d, d', d, d'), and (vals, vecs) the eigensystems of sigma on the first
+    factor, (k, d) and (k, d, d). Returns the k values of
+    `gen_prmi_down`, the eigensystems of the minimizers on the second factor,
+    and the k matrices M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were
+    decomposed. A row whose M vanishes has value inf.
+    """
+    s_pow = _compose(spectral_power(vals, 1.0 - alpha[:, None]), vecs)
+    m = np.einsum("kibjd,kji->kbd", r, s_pow)
+    m = (m + _dagger(m)) / 2
+    m_vals, m_vecs = np.linalg.eigh(m)
+    return (*_one_sided_min(alpha, m_vals), m_vecs, m)
+
+
+def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                 k: np.ndarray) -> np.ndarray:
+    """Gradient of f(sigma) = min_tau D_alpha(rho || sigma x tau) in the
+    eigenbasis U of sigma, per row.
+
+    sigma = U diag(s) U^dag is given by (vals, vecs), value is f(sigma) and
+    k = tr_B[rho^alpha (1 x tau^(1-alpha))] at the minimizing tau. With
+    N = tr[M^(1/alpha)], the gradient is
+        grad f = U (Gamma o U^dag K U) U^dag N^(-alpha) / (alpha - 1),
+    Gamma the divided differences of s^(1-alpha); this returns U^dag grad f U,
+    on supp(sigma) (zero off it). Gamma_ij = s_j^(-alpha) phi(log s_i - log s_j)
+    with phi(l) = expm1((1-alpha) l) / expm1(l) (phi(0) = 1 - alpha) has no
+    cancellation between close eigenvalues.
+    """
+    p = (1.0 - alpha)[:, None, None]
+    support = spectral_power(vals, 0.0)
+    logs = np.log(np.where(support > 0, vals, 1.0))
+    lr = logs[:, :, None] - logs[:, None, :]
+    same = lr == 0
+    phi = np.where(same, p, np.expm1(p * lr) / np.where(same, 1.0, np.expm1(lr)))
+    # s_j^(-alpha) on the support; N^(-alpha) = exp((1 - alpha) f), as
+    # f = (alpha/(alpha-1)) log N
+    col = support * np.exp(-alpha[:, None] * logs)
+    scale = np.exp((1.0 - alpha) * value) / (alpha - 1.0)
+    gamma = phi * (support * scale[:, None])[:, :, None] * col[:, None, :]
+    h = gamma * (_dagger(vecs) @ k @ vecs)
+    return (h + _dagger(h)) / 2
+
+
+def _fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+            k: np.ndarray) -> np.ndarray:
+    """Frank-Wolfe gap G = tr[grad f sigma] - lambda_min(grad f) of f at sigma,
+    per row, on supp(sigma), which the iterates share with rho_A. One
+    d_A x d_A eigvalsh per row; see `_fw_gradient` for the arguments.
+
+    On [1/2, 1), dd >= f(sigma) - G(sigma) for f differentiable at sigma and
+    supp sigma = supp rho_A. By Ando's tensor form of Lieb concavity (Linear
+    Algebra Appl. 26, 203 (1979)), (A, B) -> A^p x B^q is jointly concave for
+    p, q >= 0 with p + q <= 1; with p = q = 1 - alpha, which needs alpha >= 1/2,
+    Q(sigma, tau) = tr[rho^alpha (sigma^(1-alpha) x tau^(1-alpha))] is jointly
+    concave, so g = max_tau Q is concave and f = -log g / (1 - alpha) is convex:
+    it lies above its tangent at sigma. On (1, 2] the bound is tested, not proven.
+    """
+    h = _fw_gradient(alpha, value, vals, vecs, k)
+    along = np.real(np.einsum("kii,ki->k", h, vals))
+    return along - np.linalg.eigvalsh(h)[:, 0]
 
 _TOL = 1e-12  # stop of the alternating minimization, on value and on r
 _MAX_ITER = 10000

@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from petzmi.exponents import (
     r_half_threshold,
     rate_curve,
 )
-from petzmi.prmi import prmi_down_down, prmi_down_down_stack
-from petzmi.states import Pmf, cc_state, copy_cc_state, pure_bipartite, random_bipartite
+from petzmi.prmi import _run_fixed_point, prmi_down_down, prmi_down_down_stack
+from petzmi.states import (DensityOperator, Pmf, cc_state, copy_cc_state, pure_bipartite,
+                           random_bipartite)
 from reference import tensor_product
 
 CC_02 = copy_cc_state([0.2, 0.8])
@@ -29,13 +32,14 @@ DIFFERENTIAL_STATES = [
 
 def golden_section_exponent(rho, rate):
     """(exponent, s_star) of the 60-round golden-section search that the root
-    search on psi(s) = rate replaced, kept as its reference."""
-    cache = _PrmiCache(rho)
-    if rate >= cache.value(1.0):
+    search on psi(s) = rate replaced, kept as its reference. Every order is
+    solved cold, from rho_A, as before the cache warm-started its solves."""
+    value = functools.cache(lambda s: prmi_down_down(s, rho).as_float())
+    if rate >= value(1.0):
         return 0.0, None
 
     def objective(s):
-        return ((1.0 - s) / s) * (cache.value(s) - rate)
+        return ((1.0 - s) / s) * (value(s) - rate)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = LO, HI
@@ -172,19 +176,81 @@ def test_root_search_matches_golden_section(index):
 @pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],
                          ids=["copy-cc", "pure", "random"])
 def test_solves_per_exponent(rho, monkeypatch):
+    """Counts the single solves, cold (`prmi_down_down`) and warm-started
+    (`_run_fixed_point` from a cached minimizer) alike."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return prmi_down_down(*args, **kwargs)
+    def counting(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(exponents, "prmi_down_down", counting)
+        return wrapper
+
+    monkeypatch.setattr(exponents, "prmi_down_down", counting(prmi_down_down))
+    monkeypatch.setattr(exponents, "_run_fixed_point", counting(_run_fixed_point))
     i_one = prmi_down_down(1.0, rho).value
     for frac in RATE_FRACTIONS:
         calls.clear()
         direct_exponent(rho, frac * i_one)
         assert len(calls) <= 20
 
+
+
+class RecordingCache(_PrmiCache):
+    """The cache that `direct_exponent` builds, kept for inspection."""
+
+    made = []
+
+    def __init__(self, rho):
+        super().__init__(rho)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 8])
+def test_warm_started_solves_match_cold_ones(index, monkeypatch):
+    """Every solve that `direct_exponent` caches, warm-started from the nearest
+    cached minimizer or not, is certified and within 1e-12 of a cold solve
+    from rho_A; and the root search does start from cached minimizers."""
+    rho = DIFFERENTIAL_STATES[index]
+    RecordingCache.made = []
+    starts = []
+
+    def recording(alpha, rho, start):
+        starts.append(start)
+        return _run_fixed_point(alpha, rho, start)
+
+    monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
+    monkeypatch.setattr(exponents, "_run_fixed_point", recording)
+    i_one = prmi_down_down(1.0, rho).value
+    for frac in RATE_FRACTIONS:
+        direct_exponent(rho, frac * i_one)
+    assert starts
+    for cache in RecordingCache.made:
+        for s, sol in cache._values.items():
+            assert sol.certified
+            assert sol.value == pytest.approx(prmi_down_down(s, rho).value, abs=1e-12)
+
+
+def test_start_that_misses_the_support_is_not_used(monkeypatch):
+    """A cached minimizer whose support misses part of supp(rho_A) is no start:
+    the next solve runs cold from rho_A; one that covers it is used."""
+    rho = random_bipartite(2, 3, 8101)
+    cache = _PrmiCache(rho)
+    cache._values[0.7] = replace(prmi_down_down(0.7, rho),
+                                 sigma_a=DensityOperator(np.diag([1.0, 0.0])))
+    starts = []
+
+    def recording(alpha, rho, start):
+        starts.append(start)
+        return _run_fixed_point(alpha, rho, start)
+
+    monkeypatch.setattr(exponents, "_run_fixed_point", recording)
+    cold = prmi_down_down(0.71, rho)
+    assert cache.solution(0.71).objective_trace == cold.objective_trace
+    assert starts == []
+    cache.solution(0.72)
+    assert starts == [cache.solution(0.71).sigma_a]
 
 ORDER_STATES = [
     pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
@@ -206,12 +272,17 @@ def test_exponent_solves_only_above_half(rho, monkeypatch):
         orders.append(alpha)
         return prmi_down_down(alpha, rho)
 
+    def recording_warm(alpha, rho, start):
+        orders.append(alpha)
+        return _run_fixed_point(alpha, rho, start)
+
     def recording_stack(alphas, rho):
         orders.extend(alphas)
         return prmi_down_down_stack(alphas, rho)
 
     monkeypatch.setattr(exponents, "prmi_down_down", recording)
     monkeypatch.setattr(exponents, "prmi_down_down_stack", recording_stack)
+    monkeypatch.setattr(exponents, "_run_fixed_point", recording_warm)
     for frac in RATE_FRACTIONS + (1.2,):
         direct_exponent(rho, frac * i_one)
     r_half_threshold(rho)

@@ -16,9 +16,10 @@ from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _petz_terms
 from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power
 from petzmi.prmi import (
+    _compose,
     _fw_gap,
-    _fw_gradient,
     _half_step,
+    _orders,
     _rho_power,
     _run_fixed_point,
     fixed_point_map,
@@ -34,31 +35,31 @@ from petzmi.states import (
     random_bipartite,
     random_density,
 )
+import reference
 from reference import tensor_product
 
 GRADIENT_ALPHAS = (0.6, 0.8, 1.3, 1.7, 2.0)
 
 
 def loop_arrays(alpha, rho, sigma):
-    """(value, K) of one round at sigma, as the loop forms them."""
-    a = np.array([alpha])
-    r = _rho_power(rho, a)
-    value, t_vals, t_vecs, _ = _half_step(a, r, sigma.spectrum[None], sigma.eigenvectors[None])
-    _, _, _, k = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
-    return value, k
+    """(orders, value, s^(1-alpha), K) of one round at sigma, as the loop forms them."""
+    a = _orders(np.array([alpha]))
+    r = _rho_power(rho, a[0])
+    value, t_vals, t_vecs, _, s_pow = _half_step(a, r, sigma.spectrum[None],
+                                                 sigma.eigenvectors[None])
+    _, _, _, k, _ = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+    return a, value, s_pow, k
 
 
 def gap(alpha, rho, sigma):
-    value, k = loop_arrays(alpha, rho, sigma)
-    return float(_fw_gap(np.array([alpha]), value, sigma.spectrum[None],
-                         sigma.eigenvectors[None], k)[0])
+    a, value, s_pow, k = loop_arrays(alpha, rho, sigma)
+    return float(_fw_gap(a, value, sigma.spectrum[None], sigma.eigenvectors[None], s_pow, k)[0][0])
 
 
 def gradient(alpha, rho, sigma):
     """grad f, rotated back from the eigenbasis of sigma."""
-    value, k = loop_arrays(alpha, rho, sigma)
-    h = _fw_gradient(np.array([alpha]), value, sigma.spectrum[None],
-                     sigma.eigenvectors[None], k)[0]
+    a, value, s_pow, k = loop_arrays(alpha, rho, sigma)
+    h = _fw_gap(a, value, sigma.spectrum[None], sigma.eigenvectors[None], s_pow, k)[1][0]
     u = sigma.eigenvectors
     return u @ h @ u.conj().T
 
@@ -266,3 +267,48 @@ def test_alpha_derivative_matches_dense_product(index):
         sol = prmi_down_down(alpha, rho)
         got = alpha_derivative(alpha, rho, sol)
         assert got == pytest.approx(dense_alpha_derivative(alpha, rho, sol), abs=1e-12, rel=1e-12)
+
+
+LOW_ORDERS = (0.0, 5e-324, 0.3, 0.5)
+HIGH_ORDERS = np.array([a for a in np.linspace(0.51, 2.0, 26) if abs(a - 1.0) > 1e-3][:25])
+DIFF_STACKS = {
+    "k1-high": [np.array([a]) for a in (0.51, 0.75, 0.999, 1.3, 2.0)],
+    "k1-low": [np.array([a]) for a in LOW_ORDERS],
+    "k25-high": [HIGH_ORDERS],
+    "k25-mixed": [np.concatenate([HIGH_ORDERS[:21], LOW_ORDERS])],
+}
+
+
+def _sigmas(d_a, rng):
+    """A full-rank and a rank-deficient state on A."""
+    return [random_density(d_a, rng), random_density(d_a, rng, rank=d_a - 1)]
+
+
+@pytest.mark.parametrize("stack", DIFF_STACKS)
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_half_step_and_gap_match_the_code_they_replace(dims, stack):
+    """The half-step with its order constants formed once, and the gap read
+    from its s^(1-alpha), against the copies in `reference` of the code
+    before: values, minimizers, M and the gap at 1e-12, at alpha = 0 and at
+    5e-324, where 1/alpha overflows, too."""
+    rng = np.random.default_rng(8 * dims[0] + dims[1])
+    rho = random_bipartite(*dims, rng)
+    for alphas in DIFF_STACKS[stack]:
+        orders = _orders(alphas)
+        r = _rho_power(rho, alphas)
+        for sigma in _sigmas(dims[0], rng):
+            k = alphas.size
+            vals = np.repeat(sigma.spectrum[None], k, axis=0)
+            vecs = np.repeat(sigma.eigenvectors[None], k, axis=0)
+            value, t_vals, t_vecs, m, s_pow = _half_step(orders, r, vals, vecs)
+            ref_value, ref_t_vals, ref_t_vecs, ref_m = reference._half_step(alphas, r, vals, vecs)
+            for got, ref in ((value, ref_value), (t_vals, ref_t_vals), (m, ref_m),
+                             (_compose(t_vals, t_vecs), _compose(ref_t_vals, ref_t_vecs))):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            back = r.transpose(0, 2, 1, 4, 3)
+            k_mat = _half_step(orders, back, t_vals, t_vecs)[3]
+            ref_k_mat = reference._half_step(alphas, back, ref_t_vals, ref_t_vecs)[3]
+            np.testing.assert_allclose(
+                _fw_gap(orders, value, vals, vecs, s_pow, k_mat)[0],
+                reference._fw_gap(alphas, ref_value, vals, vecs, ref_k_mat),
+                rtol=1e-12, atol=1e-12)

@@ -2,7 +2,8 @@
 blocks, against the dense constructions they replace: the cycle-sum universal
 state against the symmetric projector on (C^d x C^d')^(x n) traced over the
 primed copies; the Kronecker eigensystem of a x b against a decomposition of
-the dense product; the blocks of rho^(x n) by mode products against the
+the dense product, and the Nussbaum-Szkola terms against a x b formed from the
+factors against those of that product; the blocks of rho^(x n) by mode products against the
 projected dense power; D_alpha(rho^(x n) || omega_A x omega_B) from the blocks
 against `petz_divergence` on the dense operators; and the block-by-block
 threshold test, one block per Young shape, against one decomposition of the
@@ -19,8 +20,10 @@ import numpy as np
 import pytest
 
 from petzmi import hypotest
-from petzmi.divergences import petz_divergence
+from petzmi.divergences import (_log_ratio, _petz_terms, _product_terms, petz_divergence,
+                                relative_entropy, relative_entropy_variance)
 from petzmi.errors import DomainError
+from petzmi.exponents import alpha_derivative
 from petzmi.hypotest import (
     achievability_sweep,
     iid_block,
@@ -33,15 +36,19 @@ from petzmi.hypotest import (
     universal_state,
 )
 from petzmi.linalg import HermitianOperator, power_on_support, spectral_power
+from petzmi.prmi import prmi_down_down, prmi_up_up
 from petzmi.states import (
     BipartiteState,
     DensityOperator,
+    Pmf,
+    cc_state,
     copy_cc_state,
-    product_state,
+    pure_bipartite,
     random_bipartite,
     random_density,
 )
-from reference import dense_alternative, dense_power, nonnegative_part_projector, tensor_product
+from reference import (dense_alternative, dense_power, nonnegative_part_projector, product_state,
+                       tensor_product)
 
 STATES = [copy_cc_state([0.2, 0.8]), random_bipartite(2, 2, 17), random_bipartite(2, 2, 18),
           random_bipartite(2, 2, 19, rank=2)]
@@ -99,6 +106,60 @@ def test_product_state_carries_kronecker_eigensystem(monkeypatch):
     assert np.allclose((vecs * vals) @ vecs.conj().T, prod.matrix, atol=1e-15)
     assert np.allclose(vecs.conj().T @ vecs, np.eye(6), atol=1e-14)
 
+
+
+PRODUCT_TERM_STATES = {
+    "copy-cc": copy_cc_state([0.2, 0.8]),
+    "copy-cc-2x3": cc_state(Pmf(np.array([[0.2, 0.0, 0.0], [0.0, 0.8, 0.0]]))),
+    "pure": pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
+    "pure-2x3": pure_bipartite(np.random.default_rng(5).standard_normal(6), 2, 3),
+    "pure-product-2x3": pure_bipartite(np.kron([0.6, 0.8], [1.0, 2.0, 2.0]), 2, 3),
+    "generic": random_bipartite(2, 2, 17),
+    "generic-2x3": random_bipartite(2, 3, 18),
+    "rank2-2x3": random_bipartite(2, 3, 19, rank=2),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_TERM_STATES)
+def test_product_terms_match_the_product_state(name):
+    """(lambda, mu, W) against a x b from the factors equal those against the
+    product state carrying the Kronecker eigensystem, on the marginals (rank
+    deficient for the copy state on 2 x 3 and the pure states) and on random
+    factors."""
+    rho = PRODUCT_TERM_STATES[name]
+    rng = np.random.default_rng(7)
+    pairs = [(rho.marginal_a, rho.marginal_b),
+             (random_density(rho.d_a, rng), random_density(rho.d_b, rng, rank=1))]
+    for a, b in pairs:
+        lam, mu, w = _product_terms(rho, a, b)
+        ref_lam, ref_mu, ref_w = _petz_terms(rho, product_state(a, b))
+        assert np.array_equal(lam, ref_lam) and np.array_equal(mu, ref_mu)
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", PRODUCT_TERM_STATES)
+def test_product_term_callers_match_the_product_state_path(name):
+    """prmi_up_up, dd at alpha = 1 and alpha_derivative inside and outside its
+    alpha = 1 window, against the same quantities on the product state."""
+    rho = PRODUCT_TERM_STATES[name]
+    marginals = product_state(rho.marginal_a, rho.marginal_b)
+    for alpha in (0.0, 0.3, 0.7, 1.0, 1.5, 2.0):
+        got = prmi_up_up(alpha, rho)
+        ref = petz_divergence(alpha, rho, marginals)
+        assert got.is_infinite == ref.is_infinite
+        if not ref.is_infinite:
+            assert got.value == pytest.approx(max(ref.value, 0.0), abs=1e-12)
+    assert prmi_down_down(1.0, rho).value == pytest.approx(
+        relative_entropy(rho, marginals).value, abs=1e-12)
+    assert alpha_derivative(1.0 + 1e-5, rho) == pytest.approx(
+        0.5 * relative_entropy_variance(rho, marginals), abs=1e-12)
+    for alpha in (0.55, 0.8, 1.4):
+        sol = prmi_down_down(alpha, rho)
+        lam, mu, w = _petz_terms(rho, product_state(sol.sigma_a, sol.tau_b))
+        terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
+        q, q_prime = np.sum(terms), np.sum(terms * _log_ratio(lam, mu))
+        ref = -math.log(q) / (alpha - 1.0) ** 2 + q_prime / (q * (alpha - 1.0))
+        assert alpha_derivative(alpha, rho, sol) == pytest.approx(ref, abs=1e-12)
 
 def dense_iid_block(rho, n):
     """rho^(x n) without its eigensystem: the same matrix, decomposed afresh."""
