@@ -20,8 +20,7 @@ import numpy as np
 from .divergences import _log_ratio, _product_terms, _variance, dominated
 from .errors import DomainError
 from .linalg import spectral_power
-from .prmi import (PrmiSolution, _run_fixed_point, prmi_closed_form, prmi_down_down,
-                   prmi_down_down_stack)
+from .prmi import PrmiSolution, _run_fixed_point, prmi_closed_form, prmi_down_down
 from .states import BipartiteState
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
@@ -80,27 +79,30 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
 
 
 class _PrmiCache:
-    """Memoized I_s evaluations of one state. A single solve on (1/2, 1) starts
-    from the minimizer cached at the nearest order if that covers supp(rho_A),
-    else from rho_A; the gap stop certifies either start."""
+    """Memoized I_s evaluations of one state at orders s in (1/2, 1). The new
+    orders of a request run as one stack, each row from the minimizer cached at
+    the nearest order if that covers supp(rho_A), else from rho_A; the gap stop
+    certifies either start."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
         self._values: dict[float, PrmiSolution] = {}
 
-    def solution(self, s: float) -> PrmiSolution:
-        if s not in self._values:
-            near = min(self._values, key=lambda t: abs(t - s), default=None)
-            start = self._values[near].sigma_a if near is not None and 0.5 < s < 1.0 else None
-            warm = start is not None and dominated(self.rho.marginal_a, start)
-            self._values[s] = (_run_fixed_point(s, self.rho, start) if warm
-                               else prmi_down_down(s, self.rho))
-        return self._values[s]
-
     def solve(self, s_values) -> None:
         """Solve the orders of s_values that are not cached yet, as one stack."""
         missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
-        self._values.update(zip(missing, prmi_down_down_stack(missing, self.rho)))
+        if not missing:
+            return
+        rho_a = self.rho.marginal_a
+        starts = [rho_a] * len(missing)
+        if self._values:
+            near = (self._values[min(self._values, key=lambda t: abs(t - s))].sigma_a for s in missing)
+            starts = [x if dominated(rho_a, x) else rho_a for x in near]
+        self._values.update(zip(missing, _run_fixed_point(np.array(missing), self.rho, starts)))
+
+    def solution(self, s: float) -> PrmiSolution:
+        self.solve([s])
+        return self._values[s]
 
     def value(self, s: float) -> float:
         return self.solution(s).as_float()
@@ -149,8 +151,8 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     """
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
+    i_one = prmi_down_down(1.0, rho).value
     cache = _PrmiCache(rho)
-    i_one = cache.value(1.0)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     # the opening points as one stack: r_half's two, and lo and hi when the
     # root search follows

@@ -14,10 +14,13 @@ as I_(f^lambda) x X_lambda, f^lambda the number of standard tableaux of that
 shape: one block X_lambda per shape carries it. `symmetry_basis` caches the
 Gelfand-Tsetlin columns Q_lambda of one tableau per shape with the blocks
 Omega_lambda of omega_A x omega_B; `iid_block` gives the blocks
-Q_lambda^T x^(x n) Q_lambda of a tensor power by n mode products. A test at
-log threshold t decomposes only R_lambda - e^t Omega_lambda (at n = 4 on a
-qubit pair, five blocks of sizes 1 to 45, not one 256 x 256 matrix), each
-counted f^lambda times.
+Q_lambda^T x^(x n) Q_lambda of a tensor power by n mode products. rho^(x n)
+is read from one such pass over rho's eigenvectors: `_universal_setup` forms
+T = (U^dagger)^(x n) Q once and takes from it the blocks R_lambda of rho^(x n)
+and D_s(rho^(x n) || omega_A x omega_B) at every order s it is asked for. A
+test at log threshold t decomposes only R_lambda - e^t Omega_lambda (at n = 4
+on a qubit pair, five blocks of sizes 1 to 45, not one 256 x 256 matrix),
+each counted f^lambda times.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .divergences import ALPHA_ONE_WINDOW, _check_order
 from .errors import DomainError, NumericalDegradationError, ResourceLimitError
 from .exponents import direct_exponent
-from .linalg import EPS, power_on_support, spectral_log
+from .linalg import EPS, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
 
 # (d^2)^n guard; it bounds N = (d_A d_B)^n, the number of rows of Q
@@ -186,67 +189,50 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
                          tuple(omega_blocks), omega_eigh, d_a, d_b)
 
 
-def iid_block(x: np.ndarray, n: int, basis: SymmetryBasis) -> list[np.ndarray]:
-    """The blocks Q_lambda^T x^(x n) Q_lambda of the n-fold tensor power of a
+def _power_columns(x: np.ndarray, n: int, basis: SymmetryBasis):
+    """Q and x^(x n) Q, rows in the copy order (A1 B1) ... (An Bn), for a
     one-copy operator x, a (d_A d_B)-square matrix with rows in (A B) order.
-
-    x^(x n) is never formed: the rows of Q, reshaped to [d_A]^n [d_B]^n, are
-    put in the copy order (A1 B1) ... (An Bn), and x is applied to the axis of
-    copy k, k = 1 ... n, by n mode products on the K columns. A real x gives
-    real blocks."""
+    x^(x n) is never formed: x is applied to the axis of copy k, k = 1 ... n,
+    by n mode products on the K columns."""
     d = basis.d_a * basis.d_b
     copies = [axis for k in range(n) for axis in (k, n + k)] + [2 * n]
     q = basis.q.reshape([basis.d_a] * n + [basis.d_b] * n + [-1]).transpose(copies)
     y = q = q.reshape(basis.q.shape)
     for k in range(n):
         y = np.matmul(x, y.reshape(d**k, d, -1))
-    y = y.reshape(q.shape)
+    return q, y.reshape(q.shape)
+
+
+def iid_block(x: np.ndarray, n: int, basis: SymmetryBasis) -> list[np.ndarray]:
+    """The blocks Q_lambda^T x^(x n) Q_lambda of the n-fold tensor power of a
+    one-copy operator x (see `_power_columns`). A real x gives real blocks."""
+    q, y = _power_columns(x, n, basis)
     return [q[:, b].T @ y[:, b] for b in basis.blocks]
-
-
-def _omega_trace(x, n: int, basis: SymmetryBasis, g) -> float:
-    """sum_lambda f^lambda tr[X_lambda g(Omega_lambda)] for the blocks X_lambda
-    of x^(x n): the diagonal of U^T X_lambda U against g(mu)."""
-    return sum(f * float(np.einsum("ij,ij->j", u, y @ u).real @ g(mu)) for f, y, (mu, u)
-               in zip(basis.mult, iid_block(x, n, basis), basis.omega_eigh, strict=True))
-
-
-def _block_projectors(blocks, keep, mult) -> list[np.ndarray]:
-    """Spectral projectors of Hermitian blocks onto their eigenvalues v with
-    keep(v, cut), cut = N * max|v| * eps over all blocks, N their total size
-    with block b counted mult[b] times: the cut of `linalg.spectral_power`."""
-    spectra = [np.linalg.eigh(b) for b in blocks]
-    dim = sum(f * len(b) for f, b in zip(mult, blocks, strict=True))
-    cut = dim * max(np.max(np.abs(vals), initial=0.0) for vals, _ in spectra) * EPS
-    projectors = []
-    for vals, vecs in spectra:
-        kept = vecs[:, keep(vals, cut)]
-        projectors.append(kept @ kept.conj().T)
-    return projectors
 
 
 def np_test(rho_blocks, alt_blocks, log_threshold: float, mult) -> list[np.ndarray]:
     """The projector {rho_n >= e^(log_threshold) * alt}, block by block, for
     two operators given as the diagonal blocks they share, block b repeated
-    mult[b] times (one block of multiplicity 1 is the operator itself).
+    mult[b] times (one block of multiplicity 1 is the operator itself). The
+    alternative has full rank, as omega_A x omega_B does.
 
     An eigenvalue of the difference counts as nonnegative down to
     -N * max|eigenvalue| * eps over all blocks, N the size of the whole
-    operator: an eigenvalue that small counts as zero, whatever its sign, and
-    the test accepts on it. Extreme
+    operator (the cut of `linalg.spectral_power`): an eigenvalue that small
+    counts as zero, whatever its sign, and the test accepts on it. Extreme
     thresholds are handled without forming e^(threshold): for very large
-    thresholds the test accepts only on supp(rho_n) intersected with ker(alt),
-    for very negative ones it accepts everywhere.
+    ones the test accepts on ker(alt) = {0}, for very negative ones everywhere.
     """
     if log_threshold > _LOG_THRESHOLD_GUARD:
-        kernels = _block_projectors(alt_blocks, lambda vals, cut: vals <= cut, mult)
-        pinched = [k @ r @ k for k, r in zip(kernels, rho_blocks, strict=True)]
-        return _block_projectors(pinched, lambda vals, cut: vals > cut, mult)
+        return [np.zeros_like(r) for r in rho_blocks]
     if log_threshold < -_LOG_THRESHOLD_GUARD:
         return [np.eye(len(r)) for r in rho_blocks]
     scale = math.exp(log_threshold)
-    diff = [r - scale * a for r, a in zip(rho_blocks, alt_blocks, strict=True)]
-    return _block_projectors(diff, lambda vals, cut: vals >= -cut, mult)
+    spectra = [np.linalg.eigh(r - scale * a) for r, a in zip(rho_blocks, alt_blocks, strict=True)]
+    dim = sum(f * len(r) for f, r in zip(mult, rho_blocks, strict=True))
+    cut = dim * max(np.max(np.abs(vals), initial=0.0) for vals, _ in spectra) * EPS
+    kept = [vecs[:, vals >= -cut] for vals, vecs in spectra]
+    return [v @ v.conj().T for v in kept]
 
 
 @dataclass(frozen=True)
@@ -273,31 +259,49 @@ def _positive_int(value, name: str) -> int:
     return number
 
 
-def _universal_setup(rho: BipartiteState, n: int, alpha: float):
+def _universal_setup(rho: BipartiteState, n: int, orders):
     """The blocklength n as an int, the symmetry basis, log g_A + log g_B for the
-    type counts g, and D_alpha(rho^(x n) || omega_A x omega_B): from the blocks
-    of (rho^alpha)^(x n), at alpha = 1 from those of rho^(x n) and n times
-    rho's entropy. It is finite, omega_A x omega_B having full rank. Checks n
-    and the order alpha for every public function."""
+    type counts g, the blocks R_lambda of rho^(x n), and D_alpha(rho^(x n) ||
+    omega_A x omega_B) at each alpha of orders. Checks n and every order for
+    every public function.
+
+    With rho = U diag(l) U^dagger, all come from one `_power_columns` pass,
+    T = (U^dagger)^(x n) Q: R_lambda = T_lambda^dagger diag(l^(x n)) T_lambda,
+    and with W = f^lambda |T_lambda U_lambda|^2, (mu, U_lambda) the
+    eigensystems of the Omega_lambda, the Nussbaum-Szkola sum D_alpha =
+    log[(l^alpha)^(x n) . W . mu^(1-alpha)] / (alpha-1), at alpha = 1
+    n sum l log l - l^(x n) . W . log mu; l^alpha is `spectral_power` of rho's
+    spectrum, before the n-fold product. D is finite: omega_A x omega_B has
+    full rank.
+    """
     n = _positive_int(n, "n")
-    _check_order(alpha)
+    for alpha in orders:
+        _check_order(alpha)
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
     log_g = sum(math.log(symmetric_type_count(n, side**2)) for side in (rho.d_a, rho.d_b))
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        d = (n * float(rho.spectrum @ spectral_log(rho.spectrum))
-             - _omega_trace(rho.matrix, n, basis, np.log))
-    else:
-        q = _omega_trace(power_on_support(rho, alpha).matrix, n, basis,
-                         lambda mu: mu ** (1.0 - alpha))
-        d = math.log(q) / (alpha - 1.0)
-    return n, basis, log_g, d
+    _, t = _power_columns(rho.eigenvectors.conj().T, n, basis)
+    l = rho.spectrum
+    l_n = functools.reduce(np.kron, [l] * n)
+    w = np.empty(t.shape)
+    for f, b, (_, u) in zip(basis.mult, basis.blocks, basis.omega_eigh, strict=True):
+        w[:, b] = f * np.abs(t[:, b] @ u) ** 2
+    mu = np.concatenate([vals for vals, _ in basis.omega_eigh])
+
+    def divergence(alpha: float) -> float:
+        if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+            return n * float(l @ spectral_log(l)) - float(l_n @ w @ np.log(mu))
+        l_alpha = functools.reduce(np.kron, [spectral_power(l, alpha)] * n)
+        return math.log(float(l_alpha @ w @ mu ** (1.0 - alpha))) / (alpha - 1.0)
+
+    r_blocks = [t[:, b].conj().T @ (l_n[:, None] * t[:, b]) for b in basis.blocks]
+    return n, basis, log_g, r_blocks, [divergence(alpha) for alpha in orders]
 
 
 def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> float:
     """The finite-n lower bound on the doubly minimized Renyi mutual
     information obtained from the universal product state:
     (1/n) (D_alpha(rho^(x n) || omega_A x omega_B) - log g_A - log g_B)."""
-    n, _, log_g, d = _universal_setup(rho, n, alpha)
+    n, _, log_g, _, [d] = _universal_setup(rho, n, [alpha])
     return (d - log_g) / n
 
 
@@ -307,9 +311,8 @@ def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
     rho^(x n) and Pi_lambda of the test at that threshold."""
     if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
         raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
-    n, basis, log_g, d_s = _universal_setup(rho, n, s)
+    n, basis, log_g, r_blocks, [d_s] = _universal_setup(rho, n, [s])
     lam = (log_g + n * rate - (1.0 - s) * d_s) / s
-    r_blocks = iid_block(rho.matrix, n, basis)
     return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
 
 
@@ -352,19 +355,20 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
 
     For each n up to n_max, s is the value of a grid of S_GRID_SIZE values in
     (0, 1) with the largest -(1/n) log(type-I bound), the first of a tie;
-    the bound reads only D_s, so the test runs once per n, at that s. A row
-    is `vacuous` when that best exponent is <= 0: no s gives a type-I bound
-    below 1. n_max must be a positive integer.
+    the bound reads only D_s, which one `_universal_setup` gives at the whole
+    grid, so the test runs once per n, at that s. A row is `vacuous` when
+    that best exponent is <= 0: no s gives a type-I bound below 1. On such a
+    row, D_s growing with s, `s` is the right end of the grid and `exponent`
+    is the bound's value there. n_max must be a positive integer.
     """
     n_max = _positive_int(n_max, "n_max")
     report = direct_exponent(rho, rate)
     s_values = [float(s) for s in np.linspace(0.05, 0.95, S_GRID_SIZE)]
     rows = []
     for n in range(1, n_max + 1):
-        exponents = {}
-        for s in s_values:
-            _, _, log_g, d_s = _universal_setup(rho, n, s)
-            exponents[s] = -math.log(max(_type_one_bound(n, rate, s, log_g, d_s), 1e-300)) / n
+        _, _, log_g, _, d_values = _universal_setup(rho, n, s_values)
+        exponents = {s: -math.log(max(_type_one_bound(n, rate, s, log_g, d_s), 1e-300)) / n
+                     for s, d_s in zip(s_values, d_values)}
         s = max(exponents, key=exponents.get)
         errs = test_errors(rho, n, rate, s)
         rows.append({"n": n, "s": s, "exponent": exponents[s], "type_one": errs.type_one,

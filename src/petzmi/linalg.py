@@ -97,25 +97,25 @@ def _as_operator(op) -> HermitianOperator:
     return HermitianOperator(op)
 
 
-def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a PSD operator, clamping rounding noise in [-PSD_CLAMP_TOL, 0)."""
+def _check_psd(vals: np.ndarray) -> None:
+    """Reject the eigenvalues of an operator that is not PSD: rounding noise
+    in [-PSD_CLAMP_TOL, 0) passes, anything below is an error."""
     if vals.size and vals.min() < -PSD_CLAMP_TOL:
         raise InvalidInputError(
             f"operator is not positive semidefinite (min eigenvalue {vals.min():.3e})"
         )
-    return np.maximum(vals, 0.0)
 
 
 def spectral_power(vals: np.ndarray, p) -> np.ndarray:
     """Eigenvalues of op**p from those of a PSD op, or of a stack of them
     (shape (..., d)), with the power taken on the support: per row, eigenvalues
-    <= d * max|eigenvalue| * eps map to 0, and negative ones in
-    [-PSD_CLAMP_TOL, 0) are clamped; anything below is an error.
+    <= d * max|eigenvalue| * eps map to 0, among them the negative ones in
+    [-PSD_CLAMP_TOL, 0); anything below is an error.
     p = 0 gives the support indicator. p may be an array that broadcasts
     against vals, such as one power per row of a stack.
     """
     cut = vals.shape[-1] * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
-    vals = _psd_eigenvalues(vals)
+    _check_psd(vals)
     keep = vals > cut * EPS
     return np.power(vals, p, out=np.zeros(np.broadcast(vals, p).shape), where=keep)
 

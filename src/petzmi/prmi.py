@@ -481,21 +481,6 @@ def _small_alpha_starts(d_a: int) -> tuple[DensityOperator, ...]:
     return tuple(map(DensityOperator, _ginibre_grid(d_a, 8)))
 
 
-def prmi_down_down_stack(alphas, rho: BipartiteState) -> list[PrmiSolution]:
-    """`prmi_down_down` at each order of alphas, in order. The orders that the
-    alternating minimization serves, (1/2, 2] outside the alpha = 1 window, run
-    as one stack; each row stops on its own gap."""
-    alphas = [float(a) for a in alphas]
-    stacked = [j for j, a in enumerate(alphas)
-               if 0.5 < a <= 2.0 and abs(a - 1.0) > ALPHA_ONE_WINDOW]
-    solutions = {}
-    if stacked:
-        orders = np.array([alphas[j] for j in stacked])
-        solutions = dict(zip(stacked, _run_fixed_point(orders, rho, rho.marginal_a)))
-    return [solutions[j] if j in solutions else prmi_down_down(a, rho)
-            for j, a in enumerate(alphas)]
-
-
 def prmi(alpha: float, rho: BipartiteState, which: str):
     """Dispatch on the variant name: 'uu', 'ud', or 'dd'."""
     if which == "uu":

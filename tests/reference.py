@@ -12,7 +12,7 @@ from petzmi.divergences import (ALPHA_ONE_WINDOW, DivergenceValue, _as_density, 
                                 _one_sided_min, _petz_q, _petz_terms)
 from petzmi.errors import DomainError, InvalidInputError
 from petzmi.hypotest import universal_state
-from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _psd_eigenvalues,
+from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _check_psd,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
 from petzmi.prmi import _compose, _dagger
@@ -97,8 +97,8 @@ def geometric_mean(x, y) -> HermitianOperator:
     y = _as_operator(y)
     if x.dim != y.dim:
         raise InvalidInputError("operators must have the same dimension")
-    _psd_eigenvalues(x.spectrum)
-    _psd_eigenvalues(y.spectrum)
+    _check_psd(x.spectrum)
+    _check_psd(y.spectrum)
     # dim * max|eigenvalue| * eps, the cut of `spectral_power`, of either input
     cutoff = max(*(op.dim * float(np.max(np.abs(op.spectrum), initial=0.0)) * EPS
                    for op in (x, y)), 1e-13)

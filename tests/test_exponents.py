@@ -15,7 +15,7 @@ from petzmi.exponents import (
     r_half_threshold,
     rate_curve,
 )
-from petzmi.prmi import _run_fixed_point, prmi_down_down, prmi_down_down_stack
+from petzmi.prmi import _run_fixed_point, prmi_down_down
 from petzmi.states import (DensityOperator, Pmf, cc_state, copy_cc_state, pure_bipartite,
                            random_bipartite)
 from reference import tensor_product
@@ -241,16 +241,16 @@ def test_start_that_misses_the_support_is_not_used(monkeypatch):
                                  sigma_a=DensityOperator(np.diag([1.0, 0.0])))
     starts = []
 
-    def recording(alpha, rho, start):
-        starts.append(start)
-        return _run_fixed_point(alpha, rho, start)
+    def recording(alphas, rho, rows):
+        starts.extend(rows)
+        return _run_fixed_point(alphas, rho, rows)
 
     monkeypatch.setattr(exponents, "_run_fixed_point", recording)
     cold = prmi_down_down(0.71, rho)
     assert cache.solution(0.71).objective_trace == cold.objective_trace
-    assert starts == []
+    assert starts == [rho.marginal_a]
     cache.solution(0.72)
-    assert starts == [cache.solution(0.71).sigma_a]
+    assert starts == [rho.marginal_a, cache.solution(0.71).sigma_a]
 
 ORDER_STATES = [
     pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
@@ -272,17 +272,12 @@ def test_exponent_solves_only_above_half(rho, monkeypatch):
         orders.append(alpha)
         return prmi_down_down(alpha, rho)
 
-    def recording_warm(alpha, rho, start):
-        orders.append(alpha)
-        return _run_fixed_point(alpha, rho, start)
-
-    def recording_stack(alphas, rho):
+    def recording_stack(alphas, rho, starts):
         orders.extend(alphas)
-        return prmi_down_down_stack(alphas, rho)
+        return _run_fixed_point(alphas, rho, starts)
 
     monkeypatch.setattr(exponents, "prmi_down_down", recording)
-    monkeypatch.setattr(exponents, "prmi_down_down_stack", recording_stack)
-    monkeypatch.setattr(exponents, "_run_fixed_point", recording_warm)
+    monkeypatch.setattr(exponents, "_run_fixed_point", recording_stack)
     for frac in RATE_FRACTIONS + (1.2,):
         direct_exponent(rho, frac * i_one)
     r_half_threshold(rho)

@@ -35,7 +35,7 @@ from petzmi.hypotest import (
     universal_divergence_rate,
     universal_state,
 )
-from petzmi.linalg import HermitianOperator, power_on_support, spectral_power
+from petzmi.linalg import HermitianOperator, power_on_support, spectral_log, spectral_power
 from petzmi.prmi import prmi_down_down, prmi_up_up
 from petzmi.states import (
     BipartiteState,
@@ -241,7 +241,29 @@ def test_universal_test_matches_dense_alternative(index, monkeypatch):
 
 @pytest.mark.parametrize("index", range(len(STATES)))
 def test_universal_test_matches_dense_block(index, monkeypatch):
-    assert_matches_reference(STATES[index], monkeypatch, "iid_block", dense_blocks)
+    # the blocks R_lambda and every D_s from the dense rho^(x n), projected onto
+    # the columns of Q and against the dense omega_A x omega_B, in place of the
+    # one (U^dagger)^(x n) Q pass of `_universal_setup`
+    calls = []
+
+    def dense_setup(rho, n, orders):
+        calls.append((n, len(orders)))
+        basis = symmetry_basis(n, rho.d_a, rho.d_b)
+        log_g = sum(math.log(symmetric_type_count(n, side**2)) for side in (rho.d_a, rho.d_b))
+        rho_n = DensityOperator(dense_iid_block(rho, n).matrix,
+                                eigensystem=kronecker_eigensystem(rho, n))
+        alt = dense_alternative(n, rho.d_a, rho.d_b)
+        d_values = [petz_divergence(alpha, rho_n, alt).value for alpha in orders]
+        return n, basis, log_g, dense_blocks(rho.matrix, n, basis), d_values
+
+    # the tests at these rates accept nothing, so compare the blocks themselves too
+    for n in (1, 2, 3):
+        *_, got, _ = hypotest._universal_setup(STATES[index], n, [])
+        *_, want, _ = dense_setup(STATES[index], n, [])
+        for block, dense in zip(got, want, strict=True):
+            assert np.max(np.abs(block - dense)) <= 1e-14
+    assert_matches_reference(STATES[index], monkeypatch, "_universal_setup", dense_setup)
+    assert calls
 
 
 DIVERGENCE_STATES = {
@@ -264,16 +286,51 @@ def test_block_divergence_matches_dense(name, n):
     rho_n = DensityOperator(dense_iid_block(rho, n).matrix,
                             eigensystem=kronecker_eigensystem(rho, n))
     alt = dense_alternative(n, rho.d_a, rho.d_b)
-    for alpha in (0.0, 0.05, 0.3, 0.6, 0.95, 1.0, 1.5, 2.0):
+    alphas = (0.0, 0.05, 0.3, 0.6, 0.95, 1.0, 1.5, 2.0)
+    *_, divergences = hypotest._universal_setup(rho, n, alphas)
+    for alpha, got in zip(alphas, divergences, strict=True):
         want = petz_divergence(alpha, rho_n, alt)
         # omega_A x omega_B has full rank: the divergence is finite at every order
         assert not want.is_infinite
-        *_, got = hypotest._universal_setup(rho, n, alpha)
         # D_0 of a full-rank state is -log 1, zero up to the rounding of a sum
         # over N^2 overlaps: both paths read up to 1.6e-15 there
         assert got == pytest.approx(want.value, rel=1e-12, abs=1e-14), alpha
     with pytest.raises(DomainError):
         universal_divergence_rate(rho, -0.5, n)
+
+
+def mode_product_divergence(rho, n, alpha):
+    """D_alpha(rho^(x n) || omega_A x omega_B) by the route that the one pass of
+    `_universal_setup` replaced: the blocks of (rho^alpha)^(x n) by `iid_block`
+    of the one-copy `power_on_support`, at alpha = 1 those of rho^(x n), each
+    traced against g(Omega_lambda) in its eigenbasis."""
+    basis = symmetry_basis(n, rho.d_a, rho.d_b)
+    if alpha == 1.0:
+        x, g = rho.matrix, np.log
+    else:
+        x, g = power_on_support(rho, alpha).matrix, lambda mu: mu ** (1.0 - alpha)
+    trace = sum(f * float(np.einsum("ij,ij->j", u, y @ u).real @ g(mu)) for f, y, (mu, u)
+                in zip(basis.mult, iid_block(x, n, basis), basis.omega_eigh, strict=True))
+    if alpha == 1.0:
+        return n * float(rho.spectrum @ spectral_log(rho.spectrum)) - trace
+    return math.log(trace) / (alpha - 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_eigenvalues_keep_their_per_factor_power(n):
+    # an eigenvalue 1e-9 times the largest: the support cut on rho's four
+    # eigenvalues keeps it, one on the 4^n products l^(x n) would drop the
+    # products of two small factors, which carry weight at small s
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rho = BipartiteState((u * [0.6, 0.3, 0.1 - 6e-10, 6e-10]) @ u.conj().T, 2, 2)
+    l = rho.spectrum
+    assert np.all(spectral_power(l, 0.0) == 1)
+    assert not np.all(spectral_power(functools.reduce(np.kron, [l] * n), 0.0) == 1)
+    orders = (0.05, 0.5, 1.0)
+    *_, got = hypotest._universal_setup(rho, n, orders)
+    for alpha, d in zip(orders, got, strict=True):
+        assert d == pytest.approx(mode_product_divergence(rho, n, alpha), rel=1e-12), alpha
 
 
 def test_errors_decomposes_no_large_matrix(monkeypatch):
@@ -292,7 +349,10 @@ def dense_np_test(rho_n, alt, log_threshold):
     same rules beyond thresholds of +-700."""
     rho_n, alt = HermitianOperator(rho_n), HermitianOperator(alt)
     if log_threshold > 700.0:
-        kernel = np.eye(alt.dim) - power_on_support(alt, 0.0).matrix
+        # supp(rho_n) within ker(alt), the kernel spanned by alt's eigenvectors
+        # under the support cut: none for a full-rank alt
+        null = alt.eigenvectors[:, spectral_power(alt.spectrum, 0.0) == 0]
+        kernel = null @ null.conj().T
         return power_on_support(kernel @ rho_n.matrix @ kernel, 0.0).matrix
     if log_threshold < -700.0:
         return np.eye(rho_n.dim)
@@ -403,16 +463,27 @@ def block_diag(*blocks):
     return out
 
 
+def np_test_alternative(log_threshold, scale):
+    """Blocks of rank 2 of 4 and 1 of 3, so that the test accepts on
+    supp(rho) within ker(alt); beyond +700 full-rank ones, as np_test requires
+    (omega_A x omega_B has full rank), where the dense kernel rule leaves nothing."""
+    a_rank, b_rank = (None, None) if log_threshold > 700.0 else (2, 1)
+    return [random_bipartite(2, 2, 32, rank=a_rank).matrix / scale,
+            random_density(3, 33, rank=b_rank).matrix / scale]
+
+
 @pytest.mark.parametrize("log_threshold", [-1000.0, -2.0, 0.5, 1000.0])
 def test_np_test_blocks_match_dense_rules(log_threshold):
-    # rank-deficient alternatives, so that supp(rho) meets ker(alt) beyond +700;
     # the sign cut is taken over both blocks at once, as on the whole operator
     rho = [random_bipartite(2, 2, 30).matrix / 2, random_density(3, 31).matrix / 2]
-    alt = [random_bipartite(2, 2, 32, rank=2).matrix / 2, random_density(3, 33, rank=1).matrix / 2]
+    alt = np_test_alternative(log_threshold, 2)
     got = block_diag(*np_test(rho, alt, log_threshold, [1, 1]))
     want = dense_np_test(block_diag(*rho), block_diag(*alt), log_threshold)
     assert np.max(np.abs(got - want)) <= 1e-12
-    assert np.trace(want).real >= 1 - 1e-12
+    if log_threshold > 700.0:
+        assert np.max(np.abs(want)) <= 1e-12
+    else:
+        assert np.trace(want).real >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("log_threshold", [-2.0, 0.5, 1000.0])
@@ -420,7 +491,7 @@ def test_np_test_counts_repeated_blocks(log_threshold):
     # a block of multiplicity 2 is the operator with that block twice on its
     # diagonal: the sign cut N * max|v| * eps counts it twice
     rho = [random_bipartite(2, 2, 30).matrix / 3, random_density(3, 31).matrix / 3]
-    alt = [random_bipartite(2, 2, 32, rank=2).matrix / 3, random_density(3, 33, rank=1).matrix / 3]
+    alt = np_test_alternative(log_threshold, 3)
     first, second = np_test(rho, alt, log_threshold, [2, 1])
     want = dense_np_test(block_diag(rho[0], *rho), block_diag(alt[0], *alt), log_threshold)
     assert np.max(np.abs(block_diag(first, first, second) - want)) <= 1e-12
