@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _log_ratio, _product_terms, _variance, dominated
+from .divergences import ALPHA_ONE_WINDOW, _log_ratio, _product_terms, _variance, dominated
 from .errors import DomainError
 from .linalg import spectral_power
 from .prmi import PrmiSolution, _run_fixed_point, prmi_closed_form, prmi_down_down
@@ -82,15 +82,21 @@ class _PrmiCache:
     """Memoized I_s evaluations of one state at orders s in (1/2, 1). The new
     orders of a request run as one stack, each row from the minimizer cached at
     the nearest order if that covers supp(rho_A), else from rho_A; the gap stop
-    certifies either start."""
+    certifies either start. Orders within ALPHA_ONE_WINDOW of 1, where the
+    loop's rounding grows like eps s/|1-s|, take the alpha = 1 route of
+    `prmi_down_down`."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
         self._values: dict[float, PrmiSolution] = {}
 
     def solve(self, s_values) -> None:
-        """Solve the orders of s_values that are not cached yet, as one stack."""
+        """Solve the orders of s_values that are not cached yet, those outside
+        the alpha = 1 window as one stack."""
         missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
+        window = [s for s in missing if abs(s - 1.0) <= ALPHA_ONE_WINDOW]
+        self._values.update((s, prmi_down_down(s, self.rho)) for s in window)
+        missing = [s for s in missing if s not in window]
         if not missing:
             return
         rho_a = self.rho.marginal_a

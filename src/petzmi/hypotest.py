@@ -17,10 +17,10 @@ Omega_lambda of omega_A x omega_B; `iid_block` gives the blocks
 Q_lambda^T x^(x n) Q_lambda of a tensor power by n mode products. rho^(x n)
 is read from one such pass over rho's eigenvectors: `_universal_setup` forms
 T = (U^dagger)^(x n) Q once and takes from it the blocks R_lambda of rho^(x n)
-and D_s(rho^(x n) || omega_A x omega_B) at every order s it is asked for. A
-test at log threshold t decomposes only R_lambda - e^t Omega_lambda (at n = 4
-on a qubit pair, five blocks of sizes 1 to 45, not one 256 x 256 matrix),
-each counted f^lambda times.
+and D_s(rho^(x n) || omega_A x omega_B) at every order s it is asked for, from
+which `_universal_test` runs. A test at log threshold t decomposes only
+R_lambda - e^t Omega_lambda (at n = 4 on a qubit pair, five blocks of sizes 1
+to 45, not one 256 x 256 matrix), each counted f^lambda times.
 """
 
 from __future__ import annotations
@@ -305,46 +305,46 @@ def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> floa
     return (d - log_g) / n
 
 
-def _universal_test(rho: BipartiteState, n: int, rate: float, s: float):
-    """log g_A + log g_B, D_s(rho^(x n) || omega_A x omega_B), the threshold
-    lambda_n of `test_errors`, the symmetry basis, and the blocks R_lambda of
-    rho^(x n) and Pi_lambda of the test at that threshold."""
-    if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
-        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
-    n, basis, log_g, r_blocks, [d_s] = _universal_setup(rho, n, [s])
-    lam = (log_g + n * rate - (1.0 - s) * d_s) / s
-    return log_g, d_s, lam, basis, r_blocks, np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
-
-
 def _type_one_bound(n: int, rate: float, s: float, log_g: float, d_s: float) -> float:
     """The analytic type-I bound of the test at s,
     exp(((1-s)/s)(log g_A + log g_B - (D_s - n*rate))): it reads D_s, not the test."""
     return math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate)))
 
 
-def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
-    """Run the universal threshold test on rho^(x n) at type-II rate e^(-n*rate).
+def _universal_test(n: int, rate: float, s: float, log_g: float, d_s: float, basis, r_blocks):
+    """The blocks Pi_lambda of the universal threshold test on rho^(x n) at
+    type-II rate e^(-n*rate), and its errors, from one `_universal_setup` pass:
+    log g_A + log g_B, D_s(rho^(x n) || omega_A x omega_B), the basis and R_lambda.
 
     The threshold is chosen so that the data-processing bound on the type-II
     error against every product alternative equals e^(-n*rate) exactly:
-      lambda_n = (1/s)(log g_A + log g_B + n*rate - (1-s) D_s(rho^(x n) || omega_A x omega_B)).
-    The reported type-I bound is the analytic one,
-      exp(((1-s)/s)(log g_A + log g_B - (D_s - n*rate))).
+      lambda_n = (1/s)(log g_A + log g_B + n*rate - (1-s) D_s).
+    The reported type-I bound is the analytic one, `_type_one_bound`.
     """
-    log_g, d_s, lam, basis, r_blocks, test = _universal_test(rho, n, rate, s)
+    if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
+        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
+    lam = (log_g + n * rate - (1.0 - s) * d_s) / s
+    test = np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
     # sum_lambda f^lambda tr(R Pi) as sum_ij conj(Pi_ij) R_ij, Pi being Hermitian
     accepted = sum(f * np.vdot(pi, r).real for f, pi, r in zip(basis.mult, test, r_blocks))
-    return TestErrors(n=n, s=s, rate=rate, log_threshold=lam,
-                      type_one=max(1.0 - float(accepted), 0.0),
-                      type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
-                      type_one_bound=_type_one_bound(n, rate, s, log_g, d_s))
+    return test, TestErrors(n=n, s=s, rate=rate, log_threshold=lam,
+                            type_one=max(1.0 - float(accepted), 0.0),
+                            type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
+                            type_one_bound=_type_one_bound(n, rate, s, log_g, d_s))
+
+
+def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
+    """The universal threshold test on rho^(x n) at order s, type-II rate e^(-n*rate)."""
+    n, basis, log_g, r_blocks, [d_s] = _universal_setup(rho, n, [s])
+    return _universal_test(n, rate, s, log_g, d_s, basis, r_blocks)[1]
 
 
 def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
                      sigma_a: DensityOperator, tau_b: DensityOperator) -> float:
     """Actual type-II error of the universal test against a specific iid product
     alternative sigma_A^(x n) x tau_B^(x n): the blocks of (sigma x tau)^(x n)."""
-    *_, basis, _, test = _universal_test(rho, n, rate, s)
+    n, basis, log_g, r_blocks, [d_s] = _universal_setup(rho, n, [s])
+    test, _ = _universal_test(n, rate, s, log_g, d_s, basis, r_blocks)
     product = iid_block(np.kron(sigma_a.matrix, tau_b.matrix), n, basis)
     return float(sum(f * np.vdot(pi, x).real for f, pi, x in zip(basis.mult, test, product)))
 
@@ -354,11 +354,11 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     asymptotic direct exponent at the same rate.
 
     For each n up to n_max, s is the value of a grid of S_GRID_SIZE values in
-    (0, 1) with the largest -(1/n) log(type-I bound), the first of a tie;
-    the bound reads only D_s, which one `_universal_setup` gives at the whole
-    grid, so the test runs once per n, at that s. A row is `vacuous` when
-    that best exponent is <= 0: no s gives a type-I bound below 1. On such a
-    row, D_s growing with s, `s` is the right end of the grid and `exponent`
+    (0, 1) with the largest -(1/n) log(type-I bound), the first of a tie. One
+    `_universal_setup` pass per n gives D_s, all the bound reads, on the whole
+    grid, and the test at s runs from its R_lambda and D_s. A row is `vacuous`
+    when that best exponent is <= 0: no s gives a type-I bound below 1. On such
+    a row, D_s growing with s, `s` is the right end of the grid and `exponent`
     is the bound's value there. n_max must be a positive integer.
     """
     n_max = _positive_int(n_max, "n_max")
@@ -366,11 +366,11 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     s_values = [float(s) for s in np.linspace(0.05, 0.95, S_GRID_SIZE)]
     rows = []
     for n in range(1, n_max + 1):
-        _, _, log_g, _, d_values = _universal_setup(rho, n, s_values)
+        _, basis, log_g, r_blocks, d_values = _universal_setup(rho, n, s_values)
         exponents = {s: -math.log(max(_type_one_bound(n, rate, s, log_g, d_s), 1e-300)) / n
                      for s, d_s in zip(s_values, d_values)}
         s = max(exponents, key=exponents.get)
-        errs = test_errors(rho, n, rate, s)
+        _, errs = _universal_test(n, rate, s, log_g, d_values[s_values.index(s)], basis, r_blocks)
         rows.append({"n": n, "s": s, "exponent": exponents[s], "type_one": errs.type_one,
                      "type_one_bound": errs.type_one_bound,
                      "type_two_bound": errs.type_two_bound, "vacuous": exponents[s] <= 0})

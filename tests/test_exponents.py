@@ -145,6 +145,18 @@ def test_rate_curve_round_trip():
     assert all(a >= b - 1e-6 for a, b in zip(exps, exps[1:]))
 
 
+def test_orders_in_the_alpha_one_window_take_the_alpha_one_route():
+    # within ALPHA_ONE_WINDOW of 1 the loop's rounding grows like eps s/|1-s|:
+    # run there, I_s read 9.2e-7 above I(A:B) at s = 1 - 1e-9, and the curve's
+    # rate there exceeded I(A:B)
+    rho = random_bipartite(2, 2, 42)
+    i_one = prmi_down_down(1.0, rho).value
+    grid = [1.0 - 1e-8, 1.0 - 1e-9]
+    for s, point in zip(grid, rate_curve(rho, grid), strict=True):
+        assert point.rate <= i_one
+        assert _PrmiCache(rho).value(s) == prmi_down_down(s, rho).value
+
+
 def test_rate_curve_rejects_bad_parameter():
     with pytest.raises(DomainError):
         rate_curve(CC_02, [0.4])

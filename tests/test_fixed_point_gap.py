@@ -6,6 +6,7 @@ and gap are formed from the same arrays as inside the loop.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _petz_terms
+from petzmi.errors import NumericalDegradationError
 from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power
 from petzmi.prmi import (
@@ -158,6 +160,26 @@ def test_loop_certifies_its_own_rows():
     assert [row.certified for row in rows] == [True, True]
     # one round is not converged: its gap is above GAP_TOL
     assert not _run_fixed_point(1.4, rho, rho.marginal_a, max_iter=1).certified
+
+
+def test_a_rising_round_raises(monkeypatch):
+    # the rise check: a round whose value exceeds the last round's by more than
+    # the slack stops the run and names the round and the order
+    rho = random_bipartite(2, 3, 11)
+    assert _run_fixed_point(1.4, rho, rho.marginal_a).iterations > 2
+    calls = []
+
+    def rising(orders, *args):
+        value, *rest = _half_step(orders, *args)
+        calls.append(1)
+        # the third call is the A -> B half-step of round 2, which sets its value
+        return (value + 1e-3 if len(calls) == 3 else value, *rest)
+
+    # the package exports a function named prmi, which hides the module
+    monkeypatch.setattr(sys.modules["petzmi.prmi"], "_half_step", rising)
+    with pytest.raises(NumericalDegradationError,
+                       match=r"objective increased by \S+ at iteration 2 \(alpha = 1\.4\)"):
+        _run_fixed_point(1.4, rho, rho.marginal_a)
 
 
 def swap(rho):

@@ -198,8 +198,9 @@ def test_sweep_runs_one_test_per_n_and_matches_the_loop(rho, n_max, monkeypatch)
 
 
 def test_sweep_reads_its_s_grid_from_one_pass_per_n(monkeypatch):
-    # per n, one (U^dagger)^(x n) Q pass gives D_s at the 20 values of s, and
-    # one more runs the test at the chosen s; iid_block never forms rho^(x n)
+    # per n, one (U^dagger)^(x n) Q pass gives D_s at the 20 values of s and the
+    # blocks R_lambda that the test at the chosen s reads; iid_block never forms
+    # rho^(x n)
     rho = random_bipartite(2, 2, 42)
     passes, setups, blocks = [], [], []
     power_columns, setup = hypotest._power_columns, hypotest._universal_setup
@@ -209,8 +210,8 @@ def test_sweep_reads_its_s_grid_from_one_pass_per_n(monkeypatch):
                         lambda rho, n, orders: setups.append((n, len(orders))) or setup(rho, n, orders))
     monkeypatch.setattr(hypotest, "iid_block", lambda *args: blocks.append(args))
     achievability_sweep(rho, 0.1, 4)
-    assert passes == [1, 1, 2, 2, 3, 3, 4, 4]
-    assert setups == [(n, orders) for n in range(1, 5) for orders in (hypotest.S_GRID_SIZE, 1)]
+    assert passes == [1, 2, 3, 4]
+    assert setups == [(n, hypotest.S_GRID_SIZE) for n in range(1, 5)]
     assert blocks == []
 
 

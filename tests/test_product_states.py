@@ -52,6 +52,7 @@ from reference import (dense_alternative, dense_power, nonnegative_part_projecto
 
 STATES = [copy_cc_state([0.2, 0.8]), random_bipartite(2, 2, 17), random_bipartite(2, 2, 18),
           random_bipartite(2, 2, 19, rank=2)]
+BELL = pure_bipartite([1.0, 0.0, 0.0, 1.0], 2, 2)
 
 
 def literal_universal_state(n, d):
@@ -205,16 +206,20 @@ def test_iid_block_carries_kronecker_eigensystem(index, n, monkeypatch):
 def assert_matches_reference(rho, monkeypatch, name, reference):
     """test_errors, universal_divergence_rate and achievability_sweep agree to
     rel 1e-12 when hypotest's `name` is replaced by `reference`."""
-    cases = [(n, s) for n in (1, 2, 3) for s in (0.2, 0.6, 0.9)]
-    got = [threshold_test_errors(rho, n, 0.1, s) for n, s in cases]
-    rates = [universal_divergence_rate(rho, s, n) for n, s in cases]
+    cases = [(rho, n, 0.1, s) for n in (1, 2, 3) for s in (0.2, 0.6, 0.9)]
+    # the tests at rate 0.1 and n <= 3 accept nothing; the Bell pair's at n = 4,
+    # rate 0 and s = 0.95 accepts part of rho^(x 4), a type-I error of 0.540
+    cases.append((BELL, 4, 0.0, 0.95))
+    got = [threshold_test_errors(*case) for case in cases]
+    assert got[-1].type_one < 0.6
+    rates = [universal_divergence_rate(state, s, n) for state, n, _, s in cases]
     sweep = achievability_sweep(rho, 0.1, 3)
     monkeypatch.setattr(hypotest, name, reference)
-    for (n, s), errs, rate in zip(cases, got, rates):
-        ref = threshold_test_errors(rho, n, 0.1, s)
+    for (state, n, rate, s), errs, div_rate in zip(cases, got, rates):
+        ref = threshold_test_errors(state, n, rate, s)
         for field in ("log_threshold", "type_one", "type_two_bound", "type_one_bound"):
             assert getattr(errs, field) == pytest.approx(getattr(ref, field), rel=1e-12), field
-        assert rate == pytest.approx(universal_divergence_rate(rho, s, n), rel=1e-12)
+        assert div_rate == pytest.approx(universal_divergence_rate(state, s, n), rel=1e-12)
     ref_sweep = achievability_sweep(rho, 0.1, 3)
     assert sweep["asymptotic_exponent"] == ref_sweep["asymptotic_exponent"]
     for row, ref_row in zip(sweep["per_n"], ref_sweep["per_n"], strict=True):
