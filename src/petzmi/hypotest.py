@@ -321,8 +321,6 @@ def _universal_test(n: int, rate: float, s: float, log_g: float, d_s: float, bas
       lambda_n = (1/s)(log g_A + log g_B + n*rate - (1-s) D_s).
     The reported type-I bound is the analytic one, `_type_one_bound`.
     """
-    if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
-        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
     lam = (log_g + n * rate - (1.0 - s) * d_s) / s
     test = np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
     # sum_lambda f^lambda tr(R Pi) as sum_ij conj(Pi_ij) R_ij, Pi being Hermitian
@@ -333,8 +331,15 @@ def _universal_test(n: int, rate: float, s: float, log_g: float, d_s: float, bas
                             type_one_bound=_type_one_bound(n, rate, s, log_g, d_s))
 
 
+def _check_test(rate: float, s: float) -> None:
+    """The test's own domain, checked before the `_universal_setup` pass."""
+    if not (0.0 < s < 1.0 and rate >= 0):  # also rejects nan
+        raise DomainError(f"a test needs 0 < s < 1 and rate >= 0, got s={s!r}, rate={rate!r}")
+
+
 def test_errors(rho: BipartiteState, n: int, rate: float, s: float) -> TestErrors:
     """The universal threshold test on rho^(x n) at order s, type-II rate e^(-n*rate)."""
+    _check_test(rate, s)
     n, basis, log_g, r_blocks, [d_s] = _universal_setup(rho, n, [s])
     return _universal_test(n, rate, s, log_g, d_s, basis, r_blocks)[1]
 
@@ -343,6 +348,7 @@ def type_two_against(rho: BipartiteState, n: int, rate: float, s: float,
                      sigma_a: DensityOperator, tau_b: DensityOperator) -> float:
     """Actual type-II error of the universal test against a specific iid product
     alternative sigma_A^(x n) x tau_B^(x n): the blocks of (sigma x tau)^(x n)."""
+    _check_test(rate, s)
     n, basis, log_g, r_blocks, [d_s] = _universal_setup(rho, n, [s])
     test, _ = _universal_test(n, rate, s, log_g, d_s, basis, r_blocks)
     product = iid_block(np.kron(sigma_a.matrix, tau_b.matrix), n, basis)

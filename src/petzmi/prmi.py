@@ -13,12 +13,16 @@ reference state are optimized:
              ten starts is returned, uncertified.
 
 One array routine, `_half_step`, is the exact one-sided minimization for
-`gen_prmi_down` and both directions of the loop (B -> A through the transposed
-tensor of rho^alpha). It and the loop run on a stack of orders, one row each,
+`gen_prmi_down` and the loop's A -> B direction; B -> A, through the transposed
+tensor of rho^alpha, the loop runs its two parts (`_traced`, `_minimizer`)
+itself, as above 1/2 it decomposes a secant (Anderson-1) extrapolation of M_A
+in place of M_A. It and the loop run on a stack of orders, one row each,
 with the orders' constants (`_orders`) formed once: `prmi_down_down` is a
 stack of one. Every run stops once the Frank-Wolfe gap of its iterate, read
-from the half-step's s^(1-alpha), is at most GAP_TOL. Inputs are validated at
-the public functions; inside the loop the iterates are plain eigensystems.
+from the half-step's s^(1-alpha), is at most GAP_TOL (above 1/2, and its last
+plain step at most 10 GAP_TOL); the gap is formed only in rounds where some
+row's value fell by at most CONVERGING. Inputs are validated at the public
+functions; inside the loop the iterates are plain eigensystems.
 uu and dd at alpha = 1 take the terms against rho_A x rho_B from the
 marginals' eigensystems (`divergences._product_terms`).
 
@@ -59,6 +63,8 @@ from .states import BipartiteState, DensityOperator
 MONOTONICITY_SLACK = 1e-11
 GAP_TOL = 1e-12  # a run stops once the Frank-Wolfe gap of its iterate is at most this
 MAX_ITER = 10000  # or after this many rounds
+CONVERGING = 1e-9  # the gap is formed for rows whose value fell by at most this
+SECANT_RATIO = 1e-8  # extrapolate only while sigma keeps lambda_min/lambda_max above this
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,9 @@ class PrmiSolution:
     before it, one full round of the fixed-point map earlier; likewise 0 for
     closed forms and exact reductions and inf in the same cases. certified
     means the value is the global minimum: for alpha in (1/2, 2] every fixed
-    point is a global minimizer, so a run is certified when gap <= GAP_TOL and
-    residual <= 10 GAP_TOL. Below 1/2 f is not convex: there the gap is a
+    point is a global minimizer, so a run is certified when gap <= GAP_TOL,
+    residual <= 10 GAP_TOL and sigma_a has the rank of rho_A, the support on
+    which the gap certifies. Below 1/2 f is not convex: there the gap is a
     stationarity figure, not a certificate, and nothing is certified.
     """
 
@@ -145,20 +152,29 @@ def _half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray)
     M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were decomposed, and
     sigma's powered spectrum s^(1-alpha). A row whose M vanishes has value inf.
     """
-    alpha, p, inv, ratio = orders
-    s_pow = spectral_power(vals, p)
+    m, s_pow = _traced(orders, r, vals, vecs)
+    return (*_minimizer(orders, *np.linalg.eigh(m)), m, s_pow)
+
+
+def _traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The half-step's M = tr_1[r (sigma^(1-alpha) x 1)] and s^(1-alpha), per row."""
+    s_pow = spectral_power(vals, orders[1])
     m = np.einsum("kibjd,kji->kbd", r, _compose(s_pow, vecs))
-    m = (m + _dagger(m)) / 2
-    m_vals, m_vecs = np.linalg.eigh(m)
+    return (m + _dagger(m)) / 2, s_pow
+
+
+def _minimizer(orders: tuple, m_vals: np.ndarray, m_vecs: np.ndarray):
+    """The half-step's values and minimizers from the eigensystems of its M."""
+    alpha, _, inv, ratio = orders
     if inv is None:
-        return (*_one_sided_min(alpha, m_vals), m_vecs, m, s_pow)
+        return (*_one_sided_min(alpha, m_vals), m_vecs)
     # the closed form of `_one_sided_min` above 1/2, with the constants at hand
     powered = spectral_power(m_vals, inv)
     norm = powered.sum(axis=1)
     vanish = norm <= 0
     norm[vanish] = 1.0
     value = np.where(vanish, math.inf, ratio * np.log(norm))
-    return value, powered / norm[:, None], m_vecs, m, s_pow
+    return value, powered / norm[:, None], m_vecs
 
 
 def _fw_gap(orders: tuple, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -317,11 +333,19 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     """Alternating minimization from sigma0, on a stack of orders.
 
     alpha is one order or a stack of k; sigma0 is one start for every row or a
-    list of k, one per row. A row stops once the Frank-Wolfe gap of its iterate
-    is at most GAP_TOL and, at alpha <= 1/2, where an eigenvalue lost under the
-    support cut zeroes the gap, its value fell by at most GAP_TOL in the round;
-    or after max_iter rounds. A finite row at alpha > 1/2 is certified when its
-    gap is at most GAP_TOL and its residual at most 10 GAP_TOL. Returns a
+    list of k, one per row. The gap is formed for the rows whose value fell by
+    at most CONVERGING in the round. A row stops once that gap is at most
+    GAP_TOL and, at alpha > 1/2, its plain step moved sigma by at most
+    10 GAP_TOL, or, at alpha <= 1/2, where an eigenvalue lost under the support
+    cut zeroes the gap, its value fell by at most GAP_TOL in the round; or
+    after max_iter rounds. A row at alpha > 1/2 that does not stop decomposes
+    the secant (Anderson-1) step of the trace-1 M_A = tr_B[rho^alpha (1 x
+    tau^(1-alpha))] from its last two rounds in place of M_A, while sigma and
+    the sigma of the step keep lambda_min/lambda_max > SECANT_RATIO; a round
+    whose value rises by more than the slack after such a step is redone from
+    the plain iterate. So a stopping row ends on the plain step. A finite row
+    at alpha > 1/2 is certified when its gap is at most GAP_TOL, its residual
+    at most 10 GAP_TOL and its sigma has the rank of rho_A. Returns a
     PrmiSolution for one order and a list of k for a stack.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -338,17 +362,31 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
     slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
-    # per row: the last iterate, the one before it, the gap, the rounds run
+    # per row: the last iterate, the one before it, the gap, the residual, the rounds run
     last = [s_vals.copy(), s_vecs.copy()]
     before = [s_vals.copy(), s_vecs.copy()]
-    gap = np.full(k, math.inf)
+    gap, residual = np.full(k, math.inf), np.full(k, math.inf)
     rounds = np.full(k, max_iter)
     infinite = np.zeros(k, dtype=bool)
     history = []  # (rows, values) of every round
     rows = np.arange(k)  # the rows still running, indexes into the stack
+    # the secant state per row: the last round's trace-1 M_A, its residual
+    # against the M decomposed the round before, the M decomposed last, the
+    # first round with two residuals at hand, and whether the last step extrapolated
+    m_a = np.zeros((k, rho.d_a, rho.d_a), dtype=complex)
+    res, used = m_a.copy(), m_a.copy()
+    since = np.full(k, 3)
+    ext = np.zeros(k, dtype=bool)
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
         value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
+        redo = ext & (value - prev > sl)
+        if redo.any():  # a rise after a secant step: the plain iterate, and no secant history
+            o_r = _orders(a[redo])
+            _, p_vals, p_vecs = _minimizer(o_r, *np.linalg.eigh(m_a[redo]))
+            s_vals[redo], s_vecs[redo], used[redo], since[redo] = p_vals, p_vecs, m_a[redo], it + 1
+            value[redo], t_vals[redo], t_vecs[redo], _, s_pow[redo] = _half_step(
+                o_r, r[redo], p_vals, p_vecs)
         lost = value == math.inf
         rise = value - prev
         if np.any((rise > sl) & ~lost):
@@ -358,17 +396,45 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             )
         history.append((rows, value))
         # B -> A through the transposed tensor
-        _, n_vals, n_vecs, kmat, _ = _half_step(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
-        g = _fw_gap(o, np.where(lost, 0.0, value), s_vals, s_vecs, s_pow, kmat)[0]
-        g[lost] = math.inf
-        done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL)))
+        kmat, _ = _traced(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        g = np.full(rows.size, math.inf)
+        form = (rise >= -CONVERGING) | (it == max_iter)
+        if form.any():
+            g[form] = _fw_gap(o, np.where(lost, 0.0, value), s_vals, s_vecs, s_pow, kmat)[0][form]
+        done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (rise >= -GAP_TOL)))
         if it == max_iter:
             done[:] = True
+        # the secant step M_A - gamma dM_A of trace-1 M_A, gamma = <dR, R> / |dR|^2
+        tr = np.einsum("kii->k", kmat).real
+        m_new = kmat / np.where(lost, 1.0, tr)[:, None, None]
+        res_new, m = m_new - used, kmat
+        ext = (a > 0.5) & (it >= since) & ~done
+        if ext.any():
+            ext &= s_vals.min(axis=1) > SECANT_RATIO * s_vals.max(axis=1)
+            d_res = res_new - res
+            norm = np.einsum("kij,kij->k", d_res.conj(), d_res).real
+            gamma = np.einsum("kij,kij->k", d_res.conj(), res_new).real
+            gamma /= np.where(norm > 0, norm, 1.0)
+            m = np.where(ext[:, None, None], m_new - gamma[:, None, None] * (m_new - m_a), kmat)
+        m_vals, m_vecs = np.linalg.eigh(m)
+        bad = ext & (m_vals[:, 0] <= SECANT_RATIO ** a * m_vals[:, -1])
+        if bad.any():  # a step whose sigma falls under SECANT_RATIO: the plain M
+            m_vals[bad], m_vecs[bad] = np.linalg.eigh(kmat[bad])
+            ext &= ~bad
+        _, n_vals, n_vecs = _minimizer(o, m_vals, m_vecs)
+        m_a, res, used = m_new, res_new, np.where(ext[:, None, None], m, m_new)
+        if done.any():
+            diff = _compose(n_vals[done], n_vecs[done]) - _compose(s_vals[done], s_vecs[done])
+            moved = np.zeros(rows.size)
+            moved[done] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+            # above 1/2 a row also needs its plain step to move sigma by at most
+            # 10 GAP_TOL: after secant steps the gap can read small while it does not
+            done &= ~((a > 0.5) & ~lost & (moved > 10 * GAP_TOL)) | (it == max_iter)
         if not done.any():
             s_vals, s_vecs, prev = n_vals, n_vecs, value
             continue
         fin = rows[done]
-        gap[fin] = g[done]
+        gap[fin], residual[fin] = g[done], moved[done]
         rounds[fin] = it
         infinite[fin] = lost[done]
         before[0][fin], before[1][fin] = s_vals[done], s_vecs[done]
@@ -376,15 +442,18 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         keep = ~done
         rows, a, o, r, sl = rows[keep], a[keep], _orders(a[keep]), r[keep], sl[keep]
         s_vals, s_vecs, prev = n_vals[keep], n_vecs[keep], value[keep]
+        m_a, res, used, since, ext = m_a[keep], res[keep], used[keep], since[keep], ext[keep]
         if rows.size == 0:
             break
     trace = np.full((len(history), k), math.nan)
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
-    # the value, tau and residual of every finite row, as one more stacked step
+    # the value and tau of every finite row, as one more stacked step
     value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
-    diff = _compose(*last) - _compose(*before)
-    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
+    # misses part of supp(rho_A) keeps that face, where the gap reads 0
+    full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
+        spectral_power(rho.marginal_a.spectrum, 0.0))
     solutions = []
     for j in range(k):
         if infinite[j]:
@@ -404,7 +473,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             residual=float(residual[j]),
             iterations=int(rounds[j]),
             objective_trace=tuple(trace[: rounds[j], j].tolist()),
-            certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL),
+            certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL
+                           and full[j]),
             gap=float(gap[j]),
         ))
     return solutions if np.ndim(alpha) else solutions[0]
@@ -420,8 +490,9 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
                            a global minimizer on this range, so one start
                            suffices: the run stops when the Frank-Wolfe gap of
                            f(sigma) = min_tau D_alpha(rho || sigma x tau) is at
-                           most GAP_TOL, and it is certified when also its
-                           residual is at most 10 GAP_TOL.
+                           most GAP_TOL and its residual at most 10 GAP_TOL,
+                           and it is certified when sigma also has the rank
+                           of rho_A.
       0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
                            else uncertified: a grid on the classical reduction
                            for diagonal states, or for d_A, d_B <= 3 the best

@@ -9,13 +9,14 @@ import numpy as np
 
 from petzmi import classical
 from petzmi.divergences import (ALPHA_ONE_WINDOW, DivergenceValue, _as_density, _check_order,
-                                _one_sided_min, _petz_q, _petz_terms)
-from petzmi.errors import DomainError, InvalidInputError
+                                _one_sided_min, _petz_q, _petz_terms, dominated)
+from petzmi.errors import DomainError, InvalidInputError, NumericalDegradationError
 from petzmi.hypotest import universal_state
 from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _check_psd,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
-from petzmi.prmi import _compose, _dagger
+from petzmi.prmi import (GAP_TOL, MAX_ITER, MONOTONICITY_SLACK, PrmiSolution, _compose, _dagger,
+                         _density, _fw_gap, _half_step, _orders, _rho_power)
 from petzmi.states import BipartiteState, DensityOperator, Pmf
 
 
@@ -209,7 +210,7 @@ def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 # spectrum from the half-step; `test_fixed_point_gap` compares the two.
 
 
-def _half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+def _unhoisted_half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     """The exact one-sided minimization, on a stack of k rows.
 
     alpha holds the k orders, r the k tensors rho^alpha of shape
@@ -255,8 +256,8 @@ def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: n
     return (h + _dagger(h)) / 2
 
 
-def _fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-            k: np.ndarray) -> np.ndarray:
+def _unhoisted_fw_gap(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                      k: np.ndarray) -> np.ndarray:
     """Frank-Wolfe gap G = tr[grad f sigma] - lambda_min(grad f) of f at sigma,
     per row, on supp(sigma), which the iterates share with rho_A. One
     d_A x d_A eigvalsh per row; see `_fw_gradient` for the arguments.
@@ -373,3 +374,105 @@ def rmi_up_down(alpha: float, pmf: Pmf) -> float:
         raise DomainError("closed form requires alpha > 0")
     val, _ = _down_value_and_optimal_q(alpha, pmf.table, pmf.marginal_x)
     return val
+
+
+# The alternating minimization as it was before its rounds extrapolated M_A and
+# formed the gap only for converging rows, verbatim; `test_fixed_point_gap`
+# compares the solver against it row by row.
+
+
+def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITER):
+    """Alternating minimization from sigma0, on a stack of orders.
+
+    alpha is one order or a stack of k; sigma0 is one start for every row or a
+    list of k, one per row. A row stops once the Frank-Wolfe gap of its iterate
+    is at most GAP_TOL and, at alpha <= 1/2, where an eigenvalue lost under the
+    support cut zeroes the gap, its value fell by at most GAP_TOL in the round;
+    or after max_iter rounds. A finite row at alpha > 1/2 is certified when its
+    gap is at most GAP_TOL and its residual at most 10 GAP_TOL. Returns a
+    PrmiSolution for one order and a list of k for a stack.
+    """
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    k = alphas.size
+    starts = sigma0 if isinstance(sigma0, list) else [sigma0] * k
+    # Checked once: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha (sigma^(1-alpha) x 1)]
+    # has support exactly supp(rho_B), so every tau covers rho_B, every later
+    # sigma covers rho_A, and no iterate can leak.
+    if np.any(alphas > 1) and not all(dominated(rho.marginal_a, s) for s in starts):
+        raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
+    s_vals = np.array([s.spectrum for s in starts])
+    s_vecs = np.array([s.eigenvectors for s in starts])
+    r_ab = _rho_power(rho, alphas)
+    # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
+    # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
+    slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
+    # per row: the last iterate, the one before it, the gap, the rounds run
+    last = [s_vals.copy(), s_vecs.copy()]
+    before = [s_vals.copy(), s_vecs.copy()]
+    gap = np.full(k, math.inf)
+    rounds = np.full(k, max_iter)
+    infinite = np.zeros(k, dtype=bool)
+    history = []  # (rows, values) of every round
+    rows = np.arange(k)  # the rows still running, indexes into the stack
+    a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
+    for it in range(1, max_iter + 1):
+        value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
+        lost = value == math.inf
+        rise = value - prev
+        if np.any((rise > sl) & ~lost):
+            j = int(np.argmax(np.where(lost, -math.inf, rise - sl)))
+            raise NumericalDegradationError(
+                f"objective increased by {rise[j]:.3e} at iteration {it} (alpha = {a[j]})"
+            )
+        history.append((rows, value))
+        # B -> A through the transposed tensor
+        _, n_vals, n_vecs, kmat, _ = _half_step(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        g = _fw_gap(o, np.where(lost, 0.0, value), s_vals, s_vecs, s_pow, kmat)[0]
+        g[lost] = math.inf
+        done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL)))
+        if it == max_iter:
+            done[:] = True
+        if not done.any():
+            s_vals, s_vecs, prev = n_vals, n_vecs, value
+            continue
+        fin = rows[done]
+        gap[fin] = g[done]
+        rounds[fin] = it
+        infinite[fin] = lost[done]
+        before[0][fin], before[1][fin] = s_vals[done], s_vecs[done]
+        last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
+        keep = ~done
+        rows, a, o, r, sl = rows[keep], a[keep], _orders(a[keep]), r[keep], sl[keep]
+        s_vals, s_vecs, prev = n_vals[keep], n_vecs[keep], value[keep]
+        if rows.size == 0:
+            break
+    trace = np.full((len(history), k), math.nan)
+    for t, (r, v) in enumerate(history):
+        trace[t, r] = v
+    # the value, tau and residual of every finite row, as one more stacked step
+    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
+    diff = _compose(*last) - _compose(*before)
+    residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    solutions = []
+    for j in range(k):
+        if infinite[j]:
+            solutions.append(PrmiSolution(
+                value=math.nan, alpha=float(alphas[j]), sigma_a=_density(before[0][j], before[1][j]),
+                tau_b=None, residual=math.inf, iterations=int(rounds[j]),
+                objective_trace=tuple(trace[: rounds[j] - 1, j].tolist()),
+                certified=False, is_infinite=True,
+            ))
+            continue
+        solutions.append(PrmiSolution(
+            # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
+            value=max(float(value[j]), 0.0) + 0.0,
+            alpha=float(alphas[j]),
+            sigma_a=_density(last[0][j], last[1][j]),
+            tau_b=_density(t_vals[j], t_vecs[j]),
+            residual=float(residual[j]),
+            iterations=int(rounds[j]),
+            objective_trace=tuple(trace[: rounds[j], j].tolist()),
+            certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL),
+            gap=float(gap[j]),
+        ))
+    return solutions if np.ndim(alpha) else solutions[0]

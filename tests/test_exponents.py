@@ -145,6 +145,31 @@ def test_rate_curve_round_trip():
     assert all(a >= b - 1e-6 for a, b in zip(exps, exps[1:]))
 
 
+def test_copy_state_curve_matches_its_closed_form():
+    """The 25-point curve of the CLI on copy [0.2, 0.8] against I_s =
+    H_{s/(2s-1)}(p) in 40 digits. dI/ds is read at the returned minimizers, so
+    it carries their error to first order: the rows near s = 1/2, where the
+    loop converges slowest, are the test."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def closed_form(s):
+        beta = s / (2 * s - 1)
+        return mpmath.log(sum((mpmath.mpf(x) / 5) ** beta for x in (1, 4))) / (1 - beta)
+
+    grid = np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)
+    # the stack the curve reads certifies every row, which `exponent --strict` does not check
+    cache = _PrmiCache(CC_02)
+    cache.solve(grid)
+    assert all(cache.solution(s).certified for s in grid)
+    with mpmath.workdps(40):
+        for point in rate_curve(CC_02, grid):
+            s = mpmath.mpf(point.s)
+            d = mpmath.diff(closed_form, s)
+            rate, exponent = closed_form(s) - s * (1 - s) * d, (1 - s) ** 2 * d
+            assert point.rate == pytest.approx(float(rate), abs=1e-10)
+            assert point.exponent == pytest.approx(float(exponent), abs=1e-10)
+
+
 def test_orders_in_the_alpha_one_window_take_the_alpha_one_route():
     # within ALPHA_ONE_WINDOW of 1 the loop's rounding grows like eps s/|1-s|:
     # run there, I_s read 9.2e-7 above I(A:B) at s = 1 - 1e-9, and the curve's

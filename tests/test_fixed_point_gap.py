@@ -172,14 +172,58 @@ def test_a_rising_round_raises(monkeypatch):
     def rising(orders, *args):
         value, *rest = _half_step(orders, *args)
         calls.append(1)
-        # the third call is the A -> B half-step of round 2, which sets its value
-        return (value + 1e-3 if len(calls) == 3 else value, *rest)
+        # the second call is the A -> B half-step of round 2, which sets its
+        # value: the B -> A step forms and decomposes its M itself
+        return (value + 1e-3 if len(calls) == 2 else value, *rest)
 
     # the package exports a function named prmi, which hides the module
     monkeypatch.setattr(sys.modules["petzmi.prmi"], "_half_step", rising)
     with pytest.raises(NumericalDegradationError,
                        match=r"objective increased by \S+ at iteration 2 \(alpha = 1\.4\)"):
         _run_fixed_point(1.4, rho, rho.marginal_a)
+
+
+def test_a_rising_extrapolation_is_redone(monkeypatch):
+    """Round 3 decomposes the first secant step; a rise in round 4, which
+    evaluates it, redoes the row from the plain iterate instead of raising."""
+    rho = random_bipartite(2, 3, 11)
+    plain = _run_fixed_point(1.4, rho, rho.marginal_a)
+    calls = []
+
+    def rising(orders, *args):
+        value, *rest = _half_step(orders, *args)
+        calls.append(1)
+        return (value + 1e-3 if len(calls) == 4 else value, *rest)
+
+    monkeypatch.setattr(sys.modules["petzmi.prmi"], "_half_step", rising)
+    run = _run_fixed_point(1.4, rho, rho.marginal_a)
+    assert run.certified
+    assert run.value == pytest.approx(plain.value, abs=1e-12)
+
+
+def test_a_secant_run_stops_on_a_small_plain_step():
+    """On a pure 2x3 state from a random start at alpha = 0.58, secant steps
+    reach a sigma whose gap reads 9e-13 while the plain step still moves it by
+    4e-11: the row runs on until that step is at most 10 GAP_TOL, and it is
+    certified, as the plain loop's run is, in fewer rounds."""
+    rho = random_bipartite(2, 3, 0, rank=1)
+    start = random_density(2, 100000)
+    run = _run_fixed_point(0.58, rho, start)
+    plain = reference._run_fixed_point(0.58, rho, start)
+    assert plain.certified and run.certified
+    assert run.iterations < plain.iterations
+    assert run.value == pytest.approx(plain.value, abs=1e-12)
+
+
+def test_a_start_off_the_support_is_not_certified():
+    """Below 1 a start that misses supp(rho_A) keeps its face, where the gap on
+    supp(sigma) reads 0: the run stops there, uncertified, as its sigma lacks
+    the rank of rho_A."""
+    rho = copy_cc_state([0.2, 0.8])
+    run = _run_fixed_point(0.7, rho, DensityOperator(np.diag([1.0, 0.0])))
+    assert run.gap <= 1e-12
+    assert run.value > prmi_down_down(0.7, rho).value + 3
+    assert not run.certified
 
 
 def swap(rho):
@@ -226,6 +270,28 @@ def test_stacked_rows_match_single_solves(index):
         assert abs(row.gap - single.gap) <= 1e-12
         if row.iterations:
             assert row.sigma_a.matrix == pytest.approx(single.sigma_a.matrix, abs=1e-12)
+
+
+def test_loop_matches_the_loop_it_replaces():
+    """Against the loop before the secant step and the gap on converging rows
+    only (`reference._run_fixed_point`), row by row on stacks from rho_A:
+    values at 1e-12 or the loop's slack near 1, the same certificates, sigma
+    at 1e-9 and at most one more round; the rounds summed over all rows fall
+    by at least a quarter."""
+    states = STACK_STATES + [random_bipartite(3, 3, 0), random_bipartite(4, 4, 11)]
+    alphas = np.array([a for a in STACK_ALPHAS if abs(a - 1.0) > ALPHA_ONE_WINDOW])
+    tol = np.maximum(1e-12, 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0))
+    rounds = np.zeros(2, dtype=int)
+    for rho in states:
+        old = reference._run_fixed_point(alphas, rho, rho.marginal_a)
+        new = _run_fixed_point(alphas, rho, rho.marginal_a)
+        for before, after, bound in zip(old, new, tol):
+            assert abs(after.value - before.value) <= bound
+            assert after.certified == before.certified
+            assert reference.trace_distance(after.sigma_a, before.sigma_a) <= 1e-9
+            assert after.iterations <= before.iterations + 1
+            rounds += before.iterations, after.iterations
+    assert rounds[1] <= 0.75 * rounds[0]
 
 
 def test_stacked_restarts_match_single_solves():
@@ -326,14 +392,15 @@ def test_half_step_and_gap_match_the_code_they_replace(dims, stack):
             vals = np.repeat(sigma.spectrum[None], k, axis=0)
             vecs = np.repeat(sigma.eigenvectors[None], k, axis=0)
             value, t_vals, t_vecs, m, s_pow = _half_step(orders, r, vals, vecs)
-            ref_value, ref_t_vals, ref_t_vecs, ref_m = reference._half_step(alphas, r, vals, vecs)
+            ref_value, ref_t_vals, ref_t_vecs, ref_m = reference._unhoisted_half_step(
+                alphas, r, vals, vecs)
             for got, ref in ((value, ref_value), (t_vals, ref_t_vals), (m, ref_m),
                              (_compose(t_vals, t_vecs), _compose(ref_t_vals, ref_t_vecs))):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
             back = r.transpose(0, 2, 1, 4, 3)
             k_mat = _half_step(orders, back, t_vals, t_vecs)[3]
-            ref_k_mat = reference._half_step(alphas, back, ref_t_vals, ref_t_vecs)[3]
+            ref_k_mat = reference._unhoisted_half_step(alphas, back, ref_t_vals, ref_t_vecs)[3]
             np.testing.assert_allclose(
                 _fw_gap(orders, value, vals, vecs, s_pow, k_mat)[0],
-                reference._fw_gap(alphas, ref_value, vals, vecs, ref_k_mat),
+                reference._unhoisted_fw_gap(alphas, ref_value, vals, vecs, ref_k_mat),
                 rtol=1e-12, atol=1e-12)

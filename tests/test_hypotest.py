@@ -158,6 +158,20 @@ def test_bad_arguments_raise_domain_error(function, args):
             function(rho, *args)
 
 
+@pytest.mark.parametrize("function", [threshold_test_errors, type_two_against])
+def test_s_and_rate_are_checked_before_the_pass(monkeypatch, function):
+    """A bad s or rate raises before the (U^dagger)^(x n) Q pass is made."""
+    def no_pass(*args):
+        raise AssertionError("_universal_setup ran before the arguments were checked")
+
+    monkeypatch.setattr(hypotest, "_universal_setup", no_pass)
+    rho = random_bipartite(2, 2, 42)
+    extra = (SIGMA, TAU) if function is type_two_against else ()
+    for rate, s in ((0.1, 1.0), (-1.0, 0.5)):
+        with pytest.raises(DomainError):
+            function(rho, 6, rate, s, *extra)
+
+
 @pytest.mark.parametrize("n_max", [0, -2, 2.5, 2.0])
 def test_achievability_sweep_needs_a_blocklength(qubit_pair, n_max):
     with pytest.raises(DomainError):
