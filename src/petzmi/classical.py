@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divergences import _check_order, _one_sided_min
+from .divergences import _check_order, _one_sided_min, _orders
 from .errors import DomainError, UnsupportedRegimeError
 from .oracle import _grid_refine, _traceless_basis
 from .states import Pmf
@@ -28,7 +28,7 @@ def _down_values(alpha: float, table: np.ndarray, sigmas: np.ndarray):
     # the pull toward the uniform pmf can leave rounding-level negative entries
     r = np.clip(np.real(np.diagonal(sigmas, axis1=1, axis2=2)), 0.0, None)
     p_pow = np.power(table, alpha, out=np.zeros_like(table), where=table > 0)
-    return _one_sided_min(alpha, r ** (1.0 - alpha) @ p_pow)
+    return _one_sided_min(_orders(np.array([alpha])), r ** (1.0 - alpha) @ p_pow)
 
 
 def rmi_down_down(alpha: float, pmf: Pmf):

@@ -230,23 +230,27 @@ def cmd_exponent(args) -> int:
         "mutual_information": _fmt(report.mutual_information),
         "r_half": _fmt(report.r_half),
         "guaranteed_exact": int(report.guaranteed_exact),
+        "certified": int(report.certified),
     }
+    points = rate_curve(state, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)) if args.curve else []
     if args.curve:
-        grid = np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)
         payload["curve"] = [
-            {"s": _fmt(p.s), "rate": _fmt(p.rate), "exponent": _fmt(p.exponent)}
-            for p in rate_curve(state, grid)
+            {"s": _fmt(p.s), "rate": _fmt(p.rate), "exponent": _fmt(p.exponent),
+             "certified": int(p.certified)}
+            for p in points
         ]
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for key in ("rate", "exponent", "s_star", "mutual_information", "r_half",
-                    "guaranteed_exact"):
+                    "guaranteed_exact", "certified"):
             print(f"{key}: {payload[key]}")
         if args.curve:
-            print("s,rate,exponent")
+            print("s,rate,exponent,certified")
             for p in payload["curve"]:
-                print(f"{p['s']},{p['rate']},{p['exponent']}")
+                print(f"{p['s']},{p['rate']},{p['exponent']},{p['certified']}")
+    if args.strict and not (report.certified and all(p.certified for p in points)):
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

@@ -57,14 +57,29 @@ def _check_order(alpha: float) -> None:
         raise DomainError(f"Renyi order must be a finite nonnegative real, got {alpha!r}")
 
 
-def _one_sided_min(alpha, m_vals: np.ndarray):
+def _orders(alpha: np.ndarray) -> tuple:
+    """The per-row constants of a stack of k orders, formed once per stack:
+    alpha, the (k, 1) columns 1 - alpha and 1/alpha, and alpha/(alpha - 1).
+    1/alpha is None when a row is at most 1/2, where `_one_sided_min` rescales M."""
+    inv = None if np.any(alpha <= 0.5) else (1.0 / alpha)[:, None]
+    return alpha, (1.0 - alpha)[:, None], inv, alpha / (alpha - 1.0)
+
+
+def _one_sided_min(orders: tuple, m_vals: np.ndarray):
     """min over tau of D_alpha(rho || sigma x tau) = (alpha/(alpha-1)) log tr[M^(1/alpha)],
     attained at tau = M^(1/alpha) / tr[M^(1/alpha)], for each row of a (k, d)
-    stack of the eigenvalues of M = tr_A[rho^alpha (sigma^(1-alpha) x 1)];
-    alpha is one order or one per row. At alpha = 0, and wherever 1/alpha
-    overflows, it is -log lambda_max(M) / (1 - alpha), attained on the top
-    eigenvector (the last one of a tie). Returns the k values, inf where M
+    stack of the eigenvalues of M = tr_A[rho^alpha (sigma^(1-alpha) x 1)], given
+    the `_orders` constants of k orders or of one. At alpha = 0, and wherever
+    1/alpha overflows, it is -log lambda_max(M) / (1 - alpha), attained on the
+    top eigenvector (the last one of a tie). Returns the k values, inf where M
     vanishes, and the eigenvalues of the k minimizers."""
+    alpha, _, inv, ratio = orders
+    if inv is not None:  # every row above 1/2: the power of M itself
+        powered = spectral_power(m_vals, inv)
+        norm = powered.sum(axis=1)
+        vanish = norm <= 0
+        norm[vanish] = 1.0
+        return np.where(vanish, math.inf, ratio * np.log(norm)), powered / norm[:, None]
     alpha = np.broadcast_to(alpha, m_vals.shape[:1])
     zero = alpha < 1.0 / np.finfo(float).max
     # at alpha <= 1/2, M / lambda_max(M) keeps M^(1/alpha) from under- or overflowing

@@ -33,6 +33,7 @@ class ExponentReport:
 
     guaranteed_exact is set when the rate exceeds the threshold R_(1/2), above
     which the variational formula is known to equal the true exponent.
+    certified is set when every I_s solve behind the report is certified.
     """
 
     rate: float
@@ -41,6 +42,7 @@ class ExponentReport:
     mutual_information: float
     r_half: float
     guaranteed_exact: bool
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,7 @@ class RateCurvePoint:
     s: float
     rate: float
     exponent: float
+    certified: bool  # its I_s solve is certified
 
 
 def alpha_derivative(alpha: float, rho: BipartiteState,
@@ -113,6 +116,9 @@ class _PrmiCache:
     def value(self, s: float) -> float:
         return self.solution(s).as_float()
 
+    def certified(self) -> bool:
+        return all(sol.certified for sol in self._values.values())
+
 
 def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> float:
     """The rate threshold R_(1/2) = I_(1/2) - (1/4) d/ds I_s at s = 1/2+.
@@ -168,8 +174,8 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     guaranteed = rate > r_half
     if rate >= i_one:
         return ExponentReport(
-            rate=rate, exponent=0.0, s_star=None,
-            mutual_information=i_one, r_half=r_half, guaranteed_exact=guaranteed,
+            rate=rate, exponent=0.0, s_star=None, mutual_information=i_one, r_half=r_half,
+            guaranteed_exact=guaranteed, certified=cache.certified(),
         )
 
     def g(s: float) -> float:
@@ -189,6 +195,7 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     return ExponentReport(
         rate=rate, exponent=max(objective(s_star), 0.0), s_star=s_star,
         mutual_information=i_one, r_half=r_half, guaranteed_exact=guaranteed,
+        certified=cache.certified(),
     )
 
 
@@ -236,6 +243,8 @@ def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:
     cache.solve(s_values)
     points = []
     for s in s_values:
-        rate, d = _optimal_rate(s, rho, cache.solution(s))
-        points.append(RateCurvePoint(s=float(s), rate=rate, exponent=(1.0 - s) ** 2 * d))
+        solution = cache.solution(s)
+        rate, d = _optimal_rate(s, rho, solution)
+        points.append(RateCurvePoint(s=float(s), rate=rate, exponent=(1.0 - s) ** 2 * d,
+                                     certified=solution.certified))
     return points

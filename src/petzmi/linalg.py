@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 HERMITICITY_TOL = 1e-10
-PSD_CLAMP_TOL = 1e-10
+PSD_TOL = 1e-10  # an eigenvalue or pmf entry below -PSD_TOL is rejected
 EPS = np.finfo(float).eps
 
 
@@ -99,8 +99,8 @@ def _as_operator(op) -> HermitianOperator:
 
 def _check_psd(vals: np.ndarray) -> None:
     """Reject the eigenvalues of an operator that is not PSD: rounding noise
-    in [-PSD_CLAMP_TOL, 0) passes, anything below is an error."""
-    if vals.size and vals.min() < -PSD_CLAMP_TOL:
+    in [-PSD_TOL, 0) passes, anything below is an error."""
+    if vals.size and vals.min() < -PSD_TOL:
         raise InvalidInputError(
             f"operator is not positive semidefinite (min eigenvalue {vals.min():.3e})"
         )
@@ -110,7 +110,7 @@ def spectral_power(vals: np.ndarray, p) -> np.ndarray:
     """Eigenvalues of op**p from those of a PSD op, or of a stack of them
     (shape (..., d)), with the power taken on the support: per row, eigenvalues
     <= d * max|eigenvalue| * eps map to 0, among them the negative ones in
-    [-PSD_CLAMP_TOL, 0); anything below is an error.
+    [-PSD_TOL, 0); anything below is an error.
     p = 0 gives the support indicator. p may be an array that broadcasts
     against vals, such as one power per row of a stack.
     """

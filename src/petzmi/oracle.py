@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .divergences import (ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, _one_sided_min,
-                          renyi_entropy)
+                          _orders, renyi_entropy)
 from .errors import DomainError, UnsupportedRegimeError
 from .linalg import power_on_support, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
@@ -123,7 +123,8 @@ def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np
         s_pow = np.einsum("kij,kj,klj->kil", vecs, spectral_power(vals, 1.0 - alpha), vecs.conj())
     r = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
     m = np.einsum("ibjd,kji->kbd", r, s_pow)
-    out, _ = _one_sided_min(alpha, np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2))
+    m_vals = np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2)
+    out, _ = _one_sided_min(_orders(np.array([alpha])), m_vals)
     if alpha > 1:
         # finite only when supp(rho_A) <= supp(sigma); rank-deficient grid
         # points otherwise yield a meaningless finite number

@@ -12,17 +12,17 @@ reference state are optimized:
              fixed points are the global minimizers; below 1/2 the best run of
              ten starts is returned, uncertified.
 
-One array routine, `_half_step`, is the exact one-sided minimization for
-`gen_prmi_down` and the loop's A -> B direction; B -> A, through the transposed
-tensor of rho^alpha, the loop runs its two parts (`_traced`, `_minimizer`)
+A half-step is M from `_traced`, then `divergences._one_sided_min` on M's
+eigenvalues: `_half_step` for `gen_prmi_down` and the loop's A -> B direction;
+B -> A, through the transposed tensor of rho^alpha, the loop runs the two
 itself, as above 1/2 it decomposes a secant (Anderson-1) extrapolation of M_A
-in place of M_A. It and the loop run on a stack of orders, one row each,
-with the orders' constants (`_orders`) formed once: `prmi_down_down` is a
+in place of M_A. They run on a stack of orders, one row each, with the
+orders' constants (`divergences._orders`) formed once: `prmi_down_down` is a
 stack of one. Every run stops once the Frank-Wolfe gap of its iterate, read
 from the half-step's s^(1-alpha), is at most GAP_TOL (above 1/2, and its last
 plain step at most 10 GAP_TOL); the gap is formed only in rounds where some
 row's value fell by at most CONVERGING. Inputs are validated at the public
-functions; inside the loop the iterates are plain eigensystems.
+functions, a start orthogonal to supp(rho_A) in the loop's first round.
 uu and dd at alpha = 1 take the terms against rho_A x rho_B from the
 marginals' eigensystems (`divergences._product_terms`).
 
@@ -43,6 +43,7 @@ from .divergences import (
     DivergenceValue,
     _check_order,
     _one_sided_min,
+    _orders,
     _petz_divergence,
     _product_terms,
     _relative_entropy,
@@ -71,19 +72,18 @@ SECANT_RATIO = 1e-8  # extrapolate only while sigma keeps lambda_min/lambda_max 
 class PrmiSolution:
     """Result of a doubly minimized Renyi mutual information computation.
 
-    gap is the Frank-Wolfe gap G(sigma) = tr[grad f sigma] - lambda_min(grad f)
-    of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the last iterate whose
-    gradient was formed; the returned value is no larger than f there. It is 0
-    for closed forms and exact reductions and inf where no iterate exists
-    (infinite values, and the grid search that solves the classical reduction
-    below 1/2). residual is the trace distance between sigma_a and the iterate
-    before it, one full round of the fixed-point map earlier; likewise 0 for
-    closed forms and exact reductions and inf in the same cases. certified
-    means the value is the global minimum: for alpha in (1/2, 2] every fixed
-    point is a global minimizer, so a run is certified when gap <= GAP_TOL,
-    residual <= 10 GAP_TOL and sigma_a has the rank of rho_A, the support on
-    which the gap certifies. Below 1/2 f is not convex: there the gap is a
-    stationarity figure, not a certificate, and nothing is certified.
+    value is finite. gap is the Frank-Wolfe gap G(sigma) = tr[grad f sigma] -
+    lambda_min(grad f) of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the
+    last iterate whose gradient was formed; value is no larger than f there.
+    It is 0 for closed forms and exact reductions and inf where no iterate
+    exists (the grid search that solves the classical reduction below 1/2).
+    residual is the trace distance between sigma_a and the iterate one full
+    round of the fixed-point map earlier; likewise 0 and inf in those cases.
+    certified means the value is the global minimum: for alpha in (1/2, 2]
+    every fixed point is a global minimizer, so a run is certified when
+    gap <= GAP_TOL, residual <= 10 GAP_TOL and sigma_a has the rank of rho_A,
+    the support on which the gap certifies. Below 1/2 f is not convex: there
+    the gap is a stationarity figure, not a certificate, and nothing is certified.
     """
 
     value: float
@@ -94,19 +94,17 @@ class PrmiSolution:
     iterations: int
     objective_trace: tuple[float, ...]
     certified: bool
-    is_infinite: bool = False
     gap: float = math.inf
 
     def as_float(self) -> float:
-        return math.inf if self.is_infinite else self.value
+        return self.value
 
 
 def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """D_alpha of the state against the product of its own marginals."""
     _check_order(alpha)
+    # supp(rho) lies in supp(rho_A x rho_B): the value is finite
     d = _petz_divergence(alpha, *_product_terms(rho, rho.marginal_a, rho.marginal_b))
-    if d.is_infinite:
-        return d
     return replace(d, value=max(d.value, 0.0) + 0.0)  # as in _run_fixed_point
 
 
@@ -134,14 +132,6 @@ def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
     return ((m + _dagger(m)) / 2).reshape(alphas.size, rho.d_a, rho.d_b, rho.d_a, rho.d_b)
 
 
-def _orders(alpha: np.ndarray) -> tuple:
-    """The per-row constants of a stack of k orders, formed once per stack:
-    alpha, the (k, 1) columns 1 - alpha and 1/alpha, and alpha/(alpha - 1).
-    1/alpha is None when a row is at most 1/2, where `_one_sided_min` applies."""
-    inv = None if np.any(alpha <= 0.5) else (1.0 / alpha)[:, None]
-    return alpha, (1.0 - alpha)[:, None], inv, alpha / (alpha - 1.0)
-
-
 def _half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     """The exact one-sided minimization, on a stack of k rows.
 
@@ -153,7 +143,8 @@ def _half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray)
     sigma's powered spectrum s^(1-alpha). A row whose M vanishes has value inf.
     """
     m, s_pow = _traced(orders, r, vals, vecs)
-    return (*_minimizer(orders, *np.linalg.eigh(m)), m, s_pow)
+    m_vals, m_vecs = np.linalg.eigh(m)
+    return (*_one_sided_min(orders, m_vals), m_vecs, m, s_pow)
 
 
 def _traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
@@ -161,20 +152,6 @@ def _traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     s_pow = spectral_power(vals, orders[1])
     m = np.einsum("kibjd,kji->kbd", r, _compose(s_pow, vecs))
     return (m + _dagger(m)) / 2, s_pow
-
-
-def _minimizer(orders: tuple, m_vals: np.ndarray, m_vecs: np.ndarray):
-    """The half-step's values and minimizers from the eigensystems of its M."""
-    alpha, _, inv, ratio = orders
-    if inv is None:
-        return (*_one_sided_min(alpha, m_vals), m_vecs)
-    # the closed form of `_one_sided_min` above 1/2, with the constants at hand
-    powered = spectral_power(m_vals, inv)
-    norm = powered.sum(axis=1)
-    vanish = norm <= 0
-    norm[vanish] = 1.0
-    value = np.where(vanish, math.inf, ratio * np.log(norm))
-    return value, powered / norm[:, None], m_vecs
 
 
 def _fw_gap(orders: tuple, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -237,15 +214,16 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
     _check_order(alpha)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return prmi_up_up(1.0, rho)
+    # rho_A covers supp(rho_A): the value is finite
     value, _ = gen_prmi_down(alpha, rho, rho.marginal_a)
-    if value == math.inf:
-        return DivergenceValue.infinite()
     return DivergenceValue(value=max(value, 0.0) + 0.0)  # as in _run_fixed_point
 
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
     """One full round A -> B -> A of the alternating-minimization update.
-    Orders within ALPHA_ONE_WINDOW of 1 raise DomainError."""
+    Orders within ALPHA_ONE_WINDOW of 1 raise DomainError; a sigma_a orthogonal
+    to supp(rho_A), or at alpha > 1 one that does not cover it, raises
+    InvalidInputError."""
     _check_order(alpha)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         raise DomainError(f"fixed_point_map needs alpha outside the alpha = 1 window, got {alpha!r}")
@@ -343,10 +321,13 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     tau^(1-alpha))] from its last two rounds in place of M_A, while sigma and
     the sigma of the step keep lambda_min/lambda_max > SECANT_RATIO; a round
     whose value rises by more than the slack after such a step is redone from
-    the plain iterate. So a stopping row ends on the plain step. A finite row
-    at alpha > 1/2 is certified when its gap is at most GAP_TOL, its residual
+    the plain iterate. So a stopping row ends on the plain step. A row at
+    alpha > 1/2 is certified when its gap is at most GAP_TOL, its residual
     at most 10 GAP_TOL and its sigma has the rank of rho_A. Returns a
-    PrmiSolution for one order and a list of k for a stack.
+    PrmiSolution for one order and a list of k for a stack. A start orthogonal
+    to supp(rho_A), where M vanishes, raises InvalidInputError; no later M does,
+    as a plain step keeps sigma on supp M_A <= supp(rho_A), M_A nonzero, and a
+    secant M is used only when it is positive definite.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
@@ -362,12 +343,10 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
     slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
-    # per row: the last iterate, the one before it, the gap, the residual, the rounds run
+    # per row: the last iterate, the gap, the residual, the rounds run
     last = [s_vals.copy(), s_vecs.copy()]
-    before = [s_vals.copy(), s_vecs.copy()]
     gap, residual = np.full(k, math.inf), np.full(k, math.inf)
     rounds = np.full(k, max_iter)
-    infinite = np.zeros(k, dtype=bool)
     history = []  # (rows, values) of every round
     rows = np.arange(k)  # the rows still running, indexes into the stack
     # the secant state per row: the last round's trace-1 M_A, its residual
@@ -380,17 +359,19 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
         value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
+        if it == 1 and np.any(value == math.inf):
+            raise InvalidInputError("the start point must not be orthogonal to supp(rho_A)")
         redo = ext & (value - prev > sl)
         if redo.any():  # a rise after a secant step: the plain iterate, and no secant history
             o_r = _orders(a[redo])
-            _, p_vals, p_vecs = _minimizer(o_r, *np.linalg.eigh(m_a[redo]))
+            e_vals, p_vecs = np.linalg.eigh(m_a[redo])
+            p_vals = _one_sided_min(o_r, e_vals)[1]
             s_vals[redo], s_vecs[redo], used[redo], since[redo] = p_vals, p_vecs, m_a[redo], it + 1
             value[redo], t_vals[redo], t_vecs[redo], _, s_pow[redo] = _half_step(
                 o_r, r[redo], p_vals, p_vecs)
-        lost = value == math.inf
         rise = value - prev
-        if np.any((rise > sl) & ~lost):
-            j = int(np.argmax(np.where(lost, -math.inf, rise - sl)))
+        if np.any(rise > sl):
+            j = int(np.argmax(rise - sl))
             raise NumericalDegradationError(
                 f"objective increased by {rise[j]:.3e} at iteration {it} (alpha = {a[j]})"
             )
@@ -400,13 +381,13 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         g = np.full(rows.size, math.inf)
         form = (rise >= -CONVERGING) | (it == max_iter)
         if form.any():
-            g[form] = _fw_gap(o, np.where(lost, 0.0, value), s_vals, s_vecs, s_pow, kmat)[0][form]
-        done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (rise >= -GAP_TOL)))
+            g[form] = _fw_gap(o, value, s_vals, s_vecs, s_pow, kmat)[0][form]
+        done = (g <= GAP_TOL) & ((a > 0.5) | (rise >= -GAP_TOL))
         if it == max_iter:
             done[:] = True
         # the secant step M_A - gamma dM_A of trace-1 M_A, gamma = <dR, R> / |dR|^2
         tr = np.einsum("kii->k", kmat).real
-        m_new = kmat / np.where(lost, 1.0, tr)[:, None, None]
+        m_new = kmat / tr[:, None, None]
         res_new, m = m_new - used, kmat
         ext = (a > 0.5) & (it >= since) & ~done
         if ext.any():
@@ -421,7 +402,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         if bad.any():  # a step whose sigma falls under SECANT_RATIO: the plain M
             m_vals[bad], m_vecs[bad] = np.linalg.eigh(kmat[bad])
             ext &= ~bad
-        _, n_vals, n_vecs = _minimizer(o, m_vals, m_vecs)
+        n_vals, n_vecs = _one_sided_min(o, m_vals)[1], m_vecs
         m_a, res, used = m_new, res_new, np.where(ext[:, None, None], m, m_new)
         if done.any():
             diff = _compose(n_vals[done], n_vecs[done]) - _compose(s_vals[done], s_vecs[done])
@@ -429,15 +410,13 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             moved[done] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
             # above 1/2 a row also needs its plain step to move sigma by at most
             # 10 GAP_TOL: after secant steps the gap can read small while it does not
-            done &= ~((a > 0.5) & ~lost & (moved > 10 * GAP_TOL)) | (it == max_iter)
+            done &= ~((a > 0.5) & (moved > 10 * GAP_TOL)) | (it == max_iter)
         if not done.any():
             s_vals, s_vecs, prev = n_vals, n_vecs, value
             continue
         fin = rows[done]
         gap[fin], residual[fin] = g[done], moved[done]
         rounds[fin] = it
-        infinite[fin] = lost[done]
-        before[0][fin], before[1][fin] = s_vals[done], s_vecs[done]
         last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
         keep = ~done
         rows, a, o, r, sl = rows[keep], a[keep], _orders(a[keep]), r[keep], sl[keep]
@@ -448,35 +427,25 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     trace = np.full((len(history), k), math.nan)
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
-    # the value and tau of every finite row, as one more stacked step
+    # the value and tau of every row, as one more stacked step
     value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
     # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
     # misses part of supp(rho_A) keeps that face, where the gap reads 0
     full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
         spectral_power(rho.marginal_a.spectrum, 0.0))
-    solutions = []
-    for j in range(k):
-        if infinite[j]:
-            solutions.append(PrmiSolution(
-                value=math.nan, alpha=float(alphas[j]), sigma_a=_density(before[0][j], before[1][j]),
-                tau_b=None, residual=math.inf, iterations=int(rounds[j]),
-                objective_trace=tuple(trace[: rounds[j] - 1, j].tolist()),
-                certified=False, is_infinite=True,
-            ))
-            continue
-        solutions.append(PrmiSolution(
-            # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
-            value=max(float(value[j]), 0.0) + 0.0,
-            alpha=float(alphas[j]),
-            sigma_a=_density(last[0][j], last[1][j]),
-            tau_b=_density(t_vals[j], t_vecs[j]),
-            residual=float(residual[j]),
-            iterations=int(rounds[j]),
-            objective_trace=tuple(trace[: rounds[j], j].tolist()),
-            certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL
-                           and full[j]),
-            gap=float(gap[j]),
-        ))
+    solutions = [PrmiSolution(
+        # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
+        value=max(float(value[j]), 0.0) + 0.0,
+        alpha=float(alphas[j]),
+        sigma_a=_density(last[0][j], last[1][j]),
+        tau_b=_density(t_vals[j], t_vecs[j]),
+        residual=float(residual[j]),
+        iterations=int(rounds[j]),
+        objective_trace=tuple(trace[: rounds[j], j].tolist()),
+        certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL
+                       and full[j]),
+        gap=float(gap[j]),
+    ) for j in range(k)]
     return solutions if np.ndim(alpha) else solutions[0]
 
 

@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import HermitianOperator, partial_trace, spectral_power
+from .linalg import PSD_TOL, HermitianOperator, partial_trace, spectral_power
 
 TRACE_TOL = 1e-8
-PSD_TOL = 1e-10
 
 
 class DensityOperator(HermitianOperator):

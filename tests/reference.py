@@ -9,14 +9,14 @@ import numpy as np
 
 from petzmi import classical
 from petzmi.divergences import (ALPHA_ONE_WINDOW, DivergenceValue, _as_density, _check_order,
-                                _one_sided_min, _petz_q, _petz_terms, dominated)
+                                _one_sided_min, _orders, _petz_q, _petz_terms, dominated)
 from petzmi.errors import DomainError, InvalidInputError, NumericalDegradationError
 from petzmi.hypotest import universal_state
 from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _check_psd,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
 from petzmi.prmi import (GAP_TOL, MAX_ITER, MONOTONICITY_SLACK, PrmiSolution, _compose, _dagger,
-                         _density, _fw_gap, _half_step, _orders, _rho_power)
+                         _density, _fw_gap, _half_step, _rho_power)
 from petzmi.states import BipartiteState, DensityOperator, Pmf
 
 
@@ -218,13 +218,15 @@ def _unhoisted_half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vec
     factor, (k, d) and (k, d, d). Returns the k values of
     `gen_prmi_down`, the eigensystems of the minimizers on the second factor,
     and the k matrices M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were
-    decomposed. A row whose M vanishes has value inf.
+    decomposed. A row whose M vanishes has value inf. The orders are passed
+    with 1/alpha = None, so `_one_sided_min` takes its rescaled form at every
+    order, which the solver takes only at orders up to 1/2.
     """
     s_pow = _compose(spectral_power(vals, 1.0 - alpha[:, None]), vecs)
     m = np.einsum("kibjd,kji->kbd", r, s_pow)
     m = (m + _dagger(m)) / 2
     m_vals, m_vecs = np.linalg.eigh(m)
-    return (*_one_sided_min(alpha, m_vals), m_vecs, m)
+    return (*_one_sided_min((alpha, None, None, None), m_vals), m_vecs, m)
 
 
 def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -377,7 +379,8 @@ def rmi_up_down(alpha: float, pmf: Pmf) -> float:
 
 
 # The alternating minimization as it was before its rounds extrapolated M_A and
-# formed the gap only for converging rows, verbatim; `test_fixed_point_gap`
+# formed the gap only for converging rows, less its infinite-row branch, which
+# no start that passes the solver's checks reaches; `test_fixed_point_gap`
 # compares the solver against it row by row.
 
 
@@ -411,25 +414,22 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     before = [s_vals.copy(), s_vecs.copy()]
     gap = np.full(k, math.inf)
     rounds = np.full(k, max_iter)
-    infinite = np.zeros(k, dtype=bool)
     history = []  # (rows, values) of every round
     rows = np.arange(k)  # the rows still running, indexes into the stack
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
         value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
-        lost = value == math.inf
         rise = value - prev
-        if np.any((rise > sl) & ~lost):
-            j = int(np.argmax(np.where(lost, -math.inf, rise - sl)))
+        if np.any(rise > sl):
+            j = int(np.argmax(rise - sl))
             raise NumericalDegradationError(
                 f"objective increased by {rise[j]:.3e} at iteration {it} (alpha = {a[j]})"
             )
         history.append((rows, value))
         # B -> A through the transposed tensor
         _, n_vals, n_vecs, kmat, _ = _half_step(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
-        g = _fw_gap(o, np.where(lost, 0.0, value), s_vals, s_vecs, s_pow, kmat)[0]
-        g[lost] = math.inf
-        done = lost | ((g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL)))
+        g = _fw_gap(o, value, s_vals, s_vecs, s_pow, kmat)[0]
+        done = (g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL))
         if it == max_iter:
             done[:] = True
         if not done.any():
@@ -438,7 +438,6 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         fin = rows[done]
         gap[fin] = g[done]
         rounds[fin] = it
-        infinite[fin] = lost[done]
         before[0][fin], before[1][fin] = s_vals[done], s_vecs[done]
         last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
         keep = ~done
@@ -449,20 +448,12 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     trace = np.full((len(history), k), math.nan)
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
-    # the value, tau and residual of every finite row, as one more stacked step
+    # the value, tau and residual of every row, as one more stacked step
     value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
     diff = _compose(*last) - _compose(*before)
     residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
     solutions = []
     for j in range(k):
-        if infinite[j]:
-            solutions.append(PrmiSolution(
-                value=math.nan, alpha=float(alphas[j]), sigma_a=_density(before[0][j], before[1][j]),
-                tau_b=None, residual=math.inf, iterations=int(rounds[j]),
-                objective_trace=tuple(trace[: rounds[j] - 1, j].tolist()),
-                certified=False, is_infinite=True,
-            ))
-            continue
         solutions.append(PrmiSolution(
             # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
             value=max(float(value[j]), 0.0) + 0.0,

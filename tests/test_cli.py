@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import petzmi
+from petzmi import cli
 from petzmi.cli import _fmt, main, parse_input, sweep_rows
 from petzmi.states import cc_state, random_bipartite
 
@@ -76,6 +78,22 @@ def test_booleans_are_not_numbers(tmp_path, capsys, state, field):
     path = write_json(tmp_path / "bool.json", state)
     assert main(["compute", "--state", path, "--alpha", "1.0"]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, path", [
+    ('{"dB": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}', "$.dA"),
+    ('{"dA": 1, "dB": 1, "matrix": [[1.0, 0.0, 0.0]]}', "$.matrix[0]"),
+    ('{"dA": 1, "dB": 1,', "bad.json"),
+    ("[1.0, 0.0]", "$:"),
+    ('{"pmf": [[0.2, 0.0], [0.0, 0.7]]}', "$.pmf"),
+    ('{"dA": 2, "dB": 2, "amplitudes": [[1.0, 0.0]]}', "$.amplitudes"),
+], ids=["missing-dA", "matrix-triple", "not-json", "json-list", "pmf-sum", "amplitudes-length"])
+def test_malformed_state_files_exit_3_naming_the_path(tmp_path, capsys, text, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["compute", "--state", str(bad), "--alpha", "1.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: state file schema: ") and path in err
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):
@@ -187,8 +205,11 @@ def test_exponent_command(cc_file, capsys):
 
 def test_exponent_curve(cc_file, capsys):
     argv = ["exponent", "--state", cc_file, "--rate", "0.3", "--curve"]
-    assert main(["--json"] + argv) == 0
+    # --strict passes: every solve of the exponent and of the curve is certified
+    assert main(["--json", "--strict"] + argv) == 0
     out = json.loads(capsys.readouterr().out)
+    assert out["certified"] == 1
+    assert [p["certified"] for p in out["curve"]] == [1] * 25
     points = [(float(p["s"]), float(p["rate"]), float(p["exponent"])) for p in out["curve"]]
     assert len(points) == 25
     s, rates, exponents = (np.array(col) for col in zip(*points))
@@ -198,8 +219,35 @@ def test_exponent_curve(cc_file, capsys):
     assert np.all(exponents >= 0)
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    header = lines.index("s,rate,exponent")
+    header = lines.index("s,rate,exponent,certified")
     assert len(lines[header + 1:]) == 25
+
+
+def test_strict_exponent_exits_5_on_an_uncertified_solve(tmp_path, capsys):
+    """On this pure state the solves at s = 0.5001, 0.501 and 0.502 end with a
+    sigma of lower rank than rho_A, which the gap does not certify."""
+    m = random_bipartite(2, 2, 3, rank=1).matrix
+    path = write_json(tmp_path / "r1.json", {
+        "dA": 2, "dB": 2, "matrix": [[z.real, z.imag] for z in m.ravel()]})
+    argv = ["exponent", "--state", path, "--rate", "0.1"]
+    assert main(["--json"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] == 0
+    assert main(["--strict"] + argv) == 5
+    assert "certified: 0" in capsys.readouterr().out.splitlines()
+
+
+def test_strict_exponent_exits_5_on_an_uncertified_curve_point(cc_file, capsys, monkeypatch):
+    def one_uncertified(rho, grid):
+        points = rate_curve(rho, grid)
+        return points[:-1] + [dataclasses.replace(points[-1], certified=False)]
+
+    rate_curve = cli.rate_curve
+    monkeypatch.setattr(cli, "rate_curve", one_uncertified)
+    argv = ["--json", "exponent", "--state", cc_file, "--rate", "0.1", "--curve"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certified"] == 1 and out["curve"][-1]["certified"] == 0
+    assert main(["--strict"] + argv) == 5
 
 
 def test_exponent_rejects_nan_rate(cc_file, capsys):

@@ -157,12 +157,10 @@ def test_copy_state_curve_matches_its_closed_form():
         return mpmath.log(sum((mpmath.mpf(x) / 5) ** beta for x in (1, 4))) / (1 - beta)
 
     grid = np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)
-    # the stack the curve reads certifies every row, which `exponent --strict` does not check
-    cache = _PrmiCache(CC_02)
-    cache.solve(grid)
-    assert all(cache.solution(s).certified for s in grid)
     with mpmath.workdps(40):
         for point in rate_curve(CC_02, grid):
+            # the stack the curve reads certifies every row, as `exponent --strict` checks
+            assert point.certified
             s = mpmath.mpf(point.s)
             d = mpmath.diff(closed_form, s)
             rate, exponent = closed_form(s) - s * (1 - s) * d, (1 - s) ** 2 * d
@@ -180,6 +178,34 @@ def test_orders_in_the_alpha_one_window_take_the_alpha_one_route():
     for s, point in zip(grid, rate_curve(rho, grid), strict=True):
         assert point.rate <= i_one
         assert _PrmiCache(rho).value(s) == prmi_down_down(s, rho).value
+
+
+def test_a_rate_above_psi_at_the_right_end_puts_s_star_there():
+    """On copy [0.2, 0.8], psi(1 - 1e-4) = 0.5003717 < 0.50038 < I(A:B) = 0.5004024:
+    g <= 0 on the whole search interval, so s* is its right end, and the
+    exponent is read at I_s = H_{s/(2s-1)}(p) there."""
+    rate = 0.50038
+    report = direct_exponent(CC_02, rate)
+    assert report.s_star == HI and report.certified
+    beta = HI / (2 * HI - 1)
+    i_hi = math.log(0.2**beta + 0.8**beta) / (1 - beta)
+    assert report.exponent == pytest.approx((1 - HI) / HI * (i_hi - rate), rel=1e-6)
+    assert report.exponent > 0
+
+
+def test_root_search_bisects_when_the_secant_step_rounds_onto_an_end():
+    """With g(a) = -1e-300 the secant step b - g(b)(b - a)/(g(b) - g(a)) rounds
+    to a: the search takes the midpoint instead, and still brackets the root."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return x - 1e-300
+
+    root = exponents._illinois_root(g, 0.0, 1.0, g(0.0), g(1.0))
+    assert points[2] == 0.5
+    assert all(0.0 < x < 1.0 for x in points[2:])
+    assert root == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rate_curve_rejects_bad_parameter():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _petz_terms
+from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _orders, _petz_terms
 from petzmi.errors import NumericalDegradationError
 from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power
@@ -21,7 +21,6 @@ from petzmi.prmi import (
     _compose,
     _fw_gap,
     _half_step,
-    _orders,
     _rho_power,
     _run_fixed_point,
     fixed_point_map,

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from petzmi.divergences import petz_divergence, renyi_entropy
-from petzmi.errors import DomainError, UnsupportedRegimeError
+from petzmi.errors import DomainError, InvalidInputError, UnsupportedRegimeError
 from petzmi.prmi import (
     _run_fixed_point,
     _small_alpha_starts,
@@ -251,6 +252,24 @@ def test_gen_down_rejects_orders_outside_its_domain(qubit_pair, alpha):
 def test_fixed_point_map_rejects_invalid_orders(qubit_pair, alpha):
     with pytest.raises(DomainError):
         fixed_point_map(alpha, qubit_pair, qubit_pair.marginal_a)
+
+
+def test_a_start_orthogonal_to_rho_a_raises_without_warnings():
+    """A start orthogonal to supp(rho_A) makes the first M vanish: the loop
+    raises before it forms a difference of infinite values, and the one-sided
+    minimum is inf, with no minimizer."""
+    rho = copy_cc_state([1, 0])
+    sigma = np.diag([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="orthogonal"):
+            fixed_point_map(0.7, rho, sigma)
+        assert gen_prmi_down(0.7, rho, sigma) == (math.inf, None)
+
+
+def test_a_start_that_misses_rho_a_above_one_raises():
+    with pytest.raises(InvalidInputError, match="cover"):
+        fixed_point_map(1.5, CC_02, np.diag([1.0, 0.0]))
 
 
 def test_alpha_above_two_rejected(qubit_pair):
