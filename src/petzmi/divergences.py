@@ -111,20 +111,28 @@ def _petz_terms(rho: HermitianOperator, sigma: HermitianOperator):
     return rho.spectrum, sigma.spectrum, w
 
 
-def _product_terms(rho: HermitianOperator, a: HermitianOperator, b: HermitianOperator):
-    """`_petz_terms(rho, a x b)` from the factors' eigensystems, mu = a_x b_y in
-    descending order on v_x x w_y: no product matrix is formed or decomposed,
+def _product_terms(rho: HermitianOperator, a: tuple, b: tuple):
+    """`_petz_terms(rho, a x b)` from the factors' eigensystems a = (vals, vecs)
+    and b, each of one operator or of a stack of k, (k, d) and (k, d, d):
+    mu = a_x b_y in descending order on v_x x w_y, (D,) or (k, D), and W, (d, D)
+    or (k, d, D), with lambda shared. No product matrix is formed or decomposed,
     and mu keeps the factors' relative accuracy."""
-    mu = np.kron(a.spectrum, b.spectrum)
-    order = np.argsort(mu)[::-1]
-    u = rho.eigenvectors.conj().reshape(a.dim, b.dim, rho.dim)
-    overlap = np.einsum("xyi,xa,yb->iab", u, a.eigenvectors, b.eigenvectors)
-    return rho.spectrum, mu[order], np.abs(overlap.reshape(rho.dim, -1)[:, order]) ** 2
+    (a_vals, a_vecs), (b_vals, b_vecs) = a, b
+    mu = (a_vals[..., :, None] * b_vals[..., None, :]).reshape(*a_vals.shape[:-1], -1)
+    order = np.argsort(mu, axis=-1)[..., ::-1]
+    u = rho.eigenvectors.conj().reshape(a_vals.shape[-1], b_vals.shape[-1], rho.dim)
+    overlap = np.einsum("xyi,...xa,...yb->...iab", u, a_vecs, b_vecs)
+    # W is laid out j-major, as the column selection of a single W lays it out:
+    # the sums over it then add in that order
+    columns = overlap.reshape(*overlap.shape[:-2], -1).swapaxes(-1, -2)
+    w = np.take_along_axis(columns, order[..., None], -2).swapaxes(-1, -2)
+    return rho.spectrum, np.take_along_axis(mu, order, -1), np.abs(w) ** 2
 
 
 def _log_ratio(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """log lambda_i - log mu_j, each logarithm taken on its support."""
-    return spectral_log(lam)[:, None] - spectral_log(mu)[None, :]
+    """log lambda_i - log mu_j, each logarithm taken on its support; mu may be
+    a (k, D) stack."""
+    return spectral_log(lam)[:, None] - spectral_log(mu)[..., None, :]
 
 
 def _finite(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> bool:

@@ -20,7 +20,8 @@ import numpy as np
 from .divergences import ALPHA_ONE_WINDOW, _log_ratio, _product_terms, _variance, dominated
 from .errors import DomainError
 from .linalg import spectral_power
-from .prmi import PrmiSolution, _run_fixed_point, prmi_closed_form, prmi_down_down
+from .prmi import (PrmiSolution, _marginal_terms, _run_fixed_point, prmi_closed_form,
+                   prmi_down_down)
 from .states import BipartiteState
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
@@ -57,28 +58,53 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
                      solution: PrmiSolution | None = None) -> float:
     """d/d alpha of the doubly minimized Renyi mutual information.
 
-    By the envelope theorem the minimizers may be held fixed, so this is the
-    alpha-derivative of D_alpha(rho || sigma* x tau*), evaluated analytically:
-    with Q = tr[rho^alpha omega^(1-alpha)],
+    By the envelope theorem the minimizers may be held fixed: this is the
+    one-row case of `_derivatives`. Within ALPHA_ONE_DERIVATIVE_WINDOW of 1 it
+    is half the relative-entropy variance to the product of the marginals.
+    Below 1/2 the value rests on an uncertified minimizer (`prmi_down_down`),
+    and where the closed form has none (pure and perfectly correlated states)
+    DomainError is raised.
+    """
+    if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
+        return 0.5 * _variance(*_marginal_terms(rho))
+    if solution is None:
+        solution = prmi_down_down(alpha, rho)
+    if solution.sigma_a is None:
+        raise DomainError(f"alpha_derivative at alpha = {alpha!r} has no minimizers to hold "
+                          "fixed: the closed form answers without them")
+    return float(_derivatives(rho, np.array([alpha]), [solution])[0])
+
+
+def _derivatives(rho: BipartiteState, alphas: np.ndarray, solutions) -> np.ndarray:
+    """dI/d alpha at a stack of k orders, each from its solution's minimizers.
+
+    With Q = tr[rho^alpha omega^(1-alpha)], omega = sigma* x tau*,
       dD/dalpha = -log Q / (alpha-1)^2 + Q' / (Q (alpha-1)),
       Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)],
     both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
     Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
-    by log lambda_i - log mu_j. The eigensystem of omega = sigma* x tau* is
-    formed from the factors' (`divergences._product_terms`); omega itself is
-    never built.
-    At alpha = 1 the derivative equals half the relative-entropy variance to the
-    product of the marginals.
+    by log lambda_i - log mu_j. The eigensystems of the k products omega are
+    formed from the factors' as one stack (`divergences._product_terms`);
+    omega itself is never built.
     """
-    if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
-        return 0.5 * _variance(*_product_terms(rho, rho.marginal_a, rho.marginal_b))
-    if solution is None:
-        solution = prmi_down_down(alpha, rho)
-    lam, mu, w = _product_terms(rho, solution.sigma_a, solution.tau_b)
-    terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
-    q = float(np.sum(terms))
-    q_prime = float(np.sum(terms * _log_ratio(lam, mu)))
-    return -math.log(q) / (alpha - 1.0) ** 2 + q_prime / (q * (alpha - 1.0))
+    lam, mu, w = _product_terms(rho, _stacked([s.sigma_a for s in solutions]),
+                                _stacked([s.tau_b for s in solutions]))
+    col = alphas[:, None]
+    terms = spectral_power(lam, col)[:, :, None] * w * spectral_power(mu, 1.0 - col)[:, None, :]
+    q = terms.sum(axis=(1, 2))
+    q_prime = (terms * _log_ratio(lam, mu)).sum(axis=(1, 2))
+    # math.log, row by row: numpy's vector log can differ from it in the last bit,
+    # and a row's value would then depend on the stack it is formed in
+    log_q = np.array([math.log(x) for x in q.tolist()])
+    return -log_q / (alphas - 1.0) ** 2 + q_prime / (q * (alphas - 1.0))
+
+
+def _stacked(ops) -> tuple:
+    """The eigensystems of operators of one dimension, as a stack. Each row's
+    eigenvectors keep the column-major layout of `HermitianOperator.eigenvectors`:
+    the sums over them then add in the order they add in for one operator."""
+    return (np.array([op.spectrum for op in ops]),
+            np.array([op.eigenvectors.T for op in ops]).swapaxes(-1, -2))
 
 
 class _PrmiCache:
@@ -87,11 +113,12 @@ class _PrmiCache:
     the nearest order if that covers supp(rho_A), else from rho_A; the gap stop
     certifies either start. Orders within ALPHA_ONE_WINDOW of 1, where the
     loop's rounding grows like eps s/|1-s|, take the alpha = 1 route of
-    `prmi_down_down`."""
+    `prmi_down_down`. The derivatives dI/ds are memoized likewise."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
         self._values: dict[float, PrmiSolution] = {}
+        self._derivatives: dict[float, float] = {}
 
     def solve(self, s_values) -> None:
         """Solve the orders of s_values that are not cached yet, those outside
@@ -116,6 +143,27 @@ class _PrmiCache:
     def value(self, s: float) -> float:
         return self.solution(s).as_float()
 
+    def derivatives(self, s_values) -> list[float]:
+        """dI/ds at each order of s_values. The orders not held yet are solved,
+        and those outside ALPHA_ONE_DERIVATIVE_WINDOW are differentiated as one
+        stack (`_derivatives`); those inside take the variance of
+        `alpha_derivative`."""
+        self.solve(s_values)
+        missing = [s for s in dict.fromkeys(s_values) if s not in self._derivatives]
+        stack = [s for s in missing if abs(s - 1.0) > ALPHA_ONE_DERIVATIVE_WINDOW]
+        if stack:
+            d = _derivatives(self.rho, np.array(stack), [self._values[s] for s in stack])
+            self._derivatives.update(zip(stack, d.tolist()))
+        self._derivatives.update((s, alpha_derivative(s, self.rho)) for s in missing
+                                 if s not in self._derivatives)
+        return [self._derivatives[s] for s in s_values]
+
+    def optimal_rate(self, s: float) -> tuple[float, float]:
+        """The rate psi(s) = I_s - s(1-s) dI/ds at which s is the optimal
+        parameter, and the derivative dI/ds it was formed from."""
+        d = self.derivatives([s])[0]
+        return self.value(s) - s * (1.0 - s) * d, d
+
     def certified(self) -> bool:
         return all(sol.certified for sol in self._values.values())
 
@@ -132,17 +180,9 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> fl
     cache = cache or _PrmiCache(rho)
     s1, s2 = 0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP
     i_half = 2 * cache.value(s1) - cache.value(s2)
-    d_half = (2 * alpha_derivative(s1, rho, cache.solution(s1))
-              - alpha_derivative(s2, rho, cache.solution(s2)))
-    r = i_half - 0.25 * d_half
+    d1, d2 = cache.derivatives([s1, s2])
+    r = i_half - 0.25 * (2 * d1 - d2)
     return float(min(max(r, prmi_closed_form(0.0, rho, "dd") or 0.0), i_half))
-
-
-def _optimal_rate(s: float, rho: BipartiteState, solution: PrmiSolution) -> tuple[float, float]:
-    """The rate psi(s) = I_s - s(1-s) dI/ds at which s is the optimal parameter,
-    and the derivative dI/ds it was formed from."""
-    d = alpha_derivative(s, rho, solution)
-    return solution.as_float() - s * (1.0 - s) * d, d
 
 
 def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
@@ -159,17 +199,18 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     envelope theorem. The exponent is the largest objective at s* and at the
     two ends, and never below 0; it is zero exactly when the rate is at least
     the mutual information. The opening solves (the two points of
-    `r_half_threshold`, and lo and hi) run as one stack.
+    `r_half_threshold`, and lo and hi) run as one stack, and their derivatives
+    as one sum.
     """
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
     i_one = prmi_down_down(1.0, rho).value
     cache = _PrmiCache(rho)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
-    # the opening points as one stack: r_half's two, and lo and hi when the
-    # root search follows
+    # the opening points as one stack, solved and differentiated: r_half's two,
+    # and lo and hi when the root search follows
     opening = [0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP]
-    cache.solve(opening + [lo, hi] if rate < i_one else opening)
+    cache.derivatives(opening + [lo, hi] if rate < i_one else opening)
     r_half = r_half_threshold(rho, cache)
     guaranteed = rate > r_half
     if rate >= i_one:
@@ -179,7 +220,7 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
         )
 
     def g(s: float) -> float:
-        return _optimal_rate(s, rho, cache.solution(s))[0] - rate
+        return cache.optimal_rate(s)[0] - rate
 
     def objective(s: float) -> float:
         return ((1.0 - s) / s) * (cache.value(s) - rate)
@@ -229,7 +270,9 @@ def _illinois_root(g, a: float, b: float, g_a: float, g_b: float) -> float:
 
 
 def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:
-    """Parametric (rate, exponent) curve, its s grid solved as one stack.
+    """Parametric (rate, exponent) curve, its s grid solved as one stack and
+    differentiated as one Nussbaum-Szkola sum (`_derivatives`; the orders
+    within ALPHA_ONE_DERIVATIVE_WINDOW of 1 take the variance).
 
     At parameter s the optimizing rate is R(s) = I_s - s(1-s) dI/ds and the
     exponent there is (1-s)^2 dI/ds; the rate increases toward the mutual
@@ -240,11 +283,10 @@ def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:
         if not 0.5 < s < 1.0:
             raise DomainError(f"curve parameter must lie in (1/2, 1), got {s}")
     cache = _PrmiCache(rho)
-    cache.solve(s_values)
+    cache.derivatives(s_values)
     points = []
     for s in s_values:
-        solution = cache.solution(s)
-        rate, d = _optimal_rate(s, rho, solution)
+        rate, d = cache.optimal_rate(s)
         points.append(RateCurvePoint(s=float(s), rate=rate, exponent=(1.0 - s) ** 2 * d,
-                                     certified=solution.certified))
+                                     certified=cache.solution(s).certified))
     return points

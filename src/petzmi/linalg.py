@@ -32,10 +32,10 @@ class HermitianOperator:
     is taken. The matrix is symmetrized at construction; entrywise deviations
     from hermiticity beyond HERMITICITY_TOL * max(1, max|m_ij|) are rejected,
     relative to large entries such as those of negative powers of near-singular
-    states.
+    states. `from_eigensystem` builds the operator from an eigensystem alone.
     """
 
-    __slots__ = ("matrix", "_spectrum", "_eigenvectors")
+    __slots__ = ("_matrix", "_eigensystem", "_spectrum", "_eigenvectors")
 
     def __init__(self, matrix, eigensystem=None) -> None:
         m = np.asarray(matrix, dtype=complex)
@@ -47,24 +47,38 @@ class HermitianOperator:
                 f"matrix is not Hermitian within tolerance {tol:g} "
                 f"(max deviation {np.max(np.abs(m - m.conj().T)):.3e})"
             )
-        self.matrix = (m + m.conj().T) / 2
-        self.matrix.setflags(write=False)
-        self._spectrum = None
-        self._eigenvectors = None
-        if eigensystem is not None:
-            # an eigensystem the caller already holds, taken instead of eigh
-            vals, vecs = eigensystem
-            order = np.argsort(vals)[::-1]
-            self._spectrum = vals[order]
-            self._eigenvectors = vecs[:, order]
+        self._matrix, self._eigensystem = _symmetrized(m), eigensystem  # vals, vecs as given
+        self._spectrum = self._eigenvectors = None
+
+    @classmethod
+    def from_eigensystem(cls, vals: np.ndarray, vecs: np.ndarray):
+        """The operator vecs diag(vals) vecs^dag of an eigensystem the caller
+        holds, such as the solver's iterates. Nothing is validated or decomposed:
+        `dim`, `spectrum` and `eigenvectors` read the eigensystem, and `matrix`
+        is composed, then symmetrized as `__init__` does, on first read.
+        A subclass runs its checks on the eigenvalues."""
+        op = cls.__new__(cls)
+        op._matrix, op._eigensystem = None, (vals, vecs)
+        op._spectrum = op._eigenvectors = None
+        op._check()
+        return op
+
+    def _check(self) -> None:
+        """Checks of a subclass on the spectrum; a Hermitian operator has none."""
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _symmetrized(np.asarray(_compose(*self._eigensystem), dtype=complex))
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self._eigensystem[0] if self._matrix is None else self._matrix).shape[0]
 
     def _ensure_eig(self) -> None:
         if self._spectrum is None:
-            vals, vecs = np.linalg.eigh(self.matrix)
+            vals, vecs = self._eigensystem or np.linalg.eigh(self._matrix)
             order = np.argsort(vals)[::-1]
             self._spectrum = vals[order]
             self._eigenvectors = vecs[:, order]
@@ -82,13 +96,31 @@ class HermitianOperator:
         return self._eigenvectors
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        """tr of the matrix; the sum of the eigenvalues while it is not composed."""
+        if self._matrix is None:
+            return float(np.sum(self.spectrum))
+        return float(np.real(np.trace(self._matrix)))
 
     def min_eigenvalue(self) -> float:
         return float(self.spectrum[-1])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianOperator(dim={self.dim})"
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    m = (m + m.conj().T) / 2
+    m.setflags(write=False)
+    return m
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _compose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """vecs diag(vals) vecs^dag, also on stacks."""
+    return (vecs * vals[..., None, :]) @ _dagger(vecs)
 
 
 def _as_operator(op) -> HermitianOperator:

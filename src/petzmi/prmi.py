@@ -57,7 +57,7 @@ from .errors import (
     NumericalDegradationError,
     UnsupportedRegimeError,
 )
-from .linalg import power_on_support, spectral_power
+from .linalg import _compose, _dagger, power_on_support, spectral_power
 from .oracle import _ginibre_grid
 from .states import BipartiteState, DensityOperator
 
@@ -84,6 +84,9 @@ class PrmiSolution:
     gap <= GAP_TOL, residual <= 10 GAP_TOL and sigma_a has the rank of rho_A,
     the support on which the gap certifies. Below 1/2 f is not convex: there
     the gap is a stationarity figure, not a certificate, and nothing is certified.
+    A loop row's sigma_a and tau_b are built from the eigensystems the loop
+    holds (`HermitianOperator.from_eigensystem`): their matrix is composed
+    only when read. The closed forms below 1/2 carry no minimizers (None).
     """
 
     value: float
@@ -104,8 +107,14 @@ def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """D_alpha of the state against the product of its own marginals."""
     _check_order(alpha)
     # supp(rho) lies in supp(rho_A x rho_B): the value is finite
-    d = _petz_divergence(alpha, *_product_terms(rho, rho.marginal_a, rho.marginal_b))
+    d = _petz_divergence(alpha, *_marginal_terms(rho))
     return replace(d, value=max(d.value, 0.0) + 0.0)  # as in _run_fixed_point
+
+
+def _marginal_terms(rho: BipartiteState):
+    """`divergences._product_terms` against rho_A x rho_B."""
+    a, b = rho.marginal_a, rho.marginal_b
+    return _product_terms(rho, (a.spectrum, a.eigenvectors), (b.spectrum, b.eigenvectors))
 
 
 def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, DensityOperator]:
@@ -123,7 +132,7 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
                                              sigma_a.spectrum[None], sigma_a.eigenvectors[None])
     if value[0] == math.inf:
         return math.inf, None
-    return float(value[0]), _density(t_vals[0], t_vecs[0])
+    return float(value[0]), DensityOperator.from_eigensystem(t_vals[0], t_vecs[0])
 
 
 def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
@@ -193,20 +202,6 @@ def _fw_gap(orders: tuple, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     h = gamma * (_dagger(vecs) @ k @ vecs)
     h = (h + _dagger(h)) / 2
     return np.real(np.einsum("kii,ki->k", h, vals)) - np.linalg.eigvalsh(h)[:, 0], h
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
-def _density(vals: np.ndarray, vecs: np.ndarray) -> DensityOperator:
-    """The density operator of an eigensystem the solver already holds."""
-    return DensityOperator(_compose(vals, vecs), eigensystem=(vals, vecs))
-
-
-def _compose(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """vecs diag(vals) vecs^dag, also on stacks."""
-    return (vecs * vals[..., None, :]) @ _dagger(vecs)
 
 
 def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
@@ -437,8 +432,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
         value=max(float(value[j]), 0.0) + 0.0,
         alpha=float(alphas[j]),
-        sigma_a=_density(last[0][j], last[1][j]),
-        tau_b=_density(t_vals[j], t_vecs[j]),
+        sigma_a=DensityOperator.from_eigensystem(last[0][j], last[1][j]),
+        tau_b=DensityOperator.from_eigensystem(t_vals[j], t_vecs[j]),
         residual=float(residual[j]),
         iterations=int(rounds[j]),
         objective_trace=tuple(trace[: rounds[j], j].tolist()),
@@ -472,7 +467,7 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
     _check_order(alpha)
 
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        d = _relative_entropy(*_product_terms(rho, rho.marginal_a, rho.marginal_b))
+        d = _relative_entropy(*_marginal_terms(rho))
         return PrmiSolution(
             value=d.value, alpha=alpha, sigma_a=rho.marginal_a, tau_b=rho.marginal_b,
             residual=0.0, iterations=0, objective_trace=(d.value,), certified=True, gap=0.0,

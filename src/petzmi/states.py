@@ -13,10 +13,14 @@ TRACE_TOL = 1e-8
 
 
 class DensityOperator(HermitianOperator):
-    """A Hermitian, positive semidefinite, unit-trace operator."""
+    """A Hermitian, positive semidefinite, unit-trace operator. One built
+    `from_eigensystem` is checked on its eigenvalues, with the same tolerances."""
 
     def __init__(self, matrix, eigensystem=None) -> None:
         super().__init__(matrix, eigensystem)
+        self._check()
+
+    def _check(self) -> None:
         min_eig = self.min_eigenvalue()
         if min_eig < -PSD_TOL:
             raise InvalidInputError(

@@ -9,14 +9,15 @@ import numpy as np
 
 from petzmi import classical
 from petzmi.divergences import (ALPHA_ONE_WINDOW, DivergenceValue, _as_density, _check_order,
-                                _one_sided_min, _orders, _petz_q, _petz_terms, dominated)
+                                _log_ratio, _one_sided_min, _orders, _petz_q, _petz_terms,
+                                _variance, dominated)
 from petzmi.errors import DomainError, InvalidInputError, NumericalDegradationError
 from petzmi.hypotest import universal_state
 from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _check_psd,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
 from petzmi.prmi import (GAP_TOL, MAX_ITER, MONOTONICITY_SLACK, PrmiSolution, _compose, _dagger,
-                         _density, _fw_gap, _half_step, _rho_power)
+                         _fw_gap, _half_step, _rho_power, prmi_down_down)
 from petzmi.states import BipartiteState, DensityOperator, Pmf
 
 
@@ -197,12 +198,63 @@ def entropy(p, alpha):
 
 
 
+def eager_density(vals: np.ndarray, vecs: np.ndarray) -> DensityOperator:
+    """The density operator of a held eigensystem as the solver built it before
+    `from_eigensystem`: the matrix composed, validated and symmetrized at once."""
+    return DensityOperator(_compose(vals, vecs), eigensystem=(vals, vecs))
+
+
 def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """a x b, carrying the Kronecker product of the factors' eigensystems: the
     product is never decomposed, and its eigenvalues keep the factors'
     relative accuracy."""
     return DensityOperator(np.kron(a.matrix, b.matrix), eigensystem=(
         np.kron(a.spectrum, b.spectrum), np.kron(a.eigenvectors, b.eigenvectors)))
+
+
+# The alpha-derivative as it was formed row by row, before a stack of orders
+# was summed at once: `test_fixed_point_gap` compares `rate_curve` against it.
+
+ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
+
+
+def _product_terms(rho: HermitianOperator, a: HermitianOperator, b: HermitianOperator):
+    """`_petz_terms(rho, a x b)` from the factors' eigensystems, mu = a_x b_y in
+    descending order on v_x x w_y: no product matrix is formed or decomposed,
+    and mu keeps the factors' relative accuracy."""
+    mu = np.kron(a.spectrum, b.spectrum)
+    order = np.argsort(mu)[::-1]
+    u = rho.eigenvectors.conj().reshape(a.dim, b.dim, rho.dim)
+    overlap = np.einsum("xyi,xa,yb->iab", u, a.eigenvectors, b.eigenvectors)
+    return rho.spectrum, mu[order], np.abs(overlap.reshape(rho.dim, -1)[:, order]) ** 2
+
+
+def alpha_derivative(alpha: float, rho: BipartiteState,
+                     solution: PrmiSolution | None = None) -> float:
+    """d/d alpha of the doubly minimized Renyi mutual information.
+
+    By the envelope theorem the minimizers may be held fixed, so this is the
+    alpha-derivative of D_alpha(rho || sigma* x tau*), evaluated analytically:
+    with Q = tr[rho^alpha omega^(1-alpha)],
+      dD/dalpha = -log Q / (alpha-1)^2 + Q' / (Q (alpha-1)),
+      Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)],
+    both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
+    Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
+    by log lambda_i - log mu_j. The eigensystem of omega = sigma* x tau* is
+    formed from the factors' (`divergences._product_terms`); omega itself is
+    never built.
+    At alpha = 1 the derivative equals half the relative-entropy variance to the
+    product of the marginals.
+    """
+    if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
+        return 0.5 * _variance(*_product_terms(rho, rho.marginal_a, rho.marginal_b))
+    if solution is None:
+        solution = prmi_down_down(alpha, rho)
+    lam, mu, w = _product_terms(rho, solution.sigma_a, solution.tau_b)
+    terms = spectral_power(lam, alpha)[:, None] * w * spectral_power(mu, 1.0 - alpha)
+    q = float(np.sum(terms))
+    q_prime = float(np.sum(terms * _log_ratio(lam, mu)))
+    return -math.log(q) / (alpha - 1.0) ** 2 + q_prime / (q * (alpha - 1.0))
 
 
 # The solver's half-step and Frank-Wolfe gap as they were before the order
@@ -458,8 +510,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
             value=max(float(value[j]), 0.0) + 0.0,
             alpha=float(alphas[j]),
-            sigma_a=_density(last[0][j], last[1][j]),
-            tau_b=_density(t_vals[j], t_vecs[j]),
+            sigma_a=eager_density(last[0][j], last[1][j]),
+            tau_b=eager_density(t_vals[j], t_vecs[j]),
             residual=float(residual[j]),
             iterations=int(rounds[j]),
             objective_trace=tuple(trace[: rounds[j], j].tolist()),

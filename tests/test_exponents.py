@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from petzmi import exponents
+from petzmi import exponents, linalg
 from petzmi.divergences import relative_entropy_variance
 from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.exponents import (
@@ -130,6 +130,32 @@ def test_alpha_derivative_matches_finite_difference():
             prmi_down_down(alpha + h, rho).value - prmi_down_down(alpha - h, rho).value
         ) / (2 * h)
         assert alpha_derivative(alpha, rho) == pytest.approx(fd, abs=1e-5)
+
+
+@pytest.mark.parametrize("rho", [copy_cc_state([0.2, 0.8]), random_bipartite(2, 2, 3, rank=1)],
+                         ids=["copy-cc", "pure"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5])
+def test_alpha_derivative_without_minimizers_names_the_order(rho, alpha):
+    """At alpha <= 1/2 the closed form of pure and copy-cc states carries no
+    minimizers to hold fixed: DomainError naming alpha."""
+    with pytest.raises(DomainError, match=f"alpha = {alpha!r}"):
+        alpha_derivative(alpha, rho)
+
+
+def test_rate_curve_and_exponent_compose_no_minimizer_matrix(monkeypatch):
+    """The minimizers are read as eigensystems only: no sigma or tau matrix is
+    composed (`HermitianOperator.matrix` of an operator built from an
+    eigensystem composes it through `linalg._compose`)."""
+    def composing(vals, vecs):
+        raise AssertionError("a minimizer's matrix was composed")
+
+    rho = random_bipartite(2, 3, 8104)
+    _ = (rho.marginal_a, rho.marginal_b)
+    monkeypatch.setattr(linalg, "_compose", composing)
+    rate_curve(rho, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25))
+    i_one = prmi_down_down(1.0, rho).value
+    for frac in (0.1, 0.45, 1.2):
+        direct_exponent(rho, frac * i_one)
 
 
 def test_rate_curve_round_trip():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from petzmi.divergences import ALPHA_ONE_WINDOW, _log_ratio, _orders, _petz_terms
 from petzmi.errors import NumericalDegradationError
-from petzmi.exponents import alpha_derivative, direct_exponent, rate_curve
+from petzmi.exponents import _PrmiCache, alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power
 from petzmi.prmi import (
     _compose,
@@ -323,6 +323,25 @@ def test_rate_curve_and_exponent_match_single_solves():
     assert report.exponent == pytest.approx(
         (1 - s) / s * (prmi_down_down(s, rho).value - 0.45 * i_one), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("index", range(len(STACK_STATES) + 2))
+def test_rate_curve_matches_the_row_by_row_derivative(index):
+    """The curve's 25 derivatives, one stacked sum, against the derivative formed
+    row by row (with np.kron) from the same solutions, on the stack states and
+    two more rank-deficient ones; one order lies inside the alpha = 1
+    derivative window, outside the solver's."""
+    rho = (STACK_STATES + [random_bipartite(2, 3, 19, rank=2),
+                           random_bipartite(3, 3, 4, rank=3)])[index]
+    grid = np.concatenate([np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 24), [1.0 - 5e-5]])
+    assert 1e-4 > 1.0 - grid[-1] > ALPHA_ONE_WINDOW
+    cache = _PrmiCache(rho)
+    cache.solve(grid)
+    for s, point in zip(grid, rate_curve(rho, grid)):
+        sol = cache.solution(s)
+        d = reference.alpha_derivative(s, rho, sol)
+        assert point.rate == pytest.approx(sol.value - s * (1 - s) * d, abs=1e-12)
+        assert point.exponent == pytest.approx((1 - s) ** 2 * d, abs=1e-12)
 
 
 def test_solutions_carry_the_loop_eigensystems(monkeypatch):

@@ -132,7 +132,7 @@ def test_product_terms_match_the_product_state(name):
     pairs = [(rho.marginal_a, rho.marginal_b),
              (random_density(rho.d_a, rng), random_density(rho.d_b, rng, rank=1))]
     for a, b in pairs:
-        lam, mu, w = _product_terms(rho, a, b)
+        lam, mu, w = _product_terms(rho, (a.spectrum, a.eigenvectors), (b.spectrum, b.eigenvectors))
         ref_lam, ref_mu, ref_w = _petz_terms(rho, product_state(a, b))
         assert np.array_equal(lam, ref_lam) and np.array_equal(mu, ref_mu)
         np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from petzmi.errors import InvalidInputError
+from petzmi.linalg import PSD_TOL
+from petzmi.prmi import gen_prmi_down, prmi_down_down
 from petzmi.states import (
+    TRACE_TOL,
     BipartiteState,
     DensityOperator,
     Pmf,
@@ -14,7 +17,7 @@ from petzmi.states import (
     random_bipartite,
     random_density,
 )
-from reference import partial_trace_factors, purify, tensor_states
+from reference import eager_density, partial_trace_factors, purify, tensor_states
 
 
 def test_density_validation_trace():
@@ -25,6 +28,52 @@ def test_density_validation_trace():
 def test_density_validation_negativity():
     with pytest.raises(InvalidInputError, match="negative"):
         DensityOperator(np.diag([1.5, -0.5]))
+
+
+def held_eigensystems():
+    """Eigensystems as the solver holds them: ascending from eigh, one by one
+    and as rows of a stack, and the minimizers of solved rows."""
+    rng = np.random.default_rng(31)
+    stack = np.array([random_density(3, rng, rank=r).matrix for r in (1, 2, 3)])
+    vals, vecs = np.linalg.eigh(stack)
+    systems = [(vals[j], vecs[j]) for j in range(3)]
+    systems += [np.linalg.eigh(random_density(d, rng).matrix) for d in (2, 4)]
+    rho = random_bipartite(2, 3, 9)
+    for alpha in (0.3, 0.7, 1.4):
+        sol = prmi_down_down(alpha, rho)
+        systems += [op._eigensystem for op in (sol.sigma_a, sol.tau_b)]
+    systems.append(gen_prmi_down(0.8, rho, rho.marginal_a)[1]._eigensystem)
+    return systems
+
+
+def test_operator_from_an_eigensystem_matches_the_eager_one():
+    """The matrix composed on first read is bit for bit the one composed,
+    validated and symmetrized at construction; dim, spectrum and eigenvectors
+    are read without composing it."""
+    for vals, vecs in held_eigensystems():
+        lazy = DensityOperator.from_eigensystem(vals, vecs)
+        eager = eager_density(vals, vecs)
+        assert lazy._matrix is None
+        assert lazy.dim == eager.dim
+        assert np.array_equal(lazy.spectrum, eager.spectrum)
+        assert np.array_equal(lazy.eigenvectors, eager.eigenvectors)
+        assert lazy._matrix is None
+        assert np.array_equal(lazy.matrix, eager.matrix)
+        assert lazy.matrix.dtype == complex and not lazy.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("vals, match", [
+    (np.array([-2 * PSD_TOL, 0.4, 0.6 + 2 * PSD_TOL]), "negative"),
+    (np.array([0.2, 0.8 + 2 * TRACE_TOL]), "trace"),
+    (np.array([0.2, 0.8 - 2 * TRACE_TOL]), "trace"),
+])
+def test_operator_from_an_eigensystem_checks_its_eigenvalues(vals, match):
+    vecs = np.linalg.qr(np.random.default_rng(3).standard_normal((vals.size, vals.size)))[0]
+    with pytest.raises(InvalidInputError, match=match):
+        DensityOperator.from_eigensystem(vals, vecs.astype(complex))
+    # within the tolerances it is accepted
+    DensityOperator.from_eigensystem(np.array([-0.5 * PSD_TOL, 0.3, 0.7]), np.eye(3, dtype=complex))
+    DensityOperator.from_eigensystem(np.array([0.3, 0.7 + 0.5 * TRACE_TOL]), np.eye(2, dtype=complex))
 
 
 def test_density_validation_hermiticity():
