@@ -15,12 +15,13 @@ shape: one block X_lambda per shape carries it. `symmetry_basis` caches the
 Gelfand-Tsetlin columns Q_lambda of one tableau per shape with the blocks
 Omega_lambda of omega_A x omega_B; `iid_block` gives the blocks
 Q_lambda^T x^(x n) Q_lambda of a tensor power by n mode products. rho^(x n)
-is read from one such pass over rho's eigenvectors: `_universal_setup` forms
-T = (U^dagger)^(x n) Q once and takes from it the blocks R_lambda of rho^(x n)
-and D_s(rho^(x n) || omega_A x omega_B) at every order s it is asked for, from
-which `_universal_test` runs. A test at log threshold t decomposes only
-R_lambda - e^t Omega_lambda (at n = 4 on a qubit pair, five blocks of sizes 1
-to 45, not one 256 x 256 matrix), each counted f^lambda times.
+is read from one such pass over rho's eigenvectors on its support, in their
+field: `_universal_setup` forms T = (U^dagger)^(x n) Q once, rank(rho)^n rows,
+and takes from it the blocks R_lambda of rho^(x n) and D_s(rho^(x n) ||
+omega_A x omega_B) at every order s it is asked for, from which
+`_universal_test` runs. A test at log threshold t decomposes only R_lambda -
+e^t Omega_lambda (at n = 4 on a qubit pair, five blocks of sizes 1 to 45, not
+one 256 x 256 matrix), each counted f^lambda times.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ S_GRID_SIZE = 20  # the s grid of achievability_sweep
 
 _LOG_THRESHOLD_GUARD = 700.0  # beyond this, e^(+-thr) over/underflows float64
 _CONTENT_TOL = 1e-8  # Jucys-Murphy eigenvalues are integers up to this
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)  # the largest x with a finite e^x
 
 
 def symmetric_type_count(n: int, d: int) -> int:
@@ -191,16 +193,17 @@ def symmetry_basis(n: int, d_a: int, d_b: int) -> SymmetryBasis:
 
 def _power_columns(x: np.ndarray, n: int, basis: SymmetryBasis):
     """Q and x^(x n) Q, rows in the copy order (A1 B1) ... (An Bn), for a
-    one-copy operator x, a (d_A d_B)-square matrix with rows in (A B) order.
-    x^(x n) is never formed: x is applied to the axis of copy k, k = 1 ... n,
-    by n mode products on the K columns."""
-    d = basis.d_a * basis.d_b
+    one-copy map x, an r x (d_A d_B) matrix with columns in (A B) order (square
+    for an operator): x^(x n) Q has r^n rows. x^(x n) is never formed: x is
+    applied to the axis of copy k, k = 1 ... n, by n mode products on the K
+    columns, in x's field."""
+    r, d = x.shape
     copies = [axis for k in range(n) for axis in (k, n + k)] + [2 * n]
     q = basis.q.reshape([basis.d_a] * n + [basis.d_b] * n + [-1]).transpose(copies)
     y = q = q.reshape(basis.q.shape)
     for k in range(n):
-        y = np.matmul(x, y.reshape(d**k, d, -1))
-    return q, y.reshape(q.shape)
+        y = np.matmul(x, y.reshape(r**k, d, -1))
+    return q, y.reshape(r**n, -1)
 
 
 def iid_block(x: np.ndarray, n: int, basis: SymmetryBasis) -> list[np.ndarray]:
@@ -237,7 +240,8 @@ def np_test(rho_blocks, alt_blocks, log_threshold: float, mult) -> list[np.ndarr
 
 @dataclass(frozen=True)
 class TestErrors:
-    """Errors of the universal threshold test at blocklength n."""
+    """Errors of the universal threshold test at blocklength n. A type-I bound
+    beyond float range, as at large rates, reads inf (`Infinity` in JSON)."""
 
     n: int
     s: float
@@ -259,6 +263,11 @@ def _positive_int(value, name: str) -> int:
     return number
 
 
+def _kron_power(v: np.ndarray, n: int) -> np.ndarray:
+    """functools.reduce(np.kron, [v] * n) of a vector, by outer products."""
+    return functools.reduce(lambda out, _: np.multiply.outer(out, v).ravel(), range(n - 1), v)
+
+
 def _universal_setup(rho: BipartiteState, n: int, orders):
     """The blocklength n as an int, the symmetry basis, log g_A + log g_B for the
     type counts g, the blocks R_lambda of rho^(x n), and D_alpha(rho^(x n) ||
@@ -273,24 +282,29 @@ def _universal_setup(rho: BipartiteState, n: int, orders):
     n sum l log l - l^(x n) . W . log mu; l^alpha is `spectral_power` of rho's
     spectrum, before the n-fold product. D is finite: omega_A x omega_B has
     full rank.
+
+    Every read of T is weighted by l^(x n) or (l^alpha)^(x n), so U and l are
+    kept on the support under `spectral_power`'s cut: T has rank(rho)^n rows.
+    When those eigenvectors are real, so are T, W, R_lambda and the test.
     """
     n = _positive_int(n, "n")
     for alpha in orders:
         _check_order(alpha)
     basis = symmetry_basis(n, rho.d_a, rho.d_b)
     log_g = sum(math.log(symmetric_type_count(n, side**2)) for side in (rho.d_a, rho.d_b))
-    _, t = _power_columns(rho.eigenvectors.conj().T, n, basis)
-    l = rho.spectrum
-    l_n = functools.reduce(np.kron, [l] * n)
+    support = spectral_power(rho.spectrum, 0.0) > 0
+    l, u = rho.spectrum[support], rho.eigenvectors[:, support]
+    _, t = _power_columns((u if u.imag.any() else u.real).conj().T, n, basis)
+    l_n = _kron_power(l, n)
     w = np.empty(t.shape)
-    for f, b, (_, u) in zip(basis.mult, basis.blocks, basis.omega_eigh, strict=True):
-        w[:, b] = f * np.abs(t[:, b] @ u) ** 2
+    for f, b, (_, u_b) in zip(basis.mult, basis.blocks, basis.omega_eigh, strict=True):
+        w[:, b] = f * np.abs(t[:, b] @ u_b) ** 2
     mu = np.concatenate([vals for vals, _ in basis.omega_eigh])
 
     def divergence(alpha: float) -> float:
         if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
             return n * float(l @ spectral_log(l)) - float(l_n @ w @ np.log(mu))
-        l_alpha = functools.reduce(np.kron, [spectral_power(l, alpha)] * n)
+        l_alpha = _kron_power(spectral_power(l, alpha), n)
         return math.log(float(l_alpha @ w @ mu ** (1.0 - alpha))) / (alpha - 1.0)
 
     r_blocks = [t[:, b].conj().T @ (l_n[:, None] * t[:, b]) for b in basis.blocks]
@@ -305,10 +319,10 @@ def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> floa
     return (d - log_g) / n
 
 
-def _type_one_bound(n: int, rate: float, s: float, log_g: float, d_s: float) -> float:
-    """The analytic type-I bound of the test at s,
-    exp(((1-s)/s)(log g_A + log g_B - (D_s - n*rate))): it reads D_s, not the test."""
-    return math.exp(((1.0 - s) / s) * (log_g - (d_s - n * rate)))
+def _log_type_one_bound(n: int, rate: float, s: float, log_g: float, d_s: float) -> float:
+    """The logarithm of the analytic type-I bound of the test at s,
+    ((1-s)/s)(log g_A + log g_B - (D_s - n*rate)): it reads D_s, not the test."""
+    return ((1.0 - s) / s) * (log_g - (d_s - n * rate))
 
 
 def _universal_test(n: int, rate: float, s: float, log_g: float, d_s: float, basis, r_blocks):
@@ -319,16 +333,19 @@ def _universal_test(n: int, rate: float, s: float, log_g: float, d_s: float, bas
     The threshold is chosen so that the data-processing bound on the type-II
     error against every product alternative equals e^(-n*rate) exactly:
       lambda_n = (1/s)(log g_A + log g_B + n*rate - (1-s) D_s).
-    The reported type-I bound is the analytic one, `_type_one_bound`.
+    The reported type-I bound is the analytic one, e^(`_log_type_one_bound`),
+    inf beyond float range.
     """
     lam = (log_g + n * rate - (1.0 - s) * d_s) / s
+    log_bound = _log_type_one_bound(n, rate, s, log_g, d_s)
+    bound = math.exp(log_bound) if log_bound <= _LOG_MAX_FLOAT else math.inf
     test = np_test(r_blocks, basis.omega_blocks, lam, basis.mult)
     # sum_lambda f^lambda tr(R Pi) as sum_ij conj(Pi_ij) R_ij, Pi being Hermitian
     accepted = sum(f * np.vdot(pi, r).real for f, pi, r in zip(basis.mult, test, r_blocks))
     return test, TestErrors(n=n, s=s, rate=rate, log_threshold=lam,
                             type_one=max(1.0 - float(accepted), 0.0),
                             type_two_bound=math.exp(log_g - s * lam - (1.0 - s) * d_s),
-                            type_one_bound=_type_one_bound(n, rate, s, log_g, d_s))
+                            type_one_bound=bound)
 
 
 def _check_test(rate: float, s: float) -> None:
@@ -360,7 +377,8 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     asymptotic direct exponent at the same rate.
 
     For each n up to n_max, s is the value of a grid of S_GRID_SIZE values in
-    (0, 1) with the largest -(1/n) log(type-I bound), the first of a tie. One
+    (0, 1) with the largest exponent -(1/n) log(type-I bound), the first of a
+    tie, from the bound's logarithm: finite where the bound reads inf or 0. One
     `_universal_setup` pass per n gives D_s, all the bound reads, on the whole
     grid, and the test at s runs from its R_lambda and D_s. A row is `vacuous`
     when that best exponent is <= 0: no s gives a type-I bound below 1. On such
@@ -373,7 +391,7 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     rows = []
     for n in range(1, n_max + 1):
         _, basis, log_g, r_blocks, d_values = _universal_setup(rho, n, s_values)
-        exponents = {s: -math.log(max(_type_one_bound(n, rate, s, log_g, d_s), 1e-300)) / n
+        exponents = {s: -_log_type_one_bound(n, rate, s, log_g, d_s) / n
                      for s, d_s in zip(s_values, d_values)}
         s = max(exponents, key=exponents.get)
         _, errs = _universal_test(n, rate, s, log_g, d_values[s_values.index(s)], basis, r_blocks)

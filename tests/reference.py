@@ -168,6 +168,13 @@ def bloch_density(r: float, theta: float, phi: float) -> np.ndarray:
     return (np.eye(2) + n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z) / 2
 
 
+def real_ginibre(d_a: int, d_b: int, seed, rank: int | None = None) -> BipartiteState:
+    """G G^T / tr(G G^T) for a real Gaussian G with `rank` columns: a real,
+    non-diagonal state, whose eigenbasis is real but not the standard one."""
+    g = np.random.default_rng(seed).standard_normal((d_a * d_b, rank or d_a * d_b))
+    return BipartiteState(g @ g.T / np.trace(g @ g.T), d_a, d_b)
+
+
 def dense_power(x, n, d_a, d_b):
     """x^(x n) as one dense matrix, rows in (A1 ... An)(B1 ... Bn) order."""
     m = functools.reduce(np.kron, [x] * n)

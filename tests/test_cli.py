@@ -329,6 +329,14 @@ def test_simulate_flags_vacuous_rows(cc_file, capsys):
     assert [len(line.split(",")) for line in lines[3:]] == [6, 6]
 
 
+def test_simulate_at_a_large_rate_exits_cleanly(cc_file, capsys):
+    # at rate 40 the type-I bound at s = 0.05 leaves float range; the sweep
+    # reads its exponents from the bounds' logarithms
+    assert main(["--json", "simulate", "--state", cc_file, "--rate", "40", "--n-max", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["per_n"]
+    assert len(rows) == 3 and all(r["vacuous"] is True for r in rows)
+
+
 @pytest.mark.parametrize("n_max", ["0", "-2"])
 def test_simulate_rejects_nonpositive_n_max(cc_file, capsys, n_max):
     assert main(["simulate", "--state", cc_file, "--rate", "0.1", "--n-max", n_max]) == 4

@@ -19,7 +19,7 @@ from petzmi.hypotest import (
 )
 from petzmi.prmi import prmi_down_down
 from petzmi.states import BipartiteState, copy_cc_state, random_bipartite, random_density
-from reference import permute_factors
+from reference import permute_factors, real_ginibre
 
 CC_02 = copy_cc_state([0.2, 0.8])
 
@@ -180,15 +180,21 @@ def test_achievability_sweep_needs_a_blocklength(qubit_pair, n_max):
 
 def loop_sweep_rows(rho, rate, n_max):
     """The sweep's rows as it ran before: the whole test at each of the 20
-    values of s, keeping the row of the largest type-I exponent, the first of a tie."""
+    values of s, keeping the row of the largest type-I exponent, the first of a
+    tie. The exponent is -(1/n) log(type-I bound), the logarithm formed from
+    D_s and log g_A + log g_B, whose exponential is the reported bound."""
     rows = []
     for n in range(1, n_max + 1):
         best = None
         for s in np.linspace(0.05, 0.95, 20):
-            errs = threshold_test_errors(rho, n, rate, float(s))
-            expo = -math.log(max(errs.type_one_bound, 1e-300)) / n
+            s = float(s)
+            errs = threshold_test_errors(rho, n, rate, s)
+            _, _, log_g, _, [d_s] = hypotest._universal_setup(rho, n, [s])
+            log_bound = ((1.0 - s) / s) * (log_g - (d_s - n * rate))
+            assert errs.type_one_bound == math.exp(log_bound)
+            expo = -log_bound / n
             if best is None or expo > best["exponent"]:
-                best = {"n": n, "s": float(s), "exponent": expo, "type_one": errs.type_one,
+                best = {"n": n, "s": s, "exponent": expo, "type_one": errs.type_one,
                         "type_one_bound": errs.type_one_bound,
                         "type_two_bound": errs.type_two_bound}
         best["vacuous"] = best["exponent"] <= 0
@@ -227,6 +233,73 @@ def test_sweep_reads_its_s_grid_from_one_pass_per_n(monkeypatch):
     assert passes == [1, 2, 3, 4]
     assert setups == [(n, hypotest.S_GRID_SIZE) for n in range(1, 5)]
     assert blocks == []
+
+
+def with_phased_eigenvectors(rho, phases):
+    """rho with its eigenvector columns multiplied by e^(i phases): the same
+    operator, held in a complex eigenbasis."""
+    phased = BipartiteState(rho.matrix, rho.d_a, rho.d_b)
+    phased._eigenvectors = phased.eigenvectors * np.exp(1j * np.asarray(phases))
+    vecs = phased.eigenvectors
+    assert np.max(np.abs((vecs * phased.spectrum) @ vecs.conj().T - rho.matrix)) <= 1e-15
+    return phased
+
+
+@pytest.mark.parametrize("rho, rank, dtype", [
+    (CC_02, 2, np.float64),
+    (BipartiteState(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2, 2, 2), 1, np.float64),
+    (real_ginibre(2, 2, 3), 4, np.float64),
+    (real_ginibre(2, 2, 4, rank=2), 2, np.float64),
+    (random_bipartite(2, 2, 42), 4, np.complex128),
+    (random_bipartite(2, 2, 19, rank=2), 2, np.complex128),
+    (random_bipartite(2, 3, 6, rank=2), 2, np.complex128),
+], ids=["copy-cc", "bell", "real", "real-rank-2", "complex", "complex-rank-2", "2x3-rank-2"])
+def test_setup_pass_runs_on_the_support_in_the_eigenvectors_field(rho, rank, dtype, monkeypatch):
+    # the one (U^dagger)^(x n) Q pass takes the r = rank rho eigenvectors on the
+    # support, real when they are: r^n rows, and R_lambda in the same field
+    seen = []
+    power_columns = hypotest._power_columns
+
+    def recorded(x, n, basis):
+        q, t = power_columns(x, n, basis)
+        seen.append((x, t))
+        return q, t
+
+    monkeypatch.setattr(hypotest, "_power_columns", recorded)
+    for n in (1, 2, 3):
+        *_, r_blocks, _ = hypotest._universal_setup(rho, n, [0.5])
+        x, t = seen.pop()
+        assert x.shape == (rank, rho.dim) and x.dtype == dtype
+        assert t.shape[0] == rank**n and t.dtype == dtype
+        assert all(block.dtype == dtype for block in r_blocks)
+
+
+def test_real_state_in_a_complex_eigenbasis_takes_the_complex_pass(monkeypatch):
+    # the field follows the eigenvectors, not rho's matrix: the same real state
+    # held with complex phases on its eigenvectors runs complex, to the same errors
+    rho = real_ginibre(2, 2, 4, rank=2)
+    phased = with_phased_eigenvectors(rho, [0.3, -1.1, 2.0, 0.7])
+    dtypes = []
+    power_columns = hypotest._power_columns
+    monkeypatch.setattr(hypotest, "_power_columns",
+                        lambda x, n, basis: dtypes.append(x.dtype) or power_columns(x, n, basis))
+    for n, rate, s in ((1, 0.1, 0.3), (2, 0.0, 0.6), (3, 0.05, 0.9), (4, 0.0, 0.95)):
+        want, got = threshold_test_errors(rho, n, rate, s), threshold_test_errors(phased, n, rate, s)
+        for field in ("log_threshold", "type_one", "type_two_bound", "type_one_bound"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+    assert dtypes == [np.float64, np.complex128] * 4
+
+
+def test_out_of_range_type_one_bound_reads_inf():
+    # at rate 40 the bound at s = 0.05 is e^2,355: it reads inf, and the sweep
+    # takes every exponent from the bound's logarithm
+    errs = threshold_test_errors(CC_02, 3, 40.0, 0.05)
+    assert errs.type_one_bound == math.inf
+    assert errs.type_one == 1.0
+    assert errs.type_two_bound == pytest.approx(math.exp(-3 * 40.0), rel=1e-9)
+    rows = achievability_sweep(CC_02, 40.0, 3)["per_n"]
+    assert [r["n"] for r in rows] == [1, 2, 3]
+    assert all(r["vacuous"] and -math.inf < r["exponent"] < 0 for r in rows)
 
 
 def test_rate_validation(qubit_pair):

@@ -48,10 +48,10 @@ from petzmi.states import (
     random_density,
 )
 from reference import (dense_alternative, dense_power, nonnegative_part_projector, product_state,
-                       tensor_product)
+                       real_ginibre, tensor_product)
 
 STATES = [copy_cc_state([0.2, 0.8]), random_bipartite(2, 2, 17), random_bipartite(2, 2, 18),
-          random_bipartite(2, 2, 19, rank=2)]
+          random_bipartite(2, 2, 19, rank=2), real_ginibre(2, 2, 3), real_ginibre(2, 2, 4, rank=2)]
 BELL = pure_bipartite([1.0, 0.0, 0.0, 1.0], 2, 2)
 
 
@@ -278,6 +278,8 @@ DIVERGENCE_STATES = {
     "copy-cc": copy_cc_state([0.2, 0.8]),
     "2x3": random_bipartite(2, 3, 5),
     "2x3-rank-2": random_bipartite(2, 3, 6, rank=2),
+    "real": real_ginibre(2, 2, 3),
+    "real-rank-2": real_ginibre(2, 2, 4, rank=2),
 }
 
 
@@ -336,6 +338,15 @@ def test_small_eigenvalues_keep_their_per_factor_power(n):
     *_, got = hypotest._universal_setup(rho, n, orders)
     for alpha, d in zip(orders, got, strict=True):
         assert d == pytest.approx(mode_product_divergence(rho, n, alpha), rel=1e-12), alpha
+
+
+@pytest.mark.parametrize("index", range(len(STATES)))
+def test_outer_product_chain_is_the_kronecker_power(index):
+    # the n-fold products of l and of l^s, in np.kron's order, to the bit
+    l = STATES[index].spectrum
+    for v in (l, spectral_power(l, 0.05), spectral_power(l, 0.6), spectral_power(l, 1.5)):
+        for n in range(1, 7):
+            assert np.array_equal(hypotest._kron_power(v, n), functools.reduce(np.kron, [v] * n))
 
 
 def test_errors_decomposes_no_large_matrix(monkeypatch):
