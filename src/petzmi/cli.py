@@ -135,7 +135,7 @@ def _dd_point(alpha: float, state: BipartiteState):
 
 def _emit(payload: dict, args) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         for key, value in payload.items():
             if isinstance(value, float):
@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
                  "rmi2": _fmt(r2), "certified": c}
                 for a, r0, r1, r2, c in rows
             ],
-        }, sort_keys=True))
+        }, sort_keys=True, allow_nan=False))
     else:
         print(f"wrote {len(rows)} rows to {args.out}")
     if args.strict and any(c == 0 for *_, c in rows):
@@ -240,7 +240,7 @@ def cmd_exponent(args) -> int:
             for p in points
         ]
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         for key in ("rate", "exponent", "s_star", "mutual_information", "r_half",
                     "guaranteed_exact", "certified"):
@@ -258,7 +258,10 @@ def cmd_simulate(args) -> int:
     state = parse_input(args.state)
     result = achievability_sweep(state, args.rate, args.n_max)
     if args.json:
-        print(json.dumps(result, sort_keys=True))
+        # a type-I bound beyond float range is null: JSON has no Infinity
+        rows = [{**row, "type_one_bound": row["type_one_bound"]
+                 if math.isfinite(row["type_one_bound"]) else None} for row in result["per_n"]]
+        print(json.dumps({**result, "per_n": rows}, sort_keys=True, allow_nan=False))
     else:
         print(f"rate: {_fmt(result['rate'])}")
         print(f"asymptotic_exponent: {_fmt(result['asymptotic_exponent'])}")

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW, _log_ratio, _product_terms, _variance, dominated
+from .divergences import _log_ratio, _product_terms, _variance
 from .errors import DomainError
 from .linalg import spectral_power
-from .prmi import (PrmiSolution, _marginal_terms, _run_fixed_point, prmi_closed_form,
-                   prmi_down_down)
+from .prmi import PrmiSolution, _marginal_terms, _solve_dd, prmi_closed_form, prmi_down_down
 from .states import BipartiteState
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
@@ -109,11 +108,11 @@ def _stacked(ops) -> tuple:
 
 class _PrmiCache:
     """Memoized I_s evaluations of one state at orders s in (1/2, 1). The new
-    orders of a request run as one stack, each row from the minimizer cached at
-    the nearest order if that covers supp(rho_A), else from rho_A; the gap stop
-    certifies either start. Orders within ALPHA_ONE_WINDOW of 1, where the
-    loop's rounding grows like eps s/|1-s|, take the alpha = 1 route of
-    `prmi_down_down`. The derivatives dI/ds are memoized likewise."""
+    orders of a request are solved as one stack by `prmi._solve_dd`, which
+    picks each order's route, each offered the minimizer cached at the nearest
+    order as its start (else rho_A); the loop takes it if it covers supp(rho_A),
+    and the gap stop certifies either start. The derivatives dI/ds are memoized
+    likewise."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
@@ -121,20 +120,14 @@ class _PrmiCache:
         self._derivatives: dict[float, float] = {}
 
     def solve(self, s_values) -> None:
-        """Solve the orders of s_values that are not cached yet, those outside
-        the alpha = 1 window as one stack."""
+        """Solve the orders of s_values that are not cached yet, as one stack."""
         missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
-        window = [s for s in missing if abs(s - 1.0) <= ALPHA_ONE_WINDOW]
-        self._values.update((s, prmi_down_down(s, self.rho)) for s in window)
-        missing = [s for s in missing if s not in window]
         if not missing:
             return
-        rho_a = self.rho.marginal_a
-        starts = [rho_a] * len(missing)
+        starts = [self.rho.marginal_a] * len(missing)
         if self._values:
-            near = (self._values[min(self._values, key=lambda t: abs(t - s))].sigma_a for s in missing)
-            starts = [x if dominated(rho_a, x) else rho_a for x in near]
-        self._values.update(zip(missing, _run_fixed_point(np.array(missing), self.rho, starts)))
+            starts = [self._values[min(self._values, key=lambda t: abs(t - s))].sigma_a for s in missing]
+        self._values.update(zip(missing, _solve_dd(missing, self.rho, starts)))
 
     def solution(self, s: float) -> PrmiSolution:
         self.solve([s])
@@ -168,7 +161,7 @@ class _PrmiCache:
         return all(sol.certified for sol in self._values.values())
 
 
-def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> float:
+def r_half_threshold(rho: BipartiteState, cache: _PrmiCache) -> float:
     """The rate threshold R_(1/2) = I_(1/2) - (1/4) d/ds I_s at s = 1/2+.
 
     Both the value and the one-sided derivative are extrapolated to s = 1/2 from
@@ -177,7 +170,6 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache | None = None) -> fl
     correlated states, else 0. A search for I_0 is not used: it returns an
     estimate from above, which is no lower bound.
     """
-    cache = cache or _PrmiCache(rho)
     s1, s2 = 0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP
     i_half = 2 * cache.value(s1) - cache.value(s2)
     d1, d2 = cache.derivatives([s1, s2])

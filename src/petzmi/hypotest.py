@@ -241,7 +241,7 @@ def np_test(rho_blocks, alt_blocks, log_threshold: float, mult) -> list[np.ndarr
 @dataclass(frozen=True)
 class TestErrors:
     """Errors of the universal threshold test at blocklength n. A type-I bound
-    beyond float range, as at large rates, reads inf (`Infinity` in JSON)."""
+    beyond float range, as at large rates, reads inf (null in `simulate --json`)."""
 
     n: int
     s: float

@@ -27,17 +27,16 @@ EPS = np.finfo(float).eps
 class HermitianOperator:
     """A d x d complex Hermitian matrix with a lazily cached spectral decomposition.
 
-    The cached eigenvalues are sorted in descending order. A caller that holds
-    the eigensystem (vals, vecs) of `matrix` may pass it, and no decomposition
-    is taken. The matrix is symmetrized at construction; entrywise deviations
-    from hermiticity beyond HERMITICITY_TOL * max(1, max|m_ij|) are rejected,
-    relative to large entries such as those of negative powers of near-singular
-    states. `from_eigensystem` builds the operator from an eigensystem alone.
+    The cached eigenvalues are sorted in descending order. The matrix is
+    symmetrized at construction; entrywise deviations from hermiticity beyond
+    HERMITICITY_TOL * max(1, max|m_ij|) are rejected, relative to large entries
+    such as those of negative powers of near-singular states. A caller that
+    holds an eigensystem builds the operator from it with `from_eigensystem`.
     """
 
     __slots__ = ("_matrix", "_eigensystem", "_spectrum", "_eigenvectors")
 
-    def __init__(self, matrix, eigensystem=None) -> None:
+    def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
@@ -47,7 +46,7 @@ class HermitianOperator:
                 f"matrix is not Hermitian within tolerance {tol:g} "
                 f"(max deviation {np.max(np.abs(m - m.conj().T)):.3e})"
             )
-        self._matrix, self._eigensystem = _symmetrized(m), eigensystem  # vals, vecs as given
+        self._matrix, self._eigensystem = _symmetrized(m), None
         self._spectrum = self._eigenvectors = None
 
     @classmethod

@@ -7,24 +7,25 @@ reference state are optimized:
              I = D_alpha(rho_AB || rho_A x rho_B);
   up_down  : the B argument minimized, closed form through a Schatten
              quasi-norm of a partial trace;
-  down_down: both arguments minimized, by alternating minimization, each
-             half-step being the exact one-sided minimizer. On (1/2, 2] its
-             fixed points are the global minimizers; below 1/2 the best run of
-             ten starts is returned, uncertified.
+  down_down: both arguments minimized: in closed form on pure and copy-cc
+             states, else by alternating minimization, each half-step being
+             the exact one-sided minimizer. On (1/2, 2] its fixed points are
+             the global minimizers; below 1/2 the best run of ten starts is
+             returned, uncertified. `_solve_dd` alone picks an order's route.
 
 A half-step is M from `_traced`, then `divergences._one_sided_min` on M's
 eigenvalues: `_half_step` for `gen_prmi_down` and the loop's A -> B direction;
 B -> A, through the transposed tensor of rho^alpha, the loop runs the two
 itself, as above 1/2 it decomposes a secant (Anderson-1) extrapolation of M_A
 in place of M_A. They run on a stack of orders, one row each, with the
-orders' constants (`divergences._orders`) formed once: `prmi_down_down` is a
-stack of one. Every run stops once the Frank-Wolfe gap of its iterate, read
-from the half-step's s^(1-alpha), is at most GAP_TOL (above 1/2, and its last
-plain step at most 10 GAP_TOL); the gap is formed only in rounds where some
-row's value fell by at most CONVERGING. Inputs are validated at the public
-functions, a start orthogonal to supp(rho_A) in the loop's first round.
-uu and dd at alpha = 1 take the terms against rho_A x rho_B from the
-marginals' eigensystems (`divergences._product_terms`).
+orders' constants (`divergences._orders`) formed once. Every run stops once
+the Frank-Wolfe gap of its iterate, read from the half-step's s^(1-alpha), is
+at most GAP_TOL (above 1/2, and its last plain step at most 10 GAP_TOL); the
+gap is formed only in rounds where some row's value fell by at most CONVERGING.
+Inputs are validated at the public functions, a start orthogonal to
+supp(rho_A) in the loop's first round. uu and dd at alpha = 1 take the terms
+against rho_A x rho_B from the marginals' eigensystems
+(`divergences._product_terms`).
 
 All logarithms are natural.
 """
@@ -57,7 +58,7 @@ from .errors import (
     NumericalDegradationError,
     UnsupportedRegimeError,
 )
-from .linalg import _compose, _dagger, power_on_support, spectral_power
+from .linalg import _compose, _dagger, spectral_power
 from .oracle import _ginibre_grid
 from .states import BipartiteState, DensityOperator
 
@@ -229,8 +230,9 @@ def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator)
 def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | None:
     """Known closed forms: pure states and perfectly correlated cc states.
 
-    Returns None when no closed form applies. Used for cross-checks, below 1/2,
-    where the loop is not known to be global, and as the I_0 floor of R_(1/2).
+    Returns None when no closed form applies. dd on these states is answered
+    from it at every order outside the alpha = 1 window (`_solve_dd`); it is
+    also the I_0 floor of R_(1/2).
     """
     if rho.is_pure():
         rho_a = rho.marginal_a
@@ -241,9 +243,7 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
                 return 2.0 * renyi_entropy(math.inf, rho_a)
             return 2.0 * renyi_entropy((2.0 - alpha) / alpha, rho_a)
         if which == "dd":
-            if alpha <= 0.5:
-                return (1.0 / (1.0 - alpha)) * min_entropy(rho_a)
-            return 2.0 * renyi_entropy(1.0 / (2.0 * alpha - 1.0), rho_a)
+            return _dd_closed_form(alpha, rho_a, True)
     p = _copy_cc_pmf_or_none(rho)
     if p is not None:
         rho_a = rho.marginal_a
@@ -254,9 +254,7 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
                 return renyi_entropy(math.inf, rho_a)
             return renyi_entropy(1.0 / alpha, rho_a)
         if which == "dd":
-            if alpha <= 0.5:
-                return (alpha / (1.0 - alpha)) * min_entropy(rho_a)
-            return renyi_entropy(alpha / (2.0 * alpha - 1.0), rho_a)
+            return _dd_closed_form(alpha, rho_a, False)
     return None
 
 
@@ -273,33 +271,28 @@ def _copy_cc_pmf_or_none(rho: BipartiteState):
     return p
 
 
-def _dd_closed_form_solution(alpha: float, rho: BipartiteState) -> PrmiSolution | None:
-    """Pure / copy-cc answers for alpha <= 1/2, with the known minimizers."""
-    value = prmi_closed_form(alpha, rho, "dd")
-    if value is None:
-        return None
+def _dd_closed_form(alpha: float, rho_a: DensityOperator, pure: bool) -> float:
+    """dd on a pure (pure=True) or copy-cc state, from its marginal rho_A."""
+    if alpha <= 0.5:
+        return ((1.0 if pure else alpha) / (1.0 - alpha)) * min_entropy(rho_a)
+    return (2.0 if pure else 1.0) * renyi_entropy((1.0 if pure else alpha) / (2.0 * alpha - 1.0), rho_a)
+
+
+def _dd_closed_form_solution(alpha: float, rho: BipartiteState, pure: bool) -> PrmiSolution:
+    """The closed form of dd on a pure (pure=True) or copy-cc state, certified,
+    at any order outside the alpha = 1 window, with the minimizers
+    sigma ~ rho_A^e, tau ~ rho_B^e above 1/2, e the order of rho_A in the value."""
+    value = _dd_closed_form(alpha, rho.marginal_a, pure)
     sigma_a = tau_b = None
     if alpha > 0.5:
-        # exponent of the optimizing marginal power differs between the cases
-        if rho.is_pure():
-            expo = 1.0 / (2.0 * alpha - 1.0)
-        else:
-            expo = alpha / (2.0 * alpha - 1.0)
-        s = power_on_support(rho.marginal_a, expo)
-        sigma_a = DensityOperator(s.matrix / s.trace())
-        t = power_on_support(rho.marginal_b, expo)
-        tau_b = DensityOperator(t.matrix / t.trace())
-    return PrmiSolution(
-        value=value,
-        alpha=alpha,
-        sigma_a=sigma_a,
-        tau_b=tau_b,
-        residual=0.0,
-        iterations=0,
-        objective_trace=(value,),
-        certified=True,
-        gap=0.0,
-    )
+        expo = (1.0 if pure else alpha) / (2.0 * alpha - 1.0)
+        # m^e / tr m^e from the held eigensystem of m, its spectrum scaled to a top
+        # eigenvalue of 1 first, so that no power underflows to a zero trace
+        powers = [(spectral_power(m.spectrum / m.spectrum[0], expo), m.eigenvectors)
+                  for m in (rho.marginal_a, rho.marginal_b)]
+        sigma_a, tau_b = (DensityOperator.from_eigensystem(p / p.sum(), v) for p, v in powers)
+    return PrmiSolution(value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b, residual=0.0,
+                        iterations=0, objective_trace=(value,), certified=True, gap=0.0)
 
 
 def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITER):
@@ -445,10 +438,13 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
 
 
 def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
-    """min over sigma_A, tau_B of D_alpha(rho_AB || sigma_A x tau_B).
+    """min over sigma_A, tau_B of D_alpha(rho_AB || sigma_A x tau_B): the
+    stack of one order of `_solve_dd`, started from sigma = rho_A.
 
     Regimes:
       alpha = 1          : the mutual information, minimizers the true marginals.
+      pure / copy-cc     : the closed forms at every other order, certified,
+                           with minimizers above 1/2.
       1/2 < alpha <= 2   : alternating minimization from sigma = rho_A. By the
                            fixed-point theorem every fixed point of the map is
                            a global minimizer on this range, so one start
@@ -457,56 +453,62 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
                            most GAP_TOL and its residual at most 10 GAP_TOL,
                            and it is certified when sigma also has the rank
                            of rho_A.
-      0 <= alpha <= 1/2  : closed forms (pure / perfectly correlated states),
-                           else uncertified: a grid on the classical reduction
-                           for diagonal states, or for d_A, d_B <= 3 the best
-                           run of the loop from rho_A, I/d_A and 8 Ginibre states.
-      alpha > 2          : closed forms only (fixed points need not be
-                           minimizers); generic states are rejected.
+      0 <= alpha <= 1/2  : uncertified: a grid on the classical reduction for
+                           diagonal states, or for d_A, d_B <= 3 the best run
+                           of the loop from rho_A, I/d_A and 8 Ginibre states.
+      alpha > 2          : generic states are rejected (fixed points need not
+                           be minimizers).
     """
     _check_order(alpha)
+    return _solve_dd([alpha], rho, [rho.marginal_a])[0]
 
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        d = _relative_entropy(*_marginal_terms(rho))
-        return PrmiSolution(
-            value=d.value, alpha=alpha, sigma_a=rho.marginal_a, tau_b=rho.marginal_b,
-            residual=0.0, iterations=0, objective_trace=(d.value,), certified=True, gap=0.0,
-        )
 
-    if alpha > 2.0:
-        # fixed points are not known to be minimizers here; only the closed
-        # forms (pure / perfectly correlated states) remain available
-        closed = _dd_closed_form_solution(alpha, rho)
-        if closed is not None:
-            return closed
-        raise UnsupportedRegimeError(
-            f"doubly minimized Renyi mutual information of a generic state is "
-            f"not supported for alpha = {alpha} > 2"
-        )
-
-    if alpha > 0.5:
-        return _run_fixed_point(alpha, rho, rho.marginal_a)
-
-    # alpha in [0, 1/2]
-    closed = _dd_closed_form_solution(alpha, rho)
-    if closed is not None:
-        return closed
-    pmf = rho.diagonal_pmf_or_none()
-    if pmf is None and rho.d_a <= 3 and rho.d_b <= 3:
-        starts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
-        return min(_run_fixed_point(np.full(len(starts), alpha), rho, starts),
-                   key=PrmiSolution.as_float)
-    if pmf is None:
-        raise UnsupportedRegimeError(
-            "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states"
-        )
-    value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
-    sigma_a, tau_b = DensityOperator(np.diag(r_opt)), DensityOperator(np.diag(q_opt))
-    value = max(value, 0.0) + 0.0  # as in _run_fixed_point
-    return PrmiSolution(
-        value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b,
-        residual=math.inf, iterations=0, objective_trace=(value,), certified=False,
-    )
+def _solve_dd(alphas, rho: BipartiteState, starts) -> list[PrmiSolution]:
+    """dd at each of a stack of checked orders, the one place that picks an
+    order's route (see `prmi_down_down`): the alpha = 1 window, the closed forms
+    of pure and copy-cc states (recognized once per call), the rejection above
+    2, one loop stack for the orders in (1/2, 2], each row from its start in
+    starts if that covers supp(rho_A), else from rho_A, and the searches at or
+    below 1/2."""
+    pure = rho.is_pure()
+    closed = pure or _copy_cc_pmf_or_none(rho) is not None
+    solutions, loop = [], []
+    for alpha in alphas:
+        if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+            d = _relative_entropy(*_marginal_terms(rho))
+            sol = PrmiSolution(value=d.value, alpha=alpha, sigma_a=rho.marginal_a,
+                               tau_b=rho.marginal_b, residual=0.0, iterations=0,
+                               objective_trace=(d.value,), certified=True, gap=0.0)
+        elif closed:
+            sol = _dd_closed_form_solution(alpha, rho, pure)
+        elif alpha > 2.0:
+            raise UnsupportedRegimeError(f"doubly minimized Renyi mutual information of a "
+                                         f"generic state is not supported for alpha = {alpha} > 2")
+        elif alpha > 0.5:
+            sol = None
+            loop.append(len(solutions))
+        elif (pmf := rho.diagonal_pmf_or_none()) is None and rho.d_a <= 3 and rho.d_b <= 3:
+            restarts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
+            sol = min(_run_fixed_point(np.full(len(restarts), alpha), rho, restarts),
+                      key=PrmiSolution.as_float)
+        elif pmf is None:
+            raise UnsupportedRegimeError(
+                "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
+        else:
+            value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
+            value = max(value, 0.0) + 0.0  # as in _run_fixed_point
+            sol = PrmiSolution(value=value, alpha=alpha, sigma_a=DensityOperator(np.diag(r_opt)),
+                               tau_b=DensityOperator(np.diag(q_opt)), residual=math.inf,
+                               iterations=0, objective_trace=(value,), certified=False)
+        solutions.append(sol)
+    if loop:
+        rho_a = rho.marginal_a
+        rows = _run_fixed_point(np.array([alphas[j] for j in loop], dtype=float), rho,
+                                [x if x is rho_a or dominated(rho_a, x) else rho_a
+                                 for x in (starts[j] for j in loop)])
+        for j, row in zip(loop, rows):
+            solutions[j] = row
+    return solutions
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,8 +16,8 @@ class DensityOperator(HermitianOperator):
     """A Hermitian, positive semidefinite, unit-trace operator. One built
     `from_eigensystem` is checked on its eigenvalues, with the same tolerances."""
 
-    def __init__(self, matrix, eigensystem=None) -> None:
-        super().__init__(matrix, eigensystem)
+    def __init__(self, matrix) -> None:
+        super().__init__(matrix)
         self._check()
 
     def _check(self) -> None:

@@ -207,16 +207,25 @@ def entropy(p, alpha):
 
 def eager_density(vals: np.ndarray, vecs: np.ndarray) -> DensityOperator:
     """The density operator of a held eigensystem as the solver built it before
-    `from_eigensystem`: the matrix composed, validated and symmetrized at once."""
-    return DensityOperator(_compose(vals, vecs), eigensystem=(vals, vecs))
+    the matrix was composed on first read: the matrix composed, validated and
+    symmetrized at once."""
+    return _with_matrix(DensityOperator.from_eigensystem(vals, vecs), _compose(vals, vecs))
 
 
 def product_state(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """a x b, carrying the Kronecker product of the factors' eigensystems: the
     product is never decomposed, and its eigenvalues keep the factors'
     relative accuracy."""
-    return DensityOperator(np.kron(a.matrix, b.matrix), eigensystem=(
-        np.kron(a.spectrum, b.spectrum), np.kron(a.eigenvectors, b.eigenvectors)))
+    op = DensityOperator.from_eigensystem(np.kron(a.spectrum, b.spectrum),
+                                          np.kron(a.eigenvectors, b.eigenvectors))
+    return _with_matrix(op, np.kron(a.matrix, b.matrix))
+
+
+def _with_matrix(op: DensityOperator, matrix: np.ndarray) -> DensityOperator:
+    """op, built `from_eigensystem`, with matrix in place of the one it would
+    compose: validated and symmetrized by `HermitianOperator.__init__` now."""
+    op._matrix = HermitianOperator(matrix).matrix
+    return op
 
 
 # The alpha-derivative as it was formed row by row, before a stack of orders

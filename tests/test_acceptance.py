@@ -21,6 +21,7 @@ from petzmi.hypotest import test_errors as threshold_test_errors
 from petzmi.linalg import HermitianOperator, power_on_support
 from petzmi.oracle import brute_force_dd
 from petzmi.prmi import (
+    _run_fixed_point,
     fixed_point_map,
     prmi_closed_form,
     prmi_down_down,
@@ -74,6 +75,8 @@ def test_criterion_1_pure_state_figure():
         else:
             expect_dd = 2 * entropy(1 / (2 * alpha - 1))
         ok &= abs(dd - expect_dd) <= 1e-6
+        if 0.5 < alpha <= 2.0 and alpha != 1.0:  # the loop, which dd does not run here
+            ok &= abs(_run_fixed_point(alpha, PURE, PURE.marginal_a).value - expect_dd) <= 1e-6
     at_one = 2 * entropy(1.0)
     ok &= abs(at_one - 1.000805) <= 1e-5  # ~1.000805 nats
     for f in (prmi_up_up, prmi_up_down):
@@ -107,6 +110,9 @@ def test_criterion_2_copy_cc_figure():
         if 0.5 < alpha <= 2.0:
             cval, _, _ = classical_dd(alpha, pmf)
             ok &= abs(prmi_down_down(alpha, CC).value - cval) <= 1e-9
+            if alpha != 1.0:  # the loop, which dd does not run here
+                loop = _run_fixed_point(alpha, CC, CC.marginal_a).value
+                ok &= abs(loop - expect_dd) <= 1e-6 and abs(loop - cval) <= 1e-9
     elapsed = time.monotonic() - start
     report(2, ok and elapsed < 5.0)
 

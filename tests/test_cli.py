@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import petzmi
-from petzmi import cli
+from petzmi import cli, exponents
 from petzmi.cli import _fmt, main, parse_input, sweep_rows
 from petzmi.states import cc_state, random_bipartite
 
@@ -223,13 +223,13 @@ def test_exponent_curve(cc_file, capsys):
     assert len(lines[header + 1:]) == 25
 
 
-def test_strict_exponent_exits_5_on_an_uncertified_solve(tmp_path, capsys):
-    """On this pure state the solves at s = 0.5001, 0.501 and 0.502 end with a
-    sigma of lower rank than rho_A, which the gap does not certify."""
-    m = random_bipartite(2, 2, 3, rank=1).matrix
-    path = write_json(tmp_path / "r1.json", {
-        "dA": 2, "dB": 2, "matrix": [[z.real, z.imag] for z in m.ravel()]})
-    argv = ["exponent", "--state", path, "--rate", "0.1"]
+def test_strict_exponent_exits_5_on_an_uncertified_solve(pure_file, capsys, monkeypatch):
+    def uncertified(alphas, rho, starts):
+        return [dataclasses.replace(sol, certified=False) for sol in solve_dd(alphas, rho, starts)]
+
+    solve_dd = exponents._solve_dd
+    monkeypatch.setattr(exponents, "_solve_dd", uncertified)
+    argv = ["exponent", "--state", pure_file, "--rate", "0.1"]
     assert main(["--json"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["certified"] == 0
     assert main(["--strict"] + argv) == 5
@@ -335,6 +335,21 @@ def test_simulate_at_a_large_rate_exits_cleanly(cc_file, capsys):
     assert main(["--json", "simulate", "--state", cc_file, "--rate", "40", "--n-max", "3"]) == 0
     rows = json.loads(capsys.readouterr().out)["per_n"]
     assert len(rows) == 3 and all(r["vacuous"] is True for r in rows)
+
+
+def test_simulate_json_writes_a_bound_beyond_float_range_as_null(cc_file, capsys):
+    # at rate 100000 every type-I bound leaves float range: --json writes it as
+    # null, as RFC 8259 JSON has no Infinity, and the text table as inf
+    argv = ["simulate", "--state", cc_file, "--rate", "100000", "--n-max", "1"]
+    assert main(["--json"] + argv) == 0
+
+    def reject(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)["per_n"]
+    assert rows[0]["type_one_bound"] is None and rows[0]["vacuous"] is True
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[3].split(",")[4] == "inf"
 
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +16,15 @@ from petzmi.exponents import (
     r_half_threshold,
     rate_curve,
 )
-from petzmi.prmi import _run_fixed_point, prmi_down_down
+from petzmi.prmi import _run_fixed_point, _solve_dd, prmi_closed_form, prmi_down_down
 from petzmi.states import (DensityOperator, Pmf, cc_state, copy_cc_state, pure_bipartite,
                            random_bipartite)
 from reference import tensor_product
 
 CC_02 = copy_cc_state([0.2, 0.8])
+# the package exports a function named prmi, which hides the module: the loop's
+# monkeypatches go through sys.modules
+PRMI = sys.modules["petzmi.prmi"]
 LO, HI = 0.5 + 1e-4, 1.0 - 1e-4
 RATE_FRACTIONS = (0.1, 0.45, 0.8, 0.99)
 DIFFERENTIAL_STATES = [
@@ -103,12 +107,12 @@ def test_matches_dense_grid():
 
 def test_copy_cc_threshold_is_zero():
     # perfectly correlated states admit positive exponents at every positive rate
-    assert r_half_threshold(CC_02) == pytest.approx(0.0, abs=1e-4)
+    assert r_half_threshold(CC_02, _PrmiCache(CC_02)) == pytest.approx(0.0, abs=1e-4)
 
 
 def test_pure_state_threshold_bounds():
     rho = pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2)
-    r = r_half_threshold(rho)
+    r = r_half_threshold(rho, _PrmiCache(rho))
     i_half = prmi_down_down(0.5 + 1e-6, rho).value
     i_zero = prmi_down_down(0.0, rho).value
     assert i_zero - 1e-3 <= r <= i_half + 1e-3
@@ -265,19 +269,20 @@ def test_root_search_matches_golden_section(index):
 @pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],
                          ids=["copy-cc", "pure", "random"])
 def test_solves_per_exponent(rho, monkeypatch):
-    """Counts the single solves, cold (`prmi_down_down`) and warm-started
-    (`_run_fixed_point` from a cached minimizer) alike."""
+    """Counts the single solves: the cold `prmi_down_down` calls and every
+    order of the stacks the cache hands to the route table `_solve_dd`."""
     calls = []
 
-    def counting(solve):
-        def wrapper(*args, **kwargs):
-            calls.append(args[0])
-            return solve(*args, **kwargs)
+    def counting(alpha, rho):
+        calls.append(alpha)
+        return prmi_down_down(alpha, rho)
 
-        return wrapper
+    def counting_table(alphas, rho, starts):
+        calls.extend(alphas)
+        return _solve_dd(alphas, rho, starts)
 
-    monkeypatch.setattr(exponents, "prmi_down_down", counting(prmi_down_down))
-    monkeypatch.setattr(exponents, "_run_fixed_point", counting(_run_fixed_point))
+    monkeypatch.setattr(exponents, "prmi_down_down", counting)
+    monkeypatch.setattr(exponents, "_solve_dd", counting_table)
     i_one = prmi_down_down(1.0, rho).value
     for frac in RATE_FRACTIONS:
         calls.clear()
@@ -300,7 +305,8 @@ class RecordingCache(_PrmiCache):
 def test_warm_started_solves_match_cold_ones(index, monkeypatch):
     """Every solve that `direct_exponent` caches, warm-started from the nearest
     cached minimizer or not, is certified and within 1e-12 of a cold solve
-    from rho_A; and the root search does start from cached minimizers."""
+    from rho_A; and the root search does start the loop from cached
+    minimizers, unless the state has a closed form, which runs no loop."""
     rho = DIFFERENTIAL_STATES[index]
     RecordingCache.made = []
     starts = []
@@ -310,11 +316,11 @@ def test_warm_started_solves_match_cold_ones(index, monkeypatch):
         return _run_fixed_point(alpha, rho, start)
 
     monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
-    monkeypatch.setattr(exponents, "_run_fixed_point", recording)
+    monkeypatch.setattr(PRMI, "_run_fixed_point", recording)
     i_one = prmi_down_down(1.0, rho).value
     for frac in RATE_FRACTIONS:
         direct_exponent(rho, frac * i_one)
-    assert starts
+    assert bool(starts) == (prmi_closed_form(0.7, rho, "dd") is None)
     for cache in RecordingCache.made:
         for s, sol in cache._values.items():
             assert sol.certified
@@ -334,8 +340,8 @@ def test_start_that_misses_the_support_is_not_used(monkeypatch):
         starts.extend(rows)
         return _run_fixed_point(alphas, rho, rows)
 
-    monkeypatch.setattr(exponents, "_run_fixed_point", recording)
     cold = prmi_down_down(0.71, rho)
+    monkeypatch.setattr(PRMI, "_run_fixed_point", recording)
     assert cache.solution(0.71).objective_trace == cold.objective_trace
     assert starts == [rho.marginal_a]
     cache.solution(0.72)
@@ -361,15 +367,15 @@ def test_exponent_solves_only_above_half(rho, monkeypatch):
         orders.append(alpha)
         return prmi_down_down(alpha, rho)
 
-    def recording_stack(alphas, rho, starts):
+    def recording_table(alphas, rho, starts):
         orders.extend(alphas)
-        return _run_fixed_point(alphas, rho, starts)
+        return _solve_dd(alphas, rho, starts)
 
     monkeypatch.setattr(exponents, "prmi_down_down", recording)
-    monkeypatch.setattr(exponents, "_run_fixed_point", recording_stack)
+    monkeypatch.setattr(exponents, "_solve_dd", recording_table)
     for frac in RATE_FRACTIONS + (1.2,):
         direct_exponent(rho, frac * i_one)
-    r_half_threshold(rho)
+    r_half_threshold(rho, _PrmiCache(rho))
     rate_curve(rho, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25))
     assert orders and all(0.5 < s <= 1.0 for s in orders)
 
@@ -415,7 +421,7 @@ def test_known_floor_matches_search_floor(rho, monkeypatch):
     against flooring it at the alpha = 0 solve."""
     i_one = prmi_down_down(1.0, rho).value
     rates = [frac * i_one for frac in (0.1, 0.8, 1.2)]
-    new = [r_half_threshold(rho)] + [direct_exponent(rho, rate) for rate in rates]
+    new = [r_half_threshold(rho, _PrmiCache(rho))] + [direct_exponent(rho, rate) for rate in rates]
     monkeypatch.setattr(exponents, "r_half_threshold", floored_at_search)
     old = [floored_at_search(rho)] + [direct_exponent(rho, rate) for rate in rates]
     assert new == old

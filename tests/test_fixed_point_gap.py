@@ -23,8 +23,10 @@ from petzmi.prmi import (
     _half_step,
     _rho_power,
     _run_fixed_point,
+    _solve_dd,
     fixed_point_map,
     gen_prmi_down,
+    prmi_closed_form,
     prmi_down_down,
 )
 from petzmi.states import (
@@ -117,9 +119,11 @@ def test_gap_bounds_the_suboptimality(d_b, seed, alpha, mix):
 
 def test_stalled_start_runs_to_the_minimum():
     """Started next to the s = 1/2 boundary, a step-size stop ends after one
-    round, 5.5e-9 above the minimum; the gap keeps the run going."""
+    round, 5.5e-9 above the minimum; the gap keeps the run going. The start is
+    the loop's s = 0.501 minimizer, whose small eigenvalue (5.5e-14) is above
+    the support cut; the closed form's (1e-151) is not."""
     rho = copy_cc_state([0.2, 0.8])
-    start = prmi_down_down(0.501, rho).sigma_a
+    start = _run_fixed_point(0.501, rho, rho.marginal_a).sigma_a
     warm = _run_fixed_point(0.52175, rho, start)
     cold = prmi_down_down(0.52175, rho)
     assert warm.iterations > 1
@@ -214,6 +218,20 @@ def test_a_secant_run_stops_on_a_small_plain_step():
     assert run.value == pytest.approx(plain.value, abs=1e-12)
 
 
+def test_the_secant_support_guard_takes_the_plain_step():
+    """On the copy state at s = 0.501 from rho_A the minimizer's small
+    eigenvalue is about 5.5e-14, and some secant steps would give a sigma under
+    SECANT_RATIO: the guard (`bad` in `_run_fixed_point`) decomposes the plain
+    M_A in their place. `prmi_down_down` answers this state by its closed
+    form, so the loop is called directly. The run keeps sigma on supp(rho_A)
+    and is certified at the closed form; without the guard a secant M has a
+    negative eigenvalue and the run raises."""
+    rho = copy_cc_state([0.2, 0.8])
+    run = _run_fixed_point(0.501, rho, rho.marginal_a)
+    assert run.certified and run.sigma_a.rank() == 2
+    assert run.value == pytest.approx(prmi_closed_form(0.501, rho, "dd"), abs=1e-12)
+
+
 def test_a_start_off_the_support_is_not_certified():
     """Below 1 a start that misses supp(rho_A) keeps its face, where the gap on
     supp(sigma) reads 0: the run stops there, uncertified, as its sigma lacks
@@ -254,13 +272,12 @@ STACK_ALPHAS = np.concatenate([np.linspace(0.501, 0.999, 9), [1.0, 1.3, 1.7, 2.0
 
 @pytest.mark.parametrize("index", range(len(STACK_STATES)))
 def test_stacked_rows_match_single_solves(index):
-    # the orders the alternating minimization serves run as one stack from
-    # rho_A, the alpha = 1 window through prmi_down_down
+    # every order runs through the route table as one stack from rho_A: the
+    # alpha = 1 window, the closed forms of the copy and pure states, and the
+    # loop's rows for the others
     rho = STACK_STATES[index]
-    stackable = [a for a in STACK_ALPHAS if abs(a - 1.0) > ALPHA_ONE_WINDOW]
-    stacked = dict(zip(stackable, _run_fixed_point(np.array(stackable), rho, rho.marginal_a)))
-    for alpha in STACK_ALPHAS:
-        row = stacked[alpha] if alpha in stacked else prmi_down_down(alpha, rho)
+    rows = _solve_dd(list(STACK_ALPHAS), rho, [rho.marginal_a] * len(STACK_ALPHAS))
+    for alpha, row in zip(STACK_ALPHAS, rows, strict=True):
         single = prmi_down_down(alpha, rho)
         assert row.alpha == single.alpha
         assert row.value == pytest.approx(single.value, abs=1e-12)

@@ -9,6 +9,7 @@ from petzmi.errors import DomainError, InvalidInputError, UnsupportedRegimeError
 from petzmi.prmi import (
     _run_fixed_point,
     _small_alpha_starts,
+    _solve_dd,
     fixed_point_map,
     gen_prmi_down,
     prmi,
@@ -58,28 +59,81 @@ def test_gen_down_minimizer_is_optimal(qubit_pair):
     assert petz_divergence(alpha, rho, ref).value == pytest.approx(value, abs=1e-10)
 
 
+def loop_or_window(alpha, rho):
+    """The loop from rho_A, which `prmi_down_down` does not run on pure and
+    copy-cc states, or the alpha = 1 route, where the loop does not run."""
+    if alpha == 1.0:
+        return prmi_down_down(alpha, rho)
+    return _run_fixed_point(alpha, rho, rho.marginal_a)
+
+
 @pytest.mark.parametrize("alpha", [0.55, 0.7, 0.9, 1.0, 1.3, 1.8, 2.0])
 def test_solver_matches_pure_closed_form(alpha):
-    sol = prmi_down_down(alpha, PURE_02)
+    sol = loop_or_window(alpha, PURE_02)
     assert sol.value == pytest.approx(prmi_closed_form(alpha, PURE_02, "dd"), abs=1e-9)
     assert sol.certified
 
 
 @pytest.mark.parametrize("alpha", [0.55, 0.7, 0.9, 1.0, 1.3, 1.8, 2.0])
 def test_solver_matches_copy_cc_closed_form(alpha):
-    sol = prmi_down_down(alpha, CC_02)
+    sol = loop_or_window(alpha, CC_02)
     assert sol.value == pytest.approx(prmi_closed_form(alpha, CC_02, "dd"), abs=1e-9)
 
 
+CLOSED_FORM_STATES = [random_bipartite(d, d, seed, rank=1) for d in (2, 3) for seed in range(30)]
+CLOSED_FORM_STATES.append(CC_02)
+
+
+@pytest.mark.parametrize("alpha", [0.5001, 0.52, 0.55, 0.7, 1.5, 2.0])
+def test_closed_form_states_are_certified_at_every_order(alpha):
+    """Pure and copy-cc states take the closed form on (1/2, 2] too, where the
+    loop from rho_A lost its certificate near 1/2 (sigma* ~ rho_A^(1/(2s-1))
+    has eigenvalues under the support cut). The minimizer it carries attains
+    the value."""
+    for rho in CLOSED_FORM_STATES:
+        sol = prmi_down_down(alpha, rho)
+        assert sol.certified and sol.iterations == 0 and sol.gap == 0.0
+        assert sol.value == prmi_closed_form(alpha, rho, "dd")
+        if alpha >= 0.52:
+            assert gen_prmi_down(alpha, rho, sol.sigma_a)[0] == pytest.approx(sol.value, abs=1e-10)
+
+
+TABLE_STATES = {
+    "pure": PURE_02,
+    "copy-cc": CC_02,
+    "generic": random_bipartite(2, 2, 42),
+    "diagonal": cc_state(Pmf(np.array([[0.35, 0.15], [0.05, 0.45]]))),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_STATES)
+def test_route_table_stack_matches_single_solves(name):
+    """One stack through `_solve_dd` gives, row by row, what `prmi_down_down`
+    gives order by order: every route in one stack, the loop's rows from rho_A."""
+    rho = TABLE_STATES[name]
+    alphas = [0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0] + ([2.5] if name in ("pure", "copy-cc") else [])
+    rows = _solve_dd(alphas, rho, [rho.marginal_a] * len(alphas))
+    for alpha, row in zip(alphas, rows, strict=True):
+        single = prmi_down_down(alpha, rho)
+        assert row.alpha == single.alpha and row.certified == single.certified
+        assert row.value == pytest.approx(single.value, abs=1e-12)
+        assert row.iterations == single.iterations
+    if name in ("generic", "diagonal"):  # no closed form: an order above 2 rejects the stack
+        with pytest.raises(UnsupportedRegimeError):
+            _solve_dd([0.7, 2.5], rho, [rho.marginal_a] * 2)
+
+
 def test_pure_closed_form_minimizer_is_marginal_power():
-    # optimizers sigma ~ rho_A^(1/(2 alpha - 1)) for pure states
+    """The loop from rho_A converges to the minimizer sigma ~ rho_A^(1/(2 alpha - 1))
+    of a pure state, which `prmi_down_down` returns from the closed form."""
     alpha = 0.8
-    sol = prmi_down_down(alpha, PURE_02)
     from petzmi.linalg import power_on_support
 
     expected = power_on_support(PURE_02.marginal_a, 1 / (2 * alpha - 1))
     expected = expected.matrix / np.real(np.trace(expected.matrix))
-    assert trace_distance(sol.sigma_a, expected) < 1e-8
+    loop = _run_fixed_point(alpha, PURE_02, PURE_02.marginal_a)
+    assert trace_distance(loop.sigma_a, expected) < 1e-8
+    assert trace_distance(prmi_down_down(alpha, PURE_02).sigma_a, expected) < 1e-12
 
 
 def test_alpha_one_returns_mutual_information(qubit_pair):

@@ -255,8 +255,7 @@ def test_universal_test_matches_dense_block(index, monkeypatch):
         calls.append((n, len(orders)))
         basis = symmetry_basis(n, rho.d_a, rho.d_b)
         log_g = sum(math.log(symmetric_type_count(n, side**2)) for side in (rho.d_a, rho.d_b))
-        rho_n = DensityOperator(dense_iid_block(rho, n).matrix,
-                                eigensystem=kronecker_eigensystem(rho, n))
+        rho_n = DensityOperator.from_eigensystem(*kronecker_eigensystem(rho, n))
         alt = dense_alternative(n, rho.d_a, rho.d_b)
         d_values = [petz_divergence(alpha, rho_n, alt).value for alpha in orders]
         return n, basis, log_g, dense_blocks(rho.matrix, n, basis), d_values
@@ -287,11 +286,11 @@ DIVERGENCE_STATES = {
     (name, n) for name, rho in DIVERGENCE_STATES.items() for n in range(1, 10 - 2 * rho.d_b)
 ])
 def test_block_divergence_matches_dense(name, n):
-    # the dense rho^(x n) carries its Kronecker eigensystem: a fresh eigh would
-    # lose up to 8e-12 relative at alpha = 0.05 through the smallest eigenvalues
+    # rho^(x n) is built from its Kronecker eigensystem, which `petz_divergence`
+    # reads: a fresh eigh of the dense power would lose up to 8e-12 relative at
+    # alpha = 0.05 through the smallest eigenvalues
     rho = DIVERGENCE_STATES[name]
-    rho_n = DensityOperator(dense_iid_block(rho, n).matrix,
-                            eigensystem=kronecker_eigensystem(rho, n))
+    rho_n = DensityOperator.from_eigensystem(*kronecker_eigensystem(rho, n))
     alt = dense_alternative(n, rho.d_a, rho.d_b)
     alphas = (0.0, 0.05, 0.3, 0.6, 0.95, 1.0, 1.5, 2.0)
     *_, divergences = hypotest._universal_setup(rho, n, alphas)
