@@ -10,6 +10,9 @@ value is an estimate from above.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from .divergences import _check_order, _one_sided_min, _orders
@@ -31,6 +34,19 @@ def _down_values(alpha: float, table: np.ndarray, sigmas: np.ndarray):
     return _one_sided_min(_orders(np.array([alpha])), r ** (1.0 - alpha) @ p_pow)
 
 
+@functools.lru_cache(maxsize=None)
+def _simplex_grid(d: int) -> np.ndarray:
+    """All pmfs on d points with entries i / _SIMPLEX_STEPS, in lexicographic
+    order, as a read-only stack of diagonal matrices: the counts are the gaps
+    between d - 1 bars among _SIMPLEX_STEPS + d - 1 slots."""
+    n = _SIMPLEX_STEPS + d - 1
+    bars = np.array(list(itertools.combinations(range(n), d - 1)), dtype=int)
+    counts = np.diff(bars.reshape(len(bars), d - 1), axis=1, prepend=-1, append=n) - 1
+    grid = (counts / _SIMPLEX_STEPS)[:, :, None] * np.eye(d)
+    grid.setflags(write=False)
+    return grid
+
+
 def rmi_down_down(alpha: float, pmf: Pmf):
     """Doubly minimized classical Renyi mutual information
     min_{r, q} D_alpha(P || r x q) for 0 <= alpha <= 1/2, by a dense simplex
@@ -48,11 +64,8 @@ def rmi_down_down(alpha: float, pmf: Pmf):
         raise UnsupportedRegimeError(
             "exhaustive simplex search for alpha <= 1/2 is limited to alphabets of size <= 3"
         )
-    # all pmfs on d points with entries i / _SIMPLEX_STEPS, as diagonal matrices
-    counts = np.indices((_SIMPLEX_STEPS + 1,) * d).reshape(d, -1).T
-    pmfs = counts[counts.sum(axis=1) == _SIMPLEX_STEPS] / _SIMPLEX_STEPS
     best_val, best = _grid_refine(
-        pmfs[:, :, None] * np.eye(d),
+        _simplex_grid(d),
         lambda sigmas: _down_values(alpha, table, sigmas)[0],
         _traceless_basis(d)[d * d - d:],  # the diagonal generators
     )

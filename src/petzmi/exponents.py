@@ -20,11 +20,15 @@ import numpy as np
 from .divergences import _log_ratio, _product_terms, _variance
 from .errors import DomainError
 from .linalg import spectral_power
-from .prmi import PrmiSolution, _marginal_terms, _solve_dd, prmi_closed_form, prmi_down_down
+from .prmi import (SECANT_RATIO, PrmiSolution, _marginal_terms, _solve_dd, prmi_closed_form,
+                   prmi_down_down)
 from .states import BipartiteState
 
 ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
 R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
+ROOT_WIDTH = 1e-9  # direct_exponent's root search stops at a bracket this narrow
+# direct_exponent's opening nodes: the interior Chebyshev extreme points of [lo, hi]
+_NODES = tuple(0.75 + 0.2499 * math.cos(k * math.pi / 7) for k in range(1, 7))
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,8 @@ class ExponentReport:
 
     guaranteed_exact is set when the rate exceeds the threshold R_(1/2), above
     which the variational formula is known to equal the true exponent.
-    certified is set when every I_s solve behind the report is certified.
+    certified is set when the I_s solves the report reads are certified: R_(1/2)'s
+    two orders and, below I(A:B), s*, lo, hi and the ends of the final bracket.
     """
 
     rate: float
@@ -110,9 +115,10 @@ class _PrmiCache:
     """Memoized I_s evaluations of one state at orders s in (1/2, 1). The new
     orders of a request are solved as one stack by `prmi._solve_dd`, which
     picks each order's route, each offered the minimizer cached at the nearest
-    order as its start (else rho_A); the loop takes it if it covers supp(rho_A),
-    and the gap stop certifies either start. The derivatives dI/ds are memoized
-    likewise."""
+    order as its start if its lambda_min/lambda_max > SECANT_RATIO, else rho_A
+    (a nearly singular start can stall the loop); the loop takes it if it covers
+    supp(rho_A), and the gap stop certifies either start. The derivatives dI/ds
+    are memoized likewise."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
@@ -124,10 +130,15 @@ class _PrmiCache:
         missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
         if not missing:
             return
-        starts = [self.rho.marginal_a] * len(missing)
-        if self._values:
-            starts = [self._values[min(self._values, key=lambda t: abs(t - s))].sigma_a for s in missing]
+        starts = [self._start(s) for s in missing]
         self._values.update(zip(missing, _solve_dd(missing, self.rho, starts)))
+
+    def _start(self, s: float):
+        if self._values:
+            sigma = self._values[min(self._values, key=lambda t: abs(t - s))].sigma_a
+            if sigma.spectrum[-1] > SECANT_RATIO * sigma.spectrum[0]:
+                return sigma
+        return self.rho.marginal_a
 
     def solution(self, s: float) -> PrmiSolution:
         self.solve([s])
@@ -157,9 +168,6 @@ class _PrmiCache:
         d = self.derivatives([s])[0]
         return self.value(s) - s * (1.0 - s) * d, d
 
-    def certified(self) -> bool:
-        return all(sol.certified for sol in self._values.values())
-
 
 def r_half_threshold(rho: BipartiteState, cache: _PrmiCache) -> float:
     """The rate threshold R_(1/2) = I_(1/2) - (1/4) d/ds I_s at s = 1/2+.
@@ -184,81 +192,92 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     psi(s) = I_s - s(1-s) dI/ds is the rate at which s is optimal and is
     increasing in s. So the maximizer s* is the root of g(s) = psi(s) - rate,
     searched on [1/2 + 1e-4, 1 - 1e-4]: s* is the left end when g >= 0 there,
-    the right end when g <= 0 there, and otherwise the root, found by Illinois
-    regula falsi on a sign-change bracket (a bisection step whenever the secant
-    step leaves the bracket) until the bracket is narrower than 1e-9. Each
-    g(s) costs one solve, as dI/ds comes from the minimizers at s by the
-    envelope theorem. The exponent is the largest objective at s* and at the
-    two ends, and never below 0; it is zero exactly when the rate is at least
-    the mutual information. The opening solves (the two points of
-    `r_half_threshold`, and lo and hi) run as one stack, and their derivatives
-    as one sum.
+    the right end when g <= 0 there, and otherwise the root, found by
+    `_stacked_root`. Each g(s) costs one solve, as dI/ds comes from the
+    minimizers at s by the envelope theorem. The opening stack solves and
+    differentiates the two orders of `r_half_threshold` and, below I(A:B), the
+    ends lo and hi and the nodes _NODES between them, whose signs of g give the
+    first bracket. The exponent is the largest objective at s* and at the two
+    ends, and never below 0; it is zero exactly when the rate is at least the
+    mutual information.
     """
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
     i_one = prmi_down_down(1.0, rho).value
     cache = _PrmiCache(rho)
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
-    # the opening points as one stack, solved and differentiated: r_half's two,
-    # and lo and hi when the root search follows
-    opening = [0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP]
-    cache.derivatives(opening + [lo, hi] if rate < i_one else opening)
+    read = [0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP]
+    opening = read + [lo, hi, *_NODES] if rate < i_one else read
+    cache.derivatives(opening)
     r_half = r_half_threshold(rho, cache)
     guaranteed = rate > r_half
     if rate >= i_one:
         return ExponentReport(
             rate=rate, exponent=0.0, s_star=None, mutual_information=i_one, r_half=r_half,
-            guaranteed_exact=guaranteed, certified=cache.certified(),
+            guaranteed_exact=guaranteed, certified=all(cache.solution(s).certified for s in read),
         )
 
-    def g(s: float) -> float:
-        return cache.optimal_rate(s)[0] - rate
+    def g(s_values) -> list[float]:
+        cache.derivatives(s_values)
+        return [float(cache.optimal_rate(s)[0] - rate) for s in s_values]
 
     def objective(s: float) -> float:
         return ((1.0 - s) / s) * (cache.value(s) - rate)
 
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo >= 0:
+    known = dict(zip(opening, g(opening)))
+    if known[lo] >= 0:
         s_star = lo
-    elif g_hi <= 0:
+    elif known[hi] <= 0:
         s_star = hi
     else:
-        s_star = _illinois_root(g, lo, hi, g_lo, g_hi)
+        s_star, a, b = _stacked_root(g, known)
+        read += [a, b]
     s_star = max((s_star, lo, hi), key=objective)
     return ExponentReport(
         rate=rate, exponent=max(objective(s_star), 0.0), s_star=s_star,
         mutual_information=i_one, r_half=r_half, guaranteed_exact=guaranteed,
-        certified=cache.certified(),
+        certified=all(cache.solution(s).certified for s in read + [s_star, lo, hi]),
     )
 
 
-def _illinois_root(g, a: float, b: float, g_a: float, g_b: float) -> float:
-    """Root of an increasing g with g(a) < 0 < g(b), to a bracket width of 1e-9.
-
-    Returns the evaluated point with the smallest |g|.
+def _stacked_root(g, known: dict) -> tuple[float, float, float]:
+    """Root of an increasing g from its values known = {s: g(s)}, which change
+    sign; g maps a list of points to their values, solved as one stack. Returns
+    (s*, a, b): s* the evaluated point with the smallest |g|, and a < b the first
+    sign change, g(a) < 0 <= g(b), once b - a <= ROOT_WIDTH or g(b) = 0. Each
+    stack holds an estimate c and a guard on each side of it at c's distance
+    from the estimate one order lower (at least ROOT_WIDTH / 2, at most halfway
+    to the bracket's end); c is the highest-order estimate inside the bracket.
+    Where none is, or the bracket kept over a quarter of its width of two
+    stacks before, c is the midpoint and the guards its quarter points.
     """
-    best = min((a, g_a), (b, g_b), key=lambda p: abs(p[1]))
-    side = 0
-    while b - a > 1e-9:
-        c = b - g_b * (b - a) / (g_b - g_a)
-        if not a < c < b:
-            c = 0.5 * (a + b)
-        g_c = g(c)
-        best = min(best, (c, g_c), key=lambda p: abs(p[1]))
-        if g_c == 0:
-            break
-        # Illinois: when the same end moves twice, halve the stale end's value
-        if g_c < 0:
-            a, g_a = c, g_c
-            if side < 0:
-                g_b *= 0.5
-            side = -1
+    widths = [math.inf, math.inf]
+    while True:
+        points = sorted(known)
+        j = next(k for k, s in enumerate(points) if known[s] >= 0)
+        a, b = points[j - 1], points[j]
+        if b - a <= ROOT_WIDTH or known[b] == 0:
+            return min(known, key=lambda s: abs(known[s])), a, b
+        mid = 0.5 * (a + b)
+        near = sorted(points, key=lambda s: abs(s - mid))[:4]
+        # the inverse interpolations s(g) at g = 0 through the first 2, 3, 4 of them,
+        # by Neville's scheme, until two values of g are equal
+        est, p, gs = [], list(near), [known[s] for s in near]
+        try:
+            for m in range(1, len(near)):
+                for i in range(len(near) - m):
+                    p[i] = (gs[i + m] * p[i] - gs[i] * p[i + 1]) / (gs[i + m] - gs[i])
+                est.append(p[0])
+        except ZeroDivisionError:
+            pass
+        k = max((k for k, c in enumerate(est) if a < c < b), default=None)
+        if k is None or b - a > 0.25 * widths[-2]:
+            c, delta = mid, math.inf
         else:
-            b, g_b = c, g_c
-            if side > 0:
-                g_a *= 0.5
-            side = 1
-    return best[0]
+            c, delta = est[k], max(abs(est[k] - est[k - 1]) if k else math.inf, 0.5 * ROOT_WIDTH)
+        widths.append(b - a)
+        new = [c - min(delta, 0.5 * (c - a)), c, c + min(delta, 0.5 * (b - c))]
+        known.update(zip(new, g(new)))
 
 
 def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import PSD_TOL, HermitianOperator, partial_trace, spectral_power
+from .linalg import PSD_TOL, HermitianOperator, spectral_power
 
 TRACE_TOL = 1e-8
 
@@ -58,17 +58,15 @@ class BipartiteState(DensityOperator):
     @property
     def marginal_a(self) -> DensityOperator:
         if self._marginal_a is None:
-            self._marginal_a = DensityOperator(
-                partial_trace(self, (self.d_a, self.d_b), "A").matrix
-            )
+            m = self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
+            self._marginal_a = DensityOperator(np.einsum("ibjb->ij", m))
         return self._marginal_a
 
     @property
     def marginal_b(self) -> DensityOperator:
         if self._marginal_b is None:
-            self._marginal_b = DensityOperator(
-                partial_trace(self, (self.d_a, self.d_b), "B").matrix
-            )
+            m = self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
+            self._marginal_b = DensityOperator(np.einsum("aiaj->ij", m))
         return self._marginal_b
 
     def diagonal_pmf_or_none(self):

@@ -535,3 +535,33 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             gap=float(gap[j]),
         ))
     return solutions if np.ndim(alpha) else solutions[0]
+
+
+# direct_exponent's root search before the stacked search: one order per step
+def _illinois_root(g, a: float, b: float, g_a: float, g_b: float) -> float:
+    """Root of an increasing g with g(a) < 0 < g(b), to a bracket width of 1e-9.
+
+    Returns the evaluated point with the smallest |g|.
+    """
+    best = min((a, g_a), (b, g_b), key=lambda p: abs(p[1]))
+    side = 0
+    while b - a > 1e-9:
+        c = b - g_b * (b - a) / (g_b - g_a)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        g_c = g(c)
+        best = min(best, (c, g_c), key=lambda p: abs(p[1]))
+        if g_c == 0:
+            break
+        # Illinois: when the same end moves twice, halve the stale end's value
+        if g_c < 0:
+            a, g_a = c, g_c
+            if side < 0:
+                g_b *= 0.5
+            side = -1
+        else:
+            b, g_b = c, g_c
+            if side > 0:
+                g_a *= 0.5
+            side = 1
+    return best[0]

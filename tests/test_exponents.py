@@ -17,9 +17,9 @@ from petzmi.exponents import (
     rate_curve,
 )
 from petzmi.prmi import _run_fixed_point, _solve_dd, prmi_closed_form, prmi_down_down
-from petzmi.states import (DensityOperator, Pmf, cc_state, copy_cc_state, pure_bipartite,
-                           random_bipartite)
-from reference import tensor_product
+from petzmi.states import (BipartiteState, DensityOperator, Pmf, cc_state, copy_cc_state,
+                           pure_bipartite, random_bipartite)
+from reference import _illinois_root, tensor_product
 
 CC_02 = copy_cc_state([0.2, 0.8])
 # the package exports a function named prmi, which hides the module: the loop's
@@ -224,18 +224,21 @@ def test_a_rate_above_psi_at_the_right_end_puts_s_star_there():
 
 
 def test_root_search_bisects_when_the_secant_step_rounds_onto_an_end():
-    """With g(a) = -1e-300 the secant step b - g(b)(b - a)/(g(b) - g(a)) rounds
-    to a: the search takes the midpoint instead, and still brackets the root."""
-    points = []
+    """With g(a) = -1e-300 at a = 1/2 the secant step (g(b) a - g(a) b)/(g(b) -
+    g(a)) rounds to a, and so does every higher-order inverse interpolation:
+    each stack of `_stacked_root` takes the midpoint and its quarter points
+    instead, and the search still brackets the root."""
+    stacks = []
 
-    def g(x):
-        points.append(x)
-        return x - 1e-300
+    def g(points):
+        stacks.append(list(points))
+        return [x - 0.5 - 1e-300 for x in points]
 
-    root = exponents._illinois_root(g, 0.0, 1.0, g(0.0), g(1.0))
-    assert points[2] == 0.5
-    assert all(0.0 < x < 1.0 for x in points[2:])
-    assert root == pytest.approx(0.0, abs=1e-9)
+    s_star, a, b = exponents._stacked_root(g, {0.5: -1e-300, 1.0: 0.5})
+    assert stacks[0] == [0.625, 0.75, 0.875]
+    assert all(0.5 < x < 1.0 for stack in stacks for x in stack)
+    assert a == 0.5 and 0 < b - a <= exponents.ROOT_WIDTH
+    assert s_star == 0.5
 
 
 def test_rate_curve_rejects_bad_parameter():
@@ -264,6 +267,133 @@ def test_root_search_matches_golden_section(index):
         assert report.exponent == pytest.approx(exponent, abs=1e-12)
         if LO < report.s_star < HI:
             assert report.s_star == pytest.approx(s_star, abs=1e-6)
+
+
+def illinois_exponent(rho, rate):
+    """(exponent, s_star) of the search that the stacked search replaced: the
+    opening stack without nodes, then Illinois regula falsi on g(s) = psi(s) -
+    rate, one order per step, through the same cache."""
+    cache = _PrmiCache(rho)
+    cache.derivatives([0.5 + exponents.R_HALF_STEP, 0.5 + 2 * exponents.R_HALF_STEP, LO, HI])
+
+    def g(s):
+        return cache.optimal_rate(s)[0] - rate
+
+    def objective(s):
+        return ((1.0 - s) / s) * (cache.value(s) - rate)
+
+    g_lo, g_hi = g(LO), g(HI)
+    s_star = LO if g_lo >= 0 else HI if g_hi <= 0 else _illinois_root(g, LO, HI, g_lo, g_hi)
+    s_star = max((s_star, LO, HI), key=objective)
+    return max(objective(s_star), 0.0), s_star
+
+
+@pytest.mark.parametrize("index", range(len(DIFFERENTIAL_STATES)))
+def test_stacked_search_matches_illinois(index):
+    """The stacked search against the Illinois search it replaced: the same
+    exponent to 1e-12 and the same s* to 1e-8."""
+    rho = DIFFERENTIAL_STATES[index]
+    i_one = prmi_down_down(1.0, rho).value
+    for frac in RATE_FRACTIONS:
+        report = direct_exponent(rho, frac * i_one)
+        exponent, s_star = illinois_exponent(rho, frac * i_one)
+        assert report.exponent == pytest.approx(exponent, abs=1e-12)
+        assert report.s_star == pytest.approx(s_star, abs=1e-8)
+
+
+STACK_STATES = [random_bipartite(2, 2 + k % 2, k // 2) for k in range(20)]
+
+
+def recorded_stacks(monkeypatch) -> list:
+    """The stacks of orders that the cache hands the route table, as recorded
+    from now on."""
+    stacks = []
+
+    def counting_table(alphas, rho, starts):
+        stacks.append(list(alphas))
+        return _solve_dd(alphas, rho, starts)
+
+    monkeypatch.setattr(exponents, "_solve_dd", counting_table)
+    return stacks
+
+
+@pytest.mark.parametrize("rho", STACK_STATES,
+                         ids=[f"{r.d_a}x{r.d_b}-{k // 2}" for k, r in enumerate(STACK_STATES)])
+def test_stacks_per_exponent(rho, monkeypatch):
+    """On random 2x2 and 2x3 states a report solves at most three stacks (the
+    opening and two refinements), and one when s* is an end of the search."""
+    stacks = recorded_stacks(monkeypatch)
+    i_one = prmi_down_down(1.0, rho).value
+    for frac in RATE_FRACTIONS:
+        stacks.clear()
+        report = direct_exponent(rho, frac * i_one)
+        assert len(stacks) == 1 if report.s_star in (LO, HI) else len(stacks) <= 3
+
+
+def test_a_report_at_an_end_solves_one_stack(monkeypatch):
+    """s* at the right end (copy [0.2, 0.8] at rate 0.50038) and at the left
+    end (a generic 3x3 state at 0.1 I(A:B)): the opening stack alone."""
+    stacks = recorded_stacks(monkeypatch)
+    rho = random_bipartite(3, 3, 0)
+    for state, rate, end in ((CC_02, 0.50038, HI), (rho, 0.1 * prmi_down_down(1.0, rho).value, LO)):
+        stacks.clear()
+        assert direct_exponent(state, rate).s_star == end
+        assert len(stacks) == 1
+
+
+def uncertifying(orders):
+    """A route table that withholds the certificate of the given orders."""
+    def table(alphas, rho, starts):
+        return [replace(sol, certified=False) if alpha in orders else sol
+                for alpha, sol in zip(alphas, _solve_dd(alphas, rho, starts))]
+    return table
+
+
+def test_an_uncertified_node_the_report_does_not_read_leaves_it_certified(monkeypatch):
+    """The opening nodes away from s* are not read: withholding their
+    certificates changes nothing in the report."""
+    rho = DIFFERENTIAL_STATES[4]
+    rate = 0.45 * prmi_down_down(1.0, rho).value
+    report = direct_exponent(rho, rate)
+    assert report.certified and LO < report.s_star < HI
+    far = {s for s in exponents._NODES if abs(s - report.s_star) > 0.01}
+    assert far
+    monkeypatch.setattr(exponents, "_solve_dd", uncertifying(far))
+    assert direct_exponent(rho, rate) == report
+
+
+@pytest.mark.parametrize("which", ["s_star", "lo", "hi", "r_half"])
+def test_an_uncertified_solve_the_report_reads_withdraws_its_certificate(which, monkeypatch):
+    """s*, the ends of the search interval and R_(1/2)'s orders are read:
+    withholding one of their certificates withdraws the report's."""
+    rho = DIFFERENTIAL_STATES[4]
+    rate = 0.45 * prmi_down_down(1.0, rho).value
+    report = direct_exponent(rho, rate)
+    order = {"s_star": report.s_star, "lo": LO, "hi": HI,
+             "r_half": 0.5 + exponents.R_HALF_STEP}[which]
+    monkeypatch.setattr(exponents, "_solve_dd", uncertifying({order}))
+    assert direct_exponent(rho, rate) == replace(report, certified=False)
+
+
+NEAR_PURE = BipartiteState((1 - 1e-12) * random_bipartite(2, 2, 38, rank=1).matrix
+                           + 1e-12 * random_bipartite(2, 2, 1038, rank=1).matrix, 2, 2)
+
+
+def test_near_pure_warm_start_does_not_stall(monkeypatch):
+    """On a pure state mixed with 1e-12 of another, the minimizer at s = 0.502
+    has lambda_min/lambda_max = 2.3e-14, under SECANT_RATIO. Offered as the
+    start at s = 0.5606, which the former search reached next, it stalled the
+    loop for all 10,000 rounds and left that solve, and the report at rate
+    0.1, uncertified. The cache starts such an order from rho_A."""
+    cache = _PrmiCache(NEAR_PURE)
+    cache.solve([0.5 + exponents.R_HALF_STEP, 0.5 + 2 * exponents.R_HALF_STEP, LO, HI])
+    sol = cache.solution(0.5605581850357393)
+    assert sol.certified and sol.iterations <= 100
+    RecordingCache.made = []
+    monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
+    assert direct_exponent(NEAR_PURE, 0.1).certified
+    (cache,) = RecordingCache.made
+    assert all(sol.iterations <= 100 for sol in cache._values.values())
 
 
 @pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from petzmi.classical import _down_values, rmi_down_down
+from petzmi.classical import _SIMPLEX_STEPS, _down_values, _simplex_grid, rmi_down_down
 from petzmi.divergences import SUPPORT_OVERLAP_TOL, renyi_entropy
 from petzmi.errors import DomainError
 from petzmi.linalg import power_on_support, spectral_power
@@ -225,6 +225,20 @@ def test_qutrit_grid_objective_matches_written_out_form(alpha):
     for rho in [random_bipartite(3, 3, seed, rank=rank) for seed in range(2) for rank in (None, 4)]:
         assert_same_values(_batched_values(alpha, rho, sigmas),
                            written_out_batched_values(alpha, rho, sigmas))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplex_grid_equals_the_filtered_cube_byte_for_byte(d):
+    """The grid of the classical search, enumerated as compositions of
+    _SIMPLEX_STEPS, against the (_SIMPLEX_STEPS + 1)^d cube of counts it was
+    filtered from before: the same pmfs in the same order, bit for bit."""
+    counts = np.indices((_SIMPLEX_STEPS + 1,) * d).reshape(d, -1).T
+    pmfs = counts[counts.sum(axis=1) == _SIMPLEX_STEPS] / _SIMPLEX_STEPS
+    cube = pmfs[:, :, None] * np.eye(d)
+    grid = _simplex_grid(d)
+    assert grid.shape == cube.shape and grid.dtype == cube.dtype
+    assert grid.tobytes() == cube.tobytes()
+    assert _simplex_grid(d) is grid and not grid.flags.writeable
 
 
 @pytest.mark.parametrize("alpha", SHARED_FORM_ALPHAS)
