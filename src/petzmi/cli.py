@@ -8,8 +8,9 @@ Subcommands:
   oracle    exhaustive product-state search at a single order
 
 Exit codes: 0 success, 2 missing input file, 3 schema violation, 4 invariant
-violation (state fails to be a valid density operator), 5 solver result not
-certified (Frank-Wolfe gap and residual within tolerance) under --strict.
+violation (state fails to be a valid density operator) or no supported route
+(`compute --which dd` on a generic state above 2; `sweep` writes nan there),
+5 solver result not certified (gap and residual within tolerance) under --strict.
 """
 
 from __future__ import annotations
@@ -123,16 +124,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _dd_point(alpha: float, state: BipartiteState):
-    """(value, certified, solution) for the doubly minimized variant; nan,
-    False and None on unsupported regimes."""
-    try:
-        sol = prmi_down_down(alpha, state)
-    except UnsupportedRegimeError:
-        return math.nan, False, None
-    return sol.as_float(), sol.certified, sol
-
-
 def _emit(payload: dict, args) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
@@ -152,7 +143,8 @@ def cmd_compute(args) -> int:
     elif args.which == "ud":
         value = prmi_up_down(args.alpha, state).as_float()
     else:
-        value, certified, solution = _dd_point(args.alpha, state)
+        solution = prmi_down_down(args.alpha, state)
+        value, certified = solution.value, solution.certified
     payload = {
         "which": args.which,
         "alpha": args.alpha,
@@ -171,12 +163,17 @@ def cmd_compute(args) -> int:
 
 
 def sweep_rows(state: BipartiteState, alphas):
+    """(alpha, uu, ud, dd, certified) per order; dd is nan and uncertified at
+    an order with no supported route."""
     rows = []
     for alpha in alphas:
-        rmi0 = prmi_up_up(alpha, state).as_float()
-        rmi1 = prmi_up_down(alpha, state).as_float()
-        rmi2, certified, _ = _dd_point(alpha, state)
-        rows.append((alpha, rmi0, rmi1, rmi2, int(certified)))
+        row = (alpha, prmi_up_up(alpha, state).as_float(), prmi_up_down(alpha, state).as_float())
+        try:
+            dd = prmi_down_down(alpha, state)
+        except UnsupportedRegimeError:
+            rows.append((*row, math.nan, 0))
+        else:
+            rows.append((*row, dd.value, int(dd.certified)))
     return rows
 
 

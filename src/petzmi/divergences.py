@@ -10,8 +10,10 @@ rho = sum_i lambda_i |u_i><u_i| and sigma = sum_j mu_j |v_j><v_j|:
     tr[f(rho) g(sigma)] = sum_ij f(lambda_i) W_ij g(mu_j),  W_ij = |<u_i|v_j>|^2,
 
 with powers and logarithms taken on the support by `linalg.spectral_power`.
-`_petz_terms` forms (lambda, mu, W) once; Q_alpha, the relative entropy, its
-variance, and both support tests (domination, orthogonality) are sums over it.
+`_petz_terms` forms (lambda, mu, W) once; both support tests are sums over it,
+and D_alpha and its alpha-derivative (V/2 at alpha = 1) at every order are
+`_centered`, the centered cumulant generating function of p_ij ~ lambda_i W_ij
+(Nussbaum & Szkola, Ann. Stat. 37, 1040 (2009)), exact through alpha = 1.
 
 Infinite values are represented explicitly by DivergenceValue.is_infinite; no
 float('inf') ever enters an arithmetic expression.
@@ -25,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .linalg import HermitianOperator, power_on_support, spectral_log, spectral_power
+from .linalg import EPS, HermitianOperator, power_on_support, spectral_power
 from .states import DensityOperator
 
 ALPHA_ONE_WINDOW = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest x with a finite e^x
 
 
 @dataclass(frozen=True)
@@ -103,45 +106,36 @@ def _as_density(op) -> DensityOperator:
 
 
 def _petz_terms(rho: HermitianOperator, sigma: HermitianOperator):
-    """(lambda, mu, W): the spectra of rho and sigma and W_ij = |<u_i|v_j>|^2
-    between their eigenvectors, from the cached eigensystems."""
+    """(lambda, mu, W): the spectra of rho and sigma on their supports (0 under
+    the cut of `linalg.spectral_power`) and W_ij = |<u_i|v_j>|^2 between their
+    eigenvectors, from the cached eigensystems."""
     if rho.dim != sigma.dim:
         raise InvalidInputError("states must have equal dimension")
     w = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    return rho.spectrum, sigma.spectrum, w
+    return spectral_power(rho.spectrum, 1.0), spectral_power(sigma.spectrum, 1.0), w
 
 
 def _product_terms(rho: HermitianOperator, a: tuple, b: tuple):
     """`_petz_terms(rho, a x b)` from the factors' eigensystems a = (vals, vecs)
     and b, each of one operator or of a stack of k, (k, d) and (k, d, d):
-    mu = a_x b_y in descending order on v_x x w_y, (D,) or (k, D), and W, (d, D)
-    or (k, d, D), with lambda shared. No product matrix is formed or decomposed,
-    and mu keeps the factors' relative accuracy."""
+    mu = a_x b_y on v_x x w_y, (D,) or (k, D), x-major, on the products of the
+    factors' supports, and W, (d, D) or (k, d, D), with lambda shared. No product
+    matrix is formed or decomposed, and mu keeps the factors' relative accuracy."""
     (a_vals, a_vecs), (b_vals, b_vecs) = a, b
-    mu = (a_vals[..., :, None] * b_vals[..., None, :]).reshape(*a_vals.shape[:-1], -1)
-    order = np.argsort(mu, axis=-1)[..., ::-1]
+    mu = spectral_power(a_vals, 1.0)[..., :, None] * spectral_power(b_vals, 1.0)[..., None, :]
     u = rho.eigenvectors.conj().reshape(a_vals.shape[-1], b_vals.shape[-1], rho.dim)
-    overlap = np.einsum("xyi,...xa,...yb->...iab", u, a_vecs, b_vecs)
-    # W is laid out j-major, as the column selection of a single W lays it out:
-    # the sums over it then add in that order
-    columns = overlap.reshape(*overlap.shape[:-2], -1).swapaxes(-1, -2)
-    w = np.take_along_axis(columns, order[..., None], -2).swapaxes(-1, -2)
-    return rho.spectrum, np.take_along_axis(mu, order, -1), np.abs(w) ** 2
-
-
-def _log_ratio(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """log lambda_i - log mu_j, each logarithm taken on its support; mu may be
-    a (k, D) stack."""
-    return spectral_log(lam)[:, None] - spectral_log(mu)[..., None, :]
+    w = np.einsum("xyi,...xa,...yb->...iab", u, a_vecs, b_vecs).reshape(*mu.shape[:-2], rho.dim, -1)
+    return spectral_power(rho.spectrum, 1.0), mu.reshape(*mu.shape[:-2], -1), w.real**2 + w.imag**2
 
 
 def _finite(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> bool:
-    """Whether D_alpha is finite: for alpha < 1 the supports are not orthogonal,
-    tr[P_rho P_sigma] > tol; otherwise supp(rho) <= supp(sigma), that is, the
-    weight tr[rho (1 - P_sigma)] of rho off supp(sigma) is at most tol."""
-    support = spectral_power(mu, 0.0)
+    """Whether D_alpha is finite, from terms whose spectra are 0 off their
+    supports: for alpha < 1 the supports are not orthogonal, tr[P_rho P_sigma]
+    > tol; otherwise supp(rho) <= supp(sigma), that is, the weight
+    tr[rho (1 - P_sigma)] of rho off supp(sigma) is at most tol."""
+    support = (mu > 0).astype(float)
     if alpha < 1:
-        return float(spectral_power(lam, 0.0) @ w @ support) > SUPPORT_OVERLAP_TOL
+        return float((lam > 0) @ w @ support) > SUPPORT_OVERLAP_TOL
     return float(lam @ w @ (1.0 - support)) <= SUPPORT_OVERLAP_TOL
 
 
@@ -150,38 +144,93 @@ def dominated(rho: DensityOperator, sigma: DensityOperator) -> bool:
     return _finite(1.0, *_petz_terms(rho, sigma))
 
 
-def _relative_entropy(lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> DivergenceValue:
-    if not _finite(1.0, lam, mu, w):
-        return DivergenceValue.infinite()
-    return DivergenceValue(value=float(np.sum(lam[:, None] * w * _log_ratio(lam, mu))))
-
-
 def relative_entropy(rho, sigma) -> DivergenceValue:
     """Umegaki relative entropy tr[rho (log rho - log sigma)], natural log:
-    sum_ij lambda_i W_ij (log lambda_i - log mu_j)."""
-    return _relative_entropy(*_petz_terms(_as_density(rho), _as_density(sigma)))
+    sum_ij lambda_i W_ij (log lambda_i - log mu_j), the alpha = 1 case of
+    `petz_divergence`."""
+    return petz_divergence(1.0, rho, sigma)
 
 
 def relative_entropy_variance(rho, sigma) -> float:
-    """V(rho || sigma) = tr[rho (log rho - log sigma - D)^2]
-    = sum_ij lambda_i W_ij (log lambda_i - log mu_j)^2 - D^2.
-
-    Requires supp(rho) <= supp(sigma).
+    """V(rho || sigma) = tr[rho (log rho - log sigma - D)^2], twice the
+    alpha-derivative of D_alpha at alpha = 1. Requires supp(rho) <= supp(sigma).
     """
-    return _variance(*_petz_terms(_as_density(rho), _as_density(sigma)))
-
-
-def _variance(lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> float:
-    if not _finite(1.0, lam, mu, w):
+    terms = _petz_terms(_as_density(rho), _as_density(sigma))
+    if not _finite(1.0, *terms):
         raise DomainError("variance undefined: supp(rho) not contained in supp(sigma)")
-    weights = lam[:, None] * w
-    diff = _log_ratio(lam, mu)
-    d = float(np.sum(weights * diff))
-    return float(np.sum(weights * diff**2)) - d**2
+    return 2.0 * float(_centered(np.zeros(1), *terms, derivative=True)[1][0])
 
 
-def _petz_q(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> float:
-    return float(spectral_power(lam, alpha) @ w @ spectral_power(mu, 1.0 - alpha))
+# psi(u) / u^2 = sum_n (n + 1) u^n / (n + 2)!, psi(u) = (u - 1) e^u + 1, highest
+# power first: n <= 18 reaches float precision on |u| <= 1
+_PSI_SERIES = [(n + 1) / math.factorial(n + 2) for n in range(18, -1, -1)]
+
+
+def _centered(t: np.ndarray, lam: np.ndarray, mu: np.ndarray, w: np.ndarray,
+              derivative: bool = False):
+    """D_alpha at the k orders alpha = 1 + t of a stack, and dD/dalpha if asked
+    (else 0), of a pair finite there, from terms (lam (d,), mu (k, D), W
+    (k, d, D); or mu (D,), W (d, D) shared by the orders), spectra 0 off the supports.
+
+    p_ij = lambda_i W_ij / Z on the supports, X_ij = log lambda_i - log mu_j,
+    Y = X - E_p X. Z is rho's weight on supp(sigma) over all of it: 1 where the
+    rest is W's rounding (<= EPS), else kept, as the dense trace keeps it. Where
+    |tY| <= 1 (by the ranges of the logs), D = E_p X + (log Z + L) / t with L =
+    log E_p[e^(tY)] = log1p(E[U] + E[V] + E[UV]), U_i = expm1(t (log lambda_i -
+    E log lambda)), V_j likewise: nothing cancels; dD/dt = E_p[psi(tY)] / (t^2
+    (1 + S)) + (S / (1 + S) - L - log Z) / t^2, psi(u) = (u - 1) e^u + 1 by
+    series, S = e^L - 1. Beyond, D = (log Z + log Q) / t, Q = E_p[lambda^t mu^-t]
+    by powers (over extreme eigenvalues where a term could leave float range),
+    and dD/dt = (E_q[tX] - log Q - log Z) / t^2, q ~ p lambda^t mu^-t. At t = 0:
+    E_p X and E_p[Y^2] / 2 = V/2, over all of rho's weight, log mu 0 off supp(sigma).
+    """
+    d, size = w.shape[-2:]
+    mu, w = mu.reshape(-1, size), w.reshape(-1, d, size)  # one row shared by the orders
+    on_l, on_m = lam > 0, mu > 0
+    log_l = np.log(lam, out=np.zeros(d), where=on_l)
+    log_m = np.log(mu, out=np.zeros(mu.shape), where=on_m)
+    # the ranges of log lambda and log mu with 0, which bound |Y| and |X|
+    l_lo, l_hi, m_lo, m_hi = log_l.min(), log_l.max(), log_m.min(1), log_m.max(1)
+    small = np.abs(t) * (l_hi - l_lo + m_hi - m_lo) <= 1.0
+    p, log_z = np.multiply(lam[:, None], w, out=np.empty(w.shape)), 0.0  # C order: rows sum alike
+    if not on_m.all():  # rho's weight off supp(sigma) leaves p but at t = 0
+        kept = (on_m | (t == 0)[:, None])[:, None, :]
+        off, p = (p * ~kept).sum((1, 2)), p * kept
+        log_z = -np.log1p(off / p.sum((1, 2))) * (off > EPS)
+    row = p.sum(2)
+    z, safe, value = row.sum(1), t + (t == 0), np.zeros_like(t)
+    p, row, slope = p / z[:, None, None], row / z[:, None], value
+    if small.any():  # every row, those beyond at t = 0
+        ts, col = (t * small)[:, None], p.sum(1)
+        a, b = (row * log_l).sum(1), (col * log_m).sum(1)
+        y_l, y_m = log_l - a[:, None], log_m - b[:, None]
+        e_u, e_v = np.expm1(ts * y_l), np.expm1(-ts * y_m)
+        s = ((e_u[:, None, :] @ p)[:, 0] * (1.0 + e_v) + col * e_v).sum(1)  # E[U + V + UV]
+        cgf = np.log1p(s)
+        value = a - b + (log_z + cgf) / safe
+        if derivative:
+            y = y_l[:, :, None] - y_m[:, None, :]
+            e_psi = (p * y * y * np.polyval(_PSI_SERIES, ts[:, :, None] * y)).sum((1, 2))
+            slope = e_psi / (1.0 + s) + (s / (1.0 + s) - cgf - log_z) / safe**2
+    if not small.all():  # every row, the small ones at t = 0
+        tb, l_ref, m_ref = (t * ~small)[:, None], 1.0, 1.0
+        # lambda^t, mu^-t over the extreme eigenvalues that keep them <= 1, on the
+        # rows where a term could leave half the float range
+        keep = np.abs(tb) * (max(-l_lo, l_hi) + np.maximum(-m_lo, m_hi)[:, None]) < _LOG_MAX / 2
+        if not keep.all():
+            l_ref = np.where(keep, 1.0, np.exp(np.where(tb > 0, l_hi, l_lo)))
+            m_ref = np.where(keep, 1.0, np.exp(np.where(tb > 0, m_lo[:, None], m_hi[:, None])))
+        g = np.power(lam / l_ref, tb, out=np.zeros((t.size, d)), where=on_l)
+        h = np.power(mu / m_ref, -tb, out=np.zeros((t.size, size)), where=on_m)
+        gp = (g[:, None, :] @ p)[:, 0]
+        q = (gp * h).sum(1)
+        log_q = (tb * np.log(l_ref / m_ref)).reshape(-1) + np.log(q)
+        value = np.where(small, value, (log_z + log_q) / safe)
+        if derivative:
+            mean_l = (g * (p @ h[:, :, None])[:, :, 0] * log_l).sum(1)
+            tilt = t * (mean_l - (h * gp * log_m).sum(1)) / q - log_q
+            slope = np.where(small, slope, (tilt - log_z) / safe**2)
+    return value, slope
 
 
 def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
@@ -196,12 +245,12 @@ def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
 
 
 def _petz_divergence(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> DivergenceValue:
+    """`_centered` at one order; q_value is Q = e^((alpha-1) D) where it is a float."""
     if not _finite(alpha, lam, mu, w):
         return DivergenceValue.infinite()
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return _relative_entropy(lam, mu, w)
-    q = _petz_q(alpha, lam, mu, w)
-    return DivergenceValue(value=math.log(q) / (alpha - 1.0), q_value=q)
+    t = alpha - 1.0
+    d = float(_centered(np.array([t]), lam, mu, w)[0][0])
+    return DivergenceValue(value=d, q_value=math.exp(t * d) if t and t * d < _LOG_MAX else None)
 
 
 def sandwiched_q(alpha: float, rho, sigma) -> float:
@@ -216,7 +265,8 @@ def sandwiched_q(alpha: float, rho, sigma) -> float:
 
 def sandwiched_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     """Sandwiched Renyi divergence, natural log. Same finiteness rule as the
-    Petz divergence; alpha = 1 is the relative entropy."""
+    Petz divergence; alpha = 1 is the relative entropy, and so, as it has no
+    Nussbaum-Szkola form, is every order within ALPHA_ONE_WINDOW of 1."""
     _check_order(alpha)
     if alpha == 0:
         raise DomainError("sandwiched divergence requires alpha > 0")
@@ -226,13 +276,14 @@ def sandwiched_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     if not _finite(alpha, *terms):
         return DivergenceValue.infinite()
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return _relative_entropy(*terms)
+        return _petz_divergence(1.0, *terms)
     q = sandwiched_q(alpha, rho, sigma)
     return DivergenceValue(value=math.log(q) / (alpha - 1.0), q_value=q)
 
 
 def renyi_entropy(alpha: float, rho) -> float:
-    """Renyi entropy H_alpha(rho) = (1/(1-alpha)) log tr[rho^alpha], natural log.
+    """Renyi entropy H_alpha(rho) = (1/(1-alpha)) log tr[rho^alpha], natural log:
+    -D_alpha(rho || 1), from `_centered` on rho's spectrum.
 
     Accepts any real alpha as well as +-inf:
       alpha = 1 is the von Neumann entropy,
@@ -248,12 +299,7 @@ def renyi_entropy(alpha: float, rho) -> float:
         return -math.log(float(probs.min()))
     if not np.isfinite(alpha):
         raise DomainError(f"invalid Renyi entropy order {alpha!r}")
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return float(-np.sum(probs * np.log(probs)))
-    # max-shifted evaluation: direct probs**alpha under/overflows for large |alpha|
-    ref = probs.max() if alpha > 0 else probs.min()
-    log_sum = alpha * math.log(ref) + math.log(float(np.sum((probs / ref) ** alpha)))
-    return log_sum / (1.0 - alpha)
+    return -float(_centered(np.array([alpha - 1.0]), probs, np.ones(1), np.ones((probs.size, 1)))[0][0])
 
 
 def min_entropy(rho) -> float:

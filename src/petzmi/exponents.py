@@ -7,7 +7,8 @@ the type-II error against all (iid) product alternatives, is
 
 where I_s is the doubly minimized Renyi mutual information. The formula is an
 equality for rates above a threshold R_(1/2) and E(R) > 0 exactly when R is
-below the mutual information.
+below the mutual information. dI_s/ds is one formula up to s = 1, from the
+minimizers (`divergences._centered`).
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import _log_ratio, _product_terms, _variance
+from .divergences import _centered, _product_terms
 from .errors import DomainError
-from .linalg import spectral_power
-from .prmi import (SECANT_RATIO, PrmiSolution, _marginal_terms, _solve_dd, prmi_closed_form,
-                   prmi_down_down)
+from .prmi import SECANT_RATIO, PrmiSolution, _solve_dd, prmi_closed_form, prmi_down_down
 from .states import BipartiteState
 
-ALPHA_ONE_DERIVATIVE_WINDOW = 1e-4
 R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
 ROOT_WIDTH = 1e-9  # direct_exponent's root search stops at a bracket this narrow
 # direct_exponent's opening nodes: the interior Chebyshev extreme points of [lo, hi]
@@ -63,14 +61,11 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
     """d/d alpha of the doubly minimized Renyi mutual information.
 
     By the envelope theorem the minimizers may be held fixed: this is the
-    one-row case of `_derivatives`. Within ALPHA_ONE_DERIVATIVE_WINDOW of 1 it
-    is half the relative-entropy variance to the product of the marginals.
-    Below 1/2 the value rests on an uncertified minimizer (`prmi_down_down`),
-    and where the closed form has none (pure and perfectly correlated states)
-    DomainError is raised.
+    one-row case of `_derivatives`, at alpha = 1 half the relative-entropy
+    variance to the product of the marginals. Below 1/2 the value rests on an
+    uncertified minimizer (`prmi_down_down`), and where the closed form has
+    none (pure and perfectly correlated states) DomainError is raised.
     """
-    if abs(alpha - 1.0) <= ALPHA_ONE_DERIVATIVE_WINDOW:
-        return 0.5 * _variance(*_marginal_terms(rho))
     if solution is None:
         solution = prmi_down_down(alpha, rho)
     if solution.sigma_a is None:
@@ -80,35 +75,17 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
 
 
 def _derivatives(rho: BipartiteState, alphas: np.ndarray, solutions) -> np.ndarray:
-    """dI/d alpha at a stack of k orders, each from its solution's minimizers.
-
-    With Q = tr[rho^alpha omega^(1-alpha)], omega = sigma* x tau*,
-      dD/dalpha = -log Q / (alpha-1)^2 + Q' / (Q (alpha-1)),
-      Q' = tr[rho^alpha log(rho) omega^(1-alpha)] - tr[rho^alpha omega^(1-alpha) log(omega)],
-    both as Nussbaum-Szkola sums over the eigensystems of rho and omega:
-    Q = sum_ij lambda_i^alpha W_ij mu_j^(1-alpha), and Q' weights the same terms
-    by log lambda_i - log mu_j. The eigensystems of the k products omega are
-    formed from the factors' as one stack (`divergences._product_terms`);
-    omega itself is never built.
-    """
+    """dI/d alpha at a stack of k orders: dD_alpha(rho || sigma* x tau*)/d alpha
+    at each solution's minimizers (`divergences._centered`), from the factors'
+    eigensystems as one stack (`divergences._product_terms`)."""
     lam, mu, w = _product_terms(rho, _stacked([s.sigma_a for s in solutions]),
                                 _stacked([s.tau_b for s in solutions]))
-    col = alphas[:, None]
-    terms = spectral_power(lam, col)[:, :, None] * w * spectral_power(mu, 1.0 - col)[:, None, :]
-    q = terms.sum(axis=(1, 2))
-    q_prime = (terms * _log_ratio(lam, mu)).sum(axis=(1, 2))
-    # math.log, row by row: numpy's vector log can differ from it in the last bit,
-    # and a row's value would then depend on the stack it is formed in
-    log_q = np.array([math.log(x) for x in q.tolist()])
-    return -log_q / (alphas - 1.0) ** 2 + q_prime / (q * (alphas - 1.0))
+    return _centered(alphas - 1.0, lam, mu, w, derivative=True)[1]
 
 
 def _stacked(ops) -> tuple:
-    """The eigensystems of operators of one dimension, as a stack. Each row's
-    eigenvectors keep the column-major layout of `HermitianOperator.eigenvectors`:
-    the sums over them then add in the order they add in for one operator."""
-    return (np.array([op.spectrum for op in ops]),
-            np.array([op.eigenvectors.T for op in ops]).swapaxes(-1, -2))
+    """The eigensystems of operators of one dimension, as a stack."""
+    return np.array([op.spectrum for op in ops]), np.array([op.eigenvectors for op in ops])
 
 
 class _PrmiCache:
@@ -149,17 +126,12 @@ class _PrmiCache:
 
     def derivatives(self, s_values) -> list[float]:
         """dI/ds at each order of s_values. The orders not held yet are solved,
-        and those outside ALPHA_ONE_DERIVATIVE_WINDOW are differentiated as one
-        stack (`_derivatives`); those inside take the variance of
-        `alpha_derivative`."""
+        and differentiated as one stack (`_derivatives`)."""
         self.solve(s_values)
         missing = [s for s in dict.fromkeys(s_values) if s not in self._derivatives]
-        stack = [s for s in missing if abs(s - 1.0) > ALPHA_ONE_DERIVATIVE_WINDOW]
-        if stack:
-            d = _derivatives(self.rho, np.array(stack), [self._values[s] for s in stack])
-            self._derivatives.update(zip(stack, d.tolist()))
-        self._derivatives.update((s, alpha_derivative(s, self.rho)) for s in missing
-                                 if s not in self._derivatives)
+        if missing:
+            d = _derivatives(self.rho, np.array(missing), [self._values[s] for s in missing])
+            self._derivatives.update(zip(missing, d.tolist()))
         return [self._derivatives[s] for s in s_values]
 
     def optimal_rate(self, s: float) -> tuple[float, float]:
@@ -282,8 +254,8 @@ def _stacked_root(g, known: dict) -> tuple[float, float, float]:
 
 def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:
     """Parametric (rate, exponent) curve, its s grid solved as one stack and
-    differentiated as one Nussbaum-Szkola sum (`_derivatives`; the orders
-    within ALPHA_ONE_DERIVATIVE_WINDOW of 1 take the variance).
+    differentiated as one Nussbaum-Szkola sum (`_derivatives`), by one formula
+    up to s = 1.
 
     At parameter s the optimizing rate is R(s) = I_s - s(1-s) dI/ds and the
     exponent there is (1-s)^2 dI/ds; the rate increases toward the mutual

@@ -18,10 +18,11 @@ Q_lambda^T x^(x n) Q_lambda of a tensor power by n mode products. rho^(x n)
 is read from one such pass over rho's eigenvectors on its support, in their
 field: `_universal_setup` forms T = (U^dagger)^(x n) Q once, rank(rho)^n rows,
 and takes from it the blocks R_lambda of rho^(x n) and D_s(rho^(x n) ||
-omega_A x omega_B) at every order s it is asked for, from which
-`_universal_test` runs. A test at log threshold t decomposes only R_lambda -
-e^t Omega_lambda (at n = 4 on a qubit pair, five blocks of sizes 1 to 45, not
-one 256 x 256 matrix), each counted f^lambda times.
+omega_A x omega_B) at every order s it is asked for (`divergences._centered`,
+exact through s = 1), from which `_universal_test` runs. A test at log
+threshold t decomposes only R_lambda - e^t Omega_lambda (at n = 4 on a qubit
+pair, five blocks of sizes 1 to 45, not one 256 x 256 matrix), each counted
+f^lambda times.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import ALPHA_ONE_WINDOW, _check_order
+from .divergences import _centered, _check_order
 from .errors import DomainError, NumericalDegradationError, ResourceLimitError
 from .exponents import direct_exponent
-from .linalg import EPS, spectral_log, spectral_power
+from .linalg import EPS, spectral_power
 from .states import BipartiteState, DensityOperator
 
 # (d^2)^n guard; it bounds N = (d_A d_B)^n, the number of rows of Q
@@ -277,11 +278,9 @@ def _universal_setup(rho: BipartiteState, n: int, orders):
     With rho = U diag(l) U^dagger, all come from one `_power_columns` pass,
     T = (U^dagger)^(x n) Q: R_lambda = T_lambda^dagger diag(l^(x n)) T_lambda,
     and with W = f^lambda |T_lambda U_lambda|^2, (mu, U_lambda) the
-    eigensystems of the Omega_lambda, the Nussbaum-Szkola sum D_alpha =
-    log[(l^alpha)^(x n) . W . mu^(1-alpha)] / (alpha-1), at alpha = 1
-    n sum l log l - l^(x n) . W . log mu; l^alpha is `spectral_power` of rho's
-    spectrum, before the n-fold product. D is finite: omega_A x omega_B has
-    full rank.
+    eigensystems of the Omega_lambda, D_alpha is the Nussbaum-Szkola sum over
+    the terms (l^(x n), mu, W), `divergences._centered` at all the orders at
+    once, exact through alpha = 1. D is finite: omega_A x omega_B has full rank.
 
     Every read of T is weighted by l^(x n) or (l^alpha)^(x n), so U and l are
     kept on the support under `spectral_power`'s cut: T has rank(rho)^n rows.
@@ -301,14 +300,8 @@ def _universal_setup(rho: BipartiteState, n: int, orders):
         w[:, b] = f * np.abs(t[:, b] @ u_b) ** 2
     mu = np.concatenate([vals for vals, _ in basis.omega_eigh])
 
-    def divergence(alpha: float) -> float:
-        if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-            return n * float(l @ spectral_log(l)) - float(l_n @ w @ np.log(mu))
-        l_alpha = _kron_power(spectral_power(l, alpha), n)
-        return math.log(float(l_alpha @ w @ mu ** (1.0 - alpha))) / (alpha - 1.0)
-
     r_blocks = [t[:, b].conj().T @ (l_n[:, None] * t[:, b]) for b in basis.blocks]
-    return n, basis, log_g, r_blocks, [divergence(alpha) for alpha in orders]
+    return n, basis, log_g, r_blocks, _centered(np.array(orders) - 1.0, l_n, mu, w)[0].tolist()
 
 
 def universal_divergence_rate(rho: BipartiteState, alpha: float, n: int) -> float:

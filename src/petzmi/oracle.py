@@ -113,7 +113,8 @@ def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np
     """Objective values min_tau D_alpha(rho || sigma_k x tau) for all sigma_k.
 
     Vectorized: sigma^(1-alpha) by batched eigendecomposition (sigma at alpha = 0),
-    the partial trace by one einsum, tau-minimization by `_one_sided_min`.
+    the partial trace by one einsum, tau-minimization by `_one_sided_min`, which
+    has no Nussbaum-Szkola form: within ALPHA_ONE_WINDOW of 1 the alpha = 1 one.
     """
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _batched_values_alpha_one(rho, sigmas)

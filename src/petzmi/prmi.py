@@ -23,9 +23,11 @@ the Frank-Wolfe gap of its iterate, read from the half-step's s^(1-alpha), is
 at most GAP_TOL (above 1/2, and its last plain step at most 10 GAP_TOL); the
 gap is formed only in rounds where some row's value fell by at most CONVERGING.
 Inputs are validated at the public functions, a start orthogonal to
-supp(rho_A) in the loop's first round. uu and dd at alpha = 1 take the terms
-against rho_A x rho_B from the marginals' eigensystems
-(`divergences._product_terms`).
+supp(rho_A) in the loop's first round. Loop rows and `gen_prmi_down` report
+D_alpha(rho || sigma x tau) at their minimizers (`divergences._centered`,
+exact through alpha = 1), so the loop runs at every order of (1/2, 2] but 1.
+uu and these values take the terms against a product from the factors'
+eigensystems (`divergences._product_terms`).
 
 All logarithms are natural.
 """
@@ -40,14 +42,13 @@ import numpy as np
 
 from .classical import rmi_down_down as classical_rmi_down_down
 from .divergences import (
-    ALPHA_ONE_WINDOW,
     DivergenceValue,
+    _centered,
     _check_order,
     _one_sided_min,
     _orders,
     _petz_divergence,
     _product_terms,
-    _relative_entropy,
     dominated,
     min_entropy,
     renyi_entropy,
@@ -119,20 +120,21 @@ def _marginal_terms(rho: BipartiteState):
 
 
 def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, DensityOperator]:
-    """min over tau_B of D_alpha(rho_AB || sigma_A x tau_B), with its minimizer:
-    the closed form of `_one_sided_min`, for alpha = 0 and every order outside
-    ALPHA_ONE_WINDOW of 1, where DomainError is raised."""
+    """min over tau_B of D_alpha(rho_AB || sigma_A x tau_B), with its minimizer,
+    that of `_one_sided_min`, and D_alpha there (`_centered`), at every
+    order but alpha = 1, where alpha/(alpha-1) is undefined: DomainError."""
     _check_order(alpha)
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        raise DomainError(f"gen_prmi_down needs alpha outside the alpha = 1 window, got {alpha!r}")
+    if alpha == 1.0:
+        raise DomainError("gen_prmi_down needs alpha != 1")
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
     if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
     alphas = np.array([alpha], dtype=float)
-    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), _rho_power(rho, alphas),
-                                             sigma_a.spectrum[None], sigma_a.eigenvectors[None])
+    sigma = sigma_a.spectrum[None], sigma_a.eigenvectors[None]
+    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), _rho_power(rho, alphas), *sigma)
     if value[0] == math.inf:
         return math.inf, None
+    value = _centered(alphas - 1.0, *_product_terms(rho, sigma, (t_vals, t_vecs)))[0]
     return float(value[0]), DensityOperator.from_eigensystem(t_vals[0], t_vecs[0])
 
 
@@ -208,7 +210,7 @@ def _fw_gap(orders: tuple, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray
 def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
     """min over tau_B with sigma_A fixed to the true marginal rho_A."""
     _check_order(alpha)
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+    if alpha == 1.0:
         return prmi_up_up(1.0, rho)
     # rho_A covers supp(rho_A): the value is finite
     value, _ = gen_prmi_down(alpha, rho, rho.marginal_a)
@@ -217,12 +219,11 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
     """One full round A -> B -> A of the alternating-minimization update.
-    Orders within ALPHA_ONE_WINDOW of 1 raise DomainError; a sigma_a orthogonal
-    to supp(rho_A), or at alpha > 1 one that does not cover it, raises
-    InvalidInputError."""
+    alpha = 1 raises DomainError; a sigma_a orthogonal to supp(rho_A), or at
+    alpha > 1 one that does not cover it, raises InvalidInputError."""
     _check_order(alpha)
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        raise DomainError(f"fixed_point_map needs alpha outside the alpha = 1 window, got {alpha!r}")
+    if alpha == 1.0:
+        raise DomainError("fixed_point_map needs alpha != 1")
     sigma_a = sigma_a if isinstance(sigma_a, DensityOperator) else DensityOperator(sigma_a)
     return _run_fixed_point(alpha, rho, sigma_a, max_iter=1).sigma_a
 
@@ -231,44 +232,25 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
     """Known closed forms: pure states and perfectly correlated cc states.
 
     Returns None when no closed form applies. dd on these states is answered
-    from it at every order outside the alpha = 1 window (`_solve_dd`); it is
-    also the I_0 floor of R_(1/2).
+    from it at every order but alpha = 1 (`_solve_dd`); it is also the I_0
+    floor of R_(1/2).
     """
-    if rho.is_pure():
-        rho_a = rho.marginal_a
-        if which == "uu":
-            return 2.0 * renyi_entropy(3.0 - 2.0 * alpha, rho_a)
-        if which == "ud":
-            if alpha == 0:
-                return 2.0 * renyi_entropy(math.inf, rho_a)
-            return 2.0 * renyi_entropy((2.0 - alpha) / alpha, rho_a)
-        if which == "dd":
-            return _dd_closed_form(alpha, rho_a, True)
-    p = _copy_cc_pmf_or_none(rho)
-    if p is not None:
-        rho_a = rho.marginal_a
-        if which == "uu":
-            return renyi_entropy(2.0 - alpha, rho_a)
-        if which == "ud":
-            if alpha == 0:
-                return renyi_entropy(math.inf, rho_a)
-            return renyi_entropy(1.0 / alpha, rho_a)
-        if which == "dd":
-            return _dd_closed_form(alpha, rho_a, False)
-    return None
+    pure = rho.is_pure()
+    if which not in ("uu", "ud", "dd") or not (pure or _is_copy_cc(rho)):
+        return None
+    if which == "dd":
+        return _dd_closed_form(alpha, rho.marginal_a, pure)
+    if which == "uu":
+        order = 3.0 - 2.0 * alpha if pure else 2.0 - alpha
+    else:
+        order = math.inf if alpha == 0 else (2.0 - alpha) / alpha if pure else 1.0 / alpha
+    return (2.0 if pure else 1.0) * renyi_entropy(order, rho.marginal_a)
 
 
-def _copy_cc_pmf_or_none(rho: BipartiteState):
-    if rho.d_a != rho.d_b:
-        return None
-    pmf = rho.diagonal_pmf_or_none()
-    if pmf is None:
-        return None
-    table = pmf.table
-    p = np.diag(table)
-    if np.max(np.abs(table - np.diag(p))) > 1e-12:
-        return None
-    return p
+def _is_copy_cc(rho: BipartiteState) -> bool:
+    """Whether rho is a perfectly correlated cc state, sum_x p_x |xx><xx|."""
+    pmf = rho.diagonal_pmf_or_none() if rho.d_a == rho.d_b else None
+    return pmf is not None and np.max(np.abs(pmf.table - np.diag(np.diag(pmf.table)))) <= 1e-12
 
 
 def _dd_closed_form(alpha: float, rho_a: DensityOperator, pure: bool) -> float:
@@ -280,7 +262,7 @@ def _dd_closed_form(alpha: float, rho_a: DensityOperator, pure: bool) -> float:
 
 def _dd_closed_form_solution(alpha: float, rho: BipartiteState, pure: bool) -> PrmiSolution:
     """The closed form of dd on a pure (pure=True) or copy-cc state, certified,
-    at any order outside the alpha = 1 window, with the minimizers
+    at any order, with the minimizers
     sigma ~ rho_A^e, tau ~ rho_B^e above 1/2, e the order of rho_A in the value."""
     value = _dd_closed_form(alpha, rho.marginal_a, pure)
     sigma_a = tau_b = None
@@ -415,8 +397,9 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     trace = np.full((len(history), k), math.nan)
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
-    # the value and tau of every row, as one more stacked step
-    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
+    # tau of every row, as one more stacked step, and the value at sigma x tau
+    _, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
+    value = _centered(alphas - 1.0, *_product_terms(rho, tuple(last), (t_vals, t_vecs)))[0]
     # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
     # misses part of supp(rho_A) keeps that face, where the gap reads 0
     full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
@@ -443,6 +426,7 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
 
     Regimes:
       alpha = 1          : the mutual information, minimizers the true marginals.
+      product states     : 0 at every order, minimizers the true marginals.
       pure / copy-cc     : the closed forms at every other order, certified,
                            with minimizers above 1/2.
       1/2 < alpha <= 2   : alternating minimization from sigma = rho_A. By the
@@ -465,20 +449,27 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
 
 def _solve_dd(alphas, rho: BipartiteState, starts) -> list[PrmiSolution]:
     """dd at each of a stack of checked orders, the one place that picks an
-    order's route (see `prmi_down_down`): the alpha = 1 window, the closed forms
-    of pure and copy-cc states (recognized once per call), the rejection above
-    2, one loop stack for the orders in (1/2, 2], each row from its start in
-    starts if that covers supp(rho_A), else from rho_A, and the searches at or
-    below 1/2."""
+    order's route (see `prmi_down_down`): alpha = 1 and product states, the
+    closed forms of pure and copy-cc states (each state recognized once per
+    call), the rejection above 2, one loop stack for the orders in (1/2, 2],
+    each row from its start in starts if that covers supp(rho_A), else from
+    rho_A, and the searches at or below 1/2."""
     pure = rho.is_pure()
-    closed = pure or _copy_cc_pmf_or_none(rho) is not None
+    closed = pure or _is_copy_cc(rho)
+    # rho = rho_A x rho_B to rounding: each entry of the difference within 1e-14 sqrt(m_i m_k) in
+    # the product's eigenbasis (eigenvalues m), so within 1e-14 in any; dd is 0 (second order)
+    a, b = rho.marginal_a, rho.marginal_b
+    diff = rho.matrix - np.multiply.outer(a.matrix, b.matrix).swapaxes(1, 2).reshape(rho.dim, -1)
+    if product := bool(np.abs(diff).max() <= 1e-14):
+        u, m = np.kron(a.eigenvectors, b.eigenvectors), np.abs(np.kron(a.spectrum, b.spectrum))
+        product = bool(np.all(np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(np.outer(m, m))))
     solutions, loop = [], []
     for alpha in alphas:
-        if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-            d = _relative_entropy(*_marginal_terms(rho))
-            sol = PrmiSolution(value=d.value, alpha=alpha, sigma_a=rho.marginal_a,
+        if alpha == 1.0 or product:
+            d = 0.0 if product else _petz_divergence(1.0, *_marginal_terms(rho)).value
+            sol = PrmiSolution(value=d, alpha=alpha, sigma_a=rho.marginal_a,
                                tau_b=rho.marginal_b, residual=0.0, iterations=0,
-                               objective_trace=(d.value,), certified=True, gap=0.0)
+                               objective_trace=(d,), certified=True, gap=0.0)
         elif closed:
             sol = _dd_closed_form_solution(alpha, rho, pure)
         elif alpha > 2.0:

@@ -186,6 +186,19 @@ def test_sweep_unsupported_regime_emits_nan(tmp_path, capsys):
     assert last[4] == "0"
 
 
+def test_compute_dd_in_an_unsupported_regime_exits_4(tmp_path, capsys):
+    """A generic state above 2, and a non-diagonal 4x4 state at alpha <= 1/2,
+    have no dd route: compute prints no value and exits 4 with the reason on
+    stderr."""
+    m = random_bipartite(4, 4, 3).matrix
+    big = write_json(tmp_path / "g44.json", {
+        "dA": 4, "dB": 4, "matrix": [[z.real, z.imag] for z in m.ravel()]})
+    for path, alpha in ((generic_state_file(tmp_path), "2.4"), (big, "0.4")):
+        assert main(["--json", "compute", "--which", "dd", "--state", path, "--alpha", alpha]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "support" in err
+
+
 def test_strict_exit_on_uncertified(tmp_path, capsys):
     path = generic_state_file(tmp_path)
     out_csv = tmp_path / "s.csv"

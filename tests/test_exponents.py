@@ -198,10 +198,10 @@ def test_copy_state_curve_matches_its_closed_form():
             assert point.exponent == pytest.approx(float(exponent), abs=1e-10)
 
 
-def test_orders_in_the_alpha_one_window_take_the_alpha_one_route():
-    # within ALPHA_ONE_WINDOW of 1 the loop's rounding grows like eps s/|1-s|:
-    # run there, I_s read 9.2e-7 above I(A:B) at s = 1 - 1e-9, and the curve's
-    # rate there exceeded I(A:B)
+def test_orders_next_to_one_stay_below_the_mutual_information():
+    # the loop's value (s/(s-1)) log tr M^(1/s) rounds like eps s/|1-s|: taken
+    # as I_s it read 9.2e-7 above I(A:B) at s = 1 - 1e-9, and the curve's rate
+    # there exceeded I(A:B). I_s is D_s at the minimizers, exact next to 1
     rho = random_bipartite(2, 2, 42)
     i_one = prmi_down_down(1.0, rho).value
     grid = [1.0 - 1e-8, 1.0 - 1e-9]

@@ -250,6 +250,27 @@ def test_dd_of_product_state_is_positive_zero(alpha):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 10.0])
+def test_a_correlation_far_below_the_entries_is_not_a_product(alpha):
+    """copy-cc of (1 - 1e-13, 1e-13) is within 1e-13 of rho_A x rho_B entry by
+    entry, yet dd is H_(alpha/(2 alpha - 1))(p), 7e-10 to 3e-7 here: the closed
+    form answers it, not the product route's 0."""
+    rho = copy_cc_state([1 - 1e-13, 1e-13])
+    want = prmi_closed_form(alpha, rho, "dd")
+    assert want > 5e-10
+    assert prmi_down_down(alpha, rho).value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_a_near_product_generic_state_above_two_is_rejected():
+    """A generic state 1e-13 away from a product is no product: above 2 it is
+    rejected like any generic state, not answered with a certified 0."""
+    product = np.kron(random_density(2, 1).matrix, random_density(3, 2).matrix)
+    mixed = (1 - 1e-13) * product + 1e-13 * random_bipartite(2, 3, 5).matrix
+    with pytest.raises(UnsupportedRegimeError):
+        prmi_down_down(2.5, BipartiteState(mixed, 2, 3))
+    assert prmi_down_down(2.5, BipartiteState(product, 2, 3)).value == 0.0
+
+
 @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e-300, 1e-200])
 def test_tiny_orders_match_alpha_zero(alpha):
     # M^(1/alpha) used to under- or overflow here, and ud and dd read nan or -inf
@@ -296,16 +317,34 @@ def test_small_alpha_generic_state_uses_loop(qubit_pair):
     assert math.isfinite(sol.residual) and math.isfinite(sol.gap)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0, 1.0 + 5e-7])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0])
 def test_gen_down_rejects_orders_outside_its_domain(qubit_pair, alpha):
     with pytest.raises(DomainError):
         gen_prmi_down(alpha, qubit_pair, qubit_pair.marginal_a)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0, 1.0 + 5e-7])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 1.0])
 def test_fixed_point_map_rejects_invalid_orders(qubit_pair, alpha):
     with pytest.raises(DomainError):
         fixed_point_map(alpha, qubit_pair, qubit_pair.marginal_a)
+
+
+@pytest.mark.parametrize("alpha", [1.0 - 5e-7, 1.0 + 5e-7])
+def test_gen_down_runs_next_to_one(qubit_pair, alpha):
+    """Next to alpha = 1, where it used to raise, ud lies between dd and uu to
+    1e-13, and its tau next to rho_B."""
+    rho = qubit_pair
+    value, tau = gen_prmi_down(alpha, rho, rho.marginal_a)
+    assert prmi_down_down(alpha, rho).value - 1e-13 <= value <= prmi_up_up(alpha, rho).value + 1e-13
+    assert trace_distance(tau, rho.marginal_b) <= 1e-5
+
+
+@pytest.mark.parametrize("alpha", [1.0 - 5e-7, 1.0 + 5e-7])
+def test_fixed_point_map_runs_next_to_one(qubit_pair, alpha):
+    """Next to alpha = 1, where it used to raise, one round from rho_A moves
+    sigma by O(|alpha - 1|)."""
+    rho = qubit_pair
+    assert trace_distance(fixed_point_map(alpha, rho, rho.marginal_a), rho.marginal_a) <= 1e-5
 
 
 def test_a_start_orthogonal_to_rho_a_raises_without_warnings():

@@ -39,6 +39,21 @@ def test_variants_are_ordered(rho, alpha):
     assert dd >= 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(rho=states, k=st.integers(3, 15), side=st.sampled_from([-1, 1]))
+def test_variants_are_ordered_next_to_one(rho, k, side):
+    """uu >= ud >= dd >= 0 to 1e-13 at alpha = 1 +- 10^-k, with no floor that
+    grows as alpha/|alpha-1|: each variant is D_alpha at its minimizers, exact
+    through alpha = 1."""
+    alpha = 1.0 + side * 10.0**-k
+    uu = prmi_up_up(alpha, rho).value
+    ud = prmi_up_down(alpha, rho).value
+    dd = prmi_down_down(alpha, rho).value
+    assert uu >= ud - 1e-13
+    assert ud >= dd - 1e-13
+    assert dd >= 0.0
+
+
 @settings(max_examples=10, deadline=None)
 @given(rho=qubit_pairs, tau=qubit_pairs, alpha=alphas)
 def test_dd_additive_on_tensor_products(rho, tau, alpha):
