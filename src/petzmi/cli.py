@@ -2,7 +2,8 @@
 
 Subcommands:
   compute   one Renyi mutual information value at a single order
-  sweep     all three variants over an alpha grid, written as CSV
+  sweep     all three variants over an alpha grid, written as CSV: one stack per
+            variant, of which compute is the one-order case, bit for bit
   exponent  direct error exponent at a type-II rate (optionally the full curve)
   simulate  finite-blocklength universal tests versus the asymptotic exponent
   oracle    exhaustive product-state search at a single order
@@ -28,7 +29,7 @@ from .errors import InvalidInputError, PetzmiError, UnsupportedRegimeError
 from .exponents import direct_exponent, rate_curve
 from .hypotest import achievability_sweep
 from .oracle import brute_force_dd
-from .prmi import prmi_down_down, prmi_up_down, prmi_up_up
+from .prmi import PrmiSolution, _solve_dd, _up_down, _up_up, prmi
 from .states import BipartiteState, Pmf, cc_state, pure_bipartite
 
 EXIT_OK = 0
@@ -135,61 +136,37 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_compute(args) -> int:
-    state = parse_input(args.state)
-    certified = True
-    solution = None
-    if args.which == "uu":
-        value = prmi_up_up(args.alpha, state).as_float()
-    elif args.which == "ud":
-        value = prmi_up_down(args.alpha, state).as_float()
-    else:
-        solution = prmi_down_down(args.alpha, state)
-        value, certified = solution.value, solution.certified
-    payload = {
-        "which": args.which,
-        "alpha": args.alpha,
-        "value": _fmt(value),
-        "certified": int(certified),
-    }
-    if solution is not None:
-        payload["residual"] = _fmt(solution.residual)
-        payload["iterations"] = solution.iterations
-        # a certificate above 1/2, a stationarity figure below; null without iterates
-        payload["gap"] = solution.gap if math.isfinite(solution.gap) else None
+    solution = prmi(args.alpha, parse_input(args.state), args.which)
+    payload = {"which": args.which, "alpha": args.alpha, "value": _fmt(solution.as_float()),
+               "certified": 1}
+    if isinstance(solution, PrmiSolution):
+        # gap: a certificate above 1/2, a stationarity figure below; null without iterates
+        payload.update(certified=int(solution.certified), residual=_fmt(solution.residual),
+                       iterations=solution.iterations,
+                       gap=solution.gap if math.isfinite(solution.gap) else None)
     _emit(payload, args)
-    if args.strict and solution is not None and not solution.certified:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if args.strict and not payload["certified"] else EXIT_OK
 
 
 def sweep_rows(state: BipartiteState, alphas):
-    """(alpha, uu, ud, dd, certified) per order; dd is nan and uncertified at
-    an order with no supported route."""
-    rows = []
-    for alpha in alphas:
-        row = (alpha, prmi_up_up(alpha, state).as_float(), prmi_up_down(alpha, state).as_float())
-        try:
-            dd = prmi_down_down(alpha, state)
-        except UnsupportedRegimeError:
-            rows.append((*row, math.nan, 0))
-        else:
-            rows.append((*row, dd.value, int(dd.certified)))
-    return rows
+    """(alpha, uu, ud, dd, certified) per order, each variant solved as one
+    stack over the grid, of which `compute` is the one-order case; dd is nan and
+    uncertified at an order with no supported route."""
+    grid = np.asarray(alphas, dtype=float)
+    dd = _solve_dd(grid, state, [state.marginal_a] * grid.size)
+    return [(alpha, uu, ud, *((math.nan, 0) if isinstance(s, UnsupportedRegimeError)
+                              else (s.value, int(s.certified))))
+            for alpha, uu, ud, s in zip(alphas, _up_up(grid, state).tolist(),
+                                        _up_down(grid, state).tolist(), dd)]
 
 
 def emit_sweep(state: BipartiteState, alphas, out: str) -> list:
-    """Write the alpha sweep of all three variants as CSV.
-
-    Points are evaluated in grid order (the evaluation is deterministic either
-    way, and the rows are written in grid order regardless).
-    """
+    """Write the rows of `sweep_rows` as CSV, in grid order, and return them."""
     rows = sweep_rows(state, alphas)
     with open(out, "w") as fh:
         fh.write("alpha,rmi0,rmi1,rmi2,certified\n")
-        for alpha, rmi0, rmi1, rmi2, certified in rows:
-            fh.write(
-                f"{_fmt(alpha)},{_fmt(rmi0)},{_fmt(rmi1)},{_fmt(rmi2)},{certified}\n"
-            )
+        fh.writelines(f"{_fmt(a)},{_fmt(r0)},{_fmt(r1)},{_fmt(r2)},{c}\n"
+                      for a, r0, r1, r2, c in rows)
     return rows
 
 
@@ -202,14 +179,9 @@ def cmd_sweep(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     rows = emit_sweep(state, alphas, args.out)
     if args.json:
-        print(json.dumps({
-            "out": args.out,
-            "rows": [
-                {"alpha": a, "rmi0": _fmt(r0), "rmi1": _fmt(r1),
-                 "rmi2": _fmt(r2), "certified": c}
-                for a, r0, r1, r2, c in rows
-            ],
-        }, sort_keys=True, allow_nan=False))
+        print(json.dumps({"out": args.out, "rows": [
+            {"alpha": a, "rmi0": _fmt(r0), "rmi1": _fmt(r1), "rmi2": _fmt(r2), "certified": c}
+            for a, r0, r1, r2, c in rows]}, sort_keys=True, allow_nan=False))
     else:
         print(f"wrote {len(rows)} rows to {args.out}")
     if args.strict and any(c == 0 for *_, c in rows):
@@ -260,15 +232,13 @@ def cmd_simulate(args) -> int:
                  if math.isfinite(row["type_one_bound"]) else None} for row in result["per_n"]]
         print(json.dumps({**result, "per_n": rows}, sort_keys=True, allow_nan=False))
     else:
-        print(f"rate: {_fmt(result['rate'])}")
-        print(f"asymptotic_exponent: {_fmt(result['asymptotic_exponent'])}")
-        print("n,s,exponent,type_one,type_one_bound,type_two_bound")
+        for key in ("rate", "asymptotic_exponent", "r_half"):
+            print(f"{key}: {_fmt(result[key])}")
+        print(f"guaranteed_exact: {int(result['guaranteed_exact'])}")
+        columns = ("s", "exponent", "type_one", "type_one_bound", "type_two_bound")
+        print(",".join(("n",) + columns))
         for row in result["per_n"]:
-            print(
-                f"{row['n']},{_fmt(row['s'])},{_fmt(row['exponent'])},"
-                f"{_fmt(row['type_one'])},{_fmt(row['type_one_bound'])},"
-                f"{_fmt(row['type_two_bound'])}"
-            )
+            print(",".join([str(row["n"])] + [_fmt(row[key]) for key in columns]))
     return EXIT_OK
 
 

@@ -220,8 +220,9 @@ def _centered(t: np.ndarray, lam: np.ndarray, mu: np.ndarray, w: np.ndarray,
         if not keep.all():
             l_ref = np.where(keep, 1.0, np.exp(np.where(tb > 0, l_hi, l_lo)))
             m_ref = np.where(keep, 1.0, np.exp(np.where(tb > 0, m_lo[:, None], m_hi[:, None])))
-        g = np.power(lam / l_ref, tb, out=np.zeros((t.size, d)), where=on_l)
-        h = np.power(mu / m_ref, -tb, out=np.zeros((t.size, size)), where=on_m)
+        # np.float_power, as in `linalg.spectral_power`: a row's powers do not depend on its stack
+        g = np.float_power(lam / l_ref, tb, out=np.zeros((t.size, d)), where=on_l)
+        h = np.float_power(mu / m_ref, -tb, out=np.zeros((t.size, size)), where=on_m)
         gp = (g[:, None, :] @ p)[:, 0]
         q = (gp * h).sum(1)
         log_q = (tb * np.log(l_ref / m_ref)).reshape(-1) + np.log(q)
@@ -241,15 +242,15 @@ def petz_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     -log tr[rho^0 sigma].
     """
     _check_order(alpha)
-    return _petz_divergence(alpha, *_petz_terms(_as_density(rho), _as_density(sigma)))
-
-
-def _petz_divergence(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> DivergenceValue:
-    """`_centered` at one order; q_value is Q = e^((alpha-1) D) where it is a float."""
-    if not _finite(alpha, lam, mu, w):
+    terms = _petz_terms(_as_density(rho), _as_density(sigma))
+    if not _finite(alpha, *terms):
         return DivergenceValue.infinite()
+    return _divergence_value(alpha, float(_centered(np.array([alpha - 1.0]), *terms)[0][0]))
+
+
+def _divergence_value(alpha: float, d: float) -> DivergenceValue:
+    """A finite D_alpha, with q_value Q = e^((alpha-1) D) where it is a float."""
     t = alpha - 1.0
-    d = float(_centered(np.array([t]), lam, mu, w)[0][0])
     return DivergenceValue(value=d, q_value=math.exp(t * d) if t and t * d < _LOG_MAX else None)
 
 
@@ -276,14 +277,14 @@ def sandwiched_divergence(alpha: float, rho, sigma) -> DivergenceValue:
     if not _finite(alpha, *terms):
         return DivergenceValue.infinite()
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return _petz_divergence(1.0, *terms)
+        return relative_entropy(rho, sigma)
     q = sandwiched_q(alpha, rho, sigma)
     return DivergenceValue(value=math.log(q) / (alpha - 1.0), q_value=q)
 
 
 def renyi_entropy(alpha: float, rho) -> float:
     """Renyi entropy H_alpha(rho) = (1/(1-alpha)) log tr[rho^alpha], natural log:
-    -D_alpha(rho || 1), from `_centered` on rho's spectrum.
+    -D_alpha(rho || 1): the one-order case of `_renyi_entropies`.
 
     Accepts any real alpha as well as +-inf:
       alpha = 1 is the von Neumann entropy,
@@ -292,14 +293,19 @@ def renyi_entropy(alpha: float, rho) -> float:
       negative alpha uses powers taken on the support.
     """
     rho = _as_density(rho)
-    probs = rho.spectrum[spectral_power(rho.spectrum, 0.0) > 0]
-    if alpha == math.inf:
-        return -math.log(float(probs.max()))
-    if alpha == -math.inf:
-        return -math.log(float(probs.min()))
+    if alpha in (math.inf, -math.inf):
+        probs = rho.spectrum[spectral_power(rho.spectrum, 0.0) > 0]
+        return -math.log(float(probs.max() if alpha > 0 else probs.min()))
     if not np.isfinite(alpha):
         raise DomainError(f"invalid Renyi entropy order {alpha!r}")
-    return -float(_centered(np.array([alpha - 1.0]), probs, np.ones(1), np.ones((probs.size, 1)))[0][0])
+    return float(_renyi_entropies(np.array([alpha], dtype=float), rho)[0])
+
+
+def _renyi_entropies(alphas: np.ndarray, rho: DensityOperator) -> np.ndarray:
+    """H_alpha(rho) at a stack of finite orders, from one `_centered` call on
+    rho's spectrum on its support."""
+    probs = rho.spectrum[spectral_power(rho.spectrum, 0.0) > 0]
+    return -_centered(alphas - 1.0, probs, np.ones(1), np.ones((probs.size, 1)))[0]
 
 
 def min_entropy(rho) -> float:

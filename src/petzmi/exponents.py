@@ -20,7 +20,8 @@ import numpy as np
 
 from .divergences import _centered, _product_terms
 from .errors import DomainError
-from .prmi import SECANT_RATIO, PrmiSolution, _solve_dd, prmi_closed_form, prmi_down_down
+from .prmi import (SECANT_RATIO, PrmiSolution, _solve_dd, _stacked, prmi_closed_form,
+                   prmi_down_down)
 from .states import BipartiteState
 
 R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
@@ -81,11 +82,6 @@ def _derivatives(rho: BipartiteState, alphas: np.ndarray, solutions) -> np.ndarr
     lam, mu, w = _product_terms(rho, _stacked([s.sigma_a for s in solutions]),
                                 _stacked([s.tau_b for s in solutions]))
     return _centered(alphas - 1.0, lam, mu, w, derivative=True)[1]
-
-
-def _stacked(ops) -> tuple:
-    """The eigensystems of operators of one dimension, as a stack."""
-    return np.array([op.spectrum for op in ops]), np.array([op.eigenvectors for op in ops])
 
 
 class _PrmiCache:

@@ -376,7 +376,8 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
     grid, and the test at s runs from its R_lambda and D_s. A row is `vacuous`
     when that best exponent is <= 0: no s gives a type-I bound below 1. On such
     a row, D_s growing with s, `s` is the right end of the grid and `exponent`
-    is the bound's value there. n_max must be a positive integer.
+    is the bound's value there. n_max must be a positive integer. r_half and
+    guaranteed_exact are those of the direct exponent (`ExponentReport`).
     """
     n_max = _positive_int(n_max, "n_max")
     report = direct_exponent(rho, rate)
@@ -391,4 +392,5 @@ def achievability_sweep(rho: BipartiteState, rate: float, n_max: int) -> dict:
         rows.append({"n": n, "s": s, "exponent": exponents[s], "type_one": errs.type_one,
                      "type_one_bound": errs.type_one_bound,
                      "type_two_bound": errs.type_two_bound, "vacuous": exponents[s] <= 0})
-    return {"rate": rate, "asymptotic_exponent": report.exponent, "per_n": rows}
+    return {"rate": rate, "asymptotic_exponent": report.exponent, "r_half": report.r_half,
+            "guaranteed_exact": report.guaranteed_exact, "per_n": rows}

@@ -148,7 +148,9 @@ def spectral_power(vals: np.ndarray, p) -> np.ndarray:
     cut = vals.shape[-1] * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
     _check_psd(vals)
     keep = vals > cut * EPS
-    return np.power(vals, p, out=np.zeros(np.broadcast(vals, p).shape), where=keep)
+    # not np.power: it takes other paths for the exponents -1, 1/2 and 2 when one
+    # exponent serves a whole array, so a row would differ alone and in a stack
+    return np.float_power(vals, p, out=np.zeros(np.broadcast(vals, p).shape), where=keep)
 
 
 def spectral_log(vals: np.ndarray) -> np.ndarray:

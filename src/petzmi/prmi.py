@@ -1,33 +1,27 @@
 """Petz Renyi mutual informations of bipartite states.
 
-Three variants are computed, distinguished by which marginals of the product
-reference state are optimized:
+Three variants, by which marginals of the product reference state are optimized:
 
-  up_up    : both arguments fixed to the true marginals,
-             I = D_alpha(rho_AB || rho_A x rho_B);
-  up_down  : the B argument minimized, closed form through a Schatten
+  up_up    : both fixed to the true marginals, I = D_alpha(rho_AB || rho_A x rho_B);
+  up_down  : the B argument minimized, in closed form through a Schatten
              quasi-norm of a partial trace;
-  down_down: both arguments minimized: in closed form on pure and copy-cc
-             states, else by alternating minimization, each half-step being
-             the exact one-sided minimizer. On (1/2, 2] its fixed points are
-             the global minimizers; below 1/2 the best run of ten starts is
-             returned, uncertified. `_solve_dd` alone picks an order's route.
+  down_down: both minimized: in closed form on pure and copy-cc states, else by
+             alternating minimization, each half-step the exact one-sided
+             minimizer. On (1/2, 2] its fixed points are the global minimizers;
+             below 1/2 the best run of ten starts is returned, uncertified.
 
-A half-step is M from `_traced`, then `divergences._one_sided_min` on M's
-eigenvalues: `_half_step` for `gen_prmi_down` and the loop's A -> B direction;
-B -> A, through the transposed tensor of rho^alpha, the loop runs the two
-itself, as above 1/2 it decomposes a secant (Anderson-1) extrapolation of M_A
-in place of M_A. They run on a stack of orders, one row each, with the
-orders' constants (`divergences._orders`) formed once. Every run stops once
-the Frank-Wolfe gap of its iterate, read from the half-step's s^(1-alpha), is
-at most GAP_TOL (above 1/2, and its last plain step at most 10 GAP_TOL); the
-gap is formed only in rounds where some row's value fell by at most CONVERGING.
-Inputs are validated at the public functions, a start orthogonal to
-supp(rho_A) in the loop's first round. Loop rows and `gen_prmi_down` report
-D_alpha(rho || sigma x tau) at their minimizers (`divergences._centered`,
-exact through alpha = 1), so the loop runs at every order of (1/2, 2] but 1.
-uu and these values take the terms against a product from the factors'
-eigensystems (`divergences._product_terms`).
+Each variant is solved on a stack of orders, one row each: `_up_up`, `_up_down`
+and `_solve_dd`, the one place that picks an order's route. The public
+functions are their one-order cases, and no row depends on its stack. A
+half-step is M from `_traced`, then `divergences._one_sided_min` on M's
+eigenvalues (`_half_step`); the loop runs its B -> A half-step itself, as above
+1/2 it decomposes a secant (Anderson-1) extrapolation of M_A in place of M_A.
+A run stops once the Frank-Wolfe gap of its iterate is at most GAP_TOL (above
+1/2, and its last plain step at most 10 GAP_TOL); the gap is formed only in
+rounds where some row's value fell by at most CONVERGING. ud, `gen_prmi_down`
+and the loop's rows report D_alpha(rho || sigma x tau) at the minimizer tau
+(`_one_sided`: `divergences._centered` on `divergences._product_terms`, exact
+through alpha = 1), so the loop runs at every order of (1/2, 2] but 1.
 
 All logarithms are natural.
 """
@@ -36,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +39,11 @@ from .divergences import (
     DivergenceValue,
     _centered,
     _check_order,
+    _divergence_value,
     _one_sided_min,
     _orders,
-    _petz_divergence,
     _product_terms,
+    _renyi_entropies,
     dominated,
     min_entropy,
     renyi_entropy,
@@ -77,10 +72,9 @@ class PrmiSolution:
     value is finite. gap is the Frank-Wolfe gap G(sigma) = tr[grad f sigma] -
     lambda_min(grad f) of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the
     last iterate whose gradient was formed; value is no larger than f there.
-    It is 0 for closed forms and exact reductions and inf where no iterate
-    exists (the grid search that solves the classical reduction below 1/2).
     residual is the trace distance between sigma_a and the iterate one full
-    round of the fixed-point map earlier; likewise 0 and inf in those cases.
+    round of the fixed-point map earlier. Both are 0 for closed forms and exact
+    reductions and inf where no iterate exists (the classical grid search below 1/2).
     certified means the value is the global minimum: for alpha in (1/2, 2]
     every fixed point is a global minimizer, so a run is certified when
     gap <= GAP_TOL, residual <= 10 GAP_TOL and sigma_a has the rank of rho_A,
@@ -89,6 +83,9 @@ class PrmiSolution:
     A loop row's sigma_a and tau_b are built from the eigensystems the loop
     holds (`HermitianOperator.from_eigensystem`): their matrix is composed
     only when read. The closed forms below 1/2 carry no minimizers (None).
+    objective_trace holds a loop's one-sided values (alpha/(alpha-1)) log tr
+    M^(1/alpha), one a round, rounded to some eps alpha/|alpha-1|: its last
+    entry is not value, D_alpha at the minimizers. Other routes hold (value,).
     """
 
     value: float
@@ -106,11 +103,16 @@ class PrmiSolution:
 
 
 def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
-    """D_alpha of the state against the product of its own marginals."""
+    """D_alpha(rho || rho_A x rho_B): the one-order case of `_up_up`."""
     _check_order(alpha)
-    # supp(rho) lies in supp(rho_A x rho_B): the value is finite
-    d = _petz_divergence(alpha, *_marginal_terms(rho))
-    return replace(d, value=max(d.value, 0.0) + 0.0)  # as in _run_fixed_point
+    return _divergence_value(alpha, float(_up_up(np.array([alpha], dtype=float), rho)[0]))
+
+
+def _up_up(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
+    """uu at a stack of checked orders: one `_centered` call over `_marginal_terms`."""
+    # supp(rho) lies in supp(rho_A x rho_B): the values are finite
+    value = _centered(alphas - 1.0, *_marginal_terms(rho))[0]
+    return np.maximum(value, 0.0) + 0.0  # as in _run_fixed_point
 
 
 def _marginal_terms(rho: BipartiteState):
@@ -120,9 +122,9 @@ def _marginal_terms(rho: BipartiteState):
 
 
 def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, DensityOperator]:
-    """min over tau_B of D_alpha(rho_AB || sigma_A x tau_B), with its minimizer,
-    that of `_one_sided_min`, and D_alpha there (`_centered`), at every
-    order but alpha = 1, where alpha/(alpha-1) is undefined: DomainError."""
+    """min over tau_B of D_alpha(rho_AB || sigma_A x tau_B), with its minimizer:
+    the one-row case of `_one_sided`, at every order but alpha = 1, where
+    alpha/(alpha-1) is undefined: DomainError."""
     _check_order(alpha)
     if alpha == 1.0:
         raise DomainError("gen_prmi_down needs alpha != 1")
@@ -130,12 +132,29 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
     if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
     alphas = np.array([alpha], dtype=float)
-    sigma = sigma_a.spectrum[None], sigma_a.eigenvectors[None]
-    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), _rho_power(rho, alphas), *sigma)
+    value, t_vals, t_vecs = _one_sided(alphas, rho, _rho_power(rho, alphas),
+                                       (sigma_a.spectrum[None], sigma_a.eigenvectors[None]))
     if value[0] == math.inf:
         return math.inf, None
-    value = _centered(alphas - 1.0, *_product_terms(rho, sigma, (t_vals, t_vecs)))[0]
     return float(value[0]), DensityOperator.from_eigensystem(t_vals[0], t_vecs[0])
+
+
+def _one_sided(alphas: np.ndarray, rho: BipartiteState, r: np.ndarray, sigma: tuple):
+    """min over tau of D_alpha(rho || sigma x tau) on a stack of k orders but 1,
+    r = `_rho_power` and sigma's eigensystems ((k, d_A), (k, d_A, d_A)): D_alpha at
+    `_half_step`'s minimizer tau (`_centered`), inf where M vanishes, and tau's eigensystems."""
+    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r, *sigma)
+    finite = value < math.inf
+    if finite.any():
+        on = slice(None) if finite.all() else finite
+        value[on] = _centered(alphas[on] - 1.0, *_product_terms(
+            rho, (sigma[0][on], sigma[1][on]), (t_vals[on], t_vecs[on])))[0]
+    return value, t_vals, t_vecs
+
+
+def _stacked(ops) -> tuple:
+    """The eigensystems of operators of one dimension, as a stack."""
+    return np.array([op.spectrum for op in ops]), np.array([op.eigenvectors for op in ops])
 
 
 def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
@@ -208,13 +227,21 @@ def _fw_gap(orders: tuple, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray
 
 
 def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
-    """min over tau_B with sigma_A fixed to the true marginal rho_A."""
+    """min over tau_B of D_alpha(rho || rho_A x tau_B): the one-order case of `_up_down`."""
     _check_order(alpha)
-    if alpha == 1.0:
-        return prmi_up_up(1.0, rho)
-    # rho_A covers supp(rho_A): the value is finite
-    value, _ = gen_prmi_down(alpha, rho, rho.marginal_a)
-    return DivergenceValue(value=max(value, 0.0) + 0.0)  # as in _run_fixed_point
+    return DivergenceValue(value=float(_up_down(np.array([alpha], dtype=float), rho)[0]))
+
+
+def _up_down(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
+    """ud at a stack of checked orders: `_one_sided` from sigma = rho_A, and
+    uu (`_up_up`) at alpha = 1."""
+    value, one = np.empty(alphas.size), alphas == 1.0
+    if one.any():
+        value[one] = _up_up(alphas[one], rho)
+    if (a := alphas[~one]).size:
+        sigma = _stacked([rho.marginal_a] * a.size)  # covers supp(rho_A): the values are finite
+        value[~one] = np.maximum(_one_sided(a, rho, _rho_power(rho, a), sigma)[0], 0.0) + 0.0
+    return value
 
 
 def fixed_point_map(alpha: float, rho: BipartiteState, sigma_a: DensityOperator) -> DensityOperator:
@@ -239,7 +266,7 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
     if which not in ("uu", "ud", "dd") or not (pure or _is_copy_cc(rho)):
         return None
     if which == "dd":
-        return _dd_closed_form(alpha, rho.marginal_a, pure)
+        return _dd_closed_form(np.array([alpha], dtype=float), rho, pure)[0].value
     if which == "uu":
         order = 3.0 - 2.0 * alpha if pure else 2.0 - alpha
     else:
@@ -253,28 +280,32 @@ def _is_copy_cc(rho: BipartiteState) -> bool:
     return pmf is not None and np.max(np.abs(pmf.table - np.diag(np.diag(pmf.table)))) <= 1e-12
 
 
-def _dd_closed_form(alpha: float, rho_a: DensityOperator, pure: bool) -> float:
-    """dd on a pure (pure=True) or copy-cc state, from its marginal rho_A."""
-    if alpha <= 0.5:
-        return ((1.0 if pure else alpha) / (1.0 - alpha)) * min_entropy(rho_a)
-    return (2.0 if pure else 1.0) * renyi_entropy((1.0 if pure else alpha) / (2.0 * alpha - 1.0), rho_a)
+def _dd_closed_form(alphas: np.ndarray, rho: BipartiteState, pure: bool) -> list[PrmiSolution]:
+    """dd on a pure (pure=True) or copy-cc state at a stack of orders, none 1,
+    certified: ((1 or alpha)/(1 - alpha)) H_inf(rho_A) at alpha <= 1/2, with
+    no minimizers, and above (2 or 1) H_e(rho_A), e = (1 or alpha)/(2 alpha - 1),
+    from one `_renyi_entropies` call, with the minimizers sigma ~ rho_A^e,
+    tau ~ rho_B^e."""
+    ab, high = (rho.marginal_a, rho.marginal_b), alphas > 0.5
+    coef = np.ones(alphas.size) if pure else alphas
+    value, expo = np.empty(alphas.size), coef[high] / (2.0 * alphas[high] - 1.0)
+    value[~high] = coef[~high] / (1.0 - alphas[~high]) * min_entropy(ab[0])
+    value[high] = (2.0 if pure else 1.0) * _renyi_entropies(expo, ab[0])
+    # m^e / tr m^e from the held eigensystem of m, its spectrum scaled to a top
+    # eigenvalue of 1 first, so that no power underflows to a zero trace
+    powers = [spectral_power(m.spectrum / m.spectrum[0], expo[:, None]) for m in ab]
+    pairs = [(None, None)] * alphas.size
+    for j, *row in zip(np.flatnonzero(high), *powers):
+        pairs[j] = [DensityOperator.from_eigensystem(p / p.sum(), m.eigenvectors)
+                    for p, m in zip(row, ab)]
+    return [_without_loop(v, a, *pair) for v, a, pair in zip(value, alphas, pairs)]
 
 
-def _dd_closed_form_solution(alpha: float, rho: BipartiteState, pure: bool) -> PrmiSolution:
-    """The closed form of dd on a pure (pure=True) or copy-cc state, certified,
-    at any order, with the minimizers
-    sigma ~ rho_A^e, tau ~ rho_B^e above 1/2, e the order of rho_A in the value."""
-    value = _dd_closed_form(alpha, rho.marginal_a, pure)
-    sigma_a = tau_b = None
-    if alpha > 0.5:
-        expo = (1.0 if pure else alpha) / (2.0 * alpha - 1.0)
-        # m^e / tr m^e from the held eigensystem of m, its spectrum scaled to a top
-        # eigenvalue of 1 first, so that no power underflows to a zero trace
-        powers = [(spectral_power(m.spectrum / m.spectrum[0], expo), m.eigenvectors)
-                  for m in (rho.marginal_a, rho.marginal_b)]
-        sigma_a, tau_b = (DensityOperator.from_eigensystem(p / p.sum(), v) for p, v in powers)
-    return PrmiSolution(value=value, alpha=alpha, sigma_a=sigma_a, tau_b=tau_b, residual=0.0,
-                        iterations=0, objective_trace=(value,), certified=True, gap=0.0)
+def _without_loop(value, alpha, sigma_a, tau_b, exact: bool = True) -> PrmiSolution:
+    """A route with no rounds: exact (certified, gap and residual 0) or a search (inf)."""
+    value, tol = float(value), 0.0 if exact else math.inf
+    return PrmiSolution(value=value, alpha=float(alpha), sigma_a=sigma_a, tau_b=tau_b, residual=tol,
+                        iterations=0, objective_trace=(value,), certified=exact, gap=tol)
 
 
 def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITER):
@@ -291,10 +322,9 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     tau^(1-alpha))] from its last two rounds in place of M_A, while sigma and
     the sigma of the step keep lambda_min/lambda_max > SECANT_RATIO; a round
     whose value rises by more than the slack after such a step is redone from
-    the plain iterate. So a stopping row ends on the plain step. A row at
-    alpha > 1/2 is certified when its gap is at most GAP_TOL, its residual
-    at most 10 GAP_TOL and its sigma has the rank of rho_A. Returns a
-    PrmiSolution for one order and a list of k for a stack. A start orthogonal
+    the plain iterate. So a stopping row ends on the plain step. Returns a
+    PrmiSolution (certified as it says) for one order and a list of k for a
+    stack. A start orthogonal
     to supp(rho_A), where M vanishes, raises InvalidInputError; no later M does,
     as a plain step keeps sigma on supp M_A <= supp(rho_A), M_A nonzero, and a
     secant M is used only when it is positive definite.
@@ -307,8 +337,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     # sigma covers rho_A, and no iterate can leak.
     if np.any(alphas > 1) and not all(dominated(rho.marginal_a, s) for s in starts):
         raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
-    s_vals = np.array([s.spectrum for s in starts])
-    s_vecs = np.array([s.eigenvectors for s in starts])
+    s_vals, s_vecs = _stacked(starts)
     r_ab = _rho_power(rho, alphas)
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
@@ -398,8 +427,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
     # tau of every row, as one more stacked step, and the value at sigma x tau
-    _, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
-    value = _centered(alphas - 1.0, *_product_terms(rho, tuple(last), (t_vals, t_vecs)))[0]
+    value, t_vals, t_vecs = _one_sided(alphas, rho, r_ab, tuple(last))
     # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
     # misses part of supp(rho_A) keeps that face, where the gap reads 0
     full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
@@ -429,31 +457,30 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
       product states     : 0 at every order, minimizers the true marginals.
       pure / copy-cc     : the closed forms at every other order, certified,
                            with minimizers above 1/2.
-      1/2 < alpha <= 2   : alternating minimization from sigma = rho_A. By the
-                           fixed-point theorem every fixed point of the map is
-                           a global minimizer on this range, so one start
-                           suffices: the run stops when the Frank-Wolfe gap of
-                           f(sigma) = min_tau D_alpha(rho || sigma x tau) is at
-                           most GAP_TOL and its residual at most 10 GAP_TOL,
-                           and it is certified when sigma also has the rank
-                           of rho_A.
+      1/2 < alpha <= 2   : alternating minimization from sigma = rho_A, one
+                           start, as every fixed point of the map is a global
+                           minimizer on this range; certified by its gap.
       0 <= alpha <= 1/2  : uncertified: a grid on the classical reduction for
                            diagonal states, or for d_A, d_B <= 3 the best run
                            of the loop from rho_A, I/d_A and 8 Ginibre states.
       alpha > 2          : generic states are rejected (fixed points need not
-                           be minimizers).
+                           be minimizers): UnsupportedRegimeError, as at every
+                           order with no route.
     """
     _check_order(alpha)
-    return _solve_dd([alpha], rho, [rho.marginal_a])[0]
+    solution = _solve_dd([alpha], rho, [rho.marginal_a])[0]
+    if isinstance(solution, UnsupportedRegimeError):
+        raise solution
+    return solution
 
 
-def _solve_dd(alphas, rho: BipartiteState, starts) -> list[PrmiSolution]:
-    """dd at each of a stack of checked orders, the one place that picks an
-    order's route (see `prmi_down_down`): alpha = 1 and product states, the
-    closed forms of pure and copy-cc states (each state recognized once per
-    call), the rejection above 2, one loop stack for the orders in (1/2, 2],
-    each row from its start in starts if that covers supp(rho_A), else from
-    rho_A, and the searches at or below 1/2."""
+def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
+    """dd at each of a stack of checked orders by the routes of `prmi_down_down`,
+    the one place that picks them: pure and copy-cc states, recognized once per
+    call, by one `_dd_closed_form` stack, the orders in (1/2, 2] by one loop
+    stack, each row from its start in starts if that covers supp(rho_A), else
+    from rho_A. An order with no route holds its UnsupportedRegimeError."""
+    alphas = np.array(alphas, dtype=float)
     pure = rho.is_pure()
     closed = pure or _is_copy_cc(rho)
     # rho = rho_A x rho_B to rounding: each entry of the difference within 1e-14 sqrt(m_i m_k) in
@@ -463,43 +490,40 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list[PrmiSolution]:
     if product := bool(np.abs(diff).max() <= 1e-14):
         u, m = np.kron(a.eigenvectors, b.eigenvectors), np.abs(np.kron(a.spectrum, b.spectrum))
         product = bool(np.all(np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(np.outer(m, m))))
-    solutions, loop = [], []
-    for alpha in alphas:
-        if alpha == 1.0 or product:
-            d = 0.0 if product else _petz_divergence(1.0, *_marginal_terms(rho)).value
-            sol = PrmiSolution(value=d, alpha=alpha, sigma_a=rho.marginal_a,
-                               tau_b=rho.marginal_b, residual=0.0, iterations=0,
-                               objective_trace=(d,), certified=True, gap=0.0)
-        elif closed:
-            sol = _dd_closed_form_solution(alpha, rho, pure)
-        elif alpha > 2.0:
-            raise UnsupportedRegimeError(f"doubly minimized Renyi mutual information of a "
-                                         f"generic state is not supported for alpha = {alpha} > 2")
-        elif alpha > 0.5:
-            sol = None
-            loop.append(len(solutions))
-        elif (pmf := rho.diagonal_pmf_or_none()) is None and rho.d_a <= 3 and rho.d_b <= 3:
-            restarts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
-            sol = min(_run_fixed_point(np.full(len(restarts), alpha), rho, restarts),
-                      key=PrmiSolution.as_float)
-        elif pmf is None:
-            raise UnsupportedRegimeError(
-                "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
-        else:
-            value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
-            value = max(value, 0.0) + 0.0  # as in _run_fixed_point
-            sol = PrmiSolution(value=value, alpha=alpha, sigma_a=DensityOperator(np.diag(r_opt)),
-                               tau_b=DensityOperator(np.diag(q_opt)), residual=math.inf,
-                               iterations=0, objective_trace=(value,), certified=False)
-        solutions.append(sol)
-    if loop:
-        rho_a = rho.marginal_a
-        rows = _run_fixed_point(np.array([alphas[j] for j in loop], dtype=float), rho,
-                                [x if x is rho_a or dominated(rho_a, x) else rho_a
-                                 for x in (starts[j] for j in loop)])
-        for j, row in zip(loop, rows):
-            solutions[j] = row
-    return solutions
+    solutions, one = {}, (alphas == 1.0) | product
+    if one.any():
+        d = 0.0 if product else float(_up_up(np.ones(1), rho)[0])
+        solutions.update((j, _without_loop(d, alphas[j], a, b)) for j in np.flatnonzero(one))
+    stack = np.flatnonzero(~one if closed else ~one & (alphas > 0.5) & (alphas <= 2.0))
+    if closed and stack.size:
+        solutions.update(zip(stack, _dd_closed_form(alphas[stack], rho, pure)))
+    elif stack.size:
+        solutions.update(zip(stack, _run_fixed_point(alphas[stack], rho, [
+            x if x is a or dominated(a, x) else a for x in (starts[j] for j in stack)])))
+    for j in [j for j in range(alphas.size) if j not in solutions]:  # generic, outside (1/2, 2]
+        try:
+            solutions[j] = _dd_outside_loop(float(alphas[j]), rho)
+        except UnsupportedRegimeError as exc:
+            solutions[j] = exc
+    return [solutions[j] for j in range(alphas.size)]
+
+
+def _dd_outside_loop(alpha: float, rho: BipartiteState) -> PrmiSolution:
+    """dd of a generic state above 2 (rejected) or at or below 1/2 (searched)."""
+    if alpha > 2.0:
+        raise UnsupportedRegimeError(f"doubly minimized Renyi mutual information of a "
+                                     f"generic state is not supported for alpha = {alpha} > 2")
+    if (pmf := rho.diagonal_pmf_or_none()) is None and rho.d_a <= 3 and rho.d_b <= 3:
+        restarts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
+        return min(_run_fixed_point(np.full(len(restarts), alpha), rho, restarts),
+                   key=PrmiSolution.as_float)
+    if pmf is None:
+        raise UnsupportedRegimeError(
+            "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
+    value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
+    value = max(value, 0.0) + 0.0  # as in _run_fixed_point
+    return _without_loop(value, alpha, DensityOperator(np.diag(r_opt)),
+                         DensityOperator(np.diag(q_opt)), exact=False)
 
 
 @functools.lru_cache(maxsize=None)

@@ -330,6 +330,21 @@ def test_simulate_command(cc_file, capsys):
     assert out["asymptotic_exponent"] > 0
 
 
+def test_simulate_reports_the_threshold_of_its_exponent(cc_file, capsys):
+    """simulate prints the direct exponent's R_(1/2) and guaranteed_exact next to
+    it, in text and in --json, as `exponent` reports them."""
+    argv = ["simulate", "--state", cc_file, "--rate", "0.3", "--n-max", "1"]
+    assert main(["--json"] + argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert main(["--json", "exponent", "--state", cc_file, "--rate", "0.3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert _fmt(out["r_half"]) == report["r_half"] and 0 < out["r_half"] < 0.3
+    assert out["guaranteed_exact"] is True and report["guaranteed_exact"] == 1
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == [f"r_half: {report['r_half']}", "guaranteed_exact: 1"]
+
+
 def test_simulate_flags_vacuous_rows(cc_file, capsys):
     assert main(["--json", "simulate", "--state", cc_file, "--rate", "0.3", "--n-max", "2"]) == 0
     rows = json.loads(capsys.readouterr().out)["per_n"]
@@ -338,8 +353,8 @@ def test_simulate_flags_vacuous_rows(cc_file, capsys):
     # the plain-text table keeps its six columns
     assert main(["simulate", "--state", cc_file, "--rate", "0.3", "--n-max", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == "n,s,exponent,type_one,type_one_bound,type_two_bound"
-    assert [len(line.split(",")) for line in lines[3:]] == [6, 6]
+    assert lines[4] == "n,s,exponent,type_one,type_one_bound,type_two_bound"
+    assert [len(line.split(",")) for line in lines[5:]] == [6, 6]
 
 
 def test_simulate_at_a_large_rate_exits_cleanly(cc_file, capsys):
@@ -362,7 +377,7 @@ def test_simulate_json_writes_a_bound_beyond_float_range_as_null(cc_file, capsys
     rows = json.loads(capsys.readouterr().out, parse_constant=reject)["per_n"]
     assert rows[0]["type_one_bound"] is None and rows[0]["vacuous"] is True
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[3].split(",")[4] == "inf"
+    assert capsys.readouterr().out.splitlines()[5].split(",")[4] == "inf"
 
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])

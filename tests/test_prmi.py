@@ -116,11 +116,11 @@ def test_route_table_stack_matches_single_solves(name):
     for alpha, row in zip(alphas, rows, strict=True):
         single = prmi_down_down(alpha, rho)
         assert row.alpha == single.alpha and row.certified == single.certified
-        assert row.value == pytest.approx(single.value, abs=1e-12)
-        assert row.iterations == single.iterations
-    if name in ("generic", "diagonal"):  # no closed form: an order above 2 rejects the stack
-        with pytest.raises(UnsupportedRegimeError):
-            _solve_dd([0.7, 2.5], rho, [rho.marginal_a] * 2)
+        assert row.value == single.value and row.iterations == single.iterations
+    if name in ("generic", "diagonal"):  # no closed form: an order above 2 carries its error
+        kept, rejected = _solve_dd([0.7, 2.5], rho, [rho.marginal_a] * 2)
+        assert kept.value == prmi_down_down(0.7, rho).value
+        assert isinstance(rejected, UnsupportedRegimeError)
 
 
 def test_pure_closed_form_minimizer_is_marginal_power():
