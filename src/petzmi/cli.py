@@ -172,7 +172,7 @@ def emit_sweep(state: BipartiteState, alphas, out: str) -> list:
 
 def cmd_sweep(args) -> int:
     state = parse_input(args.state)
-    if args.alpha_min < 0 or args.alpha_max > 2.5 or args.alpha_min > args.alpha_max:
+    if not 0 <= args.alpha_min <= args.alpha_max <= 2.5:  # False for a nan bound
         raise InvalidInputError("sweep grid must lie inside [0, 2.5]")
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be at least 1, got {args.steps}")

@@ -167,7 +167,8 @@ def brute_force_dd(
     Returns (value, sigma_A, tau_B). sigma ranges over a starting grid (the
     Bloch-ball grid of `resolution` radii and polar angles for a qubit,
     resolution**3 Ginibre samples for a qutrit) plus rho_A, refined around
-    the best point by `_grid_refine`; tau is exact given sigma.
+    the best point by `_grid_refine`; tau is exact given sigma, and at alpha != 1
+    the value is `gen_prmi_down`'s there, exact through alpha = 1.
     """
     _check_order(alpha)
     if resolution < 1:
@@ -188,9 +189,9 @@ def brute_force_dd(
     if not np.isfinite(best_val):
         return math.inf, None, None
     sigma = DensityOperator(best_sigma)
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+    if alpha == 1.0:
         return best_val, sigma, rho.marginal_b
     from .prmi import gen_prmi_down
 
-    _, tau = gen_prmi_down(alpha, rho, sigma)
-    return best_val, sigma, tau
+    value, tau = gen_prmi_down(alpha, rho, sigma)
+    return value, sigma, tau

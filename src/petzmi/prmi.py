@@ -263,7 +263,7 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
     floor of R_(1/2).
     """
     pure = rho.is_pure()
-    if which not in ("uu", "ud", "dd") or not (pure or _is_copy_cc(rho)):
+    if which not in ("uu", "ud", "dd") or not (pure or _is_copy_cc(rho.diagonal_pmf_or_none())):
         return None
     if which == "dd":
         return _dd_closed_form(np.array([alpha], dtype=float), rho, pure)[0].value
@@ -274,10 +274,10 @@ def prmi_closed_form(alpha: float, rho: BipartiteState, which: str) -> float | N
     return (2.0 if pure else 1.0) * renyi_entropy(order, rho.marginal_a)
 
 
-def _is_copy_cc(rho: BipartiteState) -> bool:
-    """Whether rho is a perfectly correlated cc state, sum_x p_x |xx><xx|."""
-    pmf = rho.diagonal_pmf_or_none() if rho.d_a == rho.d_b else None
-    return pmf is not None and np.max(np.abs(pmf.table - np.diag(np.diag(pmf.table)))) <= 1e-12
+def _is_copy_cc(pmf) -> bool:
+    """Whether a state of pmf `diagonal_pmf_or_none()` is copy-cc, sum_x p_x |xx><xx|."""
+    t = None if pmf is None else pmf.table
+    return t is not None and len(t) == len(t.T) and np.abs(t - np.diag(np.diag(t))).max() <= 1e-12
 
 
 def _dd_closed_form(alphas: np.ndarray, rho: BipartiteState, pure: bool) -> list[PrmiSolution]:
@@ -324,18 +324,18 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     whose value rises by more than the slack after such a step is redone from
     the plain iterate. So a stopping row ends on the plain step. Returns a
     PrmiSolution (certified as it says) for one order and a list of k for a
-    stack. A start orthogonal
-    to supp(rho_A), where M vanishes, raises InvalidInputError; no later M does,
+    stack. A start that does not cover supp(rho_A) in a row above 1, or one
+    orthogonal to it, where M vanishes, raises InvalidInputError; no later M does,
     as a plain step keeps sigma on supp M_A <= supp(rho_A), M_A nonzero, and a
     secant M is used only when it is positive definite.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     k = alphas.size
     starts = sigma0 if isinstance(sigma0, list) else [sigma0] * k
-    # Checked once: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha (sigma^(1-alpha) x 1)]
-    # has support exactly supp(rho_B), so every tau covers rho_B, every later
-    # sigma covers rho_A, and no iterate can leak.
-    if np.any(alphas > 1) and not all(dominated(rho.marginal_a, s) for s in starts):
+    # Checked once per row above 1: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha
+    # (sigma^(1-alpha) x 1)] has support exactly supp(rho_B), so every tau covers
+    # rho_B, every later sigma covers rho_A, and no iterate can leak.
+    if not all(dominated(rho.marginal_a, s) for x, s in zip(alphas, starts) if x > 1):
         raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
     s_vals, s_vecs = _stacked(starts)
     r_ab = _rho_power(rho, alphas)
@@ -449,8 +449,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
 
 
 def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
-    """min over sigma_A, tau_B of D_alpha(rho_AB || sigma_A x tau_B): the
-    stack of one order of `_solve_dd`, started from sigma = rho_A.
+    """min over sigma_A, tau_B of D_alpha(rho_AB || sigma_A x tau_B): the stack
+    of one order of `_solve_dd`, from sigma = rho_A, its loop rows in one stack.
 
     Regimes:
       alpha = 1          : the mutual information, minimizers the true marginals.
@@ -461,8 +461,9 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
                            start, as every fixed point of the map is a global
                            minimizer on this range; certified by its gap.
       0 <= alpha <= 1/2  : uncertified: a grid on the classical reduction for
-                           diagonal states, or for d_A, d_B <= 3 the best run
-                           of the loop from rho_A, I/d_A and 8 Ginibre states.
+                           diagonal states, or for d_A, d_B <= 3 the best of
+                           ten loop rows, from rho_A, I/d_A and 8 Ginibre
+                           states (the first of a tie).
       alpha > 2          : generic states are rejected (fixed points need not
                            be minimizers): UnsupportedRegimeError, as at every
                            order with no route.
@@ -476,13 +477,14 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
 
 def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
     """dd at each of a stack of checked orders by the routes of `prmi_down_down`,
-    the one place that picks them: pure and copy-cc states, recognized once per
-    call, by one `_dd_closed_form` stack, the orders in (1/2, 2] by one loop
-    stack, each row from its start in starts if that covers supp(rho_A), else
-    from rho_A. An order with no route holds its UnsupportedRegimeError."""
+    the one place that picks them, in one pass: pure and copy-cc states, recognized
+    once per call, by one `_dd_closed_form` stack; every loop row by one
+    `_run_fixed_point` stack, an order in (1/2, 2] from its start in starts if that
+    covers supp(rho_A), else from rho_A, one at or below 1/2 from its ten starts.
+    An order with no route holds its UnsupportedRegimeError."""
     alphas = np.array(alphas, dtype=float)
-    pure = rho.is_pure()
-    closed = pure or _is_copy_cc(rho)
+    pure, pmf = rho.is_pure(), rho.diagonal_pmf_or_none()
+    closed = pure or _is_copy_cc(pmf)
     # rho = rho_A x rho_B to rounding: each entry of the difference within 1e-14 sqrt(m_i m_k) in
     # the product's eigenbasis (eigenvalues m), so within 1e-14 in any; dd is 0 (second order)
     a, b = rho.marginal_a, rho.marginal_b
@@ -494,36 +496,32 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
     if one.any():
         d = 0.0 if product else float(_up_up(np.ones(1), rho)[0])
         solutions.update((j, _without_loop(d, alphas[j], a, b)) for j in np.flatnonzero(one))
-    stack = np.flatnonzero(~one if closed else ~one & (alphas > 0.5) & (alphas <= 2.0))
-    if closed and stack.size:
+    if closed and (stack := np.flatnonzero(~one)).size:
         solutions.update(zip(stack, _dd_closed_form(alphas[stack], rho, pure)))
-    elif stack.size:
-        solutions.update(zip(stack, _run_fixed_point(alphas[stack], rho, [
-            x if x is a or dominated(a, x) else a for x in (starts[j] for j in stack)])))
-    for j in [j for j in range(alphas.size) if j not in solutions]:  # generic, outside (1/2, 2]
-        try:
-            solutions[j] = _dd_outside_loop(float(alphas[j]), rho)
-        except UnsupportedRegimeError as exc:
-            solutions[j] = exc
+    loop = {}  # the starts of each loop order
+    for j in [] if closed else np.flatnonzero(~one):
+        alpha = float(alphas[j])
+        if alpha > 2.0:
+            solutions[j] = UnsupportedRegimeError(f"doubly minimized Renyi mutual information of "
+                                                  f"a generic state is not supported for "
+                                                  f"alpha = {alpha} > 2")
+        elif alpha > 0.5:
+            loop[j] = [starts[j] if starts[j] is a or dominated(a, starts[j]) else a]
+        elif pmf is not None:
+            value, *pair = classical_rmi_down_down(alpha, pmf)
+            solutions[j] = _without_loop(max(value, 0.0) + 0.0, alpha,  # as in _run_fixed_point
+                                         *map(DensityOperator, map(np.diag, pair)), exact=False)
+        elif rho.d_a <= 3 and rho.d_b <= 3:
+            loop[j] = [a, *_small_alpha_starts(rho.d_a)]
+        else:
+            solutions[j] = UnsupportedRegimeError(
+                "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
+    if loop:
+        runs = _run_fixed_point(np.repeat(alphas[list(loop)], [len(s) for s in loop.values()]),
+                                rho, sum(loop.values(), []))
+        for j, s in loop.items():  # each order's best run, the first of a tie
+            solutions[j], runs = min(runs[:len(s)], key=PrmiSolution.as_float), runs[len(s):]
     return [solutions[j] for j in range(alphas.size)]
-
-
-def _dd_outside_loop(alpha: float, rho: BipartiteState) -> PrmiSolution:
-    """dd of a generic state above 2 (rejected) or at or below 1/2 (searched)."""
-    if alpha > 2.0:
-        raise UnsupportedRegimeError(f"doubly minimized Renyi mutual information of a "
-                                     f"generic state is not supported for alpha = {alpha} > 2")
-    if (pmf := rho.diagonal_pmf_or_none()) is None and rho.d_a <= 3 and rho.d_b <= 3:
-        restarts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
-        return min(_run_fixed_point(np.full(len(restarts), alpha), rho, restarts),
-                   key=PrmiSolution.as_float)
-    if pmf is None:
-        raise UnsupportedRegimeError(
-            "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
-    value, r_opt, q_opt = classical_rmi_down_down(alpha, pmf)
-    value = max(value, 0.0) + 0.0  # as in _run_fixed_point
-    return _without_loop(value, alpha, DensityOperator(np.diag(r_opt)),
-                         DensityOperator(np.diag(q_opt)), exact=False)
 
 
 @functools.lru_cache(maxsize=None)

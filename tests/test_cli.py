@@ -144,6 +144,17 @@ def test_sweep_grid_validation(pure_file, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("bound", ["--alpha-min", "--alpha-max"])
+def test_sweep_rejects_a_nan_bound(tmp_path, capsys, bound):
+    """nan fails every comparison: the grid check names the grid, not the loop's start."""
+    grid = {"--alpha-min": "0.5", "--alpha-max": "1.0", bound: "nan"}
+    code = main(["sweep", "--state", generic_state_file(tmp_path), *sum(grid.items(), ()),
+                 "--steps", "4", "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert "sweep grid must lie inside [0, 2.5]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_rejects_nonpositive_steps(pure_file, tmp_path, capsys):
     code = main([
         "sweep", "--state", pure_file, "--alpha-min", "0.5", "--alpha-max", "1.0",

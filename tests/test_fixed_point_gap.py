@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petzmi.divergences import ALPHA_ONE_WINDOW, _orders, _petz_terms
-from petzmi.errors import NumericalDegradationError
+from petzmi.errors import InvalidInputError, NumericalDegradationError
 from petzmi.exponents import _PrmiCache, alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power
 from petzmi.prmi import (
@@ -241,6 +241,18 @@ def test_a_start_off_the_support_is_not_certified():
     assert run.gap <= 1e-12
     assert run.value > prmi_down_down(0.7, rho).value + 3
     assert not run.certified
+
+
+def test_start_check_reads_only_the_rows_above_one():
+    """Above 1 a start must cover supp(rho_A); a row below 1 in the same stack
+    may start off it, as the low orders' ten starts do not need the check."""
+    rho = copy_cc_state([0.2, 0.8])
+    off = DensityOperator(np.diag([1.0, 0.0]))
+    low, high = _run_fixed_point(np.array([0.7, 1.4]), rho, [off, rho.marginal_a])
+    assert low.value == _run_fixed_point(0.7, rho, off).value
+    assert high.value == _run_fixed_point(1.4, rho, rho.marginal_a).value
+    with pytest.raises(InvalidInputError):
+        _run_fixed_point(np.array([0.7, 1.4]), rho, [rho.marginal_a, off])
 
 
 def swap(rho):

@@ -39,6 +39,20 @@ def test_oracle_upper_bounds_solver(qubit_pair):
         assert value - sol.value < 5e-3
 
 
+@pytest.mark.parametrize("seed", [42, 7, 0])
+@pytest.mark.parametrize("alpha", [1 - 1e-7, 1 + 1e-7])
+def test_oracle_never_reads_below_the_certified_minimum_next_to_one(seed, alpha):
+    """Next to alpha = 1 the search ranks by the alpha = 1 objective, but the
+    value it returns is D_alpha at its pair, as `gen_prmi_down` gives it: an
+    upper bound on the certified minimum, which the alpha = 1 value with
+    tau = rho_B undercut by about 1.5e-8."""
+    rho = random_bipartite(2, 2, seed)
+    value, sigma, tau = brute_force_dd(alpha, rho, resolution=12)
+    assert value >= prmi_down_down(alpha, rho).value - 1e-14
+    again, tau_again = gen_prmi_down(alpha, rho, sigma)
+    assert value == again and np.array_equal(tau.matrix, tau_again.matrix)
+
+
 def test_oracle_alpha_one(qubit_pair):
     value, _, _ = brute_force_dd(1.0, qubit_pair, resolution=12)
     sol = prmi_down_down(1.0, qubit_pair)

@@ -93,3 +93,30 @@ def test_sweep_solves_each_variant_as_one_stack_and_compute_as_one_order(
                          "--state", str(path)]) == 0
         assert calls == [({"uu": "_up_up", "ud": "_up_down", "dd": "_solve_dd"}[which], 1)]
         assert json.loads(capsys.readouterr().out)["value"] == cli._fmt(rows[7][column])
+
+
+def test_solve_dd_runs_every_loop_row_in_one_stack(monkeypatch):
+    """The orders above 1/2 from their one start and those at or below 1/2 from
+    their ten starts share one `_run_fixed_point` call, and each row is what
+    `prmi_down_down` gives at its order, field for field."""
+    rho = random_bipartite(2, 2, 42)
+    grid = [0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5]
+    calls = []
+
+    def recording(alphas, *args, _f=PRMI._run_fixed_point):
+        calls.append(np.atleast_1d(alphas).tolist())
+        return _f(alphas, *args)
+
+    monkeypatch.setattr(PRMI, "_run_fixed_point", recording)
+    rows = _solve_dd(grid, rho, [rho.marginal_a] * len(grid))
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted([0.0] * 10 + [0.3] * 10 + [0.5] * 10 + [0.7, 1.5, 2.0])
+    monkeypatch.undo()
+    assert isinstance(rows[-1], UnsupportedRegimeError)
+    for alpha, row in zip(grid[:-1], rows):
+        one = prmi_down_down(alpha, rho)
+        for field in ("value", "alpha", "iterations", "gap", "residual", "certified",
+                      "objective_trace"):
+            assert getattr(row, field) == getattr(one, field), (alpha, field)
+        assert _spectrum(row.sigma_a) == _spectrum(one.sigma_a), alpha
+        assert _spectrum(row.tau_b) == _spectrum(one.tau_b), alpha
