@@ -1,6 +1,27 @@
 """Renyi divergences, Renyi mutual informations of bipartite quantum states,
 and direct error exponents of correlation detection."""
 
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """Register the submodule `name` in sys.modules, to load at its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# classical, exponents, hypotest and oracle load on first use, so that `compute`
+# and `sweep` never compile or run them. They are bound as package attributes
+# before prmi imports: its `from . import classical, oracle` then binds these
+# objects, where an import would load them.
+classical, exponents, hypotest, oracle = map(_lazy, ("classical", "exponents", "hypotest",
+                                                     "oracle"))
+
 from .divergences import (
     DivergenceValue,
     petz_divergence,
@@ -17,7 +38,6 @@ from .errors import (
     ResourceLimitError,
     UnsupportedRegimeError,
 )
-from .exponents import ExponentReport, alpha_derivative, direct_exponent, rate_curve
 from .prmi import (
     PrmiSolution,
     fixed_point_map,
@@ -73,3 +93,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The names of `exponents`, read from it when asked for (PEP 562)."""
+    if name in ("ExponentReport", "alpha_derivative", "direct_exponent", "rate_curve"):
+        return getattr(exponents, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

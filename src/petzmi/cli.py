@@ -25,10 +25,8 @@ import sys
 
 import numpy as np
 
+from . import exponents, hypotest, oracle
 from .errors import InvalidInputError, PetzmiError, UnsupportedRegimeError
-from .exponents import direct_exponent, rate_curve
-from .hypotest import achievability_sweep
-from .oracle import brute_force_dd
 from .prmi import PrmiSolution, _solve_dd, _up_down, _up_up, prmi
 from .states import BipartiteState, Pmf, cc_state, pure_bipartite
 
@@ -191,7 +189,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_exponent(args) -> int:
     state = parse_input(args.state)
-    report = direct_exponent(state, args.rate)
+    report = exponents.direct_exponent(state, args.rate)
     payload = {
         "rate": _fmt(report.rate),
         "exponent": _fmt(report.exponent),
@@ -201,7 +199,8 @@ def cmd_exponent(args) -> int:
         "guaranteed_exact": int(report.guaranteed_exact),
         "certified": int(report.certified),
     }
-    points = rate_curve(state, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25)) if args.curve else []
+    points = (exponents.rate_curve(state, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25))
+              if args.curve else [])
     if args.curve:
         payload["curve"] = [
             {"s": _fmt(p.s), "rate": _fmt(p.rate), "exponent": _fmt(p.exponent),
@@ -225,7 +224,7 @@ def cmd_exponent(args) -> int:
 
 def cmd_simulate(args) -> int:
     state = parse_input(args.state)
-    result = achievability_sweep(state, args.rate, args.n_max)
+    result = hypotest.achievability_sweep(state, args.rate, args.n_max)
     if args.json:
         # a type-I bound beyond float range is null: JSON has no Infinity
         rows = [{**row, "type_one_bound": row["type_one_bound"]
@@ -244,7 +243,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     state = parse_input(args.state)
-    value, _, _ = brute_force_dd(args.alpha, state, resolution=args.resolution)
+    value, _, _ = oracle.brute_force_dd(args.alpha, state, resolution=args.resolution)
     _emit({"alpha": args.alpha, "value": _fmt(value), "resolution": args.resolution}, args)
     return EXIT_OK
 

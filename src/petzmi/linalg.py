@@ -30,18 +30,22 @@ class HermitianOperator:
     The cached eigenvalues are sorted in descending order. The matrix is
     symmetrized at construction; entrywise deviations from hermiticity beyond
     HERMITICITY_TOL * max(1, max|m_ij|) are rejected, relative to large entries
-    such as those of negative powers of near-singular states. A caller that
-    holds an eigensystem builds the operator from it with `from_eigensystem`.
+    such as those of negative powers of near-singular states, as are an empty
+    matrix and a non-finite entry. A caller that holds an eigensystem builds
+    the operator from it with `from_eigensystem`.
     """
 
     __slots__ = ("_matrix", "_eigensystem", "_spectrum", "_eigenvectors")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-        tol = HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m), initial=0.0)))
-        if m.size and np.max(np.abs(m - m.conj().T)) > tol:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise InvalidInputError(f"expected a nonempty square matrix, got shape {m.shape}")
+        top = float(np.max(np.abs(m)))  # nan or inf if any entry is
+        if not np.isfinite(top):
+            raise InvalidInputError("matrix entries must be finite")
+        tol = HERMITICITY_TOL * max(1.0, top)
+        if np.max(np.abs(m - m.conj().T)) > tol:
             raise InvalidInputError(
                 f"matrix is not Hermitian within tolerance {tol:g} "
                 f"(max deviation {np.max(np.abs(m - m.conj().T)):.3e})"

@@ -21,11 +21,12 @@ import numpy as np
 
 from .divergences import (ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, _one_sided_min,
                           _orders, renyi_entropy)
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import DomainError, ResourceLimitError, UnsupportedRegimeError
 from .linalg import power_on_support, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
+MAX_GRID_POINTS = 10**6  # qubit resolution <= 80, qutrit <= 99
 _GINIBRE_SEED = 7
 _REFINE_WIDTH = 0.15  # half-width of the first box, in Bloch units
 _REFINE_POINTS = 7  # stencil points per coordinate
@@ -168,19 +169,27 @@ def brute_force_dd(
     Bloch-ball grid of `resolution` radii and polar angles for a qubit,
     resolution**3 Ginibre samples for a qutrit) plus rho_A, refined around
     the best point by `_grid_refine`; tau is exact given sigma, and at alpha != 1
-    the value is `gen_prmi_down`'s there, exact through alpha = 1.
+    the value is `gen_prmi_down`'s there, exact through alpha = 1. A grid of
+    more than MAX_GRID_POINTS points, counted before it is built, raises
+    ResourceLimitError.
     """
     _check_order(alpha)
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
+    # rho_A, I/d, and for a qubit two poles and 2 r azimuths on r - 2 polar angles per
+    # radius, for a qutrit r^3 Ginibre states
     if rho.d_a == 2:
-        grid = _qubit_grid(resolution)
+        points = 2 + (resolution - 1) * (2 + 2 * resolution * (resolution - 2))
     elif rho.d_a == 3:
-        grid = _ginibre_grid(3, resolution**3)
+        points = 2 + resolution**3
     else:
         raise UnsupportedRegimeError(
             f"exhaustive search supports local dimension <= 3, got {rho.d_a}"
         )
+    if points > MAX_GRID_POINTS:
+        raise ResourceLimitError(f"resolution {resolution} gives {points} grid points for "
+                                 f"d_A = {rho.d_a}, above {MAX_GRID_POINTS}")
+    grid = _qubit_grid(resolution) if rho.d_a == 2 else _ginibre_grid(3, resolution**3)
     # rho_A is where the singly minimized value sits, so the estimate never exceeds it
     grid = np.concatenate([grid, rho.marginal_a.matrix[None]])
     best_val, best_sigma = _grid_refine(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import rmi_down_down as classical_rmi_down_down
+from . import classical, oracle
 from .divergences import (
     DivergenceValue,
     _centered,
@@ -55,7 +55,6 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import _compose, _dagger, spectral_power
-from .oracle import _ginibre_grid
 from .states import BipartiteState, DensityOperator
 
 MONOTONICITY_SLACK = 1e-11
@@ -109,10 +108,26 @@ def prmi_up_up(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 
 def _up_up(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
-    """uu at a stack of checked orders: one `_centered` call over `_marginal_terms`."""
+    """uu at a stack of checked orders: one `_centered` call over `_marginal_terms`,
+    and 0 on a product state (`_is_product`)."""
+    if _is_product(rho):
+        return np.zeros(alphas.size)
     # supp(rho) lies in supp(rho_A x rho_B): the values are finite
     value = _centered(alphas - 1.0, *_marginal_terms(rho))[0]
     return np.maximum(value, 0.0) + 0.0  # as in _run_fixed_point
+
+
+def _is_product(rho: BipartiteState) -> bool:
+    """Whether rho = rho_A x rho_B to rounding: each entry of the difference
+    within 1e-14 sqrt(m_i m_k) in the product's eigenbasis (eigenvalues m), so
+    within 1e-14 in any. Every variant is 0 there (dd to second order), and
+    `_up_up`, `_up_down` and `_solve_dd` answer 0 at every order."""
+    a, b = rho.marginal_a, rho.marginal_b
+    diff = rho.matrix - np.multiply.outer(a.matrix, b.matrix).swapaxes(1, 2).reshape(rho.dim, -1)
+    if np.abs(diff).max() > 1e-14:
+        return False
+    u, m = np.kron(a.eigenvectors, b.eigenvectors), np.abs(np.kron(a.spectrum, b.spectrum))
+    return bool(np.all(np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(np.outer(m, m))))
 
 
 def _marginal_terms(rho: BipartiteState):
@@ -233,8 +248,10 @@ def prmi_up_down(alpha: float, rho: BipartiteState) -> DivergenceValue:
 
 
 def _up_down(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
-    """ud at a stack of checked orders: `_one_sided` from sigma = rho_A, and
-    uu (`_up_up`) at alpha = 1."""
+    """ud at a stack of checked orders: `_one_sided` from sigma = rho_A, uu
+    (`_up_up`) at alpha = 1, and 0 on a product state (`_is_product`)."""
+    if _is_product(rho):
+        return np.zeros(alphas.size)
     value, one = np.empty(alphas.size), alphas == 1.0
     if one.any():
         value[one] = _up_up(alphas[one], rho)
@@ -485,16 +502,10 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
     alphas = np.array(alphas, dtype=float)
     pure, pmf = rho.is_pure(), rho.diagonal_pmf_or_none()
     closed = pure or _is_copy_cc(pmf)
-    # rho = rho_A x rho_B to rounding: each entry of the difference within 1e-14 sqrt(m_i m_k) in
-    # the product's eigenbasis (eigenvalues m), so within 1e-14 in any; dd is 0 (second order)
     a, b = rho.marginal_a, rho.marginal_b
-    diff = rho.matrix - np.multiply.outer(a.matrix, b.matrix).swapaxes(1, 2).reshape(rho.dim, -1)
-    if product := bool(np.abs(diff).max() <= 1e-14):
-        u, m = np.kron(a.eigenvectors, b.eigenvectors), np.abs(np.kron(a.spectrum, b.spectrum))
-        product = bool(np.all(np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(np.outer(m, m))))
-    solutions, one = {}, (alphas == 1.0) | product
+    solutions, one = {}, (alphas == 1.0) | _is_product(rho)
     if one.any():
-        d = 0.0 if product else float(_up_up(np.ones(1), rho)[0])
+        d = float(_up_up(np.ones(1), rho)[0])
         solutions.update((j, _without_loop(d, alphas[j], a, b)) for j in np.flatnonzero(one))
     if closed and (stack := np.flatnonzero(~one)).size:
         solutions.update(zip(stack, _dd_closed_form(alphas[stack], rho, pure)))
@@ -508,7 +519,7 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
         elif alpha > 0.5:
             loop[j] = [starts[j] if starts[j] is a or dominated(a, starts[j]) else a]
         elif pmf is not None:
-            value, *pair = classical_rmi_down_down(alpha, pmf)
+            value, *pair = classical.rmi_down_down(alpha, pmf)
             solutions[j] = _without_loop(max(value, 0.0) + 0.0, alpha,  # as in _run_fixed_point
                                          *map(DensityOperator, map(np.diag, pair)), exact=False)
         elif rho.d_a <= 3 and rho.d_b <= 3:
@@ -528,7 +539,7 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
 def _small_alpha_starts(d_a: int) -> tuple[DensityOperator, ...]:
     """The fixed starts I/d_A and 8 Ginibre states of the loop below 1/2, built
     and decomposed once per d_A (at most 3)."""
-    return tuple(map(DensityOperator, _ginibre_grid(d_a, 8)))
+    return tuple(map(DensityOperator, oracle._ginibre_grid(d_a, 8)))
 
 
 def prmi(alpha: float, rho: BipartiteState, which: str):

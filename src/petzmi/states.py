@@ -88,6 +88,8 @@ class Pmf:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2:
             raise InvalidInputError("pmf table must be two-dimensional")
+        if not np.isfinite(t).all():  # nan passes the min and sum checks below
+            raise InvalidInputError("pmf entries must be finite")
         if np.min(t) < -PSD_TOL:
             raise InvalidInputError("pmf entries must be nonnegative")
         t = np.clip(t, 0.0, None)
@@ -113,8 +115,8 @@ def pure_bipartite(amplitudes, d_a: int, d_b: int) -> BipartiteState:
             f"amplitude vector has length {v.size}, expected d_A*d_B = {d_a * d_b}"
         )
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise InvalidInputError("amplitude vector is (numerically) zero")
+    if not 1e-12 <= norm < np.inf:  # a nan or inf entry makes the norm nan or inf
+        raise InvalidInputError("amplitude vector is (numerically) zero or not finite")
     v = v / norm
     return BipartiteState(np.outer(v, v.conj()), d_a, d_b)
 

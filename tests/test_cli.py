@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import petzmi
-from petzmi import cli, exponents
+from petzmi import exponents
 from petzmi.cli import _fmt, main, parse_input, sweep_rows
-from petzmi.states import cc_state, random_bipartite
+from petzmi.prmi import _is_product
+from petzmi.states import BipartiteState, cc_state, random_bipartite, random_density
 
 
 def write_json(path, payload):
@@ -87,7 +88,9 @@ def test_booleans_are_not_numbers(tmp_path, capsys, state, field):
     ("[1.0, 0.0]", "$:"),
     ('{"pmf": [[0.2, 0.0], [0.0, 0.7]]}', "$.pmf"),
     ('{"dA": 2, "dB": 2, "amplitudes": [[1.0, 0.0]]}', "$.amplitudes"),
-], ids=["missing-dA", "matrix-triple", "not-json", "json-list", "pmf-sum", "amplitudes-length"])
+    ('{"pmf": [[0.5, NaN]]}', "$.pmf"),
+], ids=["missing-dA", "matrix-triple", "not-json", "json-list", "pmf-sum", "amplitudes-length",
+        "pmf-nan"])
 def test_malformed_state_files_exit_3_naming_the_path(tmp_path, capsys, text, path):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -104,6 +107,23 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     path = write_json(tmp_path / "t.json", {"dA": 2, "dB": 2, "matrix": flat})
     assert main(["compute", "--state", path, "--alpha", "1.0"]) == 4
     assert "trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, word", [
+    ('{"dA": 1, "dB": 1, "matrix": [[NaN, 0.0]]}', "finite"),
+    ('{"dA": 1, "dB": 2, "matrix": [[1.0, 0.0], [Infinity, 0.0], [0.0, 0.0], [0.0, 0.0]]}',
+     "finite"),
+    ('{"dA": 1, "dB": 2, "amplitudes": [[1.0, 0.0], [0.0, NaN]]}', "finite"),
+    ('{"dA": 1, "dB": 2, "amplitudes": [[1.0, 0.0], [-Infinity, 0.0]]}', "finite"),
+    ('{"dA": 0, "dB": 5, "matrix": []}', "nonempty"),
+], ids=["matrix-nan", "matrix-inf", "amplitudes-nan", "amplitudes-inf", "empty-matrix"])
+def test_non_finite_and_empty_states_exit_4(tmp_path, capsys, text, word):
+    # Python's json reads NaN and Infinity: the state's own checks reject them
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["compute", "--state", str(bad), "--alpha", "0.8"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and word in err
 
 
 def test_compute_json_output(pure_file, capsys):
@@ -265,8 +285,8 @@ def test_strict_exponent_exits_5_on_an_uncertified_curve_point(cc_file, capsys, 
         points = rate_curve(rho, grid)
         return points[:-1] + [dataclasses.replace(points[-1], certified=False)]
 
-    rate_curve = cli.rate_curve
-    monkeypatch.setattr(cli, "rate_curve", one_uncertified)
+    rate_curve = exponents.rate_curve
+    monkeypatch.setattr(exponents, "rate_curve", one_uncertified)
     argv = ["--json", "exponent", "--state", cc_file, "--rate", "0.1", "--curve"]
     assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
@@ -417,11 +437,43 @@ def test_oracle_command_rejects_resolution_zero(tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(tmp_path):
+    """`import petzmi.cli`, then compute and sweep on a generic 2x2 state over
+    [0.6, 1.6], in a fresh process: no scipy module is loaded, and the four lazy
+    modules are registered but unexecuted (type() does not load them); the
+    package's exponent names still import, from the lazy `exponents`."""
     src = str(Path(petzmi.__file__).resolve().parents[1])
-    code = ("import sys, petzmi.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    state = write_json(tmp_path / "g22.json", {"dA": 2, "dB": 2, "matrix": [
+        [float(z.real), float(z.imag)] for z in random_bipartite(2, 2, 42).matrix.ravel()]})
+    code = f"""
+import sys, types, petzmi.cli
+argv = ["--state", {state!r}]
+assert petzmi.cli.main(["compute", "--alpha", "0.8", *argv]) == 0
+assert petzmi.cli.main(["sweep", "--alpha-min", "0.6", "--alpha-max", "1.6", "--steps", "6",
+                        "--out", {str(tmp_path / "s.csv")!r}, *argv]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(all(type(sys.modules["petzmi." + m]) is not types.ModuleType
+          for m in ("classical", "exponents", "hypotest", "oracle")))
+from petzmi import ExponentReport, alpha_derivative, direct_exponent, rate_curve
+print(direct_exponent.__module__, type(sys.modules["petzmi.exponents"]) is types.ModuleType)
+"""
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-3:] == ["[]", "True", "petzmi.exponents True"]
+
+
+PRODUCTS = [cc_state(np.array([[0.06, 0.14], [0.24, 0.56]]))] + [
+    BipartiteState(np.kron(random_density(d_a, seed).matrix,
+                           random_density(d_b, 100 + seed).matrix), d_a, d_b)
+    for seed, (d_a, d_b) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])]
+
+
+@pytest.mark.parametrize("rho", PRODUCTS, ids=["cc-2x2"] + [f"product-{k}" for k in range(6)])
+def test_sweep_of_a_product_state_reads_zero_in_every_column(rho):
+    """(0.2, 0.8) x (0.3, 0.7) as a pmf, and products of random full-rank
+    marginals: uu, ud and dd are each +0 at every order, certified."""
+    assert _is_product(rho)
+    for alpha, *values, certified in sweep_rows(rho, np.linspace(0.0, 2.5, 26)):
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), (alpha, values)
+        assert certified == 1

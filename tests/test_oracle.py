@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from petzmi.divergences import petz_divergence
-from petzmi.errors import UnsupportedRegimeError
+from petzmi.errors import ResourceLimitError, UnsupportedRegimeError
 from petzmi.divergences import relative_entropy
 from petzmi.oracle import _batched_values, brute_force_dd
 from petzmi.prmi import gen_prmi_down, prmi_down_down, prmi_up_down
@@ -87,6 +87,15 @@ def test_large_dimension_rejected():
     rho = random_bipartite(4, 2, 4)
     with pytest.raises(UnsupportedRegimeError):
         brute_force_dd(0.8, rho)
+
+
+@pytest.mark.parametrize("d_a, resolution, points", [
+    (2, 81, "1024002 "), (3, 100, "1000002 "), (2, 10**6, ""), (3, 10**6, "")])
+def test_a_grid_above_the_point_bound_is_refused_before_it_is_built(d_a, resolution, points):
+    """MAX_GRID_POINTS = 10^6 admits the qubit resolution 80 (986,080 points
+    with rho_A) and the qutrit resolution 99 (970,301), not the next ones."""
+    with pytest.raises(ResourceLimitError, match=f"{points}grid points"):
+        brute_force_dd(0.8, random_bipartite(d_a, 2, 4), resolution=resolution)
 
 
 def test_resolution_one_is_maximally_mixed(qubit_pair):

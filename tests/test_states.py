@@ -139,6 +139,28 @@ def test_pmf_rejects_negative():
         Pmf(np.array([[1.2, -0.2], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("matrix", [
+    np.array([[np.nan]]),
+    np.array([[0.5, np.inf], [np.inf, 0.5]]),
+    np.diag([0.5, 0.5 + 1j * np.nan]),
+    np.empty((0, 0)),
+], ids=["nan", "inf", "complex-nan", "empty"])
+def test_density_validation_rejects_non_finite_and_empty_matrices(matrix):
+    with pytest.raises(InvalidInputError, match="finite|nonempty"):
+        DensityOperator(matrix)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Pmf(np.array([[0.5, np.nan], [0.5, 0.0]])),
+    lambda: cc_state(np.array([[np.nan, 0.5], [0.5, 0.0]])),
+    lambda: pure_bipartite([1.0, np.nan, 0.0, 0.0], 2, 2),
+    lambda: pure_bipartite([1.0, np.inf, 0.0, 0.0], 2, 2),
+], ids=["pmf", "cc-state", "amplitudes-nan", "amplitudes-inf"])
+def test_non_finite_pmfs_and_amplitudes_are_rejected(make):
+    with pytest.raises(InvalidInputError, match="finite"):
+        make()
+
+
 def test_pmf_marginals_sum():
     pmf = Pmf(np.array([[0.1, 0.2], [0.3, 0.4]]))
     assert pmf.marginal_x.sum() == pytest.approx(1.0)
