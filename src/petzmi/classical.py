@@ -1,11 +1,13 @@
-"""The doubly minimized Renyi mutual information of a joint pmf below 1/2.
+"""The doubly minimized Renyi mutual information of a joint pmf below 1/2, by
+a simplex search.
 
-`prmi_down_down` calls `rmi_down_down` for a diagonal state at alpha <= 1/2
-that has no closed form. There min_{r, q} D_alpha(P || r x q) can have
-non-interior optima, and it comes from the search of `oracle._grid_refine`,
-started on a simplex grid and refined in the coordinates of the diagonal
-traceless generators; the reduction is exact, but a grid solves it, so its
-value is an estimate from above.
+The solver does not call it: `prmi_down_down` runs its loop on a diagonal
+state below 1/2 too, from the faces of the simplex. `rmi_down_down` is the
+tests' independent estimate there. At alpha <= 1/2 min_{r, q} D_alpha(P || r x q)
+can have non-interior optima, and it comes from the search of
+`oracle._grid_refine`, started on a simplex grid and refined in the coordinates
+of the diagonal traceless generators; the reduction is exact, but a grid solves
+it, so its value is an estimate from above.
 """
 
 from __future__ import annotations

@@ -138,10 +138,9 @@ def cmd_compute(args) -> int:
     payload = {"which": args.which, "alpha": args.alpha, "value": _fmt(solution.as_float()),
                "certified": 1}
     if isinstance(solution, PrmiSolution):
-        # gap: a certificate above 1/2, a stationarity figure below; null without iterates
+        # gap: a certificate above 1/2, a stationarity figure below
         payload.update(certified=int(solution.certified), residual=_fmt(solution.residual),
-                       iterations=solution.iterations,
-                       gap=solution.gap if math.isfinite(solution.gap) else None)
+                       iterations=solution.iterations, gap=solution.gap)
     _emit(payload, args)
     return EXIT_NOT_CONVERGED if args.strict and not payload["certified"] else EXIT_OK
 

@@ -3,9 +3,10 @@ information.
 
 This is a slow, independent reference for the tests and the `oracle` command;
 the solver no longer calls it, and shares only the closed form and the
-Ginibre states of `_ginibre_grid`, its starts below 1/2. The A-side state
-ranges over a dense grid of density matrices; for each the B-side minimization
-is exact through its closed form, so the only approximation is the A-side search.
+Ginibre states of `_ginibre_grid`, its starts below 1/2 on non-diagonal
+states. The A-side state ranges over a dense grid of density matrices; for
+each the B-side minimization is exact through its closed form, so the only
+approximation is the A-side search.
 
 One routine, `_grid_refine`, does this search and the classical alpha <= 1/2
 one: the argmin of a batched objective over a starting grid (a Bloch-ball grid
@@ -26,7 +27,9 @@ from .linalg import power_on_support, spectral_log, spectral_power
 from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
-MAX_GRID_POINTS = 10**6  # qubit resolution <= 80, qutrit <= 99
+# grid points x (d_A^2 + d_B^2), the matrix entries the grid's stacks hold per point;
+# at this bound a qutrit A side with d_B = 4 and resolution 99 peaks near 1 GB
+MAX_GRID_ENTRIES = 25 * 10**6
 _GINIBRE_SEED = 7
 _REFINE_WIDTH = 0.15  # half-width of the first box, in Bloch units
 _REFINE_POINTS = 7  # stencil points per coordinate
@@ -169,9 +172,9 @@ def brute_force_dd(
     Bloch-ball grid of `resolution` radii and polar angles for a qubit,
     resolution**3 Ginibre samples for a qutrit) plus rho_A, refined around
     the best point by `_grid_refine`; tau is exact given sigma, and at alpha != 1
-    the value is `gen_prmi_down`'s there, exact through alpha = 1. A grid of
-    more than MAX_GRID_POINTS points, counted before it is built, raises
-    ResourceLimitError.
+    the value is `gen_prmi_down`'s there, exact through alpha = 1. A grid whose
+    points times d_A^2 + d_B^2 exceed MAX_GRID_ENTRIES, counted before it is
+    built, raises ResourceLimitError.
     """
     _check_order(alpha)
     if resolution < 1:
@@ -186,9 +189,10 @@ def brute_force_dd(
         raise UnsupportedRegimeError(
             f"exhaustive search supports local dimension <= 3, got {rho.d_a}"
         )
-    if points > MAX_GRID_POINTS:
+    if points * (rho.d_a**2 + rho.d_b**2) > MAX_GRID_ENTRIES:
         raise ResourceLimitError(f"resolution {resolution} gives {points} grid points for "
-                                 f"d_A = {rho.d_a}, above {MAX_GRID_POINTS}")
+                                 f"d_A = {rho.d_a}, d_B = {rho.d_b}: more than "
+                                 f"{MAX_GRID_ENTRIES} matrix entries")
     grid = _qubit_grid(resolution) if rho.d_a == 2 else _ginibre_grid(3, resolution**3)
     # rho_A is where the singly minimized value sits, so the estimate never exceeds it
     grid = np.concatenate([grid, rho.marginal_a.matrix[None]])

@@ -8,7 +8,7 @@ Three variants, by which marginals of the product reference state are optimized:
   down_down: both minimized: in closed form on pure and copy-cc states, else by
              alternating minimization, each half-step the exact one-sided
              minimizer. On (1/2, 2] its fixed points are the global minimizers;
-             below 1/2 the best run of ten starts is returned, uncertified.
+             below 1/2 the best run of several starts is returned, uncertified.
 
 Each variant is solved on a stack of orders, one row each: `_up_up`, `_up_down`
 and `_solve_dd`, the one place that picks an order's route. The public
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, oracle
+from . import oracle
 from .divergences import (
     DivergenceValue,
     _centered,
@@ -72,8 +72,7 @@ class PrmiSolution:
     lambda_min(grad f) of f(sigma) = min_tau D_alpha(rho || sigma x tau) at the
     last iterate whose gradient was formed; value is no larger than f there.
     residual is the trace distance between sigma_a and the iterate one full
-    round of the fixed-point map earlier. Both are 0 for closed forms and exact
-    reductions and inf where no iterate exists (the classical grid search below 1/2).
+    round of the fixed-point map earlier; both are 0 on the routes with no loop.
     certified means the value is the global minimum: for alpha in (1/2, 2]
     every fixed point is a global minimizer, so a run is certified when
     gap <= GAP_TOL, residual <= 10 GAP_TOL and sigma_a has the rank of rho_A,
@@ -95,7 +94,7 @@ class PrmiSolution:
     iterations: int
     objective_trace: tuple[float, ...]
     certified: bool
-    gap: float = math.inf
+    gap: float
 
     def as_float(self) -> float:
         return self.value
@@ -119,15 +118,19 @@ def _up_up(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
 
 def _is_product(rho: BipartiteState) -> bool:
     """Whether rho = rho_A x rho_B to rounding: each entry of the difference
-    within 1e-14 sqrt(m_i m_k) in the product's eigenbasis (eigenvalues m), so
-    within 1e-14 in any. Every variant is 0 there (dd to second order), and
-    `_up_up`, `_up_down` and `_solve_dd` answer 0 at every order."""
+    within 1e-14 in any basis, and within 1e-14 sqrt(m_i m_k) in the product's
+    eigenbasis (eigenvalues m, 0 off the supports) where m_i m_k > 0; as supp(rho)
+    lies in supp(rho_A) x supp(rho_B), the entries off it are rounding. Every
+    variant is 0 there (dd to second order), and `_up_up`, `_up_down` and
+    `_solve_dd` answer 0 at every order."""
     a, b = rho.marginal_a, rho.marginal_b
     diff = rho.matrix - np.multiply.outer(a.matrix, b.matrix).swapaxes(1, 2).reshape(rho.dim, -1)
     if np.abs(diff).max() > 1e-14:
         return False
-    u, m = np.kron(a.eigenvectors, b.eigenvectors), np.abs(np.kron(a.spectrum, b.spectrum))
-    return bool(np.all(np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(np.outer(m, m))))
+    u = np.kron(a.eigenvectors, b.eigenvectors)
+    m = np.kron(spectral_power(a.spectrum, 1.0), spectral_power(b.spectrum, 1.0))
+    mm = np.outer(m, m)
+    return bool(np.all((np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(mm)) | (mm == 0)))
 
 
 def _marginal_terms(rho: BipartiteState):
@@ -168,8 +171,10 @@ def _one_sided(alphas: np.ndarray, rho: BipartiteState, r: np.ndarray, sigma: tu
 
 
 def _stacked(ops) -> tuple:
-    """The eigensystems of operators of one dimension, as a stack."""
-    return np.array([op.spectrum for op in ops]), np.array([op.eigenvectors for op in ops])
+    """The eigensystems of operators of one dimension, as a stack; the eigenvectors
+    complex, as the loop writes its iterates' complex eigenvectors into the stack."""
+    vecs = np.array([op.eigenvectors for op in ops], dtype=complex)
+    return np.array([op.spectrum for op in ops]), vecs
 
 
 def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
@@ -318,11 +323,11 @@ def _dd_closed_form(alphas: np.ndarray, rho: BipartiteState, pure: bool) -> list
     return [_without_loop(v, a, *pair) for v, a, pair in zip(value, alphas, pairs)]
 
 
-def _without_loop(value, alpha, sigma_a, tau_b, exact: bool = True) -> PrmiSolution:
-    """A route with no rounds: exact (certified, gap and residual 0) or a search (inf)."""
-    value, tol = float(value), 0.0 if exact else math.inf
-    return PrmiSolution(value=value, alpha=float(alpha), sigma_a=sigma_a, tau_b=tau_b, residual=tol,
-                        iterations=0, objective_trace=(value,), certified=exact, gap=tol)
+def _without_loop(value, alpha, sigma_a, tau_b) -> PrmiSolution:
+    """An exact route with no rounds: certified, gap and residual 0."""
+    return PrmiSolution(value=float(value), alpha=float(alpha), sigma_a=sigma_a, tau_b=tau_b,
+                        residual=0.0, iterations=0, objective_trace=(float(value),),
+                        certified=True, gap=0.0)
 
 
 def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITER):
@@ -477,10 +482,10 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
       1/2 < alpha <= 2   : alternating minimization from sigma = rho_A, one
                            start, as every fixed point of the map is a global
                            minimizer on this range; certified by its gap.
-      0 <= alpha <= 1/2  : uncertified: a grid on the classical reduction for
-                           diagonal states, or for d_A, d_B <= 3 the best of
-                           ten loop rows, from rho_A, I/d_A and 8 Ginibre
-                           states (the first of a tie).
+      0 <= alpha <= 1/2  : uncertified: the best of several loop rows (the first
+                           of a tie), from rho_A and the faces of the simplex over
+                           supp(rho_A) for a diagonal state with d_A <= 3, else for
+                           d_A, d_B <= 3 from rho_A, I/d_A and 8 Ginibre states.
       alpha > 2          : generic states are rejected (fixed points need not
                            be minimizers): UnsupportedRegimeError, as at every
                            order with no route.
@@ -497,7 +502,7 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
     the one place that picks them, in one pass: pure and copy-cc states, recognized
     once per call, by one `_dd_closed_form` stack; every loop row by one
     `_run_fixed_point` stack, an order in (1/2, 2] from its start in starts if that
-    covers supp(rho_A), else from rho_A, one at or below 1/2 from its ten starts.
+    covers supp(rho_A), else from rho_A, one at or below 1/2 from its starts.
     An order with no route holds its UnsupportedRegimeError."""
     alphas = np.array(alphas, dtype=float)
     pure, pmf = rho.is_pure(), rho.diagonal_pmf_or_none()
@@ -518,10 +523,8 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
                                                   f"alpha = {alpha} > 2")
         elif alpha > 0.5:
             loop[j] = [starts[j] if starts[j] is a or dominated(a, starts[j]) else a]
-        elif pmf is not None:
-            value, *pair = classical.rmi_down_down(alpha, pmf)
-            solutions[j] = _without_loop(max(value, 0.0) + 0.0, alpha,  # as in _run_fixed_point
-                                         *map(DensityOperator, map(np.diag, pair)), exact=False)
+        elif pmf is not None and rho.d_a <= 3:
+            loop[j] = [a, *_face_starts(pmf.marginal_x)]
         elif rho.d_a <= 3 and rho.d_b <= 3:
             loop[j] = [a, *_small_alpha_starts(rho.d_a)]
         else:
@@ -533,6 +536,14 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
         for j, s in loop.items():  # each order's best run, the first of a tie
             solutions[j], runs = min(runs[:len(s)], key=PrmiSolution.as_float), runs[len(s):]
     return [solutions[j] for j in range(alphas.size)]
+
+
+def _face_starts(p: np.ndarray) -> list[DensityOperator]:
+    """The uniform states on the nonempty faces of the simplex over supp(p), p the diagonal
+    of a diagonal rho_A: its starts below 1/2, where optima can lie on those faces."""
+    faces = (np.arange(1, 2**p.size)[:, None] >> np.arange(p.size)) & 1  # every nonempty subset
+    faces = faces[~np.any(faces > spectral_power(p, 0.0), axis=1)]  # within supp(p)
+    return [DensityOperator.from_eigensystem(f / f.sum(), np.eye(p.size)) for f in faces]
 
 
 @functools.lru_cache(maxsize=None)

@@ -114,6 +114,9 @@ def pure_bipartite(amplitudes, d_a: int, d_b: int) -> BipartiteState:
         raise InvalidInputError(
             f"amplitude vector has length {v.size}, expected d_A*d_B = {d_a * d_b}"
         )
+    top = np.abs(v).max()
+    if 2.0 <= top < np.inf:  # divided by a power of 2 at or below max|v|: exact, and no overflow
+        v = v / np.ldexp(1.0, np.frexp(top)[1] - 1)
     norm = np.linalg.norm(v)
     if not 1e-12 <= norm < np.inf:  # a nan or inf entry makes the norm nan or inf
         raise InvalidInputError("amplitude vector is (numerically) zero or not finite")

@@ -217,6 +217,29 @@ def test_sweep_unsupported_regime_emits_nan(tmp_path, capsys):
     assert last[4] == "0"
 
 
+def test_sweep_of_a_4x4_pmf_writes_nan_at_and_below_half(tmp_path, capsys):
+    """A diagonal state with d_A = 4 has no dd route at or below 1/2, like a
+    generic 4x4 state: the sweep writes nan there, goes on, and exits 0."""
+    table = np.random.default_rng(5).dirichlet(np.ones(16)).reshape(4, 4)
+    path = write_json(tmp_path / "p44.json", {"pmf": table.tolist()})
+    out_csv = tmp_path / "s.csv"
+    assert main(["sweep", "--state", path, "--alpha-min", "0", "--alpha-max", "1",
+                 "--steps", "5", "--out", str(out_csv)]) == 0
+    rows = [r.split(",") for r in out_csv.read_text().strip().splitlines()[1:]]
+    assert [r[3] == "nan" for r in rows] == [float(r[0]) <= 0.5 for r in rows] == [
+        True, True, True, False, False]
+
+
+def test_compute_dd_of_a_diagonal_state_below_half_reports_its_loop(tmp_path, capsys):
+    """Below 1/2 a diagonal state runs the loop from the faces of its simplex:
+    compute --json reports a numeric gap and residual, uncertified."""
+    path = write_json(tmp_path / "d.json", {"pmf": [[0.35, 0.15, 0], [0, 0.05, 0.45]]})
+    assert main(["--json", "compute", "--which", "dd", "--alpha", "0.25", "--state", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert float(out["value"]) <= 0.2301142829 and out["certified"] == 0
+    assert isinstance(out["gap"], float) and math.isfinite(float(out["residual"]))
+
+
 def test_compute_dd_in_an_unsupported_regime_exits_4(tmp_path, capsys):
     """A generic state above 2, and a non-diagonal 4x4 state at alpha <= 1/2,
     have no dd route: compute prints no value and exits 4 with the reason on
@@ -466,13 +489,18 @@ print(direct_exponent.__module__, type(sys.modules["petzmi.exponents"]) is types
 PRODUCTS = [cc_state(np.array([[0.06, 0.14], [0.24, 0.56]]))] + [
     BipartiteState(np.kron(random_density(d_a, seed).matrix,
                            random_density(d_b, 100 + seed).matrix), d_a, d_b)
-    for seed, (d_a, d_b) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])]
+    for seed, (d_a, d_b) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])] + [
+    BipartiteState(np.kron(random_density(2, rng).matrix, random_density(3, rng, rank=1).matrix),
+                   2, 3) for rng in [np.random.default_rng(0)]]
 
 
-@pytest.mark.parametrize("rho", PRODUCTS, ids=["cc-2x2"] + [f"product-{k}" for k in range(6)])
+@pytest.mark.parametrize("rho", PRODUCTS,
+                         ids=["cc-2x2"] + [f"product-{k}" for k in range(6)] + ["pure-factor"])
 def test_sweep_of_a_product_state_reads_zero_in_every_column(rho):
-    """(0.2, 0.8) x (0.3, 0.7) as a pmf, and products of random full-rank
-    marginals: uu, ud and dd are each +0 at every order, certified."""
+    """(0.2, 0.8) x (0.3, 0.7) as a pmf, products of random full-rank
+    marginals, and one with a pure factor, whose rho - rho_A x rho_B is rounding
+    on the kernel of the product: uu, ud and dd are each +0 at every order,
+    certified."""
     assert _is_product(rho)
     for alpha, *values, certified in sweep_rows(rho, np.linspace(0.0, 2.5, 26)):
         assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), (alpha, values)

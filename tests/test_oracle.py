@@ -6,6 +6,7 @@ import pytest
 from petzmi.divergences import petz_divergence
 from petzmi.errors import ResourceLimitError, UnsupportedRegimeError
 from petzmi.divergences import relative_entropy
+from petzmi import oracle
 from petzmi.oracle import _batched_values, brute_force_dd
 from petzmi.prmi import gen_prmi_down, prmi_down_down, prmi_up_down
 from petzmi.states import (
@@ -90,12 +91,35 @@ def test_large_dimension_rejected():
 
 
 @pytest.mark.parametrize("d_a, resolution, points", [
-    (2, 81, "1024002 "), (3, 100, "1000002 "), (2, 10**6, ""), (3, 10**6, "")])
+    (2, 118, "3203228 "), (3, 125, "1953127 "), (2, 10**6, ""), (3, 10**6, "")])
 def test_a_grid_above_the_point_bound_is_refused_before_it_is_built(d_a, resolution, points):
-    """MAX_GRID_POINTS = 10^6 admits the qubit resolution 80 (986,080 points
-    with rho_A) and the qutrit resolution 99 (970,301), not the next ones."""
+    """At d_B = 2, MAX_GRID_ENTRIES = 2.5e7 admits the qubit resolution 117
+    (3,121,794 points with rho_A, 8 entries each) and the qutrit resolution 124
+    (1,906,626 points, 13 entries each), not the next ones."""
     with pytest.raises(ResourceLimitError, match=f"{points}grid points"):
         brute_force_dd(0.8, random_bipartite(d_a, 2, 4), resolution=resolution)
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d_a, d_b, resolution, admitted", [
+    (2, 2, 117, True), (3, 2, 124, True), (3, 4, 99, True),
+    (2, 8, 57, True), (2, 8, 58, False), (2, 8, 80, False)])
+def test_the_grid_bound_counts_the_entries_of_both_sides(monkeypatch, d_a, d_b, resolution,
+                                                          admitted):
+    """The bound is on points x (d_A^2 + d_B^2), the entries of the sigma and M
+    stacks: a qubit A side with d_B = 8 is refused above resolution 57 (351,234
+    points, 68 entries each), at 80 among them, which d_B = 2 admits. No grid
+    is built here: building one raises _GridBuilt."""
+    def built(*args):
+        raise _GridBuilt
+
+    monkeypatch.setattr(oracle, "_qubit_grid", built)
+    monkeypatch.setattr(oracle, "_ginibre_grid", built)
+    with pytest.raises(_GridBuilt if admitted else ResourceLimitError):
+        brute_force_dd(0.8, random_bipartite(d_a, d_b, 0), resolution=resolution)
 
 
 def test_resolution_one_is_maximally_mixed(qubit_pair):

@@ -191,7 +191,7 @@ def test_alpha_derivative_matches_dense_form(seed):
     rho = BipartiteState(rho.matrix, d_a, d_b)
     solution = PrmiSolution(
         value=0.0, alpha=0.0, sigma_a=random_density(d_a, rng), tau_b=random_density(d_b, rng),
-        residual=0.0, iterations=0, objective_trace=(), certified=False,
+        residual=0.0, iterations=0, objective_trace=(), certified=False, gap=0.0,
     )
     for alpha in (0.55, 0.7, 0.95, 1.05, 1.5, 2.0):
         got = alpha_derivative(alpha, rho, solution)

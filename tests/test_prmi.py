@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from petzmi import classical
 from petzmi.divergences import petz_divergence, renyi_entropy
 from petzmi.errors import DomainError, InvalidInputError, UnsupportedRegimeError
 from petzmi.prmi import (
@@ -187,29 +188,59 @@ def test_cc_state_agrees_with_classical():
         assert sol.value == pytest.approx(cval, abs=1e-9)
 
 
-def test_small_alpha_cc_uses_classical_path():
+def test_small_alpha_cc_runs_the_loop_from_faces():
     pmf = Pmf(np.array([[0.35, 0.15], [0.05, 0.45]]))
     sol = prmi_down_down(0.3, cc_state(pmf))
     cval, _, _ = classical_dd(0.3, pmf)
     assert sol.value == pytest.approx(cval, abs=1e-9)
-    # the classical reduction is exact, but a grid solves it: no certificate
-    assert not sol.certified
-    assert sol.gap == math.inf and sol.residual == math.inf
+    # a loop run: finite gap and residual, but below 1/2 no certificate
+    assert not sol.certified and sol.iterations > 0
+    assert math.isfinite(sol.gap) and math.isfinite(sol.residual)
 
 
 @pytest.mark.parametrize("table, alpha, margin", [
-    # the loop stops at a stationary point 0.0135 above the simplex search:
-    # why diagonal states keep the classical reduction below 1/2
+    # the ten-start loop stops at a stationary point 0.0135 above the minimum,
+    # which the runs from the faces of the simplex reach
     pytest.param([[0.64, 0.02, 0], [0, 0.15, 0.19]], 0.02, 1e-2, id="search-wins"),
-    # here the simplex search stops 8.3e-4 above the loop
-    pytest.param([[0.35, 0.15, 0], [0, 0.05, 0.45]], 0.25, -1e-9, id="loop-wins",
-                 marks=pytest.mark.xfail(strict=True, reason="the simplex search misses")),
+    # here the simplex search stopped 8.3e-4 above the ten-start loop
+    pytest.param([[0.35, 0.15, 0], [0, 0.05, 0.45]], 0.25, -1e-9, id="loop-wins"),
 ])
 def test_diagonal_search_against_ten_start_loop(table, alpha, margin):
     rho = cc_state(Pmf(np.array(table)))
     starts = [rho.marginal_a, *_small_alpha_starts(rho.d_a)]
     loop = min(run.value for run in _run_fixed_point(np.full(len(starts), alpha), rho, starts))
     assert prmi_down_down(alpha, rho).value <= loop - margin
+
+
+def _dirichlet_pmfs():
+    """30 seeded Dirichlet pmfs, d_A in {2, 3} and d_B in {2, 3, 5}, one in
+    five with a zero row."""
+    rng = np.random.default_rng(2406)
+    for k in range(30):
+        d_a, d_b = (2, 3)[k % 2], (2, 3, 5)[k % 3]
+        table = rng.dirichlet(np.full(d_a * d_b, 0.7)).reshape(d_a, d_b)
+        if k % 5 == 4:
+            table[k % d_a] = 0.0
+        yield Pmf(table / table.sum())
+
+
+def test_diagonal_loop_from_faces_never_exceeds_the_simplex_search():
+    """Below 1/2 a diagonal state runs the loop from rho_A and the faces of the
+    simplex over supp(rho_A); the simplex search of `classical` is the
+    independent estimate it must never exceed."""
+    alphas = np.array([0.0, 0.02, 0.25, 0.5])
+    for pmf in _dirichlet_pmfs():
+        rho = cc_state(pmf)
+        for sol in _solve_dd(alphas, rho, [rho.marginal_a] * alphas.size):
+            assert sol.value <= classical.rmi_down_down(sol.alpha, pmf)[0] + 1e-12, pmf.table
+
+
+def test_the_loop_wins_pmf_reaches_the_face_minimum():
+    """The simplex search stopped at 0.230947 on this pmf at alpha = 1/4, the
+    ten-start loop at 0.230114; the loop from the faces of the simplex reads
+    0.230114 too."""
+    rho = cc_state(Pmf(np.array([[0.35, 0.15, 0], [0, 0.05, 0.45]])))
+    assert prmi_down_down(0.25, rho).value <= 0.2301142829
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
@@ -358,6 +389,19 @@ def test_a_start_orthogonal_to_rho_a_raises_without_warnings():
         with pytest.raises(InvalidInputError, match="orthogonal"):
             fixed_point_map(0.7, rho, sigma)
         assert gen_prmi_down(0.7, rho, sigma) == (math.inf, None)
+
+
+def test_a_start_with_real_eigenvectors_keeps_the_complex_iterates():
+    """The loop holds its eigenvector stacks complex: a start whose held
+    eigenvectors are real gives the round of the same start held complex, with
+    no imaginary part cast away."""
+    rho, vals = random_bipartite(2, 2, 42), np.array([0.6, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real = fixed_point_map(0.8, rho, DensityOperator.from_eigensystem(vals, np.eye(2)))
+        held = fixed_point_map(0.8, rho, DensityOperator.from_eigensystem(
+            vals, np.eye(2, dtype=complex)))
+    assert np.abs(real.matrix - held.matrix).max() <= 1e-14
 
 
 def test_a_start_that_misses_rho_a_above_one_raises():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ def test_density_validation_rejects_non_finite_and_empty_matrices(matrix):
 def test_non_finite_pmfs_and_amplitudes_are_rejected(make):
     with pytest.raises(InvalidInputError, match="finite"):
         make()
+
+
+def test_amplitudes_beyond_the_square_root_of_the_float_range_are_scaled():
+    """|v|^2 overflows above about 1e154: the amplitudes are divided by a power
+    of 2 first, which changes no bit of the state."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big = pure_bipartite([1e200, 1e200, 0, 0], 2, 2)
+    assert np.array_equal(big.matrix, pure_bipartite([1, 1, 0, 0], 2, 2).matrix)
 
 
 def test_pmf_marginals_sum():
