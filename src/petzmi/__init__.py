@@ -16,11 +16,9 @@ def _lazy(name: str):
 
 
 # classical, exponents, hypotest and oracle load on first use, so that `compute`
-# and `sweep` never compile or run them. They are bound as package attributes
-# before prmi imports: its `from . import oracle` then binds that object, where
-# an import would load it. No solver route calls classical, the tests' simplex
-# search; it is registered all the same, as perfbench/tracer.py reads it from
-# sys.modules.
+# and `sweep` never compile or run them. No solver route calls classical, the
+# tests' simplex search; it is registered all the same, as perfbench/tracer.py
+# reads it from sys.modules.
 classical, exponents, hypotest, oracle = map(_lazy, ("classical", "exponents", "hypotest",
                                                      "oracle"))
 

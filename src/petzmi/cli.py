@@ -150,7 +150,7 @@ def sweep_rows(state: BipartiteState, alphas):
     stack over the grid, of which `compute` is the one-order case; dd is nan and
     uncertified at an order with no supported route."""
     grid = np.asarray(alphas, dtype=float)
-    dd = _solve_dd(grid, state, [state.marginal_a] * grid.size)
+    dd = _solve_dd(grid, state)
     return [(alpha, uu, ud, *((math.nan, 0) if isinstance(s, UnsupportedRegimeError)
                               else (s.value, int(s.certified))))
             for alpha, uu, ud, s in zip(alphas, _up_up(grid, state).tolist(),
@@ -221,14 +221,20 @@ def cmd_exponent(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_null(fields: dict) -> dict:
+    """fields with every non-finite float as None, as JSON has no Infinity or NaN:
+    a type-I bound beyond float range, an exponent or a rate of inf."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in fields.items()}
+
+
 def cmd_simulate(args) -> int:
     state = parse_input(args.state)
     result = hypotest.achievability_sweep(state, args.rate, args.n_max)
     if args.json:
-        # a type-I bound beyond float range is null: JSON has no Infinity
-        rows = [{**row, "type_one_bound": row["type_one_bound"]
-                 if math.isfinite(row["type_one_bound"]) else None} for row in result["per_n"]]
-        print(json.dumps({**result, "per_n": rows}, sort_keys=True, allow_nan=False))
+        rows = [_finite_or_null(row) for row in result["per_n"]]
+        print(json.dumps({**_finite_or_null(result), "per_n": rows}, sort_keys=True,
+                         allow_nan=False))
     else:
         for key in ("rate", "asymptotic_exponent", "r_half"):
             print(f"{key}: {_fmt(result[key])}")

@@ -20,8 +20,7 @@ import numpy as np
 
 from .divergences import _centered, _product_terms
 from .errors import DomainError
-from .prmi import (SECANT_RATIO, PrmiSolution, _solve_dd, _stacked, prmi_closed_form,
-                   prmi_down_down)
+from .prmi import PrmiSolution, _solve_dd, _stacked, prmi_closed_form, prmi_down_down
 from .states import BipartiteState
 
 R_HALF_STEP = 1e-3  # r_half_threshold extrapolates from s = 1/2 + h and 1/2 + 2h
@@ -87,11 +86,8 @@ def _derivatives(rho: BipartiteState, alphas: np.ndarray, solutions) -> np.ndarr
 class _PrmiCache:
     """Memoized I_s evaluations of one state at orders s in (1/2, 1). The new
     orders of a request are solved as one stack by `prmi._solve_dd`, which
-    picks each order's route, each offered the minimizer cached at the nearest
-    order as its start if its lambda_min/lambda_max > SECANT_RATIO, else rho_A
-    (a nearly singular start can stall the loop); the loop takes it if it covers
-    supp(rho_A), and the gap stop certifies either start. The derivatives dI/ds
-    are memoized likewise."""
+    picks each order's route and start: each cached solve is the one
+    `prmi_down_down(s)` makes. The derivatives dI/ds are memoized likewise."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
@@ -103,15 +99,7 @@ class _PrmiCache:
         missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
         if not missing:
             return
-        starts = [self._start(s) for s in missing]
-        self._values.update(zip(missing, _solve_dd(missing, self.rho, starts)))
-
-    def _start(self, s: float):
-        if self._values:
-            sigma = self._values[min(self._values, key=lambda t: abs(t - s))].sigma_a
-            if sigma.spectrum[-1] > SECANT_RATIO * sigma.spectrum[0]:
-                return sigma
-        return self.rho.marginal_a
+        self._values.update(zip(missing, _solve_dd(missing, self.rho)))
 
     def solution(self, s: float) -> PrmiSolution:
         self.solve([s])

@@ -1,6 +1,5 @@
 """Hermitian/PSD matrix calculus: validated Hermitian operators with a cached
-spectral decomposition, powers and logarithms of spectra on the support, and
-the bipartite partial trace.
+spectral decomposition, and powers and logarithms of spectra on the support.
 
 `spectral_power` is the one place that decides where the support of a PSD
 operator ends: an eigenvalue counts as zero when it is at most
@@ -172,21 +171,3 @@ def power_on_support(op, p: float) -> HermitianOperator:
     vecs = op.eigenvectors
     return HermitianOperator((vecs * spectral_power(op.spectrum, p)) @ vecs.conj().T)
 
-
-def partial_trace(op, dims: tuple[int, int], keep: str) -> HermitianOperator:
-    """Trace out one tensor factor of a bipartite operator.
-
-    dims = (d_A, d_B); keep is "A" or "B".
-    """
-    op = _as_operator(op)
-    d_a, d_b = dims
-    if op.dim != d_a * d_b:
-        raise InvalidInputError(
-            f"operator dimension {op.dim} does not match d_A*d_B = {d_a * d_b}"
-        )
-    m = op.matrix.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        return HermitianOperator(np.einsum("ibjb->ij", m))
-    if keep == "B":
-        return HermitianOperator(np.einsum("aiaj->ij", m))
-    raise InvalidInputError(f"keep must be 'A' or 'B', got {keep!r}")

@@ -2,11 +2,11 @@
 information.
 
 This is a slow, independent reference for the tests and the `oracle` command;
-the solver no longer calls it, and shares only the closed form and the
-Ginibre states of `_ginibre_grid`, its starts below 1/2 on non-diagonal
-states. The A-side state ranges over a dense grid of density matrices; for
-each the B-side minimization is exact through its closed form, so the only
-approximation is the A-side search.
+the solver does not call it. It takes from `prmi` the value at its minimizer
+(`gen_prmi_down`) and the Ginibre states of `_ginibre_grid`, the loop's starts
+below 1/2 on non-diagonal states. The A-side state ranges over a dense grid of
+density matrices; for each the B-side minimization is exact through its closed
+form, so the only approximation is the A-side search.
 
 One routine, `_grid_refine`, does this search and the classical alpha <= 1/2
 one: the argmin of a batched objective over a starting grid (a Bloch-ball grid
@@ -24,13 +24,13 @@ from .divergences import (ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, _
                           _orders, renyi_entropy)
 from .errors import DomainError, ResourceLimitError, UnsupportedRegimeError
 from .linalg import power_on_support, spectral_log, spectral_power
+from .prmi import _ginibre_grid, gen_prmi_down
 from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
 # grid points x (d_A^2 + d_B^2), the matrix entries the grid's stacks hold per point;
 # at this bound a qutrit A side with d_B = 4 and resolution 99 peaks near 1 GB
 MAX_GRID_ENTRIES = 25 * 10**6
-_GINIBRE_SEED = 7
 _REFINE_WIDTH = 0.15  # half-width of the first box, in Bloch units
 _REFINE_POINTS = 7  # stencil points per coordinate
 _REFINE_ROUNDS = 8
@@ -67,15 +67,6 @@ def _qubit_grid(resolution: int) -> np.ndarray:
     n = (radii[:, None, None] * directions).reshape(-1, 3, 1, 1)
     shell = (np.eye(2) + n[:, 0] * _PAULI_X + n[:, 1] * _PAULI_Y + n[:, 2] * _PAULI_Z) / 2
     return np.concatenate([(np.eye(2) / 2)[None], shell])
-
-
-def _ginibre_grid(dim: int, count: int) -> np.ndarray:
-    """I/dim and `count` seeded Ginibre-induced density matrices G G^dag / tr."""
-    rng = np.random.default_rng(_GINIBRE_SEED)
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    mats = g @ np.conj(np.swapaxes(g, 1, 2))
-    mats /= np.real(np.einsum("kii->k", mats))[:, None, None]
-    return np.concatenate([(np.eye(dim) / dim)[None], mats])
 
 
 def _grid_refine(grid: np.ndarray, objective, basis: np.ndarray) -> tuple[float, np.ndarray]:
@@ -204,7 +195,5 @@ def brute_force_dd(
     sigma = DensityOperator(best_sigma)
     if alpha == 1.0:
         return best_val, sigma, rho.marginal_b
-    from .prmi import gen_prmi_down
-
     value, tau = gen_prmi_down(alpha, rho, sigma)
     return value, sigma, tau

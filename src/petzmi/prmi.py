@@ -11,13 +11,13 @@ Three variants, by which marginals of the product reference state are optimized:
              below 1/2 the best run of several starts is returned, uncertified.
 
 Each variant is solved on a stack of orders, one row each: `_up_up`, `_up_down`
-and `_solve_dd`, the one place that picks an order's route. The public
+and `_solve_dd`, the one place that picks an order's route and starts. The public
 functions are their one-order cases, and no row depends on its stack. A
 half-step is M from `_traced`, then `divergences._one_sided_min` on M's
-eigenvalues (`_half_step`); the loop runs its B -> A half-step itself, as above
-1/2 it decomposes a secant (Anderson-1) extrapolation of M_A in place of M_A.
-A run stops once the Frank-Wolfe gap of its iterate is at most GAP_TOL (above
-1/2, and its last plain step at most 10 GAP_TOL); the gap is formed only in
+eigenvalues (`_half_step`); the loop runs its B -> A half-step itself, as from
+1/2 on it decomposes a secant (Anderson-1) extrapolation of M_A in place of M_A.
+A run stops once the Frank-Wolfe gap of its iterate is at most GAP_TOL (from
+1/2 on, and its last plain step at most 10 GAP_TOL); the gap is formed only in
 rounds where some row's value fell by at most CONVERGING. ud, `gen_prmi_down`
 and the loop's rows report D_alpha(rho || sigma x tau) at the minimizer tau
 (`_one_sided`: `divergences._centered` on `divergences._product_terms`, exact
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .divergences import (
     DivergenceValue,
     _centered,
@@ -62,6 +61,7 @@ GAP_TOL = 1e-12  # a run stops once the Frank-Wolfe gap of its iterate is at mos
 MAX_ITER = 10000  # or after this many rounds
 CONVERGING = 1e-9  # the gap is formed for rows whose value fell by at most this
 SECANT_RATIO = 1e-8  # extrapolate only while sigma keeps lambda_min/lambda_max above this
+_GINIBRE_SEED = 7  # of the Ginibre states of `_ginibre_grid`
 
 
 @dataclass(frozen=True)
@@ -336,10 +336,10 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     alpha is one order or a stack of k; sigma0 is one start for every row or a
     list of k, one per row. The gap is formed for the rows whose value fell by
     at most CONVERGING in the round. A row stops once that gap is at most
-    GAP_TOL and, at alpha > 1/2, its plain step moved sigma by at most
-    10 GAP_TOL, or, at alpha <= 1/2, where an eigenvalue lost under the support
+    GAP_TOL and, at alpha >= 1/2, its plain step moved sigma by at most
+    10 GAP_TOL, and, at alpha <= 1/2, where an eigenvalue lost under the support
     cut zeroes the gap, its value fell by at most GAP_TOL in the round; or
-    after max_iter rounds. A row at alpha > 1/2 that does not stop decomposes
+    after max_iter rounds. A row at alpha >= 1/2 that does not stop decomposes
     the secant (Anderson-1) step of the trace-1 M_A = tr_B[rho^alpha (1 x
     tau^(1-alpha))] from its last two rounds in place of M_A, while sigma and
     the sigma of the step keep lambda_min/lambda_max > SECANT_RATIO; a round
@@ -410,7 +410,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         tr = np.einsum("kii->k", kmat).real
         m_new = kmat / tr[:, None, None]
         res_new, m = m_new - used, kmat
-        ext = (a > 0.5) & (it >= since) & ~done
+        ext = (a >= 0.5) & (it >= since) & ~done
         if ext.any():
             ext &= s_vals.min(axis=1) > SECANT_RATIO * s_vals.max(axis=1)
             d_res = res_new - res
@@ -429,9 +429,9 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             diff = _compose(n_vals[done], n_vecs[done]) - _compose(s_vals[done], s_vecs[done])
             moved = np.zeros(rows.size)
             moved[done] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
-            # above 1/2 a row also needs its plain step to move sigma by at most
+            # from 1/2 on a row also needs its plain step to move sigma by at most
             # 10 GAP_TOL: after secant steps the gap can read small while it does not
-            done &= ~((a > 0.5) & (moved > 10 * GAP_TOL)) | (it == max_iter)
+            done &= ~((a >= 0.5) & (moved > 10 * GAP_TOL)) | (it == max_iter)
         if not done.any():
             s_vals, s_vecs, prev = n_vals, n_vecs, value
             continue
@@ -491,19 +491,19 @@ def prmi_down_down(alpha: float, rho: BipartiteState) -> PrmiSolution:
                            order with no route.
     """
     _check_order(alpha)
-    solution = _solve_dd([alpha], rho, [rho.marginal_a])[0]
+    solution = _solve_dd([alpha], rho)[0]
     if isinstance(solution, UnsupportedRegimeError):
         raise solution
     return solution
 
 
-def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
+def _solve_dd(alphas, rho: BipartiteState) -> list:
     """dd at each of a stack of checked orders by the routes of `prmi_down_down`,
-    the one place that picks them, in one pass: pure and copy-cc states, recognized
-    once per call, by one `_dd_closed_form` stack; every loop row by one
-    `_run_fixed_point` stack, an order in (1/2, 2] from its start in starts if that
-    covers supp(rho_A), else from rho_A, one at or below 1/2 from its starts.
-    An order with no route holds its UnsupportedRegimeError."""
+    the one place that picks them and every loop row's start, from the state
+    alone, in one pass: pure and copy-cc states, recognized once per call, by one
+    `_dd_closed_form` stack; every loop row by one `_run_fixed_point` stack, an
+    order in (1/2, 2] from rho_A, one at or below 1/2 from its starts. An order
+    with no route holds its UnsupportedRegimeError."""
     alphas = np.array(alphas, dtype=float)
     pure, pmf = rho.is_pure(), rho.diagonal_pmf_or_none()
     closed = pure or _is_copy_cc(pmf)
@@ -522,7 +522,7 @@ def _solve_dd(alphas, rho: BipartiteState, starts) -> list:
                                                   f"a generic state is not supported for "
                                                   f"alpha = {alpha} > 2")
         elif alpha > 0.5:
-            loop[j] = [starts[j] if starts[j] is a or dominated(a, starts[j]) else a]
+            loop[j] = [a]
         elif pmf is not None and rho.d_a <= 3:
             loop[j] = [a, *_face_starts(pmf.marginal_x)]
         elif rho.d_a <= 3 and rho.d_b <= 3:
@@ -550,7 +550,17 @@ def _face_starts(p: np.ndarray) -> list[DensityOperator]:
 def _small_alpha_starts(d_a: int) -> tuple[DensityOperator, ...]:
     """The fixed starts I/d_A and 8 Ginibre states of the loop below 1/2, built
     and decomposed once per d_A (at most 3)."""
-    return tuple(map(DensityOperator, oracle._ginibre_grid(d_a, 8)))
+    return tuple(map(DensityOperator, _ginibre_grid(d_a, 8)))
+
+
+def _ginibre_grid(dim: int, count: int) -> np.ndarray:
+    """I/dim and `count` seeded Ginibre-induced density matrices G G^dag / tr,
+    also the qutrit grid of `oracle.brute_force_dd`."""
+    rng = np.random.default_rng(_GINIBRE_SEED)
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    mats = g @ np.conj(np.swapaxes(g, 1, 2))
+    mats /= np.real(np.einsum("kii->k", mats))[:, None, None]
+    return np.concatenate([(np.eye(dim) / dim)[None], mats])
 
 
 def prmi(alpha: float, rho: BipartiteState, which: str):

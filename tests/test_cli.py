@@ -291,8 +291,8 @@ def test_exponent_curve(cc_file, capsys):
 
 
 def test_strict_exponent_exits_5_on_an_uncertified_solve(pure_file, capsys, monkeypatch):
-    def uncertified(alphas, rho, starts):
-        return [dataclasses.replace(sol, certified=False) for sol in solve_dd(alphas, rho, starts)]
+    def uncertified(alphas, rho):
+        return [dataclasses.replace(sol, certified=False) for sol in solve_dd(alphas, rho)]
 
     solve_dd = exponents._solve_dd
     monkeypatch.setattr(exponents, "_solve_dd", uncertified)
@@ -434,6 +434,24 @@ def test_simulate_json_writes_a_bound_beyond_float_range_as_null(cc_file, capsys
     assert capsys.readouterr().out.splitlines()[5].split(",")[4] == "inf"
 
 
+@pytest.mark.parametrize("rate", ["1e308", "inf"])
+def test_simulate_json_writes_an_overflowing_exponent_as_null(cc_file, capsys, rate):
+    """At rate 1e308, n R overflows at n = 2: that row's exponent is -inf, and at
+    rate inf the rate is too. --json writes every non-finite float as null."""
+    argv = ["--json", "simulate", "--state", cc_file, "--rate", rate, "--n-max", "2"]
+    assert main(argv) == 0
+
+    def reject(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["per_n"][1]["exponent"] is None
+    if rate == "1e308":
+        assert math.isfinite(out["per_n"][0]["exponent"]) and out["rate"] == 1e308
+    else:
+        assert out["rate"] is None
+
+
 @pytest.mark.parametrize("n_max", ["0", "-2"])
 def test_simulate_rejects_nonpositive_n_max(cc_file, capsys, n_max):
     assert main(["simulate", "--state", cc_file, "--rate", "0.1", "--n-max", n_max]) == 4
@@ -461,10 +479,11 @@ def test_oracle_command_rejects_resolution_zero(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
-    """`import petzmi.cli`, then compute and sweep on a generic 2x2 state over
-    [0.6, 1.6], in a fresh process: no scipy module is loaded, and the four lazy
-    modules are registered but unexecuted (type() does not load them); the
-    package's exponent names still import, from the lazy `exponents`."""
+    """`import petzmi.cli`, then compute at 0.8 and at 0.3, the loop from ten
+    starts, and sweep over [0.6, 1.6] on a generic 2x2 state, in a fresh
+    process: no scipy module is loaded, and the four lazy modules are registered
+    but unexecuted (type() does not load them); the package's exponent names
+    still import, from the lazy `exponents`."""
     src = str(Path(petzmi.__file__).resolve().parents[1])
     state = write_json(tmp_path / "g22.json", {"dA": 2, "dB": 2, "matrix": [
         [float(z.real), float(z.imag)] for z in random_bipartite(2, 2, 42).matrix.ravel()]})
@@ -472,6 +491,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
 import sys, types, petzmi.cli
 argv = ["--state", {state!r}]
 assert petzmi.cli.main(["compute", "--alpha", "0.8", *argv]) == 0
+assert petzmi.cli.main(["compute", "--which", "dd", "--alpha", "0.3", *argv]) == 0
 assert petzmi.cli.main(["sweep", "--alpha-min", "0.6", "--alpha-max", "1.6", "--steps", "6",
                         "--out", {str(tmp_path / "s.csv")!r}, *argv]) == 0
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))

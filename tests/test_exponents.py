@@ -1,6 +1,5 @@
 import functools
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,15 +15,12 @@ from petzmi.exponents import (
     r_half_threshold,
     rate_curve,
 )
-from petzmi.prmi import _run_fixed_point, _solve_dd, prmi_closed_form, prmi_down_down
-from petzmi.states import (BipartiteState, DensityOperator, Pmf, cc_state, copy_cc_state,
-                           pure_bipartite, random_bipartite)
+from petzmi.prmi import _solve_dd, prmi_down_down
+from petzmi.states import (BipartiteState, Pmf, cc_state, copy_cc_state, pure_bipartite,
+                           random_bipartite)
 from reference import _illinois_root, tensor_product
 
 CC_02 = copy_cc_state([0.2, 0.8])
-# the package exports a function named prmi, which hides the module: the loop's
-# monkeypatches go through sys.modules
-PRMI = sys.modules["petzmi.prmi"]
 LO, HI = 0.5 + 1e-4, 1.0 - 1e-4
 RATE_FRACTIONS = (0.1, 0.45, 0.8, 0.99)
 DIFFERENTIAL_STATES = [
@@ -36,8 +32,8 @@ DIFFERENTIAL_STATES = [
 
 def golden_section_exponent(rho, rate):
     """(exponent, s_star) of the 60-round golden-section search that the root
-    search on psi(s) = rate replaced, kept as its reference. Every order is
-    solved cold, from rho_A, as before the cache warm-started its solves."""
+    search on psi(s) = rate replaced, kept as its reference. Every order is a
+    `prmi_down_down` solve."""
     value = functools.cache(lambda s: prmi_down_down(s, rho).as_float())
     if rate >= value(1.0):
         return 0.0, None
@@ -309,9 +305,9 @@ def recorded_stacks(monkeypatch) -> list:
     from now on."""
     stacks = []
 
-    def counting_table(alphas, rho, starts):
+    def counting_table(alphas, rho):
         stacks.append(list(alphas))
-        return _solve_dd(alphas, rho, starts)
+        return _solve_dd(alphas, rho)
 
     monkeypatch.setattr(exponents, "_solve_dd", counting_table)
     return stacks
@@ -343,9 +339,9 @@ def test_a_report_at_an_end_solves_one_stack(monkeypatch):
 
 def uncertifying(orders):
     """A route table that withholds the certificate of the given orders."""
-    def table(alphas, rho, starts):
+    def table(alphas, rho):
         return [replace(sol, certified=False) if alpha in orders else sol
-                for alpha, sol in zip(alphas, _solve_dd(alphas, rho, starts))]
+                for alpha, sol in zip(alphas, _solve_dd(alphas, rho))]
     return table
 
 
@@ -379,12 +375,12 @@ NEAR_PURE = BipartiteState((1 - 1e-12) * random_bipartite(2, 2, 38, rank=1).matr
                            + 1e-12 * random_bipartite(2, 2, 1038, rank=1).matrix, 2, 2)
 
 
-def test_near_pure_warm_start_does_not_stall(monkeypatch):
+def test_near_pure_exponent_solves_do_not_stall(monkeypatch):
     """On a pure state mixed with 1e-12 of another, the minimizer at s = 0.502
-    has lambda_min/lambda_max = 2.3e-14, under SECANT_RATIO. Offered as the
-    start at s = 0.5606, which the former search reached next, it stalled the
-    loop for all 10,000 rounds and left that solve, and the report at rate
-    0.1, uncertified. The cache starts such an order from rho_A."""
+    has lambda_min/lambda_max = 2.3e-14. Offered as the start at s = 0.5606,
+    which the former search reached next, it stalled the loop for all 10,000
+    rounds and left that solve, and the report at rate 0.1, uncertified. Every
+    order starts from rho_A: each solve takes at most 100 rounds."""
     cache = _PrmiCache(NEAR_PURE)
     cache.solve([0.5 + exponents.R_HALF_STEP, 0.5 + 2 * exponents.R_HALF_STEP, LO, HI])
     sol = cache.solution(0.5605581850357393)
@@ -407,9 +403,9 @@ def test_solves_per_exponent(rho, monkeypatch):
         calls.append(alpha)
         return prmi_down_down(alpha, rho)
 
-    def counting_table(alphas, rho, starts):
+    def counting_table(alphas, rho):
         calls.extend(alphas)
-        return _solve_dd(alphas, rho, starts)
+        return _solve_dd(alphas, rho)
 
     monkeypatch.setattr(exponents, "prmi_down_down", counting)
     monkeypatch.setattr(exponents, "_solve_dd", counting_table)
@@ -431,51 +427,25 @@ class RecordingCache(_PrmiCache):
         self.made.append(self)
 
 
-@pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 8])
-def test_warm_started_solves_match_cold_ones(index, monkeypatch):
-    """Every solve that `direct_exponent` caches, warm-started from the nearest
-    cached minimizer or not, is certified and within 1e-12 of a cold solve
-    from rho_A; and the root search does start the loop from cached
-    minimizers, unless the state has a closed form, which runs no loop."""
+@pytest.mark.parametrize("index", range(len(DIFFERENTIAL_STATES)))
+def test_cached_solves_are_one_order_solves(index, monkeypatch):
+    """Every solve that `direct_exponent` caches at the four rates is certified
+    and, field for field, the solve `prmi_down_down(s)` makes: I_s depends on
+    the state and s alone, not on the orders the search solved before it."""
     rho = DIFFERENTIAL_STATES[index]
     RecordingCache.made = []
-    starts = []
-
-    def recording(alpha, rho, start):
-        starts.append(start)
-        return _run_fixed_point(alpha, rho, start)
-
     monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
-    monkeypatch.setattr(PRMI, "_run_fixed_point", recording)
     i_one = prmi_down_down(1.0, rho).value
     for frac in RATE_FRACTIONS:
         direct_exponent(rho, frac * i_one)
-    assert bool(starts) == (prmi_closed_form(0.7, rho, "dd") is None)
+    fields = ("value", "iterations", "gap", "residual", "certified", "objective_trace")
     for cache in RecordingCache.made:
         for s, sol in cache._values.items():
+            one = prmi_down_down(s, rho)
             assert sol.certified
-            assert sol.value == pytest.approx(prmi_down_down(s, rho).value, abs=1e-12)
+            assert [getattr(sol, f) for f in fields] == [getattr(one, f) for f in fields], s
+            assert np.array_equal(sol.sigma_a.spectrum, one.sigma_a.spectrum), s
 
-
-def test_start_that_misses_the_support_is_not_used(monkeypatch):
-    """A cached minimizer whose support misses part of supp(rho_A) is no start:
-    the next solve runs cold from rho_A; one that covers it is used."""
-    rho = random_bipartite(2, 3, 8101)
-    cache = _PrmiCache(rho)
-    cache._values[0.7] = replace(prmi_down_down(0.7, rho),
-                                 sigma_a=DensityOperator(np.diag([1.0, 0.0])))
-    starts = []
-
-    def recording(alphas, rho, rows):
-        starts.extend(rows)
-        return _run_fixed_point(alphas, rho, rows)
-
-    cold = prmi_down_down(0.71, rho)
-    monkeypatch.setattr(PRMI, "_run_fixed_point", recording)
-    assert cache.solution(0.71).objective_trace == cold.objective_trace
-    assert starts == [rho.marginal_a]
-    cache.solution(0.72)
-    assert starts == [rho.marginal_a, cache.solution(0.71).sigma_a]
 
 ORDER_STATES = [
     pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2),
@@ -497,9 +467,9 @@ def test_exponent_solves_only_above_half(rho, monkeypatch):
         orders.append(alpha)
         return prmi_down_down(alpha, rho)
 
-    def recording_table(alphas, rho, starts):
+    def recording_table(alphas, rho):
         orders.extend(alphas)
-        return _solve_dd(alphas, rho, starts)
+        return _solve_dd(alphas, rho)
 
     monkeypatch.setattr(exponents, "prmi_down_down", recording)
     monkeypatch.setattr(exponents, "_solve_dd", recording_table)

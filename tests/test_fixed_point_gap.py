@@ -288,7 +288,7 @@ def test_stacked_rows_match_single_solves(index):
     # alpha = 1 window, the closed forms of the copy and pure states, and the
     # loop's rows for the others
     rho = STACK_STATES[index]
-    rows = _solve_dd(list(STACK_ALPHAS), rho, [rho.marginal_a] * len(STACK_ALPHAS))
+    rows = _solve_dd(list(STACK_ALPHAS), rho)
     for alpha, row in zip(STACK_ALPHAS, rows, strict=True):
         single = prmi_down_down(alpha, rho)
         assert row.alpha == single.alpha

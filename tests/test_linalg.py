@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from petzmi.errors import InvalidInputError
-from petzmi.linalg import HermitianOperator, partial_trace, power_on_support
-from reference import (geometric_mean, nonnegative_part_projector, permute_factors,
-                       tensor_product, trace_distance)
+from petzmi.linalg import HermitianOperator, power_on_support
+from reference import geometric_mean, nonnegative_part_projector, permute_factors, trace_distance
 
 
 def random_hermitian(rng, dim):
@@ -62,16 +61,6 @@ def test_power_zero_is_projector(rng):
 def test_power_rejects_indefinite():
     with pytest.raises(InvalidInputError):
         power_on_support(HermitianOperator(np.diag([1.0, -1.0])), 0.5)
-
-
-def test_partial_trace_marginals(rng):
-    a = random_psd(rng, 2)
-    b = random_psd(rng, 3)
-    ab = tensor_product(a, b)
-    ta = partial_trace(ab, (2, 3), "A")
-    assert np.allclose(ta.matrix, a.matrix * b.trace(), atol=1e-10)
-    tb = partial_trace(ab, (2, 3), "B")
-    assert np.allclose(tb.matrix, b.matrix * a.trace(), atol=1e-10)
 
 
 def test_permute_factors_swap(rng):

@@ -165,7 +165,7 @@ def test_rows_do_not_depend_on_their_stack(rho):
     alone and in a stack: every sum of `_centered` runs over one row's C-ordered
     terms."""
     alphas = np.array([0.55, 0.8, 1.0 - 1e-9, 1.0, 1.0 + 1e-12, 1.5, 2.0])
-    rows = _solve_dd(list(alphas), rho, [rho.marginal_a] * alphas.size)
+    rows = _solve_dd(list(alphas), rho)
     sigma, tau = _stacked([r.sigma_a for r in rows]), _stacked([r.tau_b for r in rows])
     values = _centered(alphas - 1.0, *_product_terms(rho, sigma, tau))[0]
     slopes = _derivatives(rho, alphas, rows)

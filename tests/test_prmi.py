@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -113,13 +114,13 @@ def test_route_table_stack_matches_single_solves(name):
     gives order by order: every route in one stack, the loop's rows from rho_A."""
     rho = TABLE_STATES[name]
     alphas = [0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0] + ([2.5] if name in ("pure", "copy-cc") else [])
-    rows = _solve_dd(alphas, rho, [rho.marginal_a] * len(alphas))
+    rows = _solve_dd(alphas, rho)
     for alpha, row in zip(alphas, rows, strict=True):
         single = prmi_down_down(alpha, rho)
         assert row.alpha == single.alpha and row.certified == single.certified
         assert row.value == single.value and row.iterations == single.iterations
     if name in ("generic", "diagonal"):  # no closed form: an order above 2 carries its error
-        kept, rejected = _solve_dd([0.7, 2.5], rho, [rho.marginal_a] * 2)
+        kept, rejected = _solve_dd([0.7, 2.5], rho)
         assert kept.value == prmi_down_down(0.7, rho).value
         assert isinstance(rejected, UnsupportedRegimeError)
 
@@ -231,7 +232,7 @@ def test_diagonal_loop_from_faces_never_exceeds_the_simplex_search():
     alphas = np.array([0.0, 0.02, 0.25, 0.5])
     for pmf in _dirichlet_pmfs():
         rho = cc_state(pmf)
-        for sol in _solve_dd(alphas, rho, [rho.marginal_a] * alphas.size):
+        for sol in _solve_dd(alphas, rho):
             assert sol.value <= classical.rmi_down_down(sol.alpha, pmf)[0] + 1e-12, pmf.table
 
 
@@ -241,6 +242,27 @@ def test_the_loop_wins_pmf_reaches_the_face_minimum():
     0.230114 too."""
     rho = cc_state(Pmf(np.array([[0.35, 0.15, 0], [0, 0.05, 0.45]])))
     assert prmi_down_down(0.25, rho).value <= 0.2301142829
+
+
+def test_near_copy_pmf_at_one_half_runs_the_secant(monkeypatch):
+    """A 3x5 pmf within 1e-5 of a copy state: at alpha = 1/2 the plain loop
+    crawled, each row of the stack from rho_A and the faces taking 1,633 to
+    1,803 rounds. f is convex at 1/2 too, so the secant step runs there: every
+    row takes at most 300, and the value stays under the simplex search."""
+    t = np.random.default_rng(1).uniform(3e-8, 7.3e-7, (3, 5))
+    t[0, 0], t[1, 1], t[2, 2] = 0.3458, 0.3041, 0.3501
+    pmf = Pmf(t / t.sum())
+    runs = []
+
+    def recording(*args):
+        rows = _run_fixed_point(*args)
+        runs.extend(rows)
+        return rows
+
+    monkeypatch.setattr(sys.modules["petzmi.prmi"], "_run_fixed_point", recording)
+    value = prmi_down_down(0.5, cc_state(pmf)).value
+    assert len(runs) == 8 and all(run.iterations <= 300 for run in runs)
+    assert value <= classical.rmi_down_down(0.5, pmf)[0] + 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

@@ -49,7 +49,7 @@ def _spectrum(op):
 def test_stacked_rows_equal_their_one_order_calls(rho, grid):
     alphas = np.array(grid)
     uu, ud = _up_up(alphas, rho), _up_down(alphas, rho)
-    dd = _solve_dd(alphas, rho, [rho.marginal_a] * alphas.size)
+    dd = _solve_dd(alphas, rho)
     for alpha, uu_row, ud_row, dd_row in zip(grid, uu, ud, dd, strict=True):
         assert uu_row == prmi_up_up(alpha, rho).value, alpha
         assert ud_row == prmi_up_down(alpha, rho).value, alpha
@@ -108,7 +108,7 @@ def test_solve_dd_runs_every_loop_row_in_one_stack(monkeypatch):
         return _f(alphas, *args)
 
     monkeypatch.setattr(PRMI, "_run_fixed_point", recording)
-    rows = _solve_dd(grid, rho, [rho.marginal_a] * len(grid))
+    rows = _solve_dd(grid, rho)
     assert len(calls) == 1
     assert sorted(calls[0]) == sorted([0.0] * 10 + [0.3] * 10 + [0.5] * 10 + [0.7, 1.5, 2.0])
     monkeypatch.undo()
