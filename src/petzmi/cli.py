@@ -9,9 +9,10 @@ Subcommands:
   oracle    exhaustive product-state search at a single order
 
 Exit codes: 0 success, 2 missing input file, 3 schema violation, 4 invariant
-violation (state fails to be a valid density operator) or no supported route
-(`compute --which dd` on a generic state above 2; `sweep` writes nan there),
-5 solver result not certified (gap and residual within tolerance) under --strict.
+violation (state fails to be a valid density operator), a grid over its size bound
+or no supported route (`compute --which dd` on a generic state above 2; `sweep`
+writes nan there), 5 solver result not certified (gap and residual within
+tolerance) under --strict.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import exponents, hypotest, oracle
-from .errors import InvalidInputError, PetzmiError, UnsupportedRegimeError
+from .errors import InvalidInputError, PetzmiError, ResourceLimitError, UnsupportedRegimeError
 from .prmi import PrmiSolution, _solve_dd, _up_down, _up_up, prmi
 from .states import BipartiteState, Pmf, cc_state, pure_bipartite
 
@@ -35,6 +36,9 @@ EXIT_MISSING_FILE = 2
 EXIT_SCHEMA = 3
 EXIT_INVARIANT = 4
 EXIT_NOT_CONVERGED = 5
+# loop rows x (d_A d_B)^2, ten rows a step if the grid starts at or below 1/2, else
+# one; at this bound a qubit pair swept over [0, 1/2] peaks near 0.6 GB
+MAX_SWEEP_ENTRIES = 2 * 10**6
 
 
 class SchemaError(Exception):
@@ -173,6 +177,10 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError("sweep grid must lie inside [0, 2.5]")
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be at least 1, got {args.steps}")
+    loop_rows = args.steps * (10 if args.alpha_min <= 0.5 else 1)
+    if loop_rows * state.dim**2 > MAX_SWEEP_ENTRIES:
+        raise ResourceLimitError(f"--steps {args.steps} gives up to {loop_rows} loop rows of "
+                                 f"dimension {state.dim}: over {MAX_SWEEP_ENTRIES} matrix entries")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     rows = emit_sweep(state, alphas, args.out)
     if args.json:

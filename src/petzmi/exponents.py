@@ -84,39 +84,37 @@ def _derivatives(rho: BipartiteState, alphas: np.ndarray, solutions) -> np.ndarr
 
 
 class _PrmiCache:
-    """Memoized I_s evaluations of one state at orders s in (1/2, 1). The new
-    orders of a request are solved as one stack by `prmi._solve_dd`, which
-    picks each order's route and start: each cached solve is the one
-    `prmi_down_down(s)` makes. The derivatives dI/ds are memoized likewise."""
+    """Memoized I_s evaluations of one state at orders s in (1/2, 1), each with
+    its derivative dI/ds. The new orders of a request are solved as one stack by
+    `prmi._solve_dd`, which picks each order's route and start, and differentiated
+    as one stack (`_derivatives`): each cached solve is the one
+    `prmi_down_down(s)` makes."""
 
     def __init__(self, rho: BipartiteState):
         self.rho = rho
-        self._values: dict[float, PrmiSolution] = {}
-        self._derivatives: dict[float, float] = {}
+        self._table: dict[float, tuple[PrmiSolution, float]] = {}
 
     def solve(self, s_values) -> None:
-        """Solve the orders of s_values that are not cached yet, as one stack."""
-        missing = [s for s in dict.fromkeys(s_values) if s not in self._values]
+        """Solve and differentiate the orders of s_values that are not cached
+        yet, as one stack."""
+        missing = [s for s in dict.fromkeys(s_values) if s not in self._table]
         if not missing:
             return
-        self._values.update(zip(missing, _solve_dd(missing, self.rho)))
+        solutions = _solve_dd(missing, self.rho)
+        slopes = _derivatives(self.rho, np.array(missing), solutions).tolist()
+        self._table.update(zip(missing, zip(solutions, slopes)))
 
     def solution(self, s: float) -> PrmiSolution:
         self.solve([s])
-        return self._values[s]
+        return self._table[s][0]
 
     def value(self, s: float) -> float:
         return self.solution(s).as_float()
 
     def derivatives(self, s_values) -> list[float]:
-        """dI/ds at each order of s_values. The orders not held yet are solved,
-        and differentiated as one stack (`_derivatives`)."""
+        """dI/ds at each order of s_values."""
         self.solve(s_values)
-        missing = [s for s in dict.fromkeys(s_values) if s not in self._derivatives]
-        if missing:
-            d = _derivatives(self.rho, np.array(missing), [self._values[s] for s in missing])
-            self._derivatives.update(zip(missing, d.tolist()))
-        return [self._derivatives[s] for s in s_values]
+        return [self._table[s][1] for s in s_values]
 
     def optimal_rate(self, s: float) -> tuple[float, float]:
         """The rate psi(s) = I_s - s(1-s) dI/ds at which s is the optimal

@@ -2,9 +2,10 @@
 information.
 
 This is a slow, independent reference for the tests and the `oracle` command;
-the solver does not call it. It takes from `prmi` the value at its minimizer
-(`gen_prmi_down`) and the Ginibre states of `_ginibre_grid`, the loop's starts
-below 1/2 on non-diagonal states. The A-side state ranges over a dense grid of
+the solver does not call it. It takes from `prmi` the loop's M (`_traced`), the
+value at its minimizer (`gen_prmi_down`) and the Ginibre states of
+`_ginibre_grid`, the loop's starts below 1/2 on non-diagonal states, but looks
+for sigma by a search of its own. The A-side state ranges over a dense grid of
 density matrices; for each the B-side minimization is exact through its closed
 form, so the only approximation is the A-side search.
 
@@ -23,13 +24,13 @@ import numpy as np
 from .divergences import (ALPHA_ONE_WINDOW, SUPPORT_OVERLAP_TOL, _check_order, _one_sided_min,
                           _orders, renyi_entropy)
 from .errors import DomainError, ResourceLimitError, UnsupportedRegimeError
-from .linalg import power_on_support, spectral_log, spectral_power
-from .prmi import _ginibre_grid, gen_prmi_down
+from .linalg import spectral_log, spectral_power
+from .prmi import _ginibre_grid, _rho_power, _traced, gen_prmi_down
 from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
 # grid points x (d_A^2 + d_B^2), the matrix entries the grid's stacks hold per point;
-# at this bound a qutrit A side with d_B = 4 and resolution 99 peaks near 1 GB
+# at this bound a grid peaks at 1.1 to 1.5 GB (qubit or qutrit A side, d_B = 2 or 4)
 MAX_GRID_ENTRIES = 25 * 10**6
 _REFINE_WIDTH = 0.15  # half-width of the first box, in Bloch units
 _REFINE_POINTS = 7  # stencil points per coordinate
@@ -107,20 +108,17 @@ def _grid_refine(grid: np.ndarray, objective, basis: np.ndarray) -> tuple[float,
 def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
     """Objective values min_tau D_alpha(rho || sigma_k x tau) for all sigma_k.
 
-    Vectorized: sigma^(1-alpha) by batched eigendecomposition (sigma at alpha = 0),
-    the partial trace by one einsum, tau-minimization by `_one_sided_min`, which
-    has no Nussbaum-Szkola form: within ALPHA_ONE_WINDOW of 1 the alpha = 1 one.
+    Vectorized: the loop's M (`prmi._traced`) of the stack against one rho^alpha
+    broadcast over it, the tau-minimization by `_one_sided_min`, which has no
+    Nussbaum-Szkola form: within ALPHA_ONE_WINDOW of 1 the alpha = 1 one.
     """
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _batched_values_alpha_one(rho, sigmas)
-    s_pow = sigmas
-    if alpha != 0:
-        vals, vecs = np.linalg.eigh(sigmas)
-        s_pow = np.einsum("kij,kj,klj->kil", vecs, spectral_power(vals, 1.0 - alpha), vecs.conj())
-    r = power_on_support(rho, alpha).matrix.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
-    m = np.einsum("ibjd,kji->kbd", r, s_pow)
-    m_vals = np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2)
-    out, _ = _one_sided_min(_orders(np.array([alpha])), m_vals)
+    orders = _orders(np.array([alpha]))
+    r = _rho_power(rho, orders[0])
+    vals, vecs = np.linalg.eigh(sigmas)
+    m, _ = _traced(orders, np.broadcast_to(r, (len(sigmas), *r.shape[1:])), vals, vecs)
+    out, _ = _one_sided_min(orders, np.linalg.eigvalsh(m))
     if alpha > 1:
         # finite only when supp(rho_A) <= supp(sigma); rank-deficient grid
         # points otherwise yield a meaningless finite number
@@ -193,7 +191,7 @@ def brute_force_dd(
     if not np.isfinite(best_val):
         return math.inf, None, None
     sigma = DensityOperator(best_sigma)
-    if alpha == 1.0:
-        return best_val, sigma, rho.marginal_b
+    if alpha == 1.0:  # floored at +0, as `prmi._one_sided` floors gen_prmi_down
+        return max(best_val, 0.0) + 0.0, sigma, rho.marginal_b
     value, tau = gen_prmi_down(alpha, rho, sigma)
     return value, sigma, tau

@@ -21,7 +21,7 @@ A run stops once the Frank-Wolfe gap of its iterate is at most GAP_TOL (from
 rounds where some row's value fell by at most CONVERGING. ud, `gen_prmi_down`
 and the loop's rows report D_alpha(rho || sigma x tau) at the minimizer tau
 (`_one_sided`: `divergences._centered` on `divergences._product_terms`, exact
-through alpha = 1), so the loop runs at every order of (1/2, 2] but 1.
+through alpha = 1, floored at +0), so the loop runs at every order of (1/2, 2] but 1.
 
 All logarithms are natural.
 """
@@ -113,7 +113,7 @@ def _up_up(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
         return np.zeros(alphas.size)
     # supp(rho) lies in supp(rho_A x rho_B): the values are finite
     value = _centered(alphas - 1.0, *_marginal_terms(rho))[0]
-    return np.maximum(value, 0.0) + 0.0  # as in _run_fixed_point
+    return np.maximum(value, 0.0) + 0.0  # as in _one_sided
 
 
 def _is_product(rho: BipartiteState) -> bool:
@@ -160,14 +160,15 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
 def _one_sided(alphas: np.ndarray, rho: BipartiteState, r: np.ndarray, sigma: tuple):
     """min over tau of D_alpha(rho || sigma x tau) on a stack of k orders but 1,
     r = `_rho_power` and sigma's eigensystems ((k, d_A), (k, d_A, d_A)): D_alpha at
-    `_half_step`'s minimizer tau (`_centered`), inf where M vanishes, and tau's eigensystems."""
-    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r, *sigma)
+    `_half_step`'s minimizer tau (`_centered`), floored at +0 (rounding can dip below 0, and
+    + 0.0 turns -0.0 into 0.0), inf where M vanishes, and tau's eigensystems."""
+    value, t_vals, t_vecs, _ = _half_step(_orders(alphas), r, *sigma)
     finite = value < math.inf
     if finite.any():
         on = slice(None) if finite.all() else finite
         value[on] = _centered(alphas[on] - 1.0, *_product_terms(
             rho, (sigma[0][on], sigma[1][on]), (t_vals[on], t_vecs[on])))[0]
-    return value, t_vals, t_vecs
+    return np.maximum(value, 0.0) + 0.0, t_vals, t_vecs
 
 
 def _stacked(ops) -> tuple:
@@ -188,18 +189,18 @@ def _half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray)
 
     orders holds the `_orders` constants, r the k tensors rho^alpha of shape
     (k, d, d', d, d'), and (vals, vecs) the eigensystems of sigma on the first
-    factor, (k, d) and (k, d, d). Returns the k values of `gen_prmi_down`, the
-    eigensystems of the minimizers on the second factor, the k matrices
-    M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were decomposed, and
+    factor, (k, d) and (k, d, d). Returns the k values of the one-sided
+    minimum, the eigensystems of the minimizers on the second factor, and
     sigma's powered spectrum s^(1-alpha). A row whose M vanishes has value inf.
     """
     m, s_pow = _traced(orders, r, vals, vecs)
     m_vals, m_vecs = np.linalg.eigh(m)
-    return (*_one_sided_min(orders, m_vals), m_vecs, m, s_pow)
+    return (*_one_sided_min(orders, m_vals), m_vecs, s_pow)
 
 
 def _traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
-    """The half-step's M = tr_1[r (sigma^(1-alpha) x 1)] and s^(1-alpha), per row."""
+    """The half-step's M = tr_1[r (sigma^(1-alpha) x 1)] and s^(1-alpha), per row: the
+    one place that forms M, also for the gap and the grid of `oracle._batched_values`."""
     s_pow = spectral_power(vals, orders[1])
     m = np.einsum("kibjd,kji->kbd", r, _compose(s_pow, vecs))
     return (m + _dagger(m)) / 2, s_pow
@@ -262,7 +263,7 @@ def _up_down(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
         value[one] = _up_up(alphas[one], rho)
     if (a := alphas[~one]).size:
         sigma = _stacked([rho.marginal_a] * a.size)  # covers supp(rho_A): the values are finite
-        value[~one] = np.maximum(_one_sided(a, rho, _rho_power(rho, a), sigma)[0], 0.0) + 0.0
+        value[~one] = _one_sided(a, rho, _rho_power(rho, a), sigma)[0]
     return value
 
 
@@ -379,7 +380,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     ext = np.zeros(k, dtype=bool)
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
-        value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
+        value, t_vals, t_vecs, s_pow = _half_step(o, r, s_vals, s_vecs)
         if it == 1 and np.any(value == math.inf):
             raise InvalidInputError("the start point must not be orthogonal to supp(rho_A)")
         redo = ext & (value - prev > sl)
@@ -388,7 +389,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             e_vals, p_vecs = np.linalg.eigh(m_a[redo])
             p_vals = _one_sided_min(o_r, e_vals)[1]
             s_vals[redo], s_vecs[redo], used[redo], since[redo] = p_vals, p_vecs, m_a[redo], it + 1
-            value[redo], t_vals[redo], t_vecs[redo], _, s_pow[redo] = _half_step(
+            value[redo], t_vals[redo], t_vecs[redo], s_pow[redo] = _half_step(
                 o_r, r[redo], p_vals, p_vecs)
         rise = value - prev
         if np.any(rise > sl):
@@ -455,8 +456,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
         spectral_power(rho.marginal_a.spectrum, 0.0))
     solutions = [PrmiSolution(
-        # a divergence of states: rounding can dip below 0, and + 0.0 turns -0.0 into 0.0
-        value=max(float(value[j]), 0.0) + 0.0,
+        value=float(value[j]),
         alpha=float(alphas[j]),
         sigma_a=DensityOperator.from_eigensystem(last[0][j], last[1][j]),
         tau_b=DensityOperator.from_eigensystem(t_vals[j], t_vecs[j]),

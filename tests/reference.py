@@ -17,7 +17,7 @@ from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _check_psd,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
 from petzmi.prmi import (GAP_TOL, MAX_ITER, MONOTONICITY_SLACK, PrmiSolution, _compose, _dagger,
-                         _fw_gap, _half_step, _rho_power, prmi_down_down)
+                         _fw_gap, _half_step, _rho_power, _traced, prmi_down_down)
 from petzmi.states import BipartiteState, DensityOperator, Pmf
 
 
@@ -406,8 +406,8 @@ def _down_value_and_optimal_q(alpha: float, table: np.ndarray, r: np.ndarray):
     """min_q D_alpha(P || r x q) and its minimizer for one pmf r and alpha > 0:
     with m_y = sum_x P(x,y)^alpha r(x)^(1-alpha), the value is
     (alpha/(alpha-1)) log sum_y m_y^(1/alpha) at q ~ m^(1/alpha). The loop
-    for alpha > 1/2 runs on it, and the tests take it as the reference for
-    `classical._down_values`."""
+    for alpha > 1/2 runs on it, and so does the per-point simplex search that
+    the tests hold against `classical.rmi_down_down`."""
     with np.errstate(divide="ignore"):
         ra = np.where(r > 0, r ** (1.0 - alpha), 0.0)
     m = (table**alpha * ra[:, None]).sum(axis=0)
@@ -497,7 +497,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     rows = np.arange(k)  # the rows still running, indexes into the stack
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
-        value, t_vals, t_vecs, _, s_pow = _half_step(o, r, s_vals, s_vecs)
+        value, t_vals, t_vecs, s_pow = _half_step(o, r, s_vals, s_vecs)
         rise = value - prev
         if np.any(rise > sl):
             j = int(np.argmax(rise - sl))
@@ -506,7 +506,9 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             )
         history.append((rows, value))
         # B -> A through the transposed tensor
-        _, n_vals, n_vecs, kmat, _ = _half_step(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        kmat, _ = _traced(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        m_vals, n_vecs = np.linalg.eigh(kmat)
+        n_vals = _one_sided_min(o, m_vals)[1]
         g = _fw_gap(o, value, s_vals, s_vecs, s_pow, kmat)[0]
         done = (g <= GAP_TOL) & ((a > 0.5) | (prev - value <= GAP_TOL))
         if it == max_iter:
@@ -528,7 +530,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
     # the value, tau and residual of every row, as one more stacked step
-    value, t_vals, t_vecs, _, _ = _half_step(_orders(alphas), r_ab, *last)
+    value, t_vals, t_vecs, _ = _half_step(_orders(alphas), r_ab, *last)
     diff = _compose(*last) - _compose(*before)
     residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
     solutions = []

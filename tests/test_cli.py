@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import petzmi
+import petzmi.cli as cli
 from petzmi import exponents
 from petzmi.cli import _fmt, main, parse_input, sweep_rows
 from petzmi.prmi import _is_product
@@ -200,6 +202,47 @@ def generic_state_file(tmp_path):
     m = 0.7 * bell + 0.3 * np.eye(4) / 4
     flat = [[float(m[i, j]), 0.0] for i in range(4) for j in range(4)]
     return write_json(tmp_path / "g.json", {"dA": 2, "dB": 2, "matrix": flat})
+
+
+def test_sweep_refuses_a_stack_over_its_bound_before_building_it(tmp_path):
+    """--steps 10^9 asked np.linspace alone for 8 GB: the stack is counted from
+    --steps, the grid's lower end and the state's dimension first, and refused."""
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--state", generic_state_file(tmp_path), "--alpha-min", "0",
+            "--alpha-max", "2.5", "--steps", "1000000000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and not out.exists() and peak < 2**20
+
+
+class _StackSolved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("alpha_min, steps, admitted", [
+    ("0", 12500, True), ("0", 12501, False), ("0.5", 12501, False),
+    ("0.55", 125000, True), ("0.55", 125001, False)])
+def test_the_sweep_bound_counts_ten_rows_a_step_from_one_half_down(
+        monkeypatch, tmp_path, alpha_min, steps, admitted):
+    """MAX_SWEEP_ENTRIES = 2e6 bounds rows x (d_A d_B)^2: on a qubit pair, 16
+    entries a row, 12,500 steps of a grid that starts at or below 1/2, where an
+    order can take ten rows, and 125,000 of one above. No stack is solved here:
+    solving one raises _StackSolved."""
+    def solved(*args):
+        raise _StackSolved
+
+    monkeypatch.setattr(cli, "emit_sweep", solved)
+    argv = ["sweep", "--state", generic_state_file(tmp_path), "--alpha-min", alpha_min,
+            "--alpha-max", "2", "--steps", str(steps), "--out", str(tmp_path / "x.csv")]
+    if admitted:
+        with pytest.raises(_StackSolved):
+            main(argv)
+    else:
+        assert main(argv) == 4
 
 
 def test_sweep_unsupported_regime_emits_nan(tmp_path, capsys):

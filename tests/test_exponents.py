@@ -389,7 +389,7 @@ def test_near_pure_exponent_solves_do_not_stall(monkeypatch):
     monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
     assert direct_exponent(NEAR_PURE, 0.1).certified
     (cache,) = RecordingCache.made
-    assert all(sol.iterations <= 100 for sol in cache._values.values())
+    assert all(sol.iterations <= 100 for sol, _ in cache._table.values())
 
 
 @pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],
@@ -440,7 +440,7 @@ def test_cached_solves_are_one_order_solves(index, monkeypatch):
         direct_exponent(rho, frac * i_one)
     fields = ("value", "iterations", "gap", "residual", "certified", "objective_trace")
     for cache in RecordingCache.made:
-        for s, sol in cache._values.items():
+        for s, (sol, _) in cache._table.items():
             one = prmi_down_down(s, rho)
             assert sol.certified
             assert [getattr(sol, f) for f in fields] == [getattr(one, f) for f in fields], s

@@ -24,6 +24,7 @@ from petzmi.prmi import (
     _rho_power,
     _run_fixed_point,
     _solve_dd,
+    _traced,
     fixed_point_map,
     gen_prmi_down,
     prmi_closed_form,
@@ -47,9 +48,9 @@ def loop_arrays(alpha, rho, sigma):
     """(orders, value, s^(1-alpha), K) of one round at sigma, as the loop forms them."""
     a = _orders(np.array([alpha]))
     r = _rho_power(rho, a[0])
-    value, t_vals, t_vecs, _, s_pow = _half_step(a, r, sigma.spectrum[None],
-                                                 sigma.eigenvectors[None])
-    _, _, _, k, _ = _half_step(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+    value, t_vals, t_vecs, s_pow = _half_step(a, r, sigma.spectrum[None],
+                                              sigma.eigenvectors[None])
+    k, _ = _traced(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
     return a, value, s_pow, k
 
 
@@ -438,14 +439,15 @@ def test_half_step_and_gap_match_the_code_they_replace(dims, stack):
             k = alphas.size
             vals = np.repeat(sigma.spectrum[None], k, axis=0)
             vecs = np.repeat(sigma.eigenvectors[None], k, axis=0)
-            value, t_vals, t_vecs, m, s_pow = _half_step(orders, r, vals, vecs)
+            value, t_vals, t_vecs, s_pow = _half_step(orders, r, vals, vecs)
+            m, _ = _traced(orders, r, vals, vecs)
             ref_value, ref_t_vals, ref_t_vecs, ref_m = reference._unhoisted_half_step(
                 alphas, r, vals, vecs)
             for got, ref in ((value, ref_value), (t_vals, ref_t_vals), (m, ref_m),
                              (_compose(t_vals, t_vecs), _compose(ref_t_vals, ref_t_vecs))):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
             back = r.transpose(0, 2, 1, 4, 3)
-            k_mat = _half_step(orders, back, t_vals, t_vecs)[3]
+            k_mat = _traced(orders, back, t_vals, t_vecs)[0]
             ref_k_mat = reference._unhoisted_half_step(alphas, back, ref_t_vals, ref_t_vecs)[3]
             np.testing.assert_allclose(
                 _fw_gap(orders, value, vals, vecs, s_pow, k_mat)[0],

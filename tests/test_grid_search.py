@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from petzmi.classical import _SIMPLEX_STEPS, _down_values, _simplex_grid, rmi_down_down
+from petzmi.classical import _SIMPLEX_STEPS, _simplex_grid, rmi_down_down
 from petzmi.divergences import SUPPORT_OVERLAP_TOL, renyi_entropy
 from petzmi.errors import DomainError
 from petzmi.linalg import power_on_support, spectral_power
@@ -28,8 +28,8 @@ from petzmi.oracle import (
     brute_force_dd,
 )
 from petzmi.prmi import prmi_up_down
-from petzmi.states import DensityOperator, Pmf, random_bipartite
-from reference import _down_value_and_optimal_q, log_on_support
+from petzmi.states import DensityOperator, Pmf, cc_state, random_bipartite
+from reference import _down_value_and_optimal_q, classical_divergence, log_on_support
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -255,7 +255,7 @@ def test_simplex_objective_matches_written_out_form(alpha):
             # above alpha = 1 a boundary r raises 0 to a negative power: inf
             # in both forms, as D_alpha is; the search only runs alpha <= 1/2
             with np.errstate(divide="ignore", invalid="ignore"):
-                got = _down_values(alpha, table, sigmas)[0]
+                got = _batched_values(alpha, cc_state(Pmf(table)), sigmas)
                 ref = written_out_small_alpha_values(alpha, table, sigmas)
             assert_same_values(got, ref)
 
@@ -298,6 +298,20 @@ def test_classical_search_no_worse_than_loop(alpha):
             assert value <= loop_classical_small_alpha(alpha, table) + 1e-12
             assert r.sum() == pytest.approx(1.0, abs=1e-12) and np.min(r) >= 0
             assert q.sum() == pytest.approx(1.0, abs=1e-12) and np.min(q) >= 0
+
+
+SPARSE_PMFS = [np.array([[0.35, 0.15, 0.0], [0.0, 0.05, 0.45]]),
+               np.array([[0.2, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]])]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.5])
+def test_classical_search_pair_attains_its_value(alpha):
+    """q is gen_prmi_down's minimizer at the search's best r: the pair (r, q)
+    attains the value the search reports, also where r or q sits on a face."""
+    for table in SPARSE_PMFS:
+        value, r, q = rmi_down_down(alpha, Pmf(table))
+        d = classical_divergence(alpha, table.reshape(-1), np.outer(r, q).reshape(-1))
+        assert not d.is_infinite and abs(d.value - value) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", sorted(SOBOL_3X3))

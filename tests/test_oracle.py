@@ -11,6 +11,7 @@ from petzmi.oracle import _batched_values, brute_force_dd
 from petzmi.prmi import gen_prmi_down, prmi_down_down, prmi_up_down
 from petzmi.states import (
     BipartiteState,
+    cc_state,
     copy_cc_state,
     pure_bipartite,
     random_bipartite,
@@ -137,14 +138,28 @@ def test_three_dimensional_estimate_never_exceeds_up_down(seed):
         assert value <= prmi_up_down(alpha, rho).as_float() + 1e-12
 
 
+@pytest.mark.parametrize("alpha, rho", [
+    (0.0, random_bipartite(2, 2, 42)),
+    (0.0, cc_state([[0.35, 0.15], [0.05, 0.45]])),
+    (1.0, BipartiteState(np.kron(random_density(2, 1).matrix, random_density(2, 2).matrix), 2, 2)),
+], ids=["generic-0", "pmf-0", "product-1"])
+def test_estimate_is_floored_at_plus_zero(alpha, rho):
+    """On a full-rank state every sigma ties at D_0 = 0, and the search kept the
+    most negative rounding (-1.3e-15 and -1.1e-16 on the first two): the value is
+    gen_prmi_down's, floored at +0, and at alpha = 1 the grid's, floored alike."""
+    value, _, _ = brute_force_dd(alpha, rho, resolution=12)
+    assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_leak_tolerance_matches_gen_prmi_down():
     # rho_A = diag(1 - 5e-11, 5e-11) leaks 5e-11 off supp(sigma) = span{|0>}:
-    # below the support tolerance, so the grid objective is finite like the solver's
+    # below the support tolerance, so the grid objective is finite like the solver's.
+    # The leak lowers both to -1.5e-10, which gen_prmi_down floors at +0
     rho = copy_cc_state([1 - 5e-11, 5e-11])
     sigma = np.diag([1.0, 0.0])
     value, _ = gen_prmi_down(1.5, rho, sigma)
     assert math.isfinite(value)
-    assert _batched_values(1.5, rho, sigma[None])[0] == pytest.approx(value, abs=1e-12)
+    assert max(_batched_values(1.5, rho, sigma[None])[0], 0.0) == pytest.approx(value, abs=1e-12)
     # at alpha = 1 both are finite too; they differ by the leaked term 5e-11 * log(5e-11)
     ref = relative_entropy(rho, np.kron(sigma, rho.marginal_b.matrix))
     assert not ref.is_infinite

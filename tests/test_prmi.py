@@ -61,6 +61,16 @@ def test_gen_down_minimizer_is_optimal(qubit_pair):
     assert petz_divergence(alpha, rho, ref).value == pytest.approx(value, abs=1e-10)
 
 
+def test_gen_down_is_floored_at_plus_zero():
+    """On a full-rank state every sigma ties at D_0 = 0, and the one-sided value
+    read rounding below it (down to -2e-15 over 200 sigmas): `_one_sided` floors
+    it at +0, for gen_prmi_down as for ud and the loop's rows."""
+    rho = random_bipartite(2, 2, 42)
+    for seed in range(20):
+        value, _ = gen_prmi_down(0.0, rho, random_density(2, seed))
+        assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def loop_or_window(alpha, rho):
     """The loop from rho_A, which `prmi_down_down` does not run on pure and
     copy-cc states, or the alpha = 1 route, where the loop does not run."""
