@@ -28,7 +28,7 @@ import numpy as np
 
 from . import exponents, hypotest, oracle
 from .errors import InvalidInputError, PetzmiError, ResourceLimitError, UnsupportedRegimeError
-from .prmi import PrmiSolution, _solve_dd, _up_down, _up_up, prmi
+from .prmi import PrmiSolution, _low_starts, _solve_dd, _up_down, _up_up, prmi, prmi_closed_form
 from .states import BipartiteState, Pmf, cc_state, pure_bipartite
 
 EXIT_OK = 0
@@ -36,9 +36,9 @@ EXIT_MISSING_FILE = 2
 EXIT_SCHEMA = 3
 EXIT_INVARIANT = 4
 EXIT_NOT_CONVERGED = 5
-# loop rows x (d_A d_B)^2, ten rows a step if the grid starts at or below 1/2, else
-# one; at this bound a qubit pair swept over [0, 1/2] peaks near 0.6 GB
-MAX_SWEEP_ENTRIES = 2 * 10**6
+# rows x ((d_A d_B)^2 + 50): a row a step, and a loop row a start at a step at or
+# below 1/2; at this bound the sweeps measured peak at 0.7 to 0.9 GB
+MAX_SWEEP_ENTRIES = 14 * 10**6
 
 
 class SchemaError(Exception):
@@ -177,12 +177,14 @@ def cmd_sweep(args) -> int:
         raise InvalidInputError("sweep grid must lie inside [0, 2.5]")
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be at least 1, got {args.steps}")
-    loop_rows = args.steps * (10 if args.alpha_min <= 0.5 else 1)
-    if loop_rows * state.dim**2 > MAX_SWEEP_ENTRIES:
-        raise ResourceLimitError(f"--steps {args.steps} gives up to {loop_rows} loop rows of "
-                                 f"dimension {state.dim}: over {MAX_SWEEP_ENTRIES} matrix entries")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    rows = emit_sweep(state, alphas, args.out)
+    lo, hi, n = args.alpha_min, args.alpha_max, args.steps
+    low = 0 if lo > 0.5 else n if hi <= 0.5 else int((0.5 - lo) * (n - 1) / (hi - lo)) + 1
+    count = n  # a row a step, and a loop row a start at each step at or below 1/2
+    if low and prmi_closed_form(0.0, state, "dd") is None:
+        count += max(len(_low_starts(state, state.diagonal_pmf_or_none())) - 1, 0) * low
+    if count * (state.dim**2 + 50) > MAX_SWEEP_ENTRIES:
+        raise ResourceLimitError(f"--steps {n}: {count} rows of dimension {state.dim}, too many")
+    rows = emit_sweep(state, np.linspace(lo, hi, n), args.out)
     if args.json:
         print(json.dumps({"out": args.out, "rows": [
             {"alpha": a, "rmi0": _fmt(r0), "rmi1": _fmt(r1), "rmi2": _fmt(r2), "certified": c}

@@ -30,8 +30,9 @@ from .states import BipartiteState, DensityOperator
 
 DEFAULT_RESOLUTION = 24
 # grid points x (d_A^2 + d_B^2), the matrix entries the grid's stacks hold per point;
-# at this bound a grid peaks at 1.1 to 1.5 GB (qubit or qutrit A side, d_B = 2 or 4)
+# at this bound a qutrit A side with d_B = 4 and resolution 99 peaks near 1 GB
 MAX_GRID_ENTRIES = 25 * 10**6
+_SLICE = 2**14  # grid points per call of the objective, so that its temporaries stay small
 _REFINE_WIDTH = 0.15  # half-width of the first box, in Bloch units
 _REFINE_POINTS = 7  # stencil points per coordinate
 _REFINE_ROUNDS = 8
@@ -74,13 +75,13 @@ def _grid_refine(grid: np.ndarray, objective, basis: np.ndarray) -> tuple[float,
     """Minimize a batched objective, mapping a (k, d, d) stack of density
     matrices to k values, and return (value, sigma).
 
-    The argmin over `grid` is refined for _REFINE_ROUNDS rounds around the best
-    point so far, on _REFINE_POINTS steps per coordinate of `basis` over a
-    half-width that starts at _REFINE_WIDTH and shrinks by 1/4 per round: the
-    full box for at most 3 coordinates, one coordinate at a time beyond.
+    The argmin over `grid`, ranked _SLICE points at a time, is refined for
+    _REFINE_ROUNDS rounds around the best point so far, on _REFINE_POINTS steps per
+    coordinate of `basis` over a half-width that starts at _REFINE_WIDTH and shrinks
+    by 1/4 per round: the full box for at most 3 coordinates, one at a time beyond.
     """
     d = grid.shape[-1]
-    vals = objective(grid)
+    vals = np.concatenate([objective(g) for g in np.split(grid, range(_SLICE, len(grid), _SLICE))])
     k = int(np.argmin(vals))
     best_val, best = float(vals[k]), grid[k]
     m = len(basis)

@@ -446,9 +446,9 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         m_a, res, used, since, ext = m_a[keep], res[keep], used[keep], since[keep], ext[keep]
         if rows.size == 0:
             break
-    trace = np.full((len(history), k), math.nan)
-    for t, (r, v) in enumerate(history):
-        trace[t, r] = v
+    # each row's values in round order: row j runs rounds 1 to rounds[j], so sort stably by row
+    order = np.argsort(np.concatenate([rw for rw, _ in history]), kind="stable")
+    traces = np.split(np.concatenate([v for _, v in history])[order], np.cumsum(rounds)[:-1])
     # tau of every row, as one more stacked step, and the value at sigma x tau
     value, t_vals, t_vecs = _one_sided(alphas, rho, r_ab, tuple(last))
     # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
@@ -462,7 +462,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         tau_b=DensityOperator.from_eigensystem(t_vals[j], t_vecs[j]),
         residual=float(residual[j]),
         iterations=int(rounds[j]),
-        objective_trace=tuple(trace[: rounds[j], j].tolist()),
+        objective_trace=tuple(traces[j].tolist()),
         certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL
                        and full[j]),
         gap=float(gap[j]),
@@ -521,12 +521,8 @@ def _solve_dd(alphas, rho: BipartiteState) -> list:
             solutions[j] = UnsupportedRegimeError(f"doubly minimized Renyi mutual information of "
                                                   f"a generic state is not supported for "
                                                   f"alpha = {alpha} > 2")
-        elif alpha > 0.5:
-            loop[j] = [a]
-        elif pmf is not None and rho.d_a <= 3:
-            loop[j] = [a, *_face_starts(pmf.marginal_x)]
-        elif rho.d_a <= 3 and rho.d_b <= 3:
-            loop[j] = [a, *_small_alpha_starts(rho.d_a)]
+        elif starts := ([a] if alpha > 0.5 else _low_starts(rho, pmf)):
+            loop[j] = starts
         else:
             solutions[j] = UnsupportedRegimeError(
                 "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
@@ -538,12 +534,17 @@ def _solve_dd(alphas, rho: BipartiteState) -> list:
     return [solutions[j] for j in range(alphas.size)]
 
 
-def _face_starts(p: np.ndarray) -> list[DensityOperator]:
-    """The uniform states on the nonempty faces of the simplex over supp(p), p the diagonal
-    of a diagonal rho_A: its starts below 1/2, where optima can lie on those faces."""
-    faces = (np.arange(1, 2**p.size)[:, None] >> np.arange(p.size)) & 1  # every nonempty subset
-    faces = faces[~np.any(faces > spectral_power(p, 0.0), axis=1)]  # within supp(p)
-    return [DensityOperator.from_eigensystem(f / f.sum(), np.eye(p.size)) for f in faces]
+def _low_starts(rho: BipartiteState, pmf) -> list[DensityOperator]:
+    """A loop order's starts at or below 1/2, pmf `diagonal_pmf_or_none()`: rho_A and the
+    uniform states on the faces of the simplex over supp(rho_A), where optima can lie, if
+    diagonal with d_A <= 3, else `_small_alpha_starts` if d_A, d_B <= 3; none (no route)."""
+    if pmf is not None and rho.d_a <= 3:
+        p = pmf.marginal_x
+        faces = (np.arange(1, 2**p.size)[:, None] >> np.arange(p.size)) & 1  # every nonempty subset
+        faces = faces[~np.any(faces > spectral_power(p, 0.0), axis=1)]  # within supp(p)
+        return [rho.marginal_a, *(DensityOperator.from_eigensystem(f / f.sum(), np.eye(p.size))
+                                  for f in faces)]
+    return [rho.marginal_a, *_small_alpha_starts(rho.d_a)] if max(rho.d_a, rho.d_b) <= 3 else []
 
 
 @functools.lru_cache(maxsize=None)

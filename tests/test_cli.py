@@ -223,26 +223,47 @@ class _StackSolved(Exception):
     pass
 
 
-@pytest.mark.parametrize("alpha_min, steps, admitted", [
-    ("0", 12500, True), ("0", 12501, False), ("0.5", 12501, False),
-    ("0.55", 125000, True), ("0.55", 125001, False)])
-def test_the_sweep_bound_counts_ten_rows_a_step_from_one_half_down(
-        monkeypatch, tmp_path, alpha_min, steps, admitted):
-    """MAX_SWEEP_ENTRIES = 2e6 bounds rows x (d_A d_B)^2: on a qubit pair, 16
-    entries a row, 12,500 steps of a grid that starts at or below 1/2, where an
-    order can take ten rows, and 125,000 of one above. No stack is solved here:
-    solving one raises _StackSolved."""
+def _state_file(tmp_path, name):
+    """The sweep bound's states: a noisy Bell pair, a diagonal non-copy 2x2 pmf, a
+    pure 2x2 state and a generic 4x4 one."""
+    if name == "generic":
+        return generic_state_file(tmp_path)
+    if name == "diagonal":
+        return write_json(tmp_path / "d.json", {"pmf": [[0.35, 0.15], [0.05, 0.45]]})
+    if name == "pure":
+        return write_json(tmp_path / "p.json", {"amplitudes": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]],
+                                                "dA": 2, "dB": 2})
+    m = petzmi.random_bipartite(4, 4, 0).matrix
+    return write_json(tmp_path / "g44.json", {"dA": 4, "dB": 4,
+                                              "matrix": [[z.real, z.imag] for z in m.ravel()]})
+
+
+@pytest.mark.parametrize("state, lo, hi, steps", [
+    ("generic", "0", "0.5", 21212),  # ten rows a step: rho_A and the nine fixed starts
+    ("generic", "0.5", "2.5", 212112),  # ten rows at alpha = 1/2 alone, one at each other step
+    ("generic", "0.55", "2", 212121),  # one row a step
+    ("diagonal", "0", "0.5", 53030),  # four rows a step: rho_A and the three simplex faces
+    ("pure", "0", "2.5", 212121),  # a closed form: one row a step
+    ("generic44", "0", "2", 45751),  # no route at or below 1/2: one row a step
+])
+def test_the_sweep_bound_counts_the_rows_of_each_step(monkeypatch, tmp_path, state, lo, hi, steps):
+    """MAX_SWEEP_ENTRIES = 1.4e7 bounds rows x ((d_A d_B)^2 + 50): a row a step,
+    and a loop row a start at a step at or below 1/2, counted without the grid.
+    The largest admitted --steps is admitted and one step more refused; no stack
+    is solved here: solving one raises _StackSolved."""
     def solved(*args):
         raise _StackSolved
 
     monkeypatch.setattr(cli, "emit_sweep", solved)
-    argv = ["sweep", "--state", generic_state_file(tmp_path), "--alpha-min", alpha_min,
-            "--alpha-max", "2", "--steps", str(steps), "--out", str(tmp_path / "x.csv")]
-    if admitted:
-        with pytest.raises(_StackSolved):
-            main(argv)
-    else:
-        assert main(argv) == 4
+    path = _state_file(tmp_path, state)
+    for n, admitted in ((steps, True), (steps + 1, False)):
+        argv = ["sweep", "--state", path, "--alpha-min", lo, "--alpha-max", hi,
+                "--steps", str(n), "--out", str(tmp_path / "x.csv")]
+        if admitted:
+            with pytest.raises(_StackSolved):
+                main(argv)
+        else:
+            assert main(argv) == 4
 
 
 def test_sweep_unsupported_regime_emits_nan(tmp_path, capsys):

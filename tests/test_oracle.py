@@ -154,12 +154,14 @@ def test_estimate_is_floored_at_plus_zero(alpha, rho):
 def test_leak_tolerance_matches_gen_prmi_down():
     # rho_A = diag(1 - 5e-11, 5e-11) leaks 5e-11 off supp(sigma) = span{|0>}:
     # below the support tolerance, so the grid objective is finite like the solver's.
-    # The leak lowers both to -1.5e-10, which gen_prmi_down floors at +0
+    # There M = (1 - 5e-11)^alpha |0><0|: the grid reads (alpha / (alpha - 1)) log(1 - 5e-11)
+    # = -1.5e-10, unfloored, and gen_prmi_down the same floored at +0
     rho = copy_cc_state([1 - 5e-11, 5e-11])
     sigma = np.diag([1.0, 0.0])
+    grid = _batched_values(1.5, rho, sigma[None])[0]
+    assert grid == pytest.approx(3.0 * math.log1p(-5e-11), abs=1e-12)
     value, _ = gen_prmi_down(1.5, rho, sigma)
-    assert math.isfinite(value)
-    assert max(_batched_values(1.5, rho, sigma[None])[0], 0.0) == pytest.approx(value, abs=1e-12)
+    assert value == max(grid, 0.0) + 0.0 and math.copysign(1.0, value) == 1.0
     # at alpha = 1 both are finite too; they differ by the leaked term 5e-11 * log(5e-11)
     ref = relative_entropy(rho, np.kron(sigma, rho.marginal_b.matrix))
     assert not ref.is_infinite
