@@ -83,48 +83,28 @@ def _derivatives(rho: BipartiteState, alphas: np.ndarray, solutions) -> np.ndarr
     return _centered(alphas - 1.0, lam, mu, w, derivative=True)[1]
 
 
-class _PrmiCache:
-    """Memoized I_s evaluations of one state at orders s in (1/2, 1), each with
-    its derivative dI/ds. The new orders of a request are solved as one stack by
-    `prmi._solve_dd`, which picks each order's route and start, and differentiated
-    as one stack (`_derivatives`): each cached solve is the one
-    `prmi_down_down(s)` makes."""
-
-    def __init__(self, rho: BipartiteState):
-        self.rho = rho
-        self._table: dict[float, tuple[PrmiSolution, float]] = {}
-
-    def solve(self, s_values) -> None:
-        """Solve and differentiate the orders of s_values that are not cached
-        yet, as one stack."""
-        missing = [s for s in dict.fromkeys(s_values) if s not in self._table]
-        if not missing:
-            return
-        solutions = _solve_dd(missing, self.rho)
-        slopes = _derivatives(self.rho, np.array(missing), solutions).tolist()
-        self._table.update(zip(missing, zip(solutions, slopes)))
-
-    def solution(self, s: float) -> PrmiSolution:
-        self.solve([s])
-        return self._table[s][0]
-
-    def value(self, s: float) -> float:
-        return self.solution(s).as_float()
-
-    def derivatives(self, s_values) -> list[float]:
-        """dI/ds at each order of s_values."""
-        self.solve(s_values)
-        return [self._table[s][1] for s in s_values]
-
-    def optimal_rate(self, s: float) -> tuple[float, float]:
-        """The rate psi(s) = I_s - s(1-s) dI/ds at which s is the optimal
-        parameter, and the derivative dI/ds it was formed from."""
-        d = self.derivatives([s])[0]
-        return self.value(s) - s * (1.0 - s) * d, d
+def _solved(rho: BipartiteState, table: dict, orders) -> list[tuple[PrmiSolution, float]]:
+    """(I_s solution, dI/ds) at each order s in (1/2, 1), from `table`, the memo
+    of one state: its missing orders are solved as one stack by `prmi._solve_dd`,
+    which picks each order's route and start, and differentiated as one stack
+    (`_derivatives`). Each solve is the one `prmi_down_down(s)` makes."""
+    missing = [s for s in dict.fromkeys(orders) if s not in table]
+    if missing:
+        solutions = _solve_dd(missing, rho)
+        slopes = _derivatives(rho, np.array(missing), solutions).tolist()
+        table.update(zip(missing, zip(solutions, slopes)))
+    return [table[s] for s in orders]
 
 
-def r_half_threshold(rho: BipartiteState, cache: _PrmiCache) -> float:
-    """The rate threshold R_(1/2) = I_(1/2) - (1/4) d/ds I_s at s = 1/2+.
+def _psi(s: float, row: tuple[PrmiSolution, float]) -> float:
+    """The rate psi(s) = I_s - s(1-s) dI/ds at which s is the optimal parameter,
+    from the row (solution, dI/ds) of `_solved`."""
+    return row[0].as_float() - s * (1.0 - s) * row[1]
+
+
+def r_half_threshold(rho: BipartiteState, table: dict) -> float:
+    """The rate threshold R_(1/2) = I_(1/2) - (1/4) d/ds I_s at s = 1/2+, its two
+    orders read through the memo `table` of `_solved`.
 
     Both the value and the one-sided derivative are extrapolated to s = 1/2 from
     the right with a two-point Richardson step, then clamped into [a known lower
@@ -132,9 +112,8 @@ def r_half_threshold(rho: BipartiteState, cache: _PrmiCache) -> float:
     correlated states, else 0. A search for I_0 is not used: it returns an
     estimate from above, which is no lower bound.
     """
-    s1, s2 = 0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP
-    i_half = 2 * cache.value(s1) - cache.value(s2)
-    d1, d2 = cache.derivatives([s1, s2])
+    (sol1, d1), (sol2, d2) = _solved(rho, table, [0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP])
+    i_half = 2 * sol1.as_float() - sol2.as_float()
     r = i_half - 0.25 * (2 * d1 - d2)
     return float(min(max(r, prmi_closed_form(0.0, rho, "dd") or 0.0), i_half))
 
@@ -158,25 +137,25 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     if not rate >= 0:  # also rejects nan
         raise DomainError(f"rate must be nonnegative, got {rate!r}")
     i_one = prmi_down_down(1.0, rho).value
-    cache = _PrmiCache(rho)
+    table: dict = {}
     lo, hi = 0.5 + 1e-4, 1.0 - 1e-4
     read = [0.5 + R_HALF_STEP, 0.5 + 2 * R_HALF_STEP]
     opening = read + [lo, hi, *_NODES] if rate < i_one else read
-    cache.derivatives(opening)
-    r_half = r_half_threshold(rho, cache)
+    _solved(rho, table, opening)
+    r_half = r_half_threshold(rho, table)
     guaranteed = rate > r_half
     if rate >= i_one:
         return ExponentReport(
             rate=rate, exponent=0.0, s_star=None, mutual_information=i_one, r_half=r_half,
-            guaranteed_exact=guaranteed, certified=all(cache.solution(s).certified for s in read),
+            guaranteed_exact=guaranteed, certified=all(table[s][0].certified for s in read),
         )
 
     def g(s_values) -> list[float]:
-        cache.derivatives(s_values)
-        return [float(cache.optimal_rate(s)[0] - rate) for s in s_values]
+        rows = _solved(rho, table, s_values)
+        return [float(_psi(s, row) - rate) for s, row in zip(s_values, rows)]
 
     def objective(s: float) -> float:
-        return ((1.0 - s) / s) * (cache.value(s) - rate)
+        return ((1.0 - s) / s) * (table[s][0].as_float() - rate)
 
     known = dict(zip(opening, g(opening)))
     if known[lo] >= 0:
@@ -190,7 +169,7 @@ def direct_exponent(rho: BipartiteState, rate: float) -> ExponentReport:
     return ExponentReport(
         rate=rate, exponent=max(objective(s_star), 0.0), s_star=s_star,
         mutual_information=i_one, r_half=r_half, guaranteed_exact=guaranteed,
-        certified=all(cache.solution(s).certified for s in read + [s_star, lo, hi]),
+        certified=all(table[s][0].certified for s in read + [s_star, lo, hi]),
     )
 
 
@@ -241,17 +220,13 @@ def rate_curve(rho: BipartiteState, s_values) -> list[RateCurvePoint]:
 
     At parameter s the optimizing rate is R(s) = I_s - s(1-s) dI/ds and the
     exponent there is (1-s)^2 dI/ds; the rate increases toward the mutual
-    information as s -> 1 while the exponent decays to zero.
+    information as s -> 1 while the exponent decays to zero. A rate is at least
+    R_(1/2) >= 0, so one that rounds below 0 where it is about 0 reads +0.
     """
     s_values = list(s_values)
     for s in s_values:
         if not 0.5 < s < 1.0:
             raise DomainError(f"curve parameter must lie in (1/2, 1), got {s}")
-    cache = _PrmiCache(rho)
-    cache.derivatives(s_values)
-    points = []
-    for s in s_values:
-        rate, d = cache.optimal_rate(s)
-        points.append(RateCurvePoint(s=float(s), rate=rate, exponent=(1.0 - s) ** 2 * d,
-                                     certified=cache.solution(s).certified))
-    return points
+    return [RateCurvePoint(s=float(s), rate=max(_psi(s, row), 0.0) + 0.0,
+                           exponent=(1.0 - s) ** 2 * row[1], certified=row[0].certified)
+            for s, row in zip(s_values, _solved(rho, {}, s_values))]

@@ -534,6 +534,43 @@ def test_oracle_command(pure_file, capsys):
     assert float(out["value"]) > 0
 
 
+def test_compute_prints_its_payload_as_text(tmp_path, capsys):
+    """Without --json, `compute` prints a `key: value` line per payload entry,
+    in payload order, every float to 12 significant digits."""
+    path = generic_state_file(tmp_path)
+    assert main(["compute", "--state", path, "--alpha", "0.8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["--json", "compute", "--state", path, "--alpha", "0.8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert isinstance(payload["gap"], float)
+    keys = ["which", "alpha", "value", "certified", "residual", "iterations", "gap"]
+    assert lines == [f"{k}: {_fmt(payload[k]) if isinstance(payload[k], float) else payload[k]}"
+                     for k in keys]
+
+
+def test_oracle_prints_alpha_value_and_resolution_as_text(pure_file, capsys):
+    assert main(["oracle", "--state", pure_file, "--alpha", "0.8", "--resolution", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["--json", "oracle", "--state", pure_file, "--alpha", "0.8",
+                 "--resolution", "8"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert lines == ["alpha: 0.8", f"value: {value}", "resolution: 8"]
+
+
+def test_sweep_json_prints_the_csv_cells(tmp_path, capsys):
+    """Each rmi0/rmi1/rmi2 string that `sweep --json` prints is the CSV cell
+    of its row."""
+    out = tmp_path / "s.csv"
+    assert main(["--json", "sweep", "--state", generic_state_file(tmp_path), "--alpha-min", "0.2",
+                 "--alpha-max", "2", "--steps", "7", "--out", str(out)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(cells) == 7
+    for row, (alpha, rmi0, rmi1, rmi2, certified) in zip(rows, cells):
+        assert [row["rmi0"], row["rmi1"], row["rmi2"]] == [rmi0, rmi1, rmi2]
+        assert _fmt(row["alpha"]) == alpha and str(row["certified"]) == certified
+
+
 def test_oracle_command_rejects_resolution_zero(tmp_path, capsys):
     rho = random_bipartite(3, 3, 1)
     flat = [[float(z.real), float(z.imag)] for z in rho.matrix.reshape(-1)]

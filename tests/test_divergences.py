@@ -12,7 +12,7 @@ from petzmi.divergences import (
     renyi_entropy,
     sandwiched_divergence,
 )
-from petzmi.errors import DomainError
+from petzmi.errors import DomainError, InvalidInputError
 from petzmi.states import DensityOperator, random_density
 
 
@@ -139,3 +139,10 @@ def test_order_validation():
         petz_divergence(-0.5, diag(1.0, 0.0), diag(0.5, 0.5))
     with pytest.raises(DomainError):
         sandwiched_divergence(0.0, diag(1.0, 0.0), diag(0.5, 0.5))
+
+
+def test_a_nan_entropy_order_and_unequal_dimensions_are_rejected():
+    with pytest.raises(DomainError):
+        renyi_entropy(math.nan, random_density(2, 0))
+    with pytest.raises(InvalidInputError, match="equal dimension"):
+        petz_divergence(0.8, random_density(2, 0), random_density(3, 0))

@@ -9,7 +9,7 @@ from petzmi import exponents, linalg
 from petzmi.divergences import relative_entropy_variance
 from petzmi.errors import DomainError, UnsupportedRegimeError
 from petzmi.exponents import (
-    _PrmiCache,
+    _solved,
     alpha_derivative,
     direct_exponent,
     r_half_threshold,
@@ -103,12 +103,12 @@ def test_matches_dense_grid():
 
 def test_copy_cc_threshold_is_zero():
     # perfectly correlated states admit positive exponents at every positive rate
-    assert r_half_threshold(CC_02, _PrmiCache(CC_02)) == pytest.approx(0.0, abs=1e-4)
+    assert r_half_threshold(CC_02, {}) == pytest.approx(0.0, abs=1e-4)
 
 
 def test_pure_state_threshold_bounds():
     rho = pure_bipartite([math.sqrt(0.2), 0, 0, math.sqrt(0.8)], 2, 2)
-    r = r_half_threshold(rho, _PrmiCache(rho))
+    r = r_half_threshold(rho, {})
     i_half = prmi_down_down(0.5 + 1e-6, rho).value
     i_zero = prmi_down_down(0.0, rho).value
     assert i_zero - 1e-3 <= r <= i_half + 1e-3
@@ -203,7 +203,7 @@ def test_orders_next_to_one_stay_below_the_mutual_information():
     grid = [1.0 - 1e-8, 1.0 - 1e-9]
     for s, point in zip(grid, rate_curve(rho, grid), strict=True):
         assert point.rate <= i_one
-        assert _PrmiCache(rho).value(s) == prmi_down_down(s, rho).value
+        assert _solved(rho, {}, [s])[0][0].as_float() == prmi_down_down(s, rho).value
 
 
 def test_a_rate_above_psi_at_the_right_end_puts_s_star_there():
@@ -268,15 +268,15 @@ def test_root_search_matches_golden_section(index):
 def illinois_exponent(rho, rate):
     """(exponent, s_star) of the search that the stacked search replaced: the
     opening stack without nodes, then Illinois regula falsi on g(s) = psi(s) -
-    rate, one order per step, through the same cache."""
-    cache = _PrmiCache(rho)
-    cache.derivatives([0.5 + exponents.R_HALF_STEP, 0.5 + 2 * exponents.R_HALF_STEP, LO, HI])
+    rate, one order per step, through the same memo table of `_solved`."""
+    table, h = {}, exponents.R_HALF_STEP
+    _solved(rho, table, [0.5 + h, 0.5 + 2 * h, LO, HI])
 
     def g(s):
-        return cache.optimal_rate(s)[0] - rate
+        return exponents._psi(s, _solved(rho, table, [s])[0]) - rate
 
     def objective(s):
-        return ((1.0 - s) / s) * (cache.value(s) - rate)
+        return ((1.0 - s) / s) * (_solved(rho, table, [s])[0][0].as_float() - rate)
 
     g_lo, g_hi = g(LO), g(HI)
     s_star = LO if g_lo >= 0 else HI if g_hi <= 0 else _illinois_root(g, LO, HI, g_lo, g_hi)
@@ -301,7 +301,7 @@ STACK_STATES = [random_bipartite(2, 2 + k % 2, k // 2) for k in range(20)]
 
 
 def recorded_stacks(monkeypatch) -> list:
-    """The stacks of orders that the cache hands the route table, as recorded
+    """The stacks of orders that `_solved` hands the route table, as recorded
     from now on."""
     stacks = []
 
@@ -381,22 +381,21 @@ def test_near_pure_exponent_solves_do_not_stall(monkeypatch):
     which the former search reached next, it stalled the loop for all 10,000
     rounds and left that solve, and the report at rate 0.1, uncertified. Every
     order starts from rho_A: each solve takes at most 100 rounds."""
-    cache = _PrmiCache(NEAR_PURE)
-    cache.solve([0.5 + exponents.R_HALF_STEP, 0.5 + 2 * exponents.R_HALF_STEP, LO, HI])
-    sol = cache.solution(0.5605581850357393)
+    table, h = {}, exponents.R_HALF_STEP
+    _solved(NEAR_PURE, table, [0.5 + h, 0.5 + 2 * h, LO, HI])
+    ((sol, _),) = _solved(NEAR_PURE, table, [0.5605581850357393])
     assert sol.certified and sol.iterations <= 100
-    RecordingCache.made = []
-    monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
+    tables = recorded_tables(monkeypatch)
     assert direct_exponent(NEAR_PURE, 0.1).certified
-    (cache,) = RecordingCache.made
-    assert all(sol.iterations <= 100 for sol, _ in cache._table.values())
+    (table,) = tables
+    assert all(sol.iterations <= 100 for sol, _ in table.values())
 
 
 @pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],
                          ids=["copy-cc", "pure", "random"])
 def test_solves_per_exponent(rho, monkeypatch):
     """Counts the single solves: the cold `prmi_down_down` calls and every
-    order of the stacks the cache hands to the route table `_solve_dd`."""
+    order of the stacks `_solved` hands to the route table `_solve_dd`."""
     calls = []
 
     def counting(alpha, rho):
@@ -416,31 +415,34 @@ def test_solves_per_exponent(rho, monkeypatch):
         assert len(calls) <= 20
 
 
+def recorded_tables(monkeypatch) -> list:
+    """The memo tables that `_solved` fills, each once, as recorded from now on:
+    one per `direct_exponent` report."""
+    tables = []
 
-class RecordingCache(_PrmiCache):
-    """The cache that `direct_exponent` builds, kept for inspection."""
+    def recording(rho, table, orders):
+        if not any(t is table for t in tables):
+            tables.append(table)
+        return _solved(rho, table, orders)
 
-    made = []
-
-    def __init__(self, rho):
-        super().__init__(rho)
-        self.made.append(self)
+    monkeypatch.setattr(exponents, "_solved", recording)
+    return tables
 
 
 @pytest.mark.parametrize("index", range(len(DIFFERENTIAL_STATES)))
 def test_cached_solves_are_one_order_solves(index, monkeypatch):
-    """Every solve that `direct_exponent` caches at the four rates is certified
-    and, field for field, the solve `prmi_down_down(s)` makes: I_s depends on
-    the state and s alone, not on the orders the search solved before it."""
+    """Every solve in the memo tables of `direct_exponent` at the four rates is
+    certified and, field for field, the solve `prmi_down_down(s)` makes: I_s
+    depends on the state and s alone, not on the orders the search solved
+    before it."""
     rho = DIFFERENTIAL_STATES[index]
-    RecordingCache.made = []
-    monkeypatch.setattr(exponents, "_PrmiCache", RecordingCache)
+    tables = recorded_tables(monkeypatch)
     i_one = prmi_down_down(1.0, rho).value
     for frac in RATE_FRACTIONS:
         direct_exponent(rho, frac * i_one)
     fields = ("value", "iterations", "gap", "residual", "certified", "objective_trace")
-    for cache in RecordingCache.made:
-        for s, (sol, _) in cache._table.items():
+    for table in tables:
+        for s, (sol, _) in table.items():
             one = prmi_down_down(s, rho)
             assert sol.certified
             assert [getattr(sol, f) for f in fields] == [getattr(one, f) for f in fields], s
@@ -475,19 +477,19 @@ def test_exponent_solves_only_above_half(rho, monkeypatch):
     monkeypatch.setattr(exponents, "_solve_dd", recording_table)
     for frac in RATE_FRACTIONS + (1.2,):
         direct_exponent(rho, frac * i_one)
-    r_half_threshold(rho, _PrmiCache(rho))
+    r_half_threshold(rho, {})
     rate_curve(rho, np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 25))
     assert orders and all(0.5 < s <= 1.0 for s in orders)
 
 
-def floored_at_search(rho, cache=None):
+def floored_at_search(rho, table):
     """R_(1/2) clamped below by the alpha = 0 solve, as before the floor
     became a known lower bound of I_0; kept as the differential reference."""
-    cache = cache or _PrmiCache(rho)
     h = exponents.R_HALF_STEP
-    i_half = 2 * cache.value(0.5 + h) - cache.value(0.5 + 2 * h)
-    d_half = (2 * alpha_derivative(0.5 + h, rho, cache.solution(0.5 + h))
-              - alpha_derivative(0.5 + 2 * h, rho, cache.solution(0.5 + 2 * h)))
+    (sol1, _), (sol2, _) = _solved(rho, table, [0.5 + h, 0.5 + 2 * h])
+    i_half = 2 * sol1.as_float() - sol2.as_float()
+    d_half = (2 * alpha_derivative(0.5 + h, rho, sol1)
+              - alpha_derivative(0.5 + 2 * h, rho, sol2))
     r = i_half - 0.25 * d_half
     try:
         i_zero = prmi_down_down(0.0, rho).as_float()
@@ -521,7 +523,38 @@ def test_known_floor_matches_search_floor(rho, monkeypatch):
     against flooring it at the alpha = 0 solve."""
     i_one = prmi_down_down(1.0, rho).value
     rates = [frac * i_one for frac in (0.1, 0.8, 1.2)]
-    new = [r_half_threshold(rho, _PrmiCache(rho))] + [direct_exponent(rho, rate) for rate in rates]
+    new = [r_half_threshold(rho, {})] + [direct_exponent(rho, rate) for rate in rates]
     monkeypatch.setattr(exponents, "r_half_threshold", floored_at_search)
-    old = [floored_at_search(rho)] + [direct_exponent(rho, rate) for rate in rates]
+    old = [floored_at_search(rho, {})] + [direct_exponent(rho, rate) for rate in rates]
     assert new == old
+
+
+@pytest.mark.parametrize("rho", [CC_02, DIFFERENTIAL_STATES[1], DIFFERENTIAL_STATES[3]],
+                         ids=["copy-cc", "pure", "random"])
+def test_curve_rates_never_read_below_plus_zero(rho):
+    """An optimal rate is at least R_(1/2) >= 0. On the copy state, the rate at
+    s = 0.501 rounded to -5.6e-17; every curve rate now reads +0 or above."""
+    for point in rate_curve(rho, np.linspace(0.501, 0.999, 25)):
+        assert point.rate >= 0 and math.copysign(1.0, point.rate) == 1.0, point
+
+
+def test_the_package_reads_the_exponent_names_from_exponents():
+    import petzmi
+    for name in ("ExponentReport", "alpha_derivative", "direct_exponent", "rate_curve"):
+        assert getattr(petzmi, name) is getattr(exponents, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        petzmi.no_such_name
+
+
+def test_root_search_past_two_equal_values_of_g():
+    """g is flat at -0.1 on [0.4, 0.6]: two of the four points nearest the
+    bracket's midpoint share g, so Neville's scheme divides by zero. The search
+    stops there, and still closes a bracket around the root 0.7."""
+    def g(points):
+        return [max(x**3 - 0.343, min(-0.1, x - 0.5)) for x in points]
+
+    known = {x: g([x])[0] for x in (0.0, 0.4, 0.6, 1.0)}
+    assert known[0.4] == known[0.6] == -0.1
+    s_star, a, b = exponents._stacked_root(g, known)
+    assert g([a])[0] < 0 <= g([b])[0] and b - a <= exponents.ROOT_WIDTH
+    assert s_star == pytest.approx(0.7, abs=exponents.ROOT_WIDTH)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from petzmi.divergences import ALPHA_ONE_WINDOW, _orders, _petz_terms
 from petzmi.errors import InvalidInputError, NumericalDegradationError
-from petzmi.exponents import _PrmiCache, alpha_derivative, direct_exponent, rate_curve
+from petzmi.exponents import _solved, alpha_derivative, direct_exponent, rate_curve
 from petzmi.linalg import spectral_power
 from petzmi.prmi import (
     _compose,
@@ -365,10 +365,8 @@ def test_rate_curve_matches_the_row_by_row_derivative(index):
                            random_bipartite(3, 3, 4, rank=3)])[index]
     grid = np.concatenate([np.linspace(0.5 + 1e-3, 1.0 - 1e-3, 24), [1.0 - 5e-5]])
     assert 1e-4 > 1.0 - grid[-1] > ALPHA_ONE_WINDOW
-    cache = _PrmiCache(rho)
-    cache.solve(grid)
-    for s, point in zip(grid, rate_curve(rho, grid)):
-        sol = cache.solution(s)
+    rows = _solved(rho, {}, grid)
+    for s, point, (sol, _) in zip(grid, rate_curve(rho, grid), rows):
         d = reference.alpha_derivative(s, rho, sol)
         assert point.rate == pytest.approx(sol.value - s * (1 - s) * d, abs=1e-12)
         assert point.exponent == pytest.approx((1 - s) ** 2 * d, abs=1e-12)

@@ -58,6 +58,8 @@ def test_universal_state_dominates_iid():
 def test_universal_state_guard():
     with pytest.raises(ResourceLimitError):
         universal_state(5, 3)
+    with pytest.raises(DomainError, match="positive"):
+        universal_state(0, 2)
 
 
 @pytest.mark.parametrize("call", [

@@ -11,7 +11,7 @@ import pytest
 import reference
 from petzmi.divergences import (SUPPORT_OVERLAP_TOL, _centered, _finite, _petz_terms,
                                 _product_terms, petz_divergence)
-from petzmi.exponents import _PrmiCache, _derivatives, _stacked
+from petzmi.exponents import _derivatives, _solved, _stacked
 from petzmi.linalg import EPS
 from petzmi.prmi import _solve_dd, prmi_down_down, prmi_up_up
 from petzmi.states import DensityOperator, random_bipartite, random_density
@@ -174,6 +174,6 @@ def test_rows_do_not_depend_on_their_stack(rho):
         row_terms = _product_terms(rho, tuple(x[one] for x in sigma), tuple(x[one] for x in tau))
         assert values[j] == _centered(alphas[one] - 1.0, *row_terms)[0][0]
         assert slopes[j] == _derivatives(rho, alphas[one], [row])[0]
-    cache = _PrmiCache(rho)
-    cache.solve(alphas)
-    assert cache.derivatives(alphas[:3]) == slopes[:3].tolist()
+    table = {}
+    _solved(rho, table, alphas)
+    assert [d for _, d in _solved(rho, table, alphas[:3])] == slopes[:3].tolist()

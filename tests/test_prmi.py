@@ -517,3 +517,14 @@ def test_up_up_on_pure_state_with_tiny_schmidt_probability(alpha):
 def test_dd_of_product_state_is_not_negative():
     rho = BipartiteState(np.kron(random_density(2, 1).matrix, random_density(2, 2).matrix), 2, 2)
     assert prmi_down_down(2.0, rho).value >= 0.0
+
+
+def test_a_sigma_that_misses_the_support_of_rho_a_gives_inf_above_one():
+    assert gen_prmi_down(1.5, random_bipartite(2, 2, 42), np.diag([1.0, 0.0])) == (math.inf, None)
+
+
+def test_an_unknown_variant_and_a_large_alphabet_are_refused():
+    with pytest.raises(InvalidInputError, match="unknown variant"):
+        prmi(0.5, random_bipartite(2, 2, 42), "xx")
+    with pytest.raises(UnsupportedRegimeError, match="size <= 3"):
+        classical.rmi_down_down(0.3, Pmf(np.full((4, 2), 0.125)))

@@ -175,3 +175,14 @@ def test_pmf_marginals_sum():
     pmf = Pmf(np.array([[0.1, 0.2], [0.3, 0.4]]))
     assert pmf.marginal_x.sum() == pytest.approx(1.0)
     assert math.isclose(pmf.marginal_y[1], 0.6)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: BipartiteState(np.eye(2) / 2, 0, 2), "positive"),
+    (lambda: BipartiteState(np.eye(4) / 4, 2, 3), "does not match"),
+    (lambda: Pmf(np.array([0.5, 0.5])), "two-dimensional"),
+    (lambda: pure_bipartite([1.0, 0.0, 0.0], 2, 2), "length 3"),
+])
+def test_malformed_shapes_are_rejected(make, match):
+    with pytest.raises(InvalidInputError, match=match):
+        make()
