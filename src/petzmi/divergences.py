@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .linalg import EPS, HermitianOperator, power_on_support, spectral_power
-from .states import DensityOperator
+from .states import DensityOperator, held
 
 ALPHA_ONE_WINDOW = 1e-6
 SUPPORT_OVERLAP_TOL = 1e-10
@@ -61,11 +61,12 @@ def _check_order(alpha: float) -> None:
 
 
 def _orders(alpha: np.ndarray) -> tuple:
-    """The per-row constants of a stack of k orders, formed once per stack:
-    alpha, the (k, 1) columns 1 - alpha and 1/alpha, and alpha/(alpha - 1).
-    1/alpha is None when a row is at most 1/2, where `_one_sided_min` rescales M."""
-    inv = None if np.any(alpha <= 0.5) else (1.0 / alpha)[:, None]
-    return alpha, (1.0 - alpha)[:, None], inv, alpha / (alpha - 1.0)
+    """The per-row constants of a stack of k orders, formed once per stack: alpha,
+    the (k, 1) columns 1 - alpha and 1/alpha (1 where it overflows), alpha/(alpha - 1),
+    and the masks of the rows at most 1/2 and of those where 1/alpha overflows, or None."""
+    low, zero = alpha <= 0.5, alpha < 1.0 / np.finfo(float).max
+    return (alpha, (1.0 - alpha)[:, None], (1.0 / np.where(zero, 1.0, alpha))[:, None],
+            alpha / (alpha - 1.0), low if low.any() else None, zero if zero.any() else None)
 
 
 def _one_sided_min(orders: tuple, m_vals: np.ndarray):
@@ -76,27 +77,26 @@ def _one_sided_min(orders: tuple, m_vals: np.ndarray):
     1/alpha overflows, it is -log lambda_max(M) / (1 - alpha), attained on the
     top eigenvector (the last one of a tie). Returns the k values, inf where M
     vanishes, and the eigenvalues of the k minimizers."""
-    alpha, _, inv, ratio = orders
-    if inv is not None:  # every row above 1/2: the power of M itself
+    alpha, _, inv, ratio, low, zero = orders
+    if low is None:  # every row above 1/2: the power of M itself
         powered = spectral_power(m_vals, inv)
         norm = powered.sum(axis=1)
         vanish = norm <= 0
         norm[vanish] = 1.0
         return np.where(vanish, math.inf, ratio * np.log(norm)), powered / norm[:, None]
-    alpha = np.broadcast_to(alpha, m_vals.shape[:1])
-    zero = alpha < 1.0 / np.finfo(float).max
     # at alpha <= 1/2, M / lambda_max(M) keeps M^(1/alpha) from under- or overflowing
-    m_max = np.max(m_vals, axis=1)
-    scale = np.where((alpha <= 0.5) & (m_max > 0), m_max, 1.0)
+    m_max = np.maximum.reduce(m_vals, axis=1)
+    scale = np.where(low & (m_max > 0), m_max, 1.0)
     m_vals = m_vals / scale[:, None]
-    powered = spectral_power(m_vals, 1.0 / np.where(zero, 1.0, alpha)[:, None])
-    if zero.any():  # all weight on lambda_max(M), at the last index of a tie
+    powered = spectral_power(m_vals, inv)
+    if zero is not None:  # all weight on lambda_max(M), at the last index of a tie
+        zero = np.broadcast_to(zero, m_vals.shape[:1])
         top = m_vals.shape[1] - 1 - np.argmax(m_vals[:, ::-1], axis=1)
         powered[zero] = np.where(np.arange(m_vals.shape[1]) == top[:, None], m_vals, 0.0)[zero]
     norm = powered.sum(axis=1)
     vanish = norm <= 0
     norm[vanish] = 1.0
-    value = alpha / (alpha - 1.0) * np.log(norm) + np.log(scale) / (alpha - 1.0)
+    value = ratio * np.log(norm) + np.log(scale) / (alpha - 1.0)
     value[vanish] = math.inf
     return value, powered / norm[:, None]
 
@@ -115,17 +115,24 @@ def _petz_terms(rho: HermitianOperator, sigma: HermitianOperator):
     return spectral_power(rho.spectrum, 1.0), spectral_power(sigma.spectrum, 1.0), w
 
 
-def _product_terms(rho: HermitianOperator, a: tuple, b: tuple):
-    """`_petz_terms(rho, a x b)` from the factors' eigensystems a = (vals, vecs)
-    and b, each of one operator or of a stack of k, (k, d) and (k, d, d):
-    mu = a_x b_y on v_x x w_y, (D,) or (k, D), x-major, on the products of the
-    factors' supports, and W, (d, D) or (k, d, D), with lambda shared. No product
-    matrix is formed or decomposed, and mu keeps the factors' relative accuracy."""
+@held
+def _state_terms(rho) -> tuple:
+    """A `BipartiteState`'s spectrum on its support and U^dag."""
+    return spectral_power(rho.spectrum, 1.0), rho.eigenvectors.conj().T
+
+
+def _product_terms(rho, a: tuple, b: tuple):
+    """`_petz_terms(rho, a x b)` of a `BipartiteState` from the factors' eigensystems
+    a = (vals, vecs) and b, each of one operator or of a stack of k, (k, d) and
+    (k, d, d): mu = a_x b_y on v_x x w_y, (D,) or (k, D), x-major, on the products
+    of the factors' supports, and W from U^dag (V x W), (D, D) or (k, D, D). No
+    product state is decomposed, and mu keeps the factors' relative accuracy."""
     (a_vals, a_vecs), (b_vals, b_vecs) = a, b
+    lam, u_dag = _state_terms(rho)
     mu = spectral_power(a_vals, 1.0)[..., :, None] * spectral_power(b_vals, 1.0)[..., None, :]
-    u = rho.eigenvectors.conj().reshape(a_vals.shape[-1], b_vals.shape[-1], rho.dim)
-    w = np.einsum("xyi,...xa,...yb->...iab", u, a_vecs, b_vecs).reshape(*mu.shape[:-2], rho.dim, -1)
-    return spectral_power(rho.spectrum, 1.0), mu.reshape(*mu.shape[:-2], -1), w.real**2 + w.imag**2
+    kron = a_vecs[..., :, None, :, None] * b_vecs[..., None, :, None, :]
+    w = u_dag @ kron.reshape(*mu.shape[:-2], rho.dim, rho.dim)
+    return lam, mu.reshape(*mu.shape[:-2], -1), w.real**2 + w.imag**2
 
 
 def _finite(alpha: float, lam: np.ndarray, mu: np.ndarray, w: np.ndarray) -> bool:
@@ -190,7 +197,8 @@ def _centered(t: np.ndarray, lam: np.ndarray, mu: np.ndarray, w: np.ndarray,
     log_l = np.log(lam, out=np.zeros(d), where=on_l)
     log_m = np.log(mu, out=np.zeros(mu.shape), where=on_m)
     # the ranges of log lambda and log mu with 0, which bound |Y| and |X|
-    l_lo, l_hi, m_lo, m_hi = log_l.min(), log_l.max(), log_m.min(1), log_m.max(1)
+    l_lo, l_hi = np.minimum.reduce(log_l), np.maximum.reduce(log_l)
+    m_lo, m_hi = np.minimum.reduce(log_m, 1), np.maximum.reduce(log_m, 1)
     small = np.abs(t) * (l_hi - l_lo + m_hi - m_lo) <= 1.0
     p, log_z = np.multiply(lam[:, None], w, out=np.empty(w.shape)), 0.0  # C order: rows sum alike
     if not on_m.all():  # rho's weight off supp(sigma) leaves p but at t = 0

@@ -26,7 +26,7 @@ EPS = np.finfo(float).eps
 class HermitianOperator:
     """A d x d complex Hermitian matrix with a lazily cached spectral decomposition.
 
-    The cached eigenvalues are sorted in descending order. The matrix is
+    `spectrum` and `eigenvectors` are sorted in descending order. The matrix is
     symmetrized at construction; entrywise deviations from hermiticity beyond
     HERMITICITY_TOL * max(1, max|m_ij|) are rejected, relative to large entries
     such as those of negative powers of near-singular states, as are an empty
@@ -56,9 +56,9 @@ class HermitianOperator:
     def from_eigensystem(cls, vals: np.ndarray, vecs: np.ndarray):
         """The operator vecs diag(vals) vecs^dag of an eigensystem the caller
         holds, such as the solver's iterates. Nothing is validated or decomposed:
-        `dim`, `spectrum` and `eigenvectors` read the eigensystem, and `matrix`
-        is composed, then symmetrized as `__init__` does, on first read.
-        A subclass runs its checks on the eigenvalues."""
+        `dim` and `eigensystem` read it, `spectrum` and `eigenvectors` sort it on
+        first read, and `matrix` is composed, then symmetrized as `__init__` does,
+        on first read. A subclass runs its checks on the eigenvalues as held."""
         op = cls.__new__(cls)
         op._matrix, op._eigensystem = None, (vals, vecs)
         op._spectrum = op._eigenvectors = None
@@ -78,9 +78,16 @@ class HermitianOperator:
     def dim(self) -> int:
         return (self._eigensystem[0] if self._matrix is None else self._matrix).shape[0]
 
+    @property
+    def eigensystem(self) -> tuple:
+        """(eigenvalues, eigenvectors) as held, or as `eigh` gives them (ascending)."""
+        if self._eigensystem is None:
+            self._eigensystem = np.linalg.eigh(self._matrix)
+        return self._eigensystem
+
     def _ensure_eig(self) -> None:
         if self._spectrum is None:
-            vals, vecs = self._eigensystem or np.linalg.eigh(self._matrix)
+            vals, vecs = self.eigensystem
             order = np.argsort(vals)[::-1]
             self._spectrum = vals[order]
             self._eigenvectors = vecs[:, order]
@@ -100,11 +107,8 @@ class HermitianOperator:
     def trace(self) -> float:
         """tr of the matrix; the sum of the eigenvalues while it is not composed."""
         if self._matrix is None:
-            return float(np.sum(self.spectrum))
+            return float(self._eigensystem[0].sum())
         return float(np.real(np.trace(self._matrix)))
-
-    def min_eigenvalue(self) -> float:
-        return float(self.spectrum[-1])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianOperator(dim={self.dim})"
@@ -134,7 +138,7 @@ def _as_operator(op) -> HermitianOperator:
 def _check_psd(vals: np.ndarray) -> None:
     """Reject the eigenvalues of an operator that is not PSD: rounding noise
     in [-PSD_TOL, 0) passes, anything below is an error."""
-    if vals.size and vals.min() < -PSD_TOL:
+    if np.minimum.reduce(vals, axis=None, initial=0.0) < -PSD_TOL:
         raise InvalidInputError(
             f"operator is not positive semidefinite (min eigenvalue {vals.min():.3e})"
         )
@@ -148,9 +152,10 @@ def spectral_power(vals: np.ndarray, p) -> np.ndarray:
     p = 0 gives the support indicator. p may be an array that broadcasts
     against vals, such as one power per row of a stack.
     """
-    cut = vals.shape[-1] * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
+    top = np.maximum.reduce(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
+    cut = vals.shape[-1] * EPS * top  # eps a power of 2: (d top) eps unless subnormal
     _check_psd(vals)
-    keep = vals > cut * EPS
+    keep = vals > cut
     # not np.power: it takes other paths for the exponents -1, 1/2 and 2 when one
     # exponent serves a whole array, so a row would differ alone and in a stack
     return np.float_power(vals, p, out=np.zeros(np.broadcast(vals, p).shape), where=keep)

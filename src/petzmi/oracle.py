@@ -109,16 +109,16 @@ def _grid_refine(grid: np.ndarray, objective, basis: np.ndarray) -> tuple[float,
 def _batched_values(alpha: float, rho: BipartiteState, sigmas: np.ndarray) -> np.ndarray:
     """Objective values min_tau D_alpha(rho || sigma_k x tau) for all sigma_k.
 
-    Vectorized: the loop's M (`prmi._traced`) of the stack against one rho^alpha
-    broadcast over it, the tau-minimization by `_one_sided_min`, which has no
-    Nussbaum-Szkola form: within ALPHA_ONE_WINDOW of 1 the alpha = 1 one.
+    Vectorized: the loop's M (`prmi._traced`) of the stack against one rho^alpha,
+    the tau-minimization by `_one_sided_min`, which has no Nussbaum-Szkola form:
+    within ALPHA_ONE_WINDOW of 1 the alpha = 1 one.
     """
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _batched_values_alpha_one(rho, sigmas)
     orders = _orders(np.array([alpha]))
     r = _rho_power(rho, orders[0])
     vals, vecs = np.linalg.eigh(sigmas)
-    m, _ = _traced(orders, np.broadcast_to(r, (len(sigmas), *r.shape[1:])), vals, vecs)
+    m, _ = _traced(orders, r, vals, vecs)
     out, _ = _one_sided_min(orders, np.linalg.eigvalsh(m))
     if alpha > 1:
         # finite only when supp(rho_A) <= supp(sigma); rank-deficient grid

@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .linalg import _compose, _dagger, spectral_power
-from .states import BipartiteState, DensityOperator
+from .states import BipartiteState, DensityOperator, held
 
 MONOTONICITY_SLACK = 1e-11
 GAP_TOL = 1e-12  # a run stops once the Frank-Wolfe gap of its iterate is at most this
@@ -116,6 +116,7 @@ def _up_up(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
     return np.maximum(value, 0.0) + 0.0  # as in _one_sided
 
 
+@held
 def _is_product(rho: BipartiteState) -> bool:
     """Whether rho = rho_A x rho_B to rounding: each entry of the difference
     within 1e-14 in any basis, and within 1e-14 sqrt(m_i m_k) in the product's
@@ -133,6 +134,7 @@ def _is_product(rho: BipartiteState) -> bool:
     return bool(np.all((np.abs(u.conj().T @ diff @ u) <= 1e-14 * np.sqrt(mm)) | (mm == 0)))
 
 
+@held
 def _marginal_terms(rho: BipartiteState):
     """`divergences._product_terms` against rho_A x rho_B."""
     a, b = rho.marginal_a, rho.marginal_b
@@ -150,8 +152,7 @@ def gen_prmi_down(alpha: float, rho: BipartiteState, sigma_a) -> tuple[float, De
     if alpha > 1 and not dominated(rho.marginal_a, sigma_a):
         return math.inf, None
     alphas = np.array([alpha], dtype=float)
-    value, t_vals, t_vecs = _one_sided(alphas, rho, _rho_power(rho, alphas),
-                                       (sigma_a.spectrum[None], sigma_a.eigenvectors[None]))
+    value, t_vals, t_vecs = _one_sided(alphas, rho, _rho_power(rho, alphas), _stacked([sigma_a]))
     if value[0] == math.inf:
         return math.inf, None
     return float(value[0]), DensityOperator.from_eigensystem(t_vals[0], t_vecs[0])
@@ -166,43 +167,52 @@ def _one_sided(alphas: np.ndarray, rho: BipartiteState, r: np.ndarray, sigma: tu
     finite = value < math.inf
     if finite.any():
         on = slice(None) if finite.all() else finite
-        value[on] = _centered(alphas[on] - 1.0, *_product_terms(
-            rho, (sigma[0][on], sigma[1][on]), (t_vals[on], t_vecs[on])))[0]
+        terms = _product_terms(rho, (sigma[0][on], sigma[1][on]), (t_vals[on], t_vecs[on]))
+        value[on] = _centered(alphas[on] - 1.0, *terms)[0]
     return np.maximum(value, 0.0) + 0.0, t_vals, t_vecs
 
 
 def _stacked(ops) -> tuple:
-    """The eigensystems of operators of one dimension, as a stack; the eigenvectors
-    complex, as the loop writes its iterates' complex eigenvectors into the stack."""
-    vecs = np.array([op.eigenvectors for op in ops], dtype=complex)
-    return np.array([op.spectrum for op in ops]), vecs
+    """The eigensystems of operators of one dimension as held (`eigensystem`), as
+    a stack; the eigenvectors complex, as the loop writes its iterates' complex
+    eigenvectors into the stack."""
+    vecs = np.array([op.eigensystem[1] for op in ops], dtype=complex)
+    return np.array([op.eigensystem[0] for op in ops]), vecs
 
 
 def _rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
-    """rho^alpha for each order of a stack, as a (k, d_A, d_B, d_A, d_B) tensor."""
+    """rho^alpha for each order of a stack, as the (k, d_A^2, d_B^2) matrices R of
+    `_traced`, R[(j, i), (b, d)] = rho^alpha[(i, b), (j, d)]."""
     m = _compose(spectral_power(rho.spectrum, alphas[:, None]), rho.eigenvectors)
-    return ((m + _dagger(m)) / 2).reshape(alphas.size, rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+    m = ((m + _dagger(m)) / 2).reshape(alphas.size, rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+    return m.transpose(0, 3, 1, 2, 4).reshape(alphas.size, rho.d_a**2, rho.d_b**2)
 
 
 def _half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     """The exact one-sided minimization, on a stack of k rows.
 
-    orders holds the `_orders` constants, r the k tensors rho^alpha of shape
-    (k, d, d', d, d'), and (vals, vecs) the eigensystems of sigma on the first
-    factor, (k, d) and (k, d, d). Returns the k values of the one-sided
-    minimum, the eigensystems of the minimizers on the second factor, and
-    sigma's powered spectrum s^(1-alpha). A row whose M vanishes has value inf.
+    orders holds the `_orders` constants, r the k matrices R of `_rho_power`,
+    and (vals, vecs) the eigensystems of sigma on A, (k, d_A) and (k, d_A, d_A).
+    Returns the k values of the one-sided minimum, the eigensystems of the
+    minimizers on B, and sigma's powered spectrum s^(1-alpha). A row whose M
+    vanishes has value inf.
     """
     m, s_pow = _traced(orders, r, vals, vecs)
     m_vals, m_vecs = np.linalg.eigh(m)
     return (*_one_sided_min(orders, m_vals), m_vecs, s_pow)
 
 
-def _traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
-    """The half-step's M = tr_1[r (sigma^(1-alpha) x 1)] and s^(1-alpha), per row: the
-    one place that forms M, also for the gap and the grid of `oracle._batched_values`."""
+def _traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray, to_a=False):
+    """M and s^(1-alpha), per row, for S = s^(1-alpha) on the eigensystems (vals,
+    vecs): M_B = tr_A[rho^alpha (S x 1)] = vec(S)^T R, or with to_a, S on B,
+    M_A = tr_B[rho^alpha (1 x S)] = (R vec(S^T))^T, by one batched matmul against
+    r = `_rho_power`, which may broadcast. The one place that forms M: the loop's
+    half-steps, the gap and the grid of `oracle._batched_values`."""
     s_pow = spectral_power(vals, orders[1])
-    m = np.einsum("kibjd,kji->kbd", r, _compose(s_pow, vecs))
+    s = _compose(s_pow, vecs)
+    k, d, e = *s.shape[:2], math.isqrt(r.shape[1 if to_a else 2])
+    m = ((r @ s.swapaxes(1, 2).reshape(k, d * d, 1)).reshape(k, e, e).swapaxes(1, 2) if to_a
+         else (s.reshape(k, 1, d * d) @ r).reshape(k, e, e))
     return (m + _dagger(m)) / 2, s_pow
 
 
@@ -262,7 +272,7 @@ def _up_down(alphas: np.ndarray, rho: BipartiteState) -> np.ndarray:
     if one.any():
         value[one] = _up_up(alphas[one], rho)
     if (a := alphas[~one]).size:
-        sigma = _stacked([rho.marginal_a] * a.size)  # covers supp(rho_A): the values are finite
+        sigma = [np.repeat(x, a.size, axis=0) for x in _stacked([rho.marginal_a])]  # on supp(rho_A)
         value[~one] = _one_sided(a, rho, _rho_power(rho, a), sigma)[0]
     return value
 
@@ -379,30 +389,30 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     since = np.full(k, 3)
     ext = np.zeros(k, dtype=bool)
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
+    # the masks are tested with np.count_nonzero, cheaper than .any() on a few rows
     for it in range(1, max_iter + 1):
         value, t_vals, t_vecs, s_pow = _half_step(o, r, s_vals, s_vecs)
         if it == 1 and np.any(value == math.inf):
             raise InvalidInputError("the start point must not be orthogonal to supp(rho_A)")
         redo = ext & (value - prev > sl)
-        if redo.any():  # a rise after a secant step: the plain iterate, and no secant history
-            o_r = _orders(a[redo])
+        if np.count_nonzero(redo):  # a rise after a secant step: the plain iterate, no history
+            o_r = tuple(c if c is None else c[redo] for c in o)
             e_vals, p_vecs = np.linalg.eigh(m_a[redo])
             p_vals = _one_sided_min(o_r, e_vals)[1]
             s_vals[redo], s_vecs[redo], used[redo], since[redo] = p_vals, p_vecs, m_a[redo], it + 1
             value[redo], t_vals[redo], t_vecs[redo], s_pow[redo] = _half_step(
                 o_r, r[redo], p_vals, p_vecs)
         rise = value - prev
-        if np.any(rise > sl):
+        if np.count_nonzero(rise > sl):
             j = int(np.argmax(rise - sl))
             raise NumericalDegradationError(
                 f"objective increased by {rise[j]:.3e} at iteration {it} (alpha = {a[j]})"
             )
         history.append((rows, value))
-        # B -> A through the transposed tensor
-        kmat, _ = _traced(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        kmat, _ = _traced(o, r, t_vals, t_vecs, to_a=True)  # B -> A
         g = np.full(rows.size, math.inf)
         form = (rise >= -CONVERGING) | (it == max_iter)
-        if form.any():
+        if np.count_nonzero(form):
             g[form] = _fw_gap(o, value, s_vals, s_vecs, s_pow, kmat)[0][form]
         done = (g <= GAP_TOL) & ((a > 0.5) | (rise >= -GAP_TOL))
         if it == max_iter:
@@ -412,7 +422,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         m_new = kmat / tr[:, None, None]
         res_new, m = m_new - used, kmat
         ext = (a >= 0.5) & (it >= since) & ~done
-        if ext.any():
+        if np.count_nonzero(ext):
             ext &= s_vals.min(axis=1) > SECANT_RATIO * s_vals.max(axis=1)
             d_res = res_new - res
             norm = np.einsum("kij,kij->k", d_res.conj(), d_res).real
@@ -421,19 +431,19 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             m = np.where(ext[:, None, None], m_new - gamma[:, None, None] * (m_new - m_a), kmat)
         m_vals, m_vecs = np.linalg.eigh(m)
         bad = ext & (m_vals[:, 0] <= SECANT_RATIO ** a * m_vals[:, -1])
-        if bad.any():  # a step whose sigma falls under SECANT_RATIO: the plain M
+        if np.count_nonzero(bad):  # a step whose sigma falls under SECANT_RATIO: the plain M
             m_vals[bad], m_vecs[bad] = np.linalg.eigh(kmat[bad])
             ext &= ~bad
         n_vals, n_vecs = _one_sided_min(o, m_vals)[1], m_vecs
         m_a, res, used = m_new, res_new, np.where(ext[:, None, None], m, m_new)
-        if done.any():
+        if np.count_nonzero(done):
             diff = _compose(n_vals[done], n_vecs[done]) - _compose(s_vals[done], s_vecs[done])
             moved = np.zeros(rows.size)
             moved[done] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
             # from 1/2 on a row also needs its plain step to move sigma by at most
             # 10 GAP_TOL: after secant steps the gap can read small while it does not
             done &= ~((a >= 0.5) & (moved > 10 * GAP_TOL)) | (it == max_iter)
-        if not done.any():
+        if not np.count_nonzero(done):
             s_vals, s_vecs, prev = n_vals, n_vecs, value
             continue
         fin = rows[done]
@@ -441,7 +451,8 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         rounds[fin] = it
         last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
         keep = ~done
-        rows, a, o, r, sl = rows[keep], a[keep], _orders(a[keep]), r[keep], sl[keep]
+        rows, a, r, sl = rows[keep], a[keep], r[keep], sl[keep]
+        o = tuple(c if c is None else c[keep] for c in o)  # the rows' `_orders` constants
         s_vals, s_vecs, prev = n_vals[keep], n_vecs[keep], value[keep]
         m_a, res, used, since, ext = m_a[keep], res[keep], used[keep], since[keep], ext[keep]
         if rows.size == 0:
@@ -453,8 +464,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     value, t_vals, t_vecs = _one_sided(alphas, rho, r_ab, tuple(last))
     # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
     # misses part of supp(rho_A) keeps that face, where the gap reads 0
-    full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
-        spectral_power(rho.marginal_a.spectrum, 0.0))
+    full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == rho.marginal_a.rank()
     solutions = [PrmiSolution(
         value=float(value[j]),
         alpha=float(alphas[j]),

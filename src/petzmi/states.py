@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ class DensityOperator(HermitianOperator):
         self._check()
 
     def _check(self) -> None:
-        min_eig = self.min_eigenvalue()
+        min_eig = float(np.minimum.reduce(self.eigensystem[0]))
         if min_eig < -PSD_TOL:
             raise InvalidInputError(
                 f"density operator has a negative eigenvalue ({min_eig:.3e})"
@@ -37,8 +38,22 @@ class DensityOperator(HermitianOperator):
         return self.rank() == 1
 
 
+def held(term):
+    """term(rho) of a `BipartiteState`, the same at every order: formed on first
+    call and held in the state's one `_held` slot for as long as it lives."""
+    @functools.wraps(term)
+    def read(rho):
+        if term not in rho._held:
+            rho._held[term] = term(rho)
+        return rho._held[term]
+    return read
+
+
 class BipartiteState(DensityOperator):
-    """A density operator on A x B with cached marginals (A-major indexing)."""
+    """A density operator on A x B (A-major indexing) that holds its marginals
+    and the order-free terms of its solves (`held`)."""
+
+    __slots__ = ("d_a", "d_b", "_held")
 
     def __init__(self, matrix, d_a: int, d_b: int) -> None:
         super().__init__(matrix)
@@ -48,27 +63,19 @@ class BipartiteState(DensityOperator):
             raise InvalidInputError(
                 f"matrix dimension {self.dim} does not match d_A*d_B = {d_a * d_b}"
             )
-        self.d_a = d_a
-        self.d_b = d_b
-        self._marginal_a = None
-        self._marginal_b = None
+        self.d_a, self.d_b, self._held = d_a, d_b, {}
 
-    __slots__ = ("d_a", "d_b", "_marginal_a", "_marginal_b")
+    rank = held(DensityOperator.rank)
+    marginal_a = property(held(lambda rho: DensityOperator(np.einsum("ibjb->ij", rho._tensor()))))
+    marginal_b = property(held(lambda rho: DensityOperator(np.einsum("aiaj->ij", rho._tensor()))))
 
-    @property
-    def marginal_a(self) -> DensityOperator:
-        if self._marginal_a is None:
-            m = self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
-            self._marginal_a = DensityOperator(np.einsum("ibjb->ij", m))
-        return self._marginal_a
+    def _tensor(self) -> np.ndarray:
+        return self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
 
-    @property
-    def marginal_b(self) -> DensityOperator:
-        if self._marginal_b is None:
-            m = self.matrix.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
-            self._marginal_b = DensityOperator(np.einsum("aiaj->ij", m))
-        return self._marginal_b
+    def __reduce__(self):  # a copy forms its held terms again, on first use
+        return type(self), (self.matrix, self.d_a, self.d_b)
 
+    @held
     def diagonal_pmf_or_none(self):
         """The joint pmf if the state is diagonal in the product basis, else None."""
         off = self.matrix - np.diag(np.diag(self.matrix))

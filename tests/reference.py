@@ -16,8 +16,11 @@ from petzmi.hypotest import universal_state
 from petzmi.linalg import (EPS, HermitianOperator, _as_operator, _check_psd,
                            power_on_support, spectral_log, spectral_power)
 from petzmi.oracle import _PAULI_X, _PAULI_Y, _PAULI_Z
-from petzmi.prmi import (GAP_TOL, MAX_ITER, MONOTONICITY_SLACK, PrmiSolution, _compose, _dagger,
-                         _fw_gap, _half_step, _rho_power, _traced, prmi_down_down)
+from petzmi.divergences import _centered
+from petzmi.errors import UnsupportedRegimeError
+from petzmi.prmi import (CONVERGING, GAP_TOL, MAX_ITER, MONOTONICITY_SLACK, SECANT_RATIO,
+                         PrmiSolution, _compose, _dagger, _dd_closed_form, _fw_gap, _is_copy_cc,
+                         _is_product, _low_starts, _up_up, _without_loop, prmi_down_down)
 from petzmi.states import BipartiteState, DensityOperator, Pmf
 
 
@@ -104,7 +107,7 @@ def geometric_mean(x, y) -> HermitianOperator:
     # dim * max|eigenvalue| * eps, the cut of `spectral_power`, of either input
     cutoff = max(*(op.dim * float(np.max(np.abs(op.spectrum), initial=0.0)) * EPS
                    for op in (x, y)), 1e-13)
-    if x.min_eigenvalue() > cutoff and y.min_eigenvalue() > cutoff:
+    if x.spectrum[-1] > cutoff and y.spectrum[-1] > cutoff:
         return HermitianOperator(_geometric_mean_regular(x.matrix, y.matrix))
     eye = np.eye(x.dim)
     eps_values = (1e-6, 1e-8, 1e-10)
@@ -239,7 +242,7 @@ def _with_matrix(op: DensityOperator, matrix: np.ndarray) -> DensityOperator:
 # was summed at once: `test_fixed_point_gap` compares `rate_curve` against it.
 
 
-def _product_terms(rho: HermitianOperator, a: HermitianOperator, b: HermitianOperator):
+def _kron_terms(rho: HermitianOperator, a: HermitianOperator, b: HermitianOperator):
     """`_petz_terms(rho, a x b)` from the factors' eigensystems, mu = a_x b_y in
     descending order on v_x x w_y, both spectra on their supports, mu on the
     products of the factors' supports: no product matrix is formed or
@@ -272,7 +275,7 @@ def alpha_derivative(alpha: float, rho: BipartiteState,
     """
     if solution is None:
         solution = prmi_down_down(alpha, rho)
-    lam, mu, w = _product_terms(rho, solution.sigma_a, solution.tau_b)
+    lam, mu, w = _kron_terms(rho, solution.sigma_a, solution.tau_b)
     with mpmath.workdps(50):
         on = [(i, j) for i in range(lam.size) for j in range(mu.size) if lam[i] > 0 and mu[j] > 0]
         weights = [mpmath.mpf(lam[i]) * mpmath.mpf(w[i, j]) for i, j in on]
@@ -297,15 +300,23 @@ def _unhoisted_half_step(alpha: np.ndarray, r: np.ndarray, vals: np.ndarray, vec
     factor, (k, d) and (k, d, d). Returns the k values of
     `gen_prmi_down`, the eigensystems of the minimizers on the second factor,
     and the k matrices M = tr_1[rho^alpha (sigma^(1-alpha) x 1)] that were
-    decomposed. A row whose M vanishes has value inf. The orders are passed
-    with 1/alpha = None, so `_one_sided_min` takes its rescaled form at every
-    order, which the solver takes only at orders up to 1/2.
+    decomposed (`_unhoisted_step`). A row whose M vanishes has value inf.
     """
     s_pow = _compose(spectral_power(vals, 1.0 - alpha[:, None]), vecs)
     m = np.einsum("kibjd,kji->kbd", r, s_pow)
     m = (m + _dagger(m)) / 2
+    return (*_unhoisted_step(alpha, m), m)
+
+
+def _unhoisted_step(alpha: np.ndarray, m: np.ndarray):
+    """The half-step's minimization on the k matrices M: the values and the
+    minimizers' eigensystems. The orders are passed with a mask of the rows at
+    most 1/2, even one that holds none, so `_one_sided_min` takes its rescaled
+    form at every order, which the solver takes only where some order is at
+    most 1/2."""
     m_vals, m_vecs = np.linalg.eigh(m)
-    return (*_one_sided_min((alpha, None, None, None), m_vals), m_vecs, m)
+    orders = _orders(alpha)
+    return (*_one_sided_min((*orders[:4], alpha <= 0.5, orders[5]), m_vals), m_vecs)
 
 
 def _fw_gradient(alpha: np.ndarray, value: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -457,6 +468,256 @@ def rmi_up_down(alpha: float, pmf: Pmf) -> float:
     return val
 
 
+# The dd solver as it was while M came from an einsum over rho^alpha as a
+# (k, d_A, d_B, d_A, d_B) tensor, its B -> A half-step through the transposed
+# tensor, and the loop re-formed `_orders` as rows stopped: `_product_terms`
+# (a three-operand einsum), `_one_sided`, `_stacked` (which sorted each
+# operator's eigensystem), `_rho_power`, `_half_step`, `_traced`,
+# `_run_fixed_point` and `_solve_dd` verbatim, their names prefixed `einsum`.
+# They share the package's `_orders`, `_one_sided_min`, `_fw_gap` and
+# `_centered` with the solver. `test_solver_differential` compares the solver
+# against them row by row.
+
+
+def einsum_product_terms(rho: HermitianOperator, a: tuple, b: tuple):
+    """`_petz_terms(rho, a x b)` from the factors' eigensystems a = (vals, vecs)
+    and b, each of one operator or of a stack of k, (k, d) and (k, d, d):
+    mu = a_x b_y on v_x x w_y, (D,) or (k, D), x-major, on the products of the
+    factors' supports, and W, (d, D) or (k, d, D), with lambda shared. No product
+    matrix is formed or decomposed, and mu keeps the factors' relative accuracy."""
+    (a_vals, a_vecs), (b_vals, b_vecs) = a, b
+    mu = spectral_power(a_vals, 1.0)[..., :, None] * spectral_power(b_vals, 1.0)[..., None, :]
+    u = rho.eigenvectors.conj().reshape(a_vals.shape[-1], b_vals.shape[-1], rho.dim)
+    w = np.einsum("xyi,...xa,...yb->...iab", u, a_vecs, b_vecs).reshape(*mu.shape[:-2], rho.dim, -1)
+    return spectral_power(rho.spectrum, 1.0), mu.reshape(*mu.shape[:-2], -1), w.real**2 + w.imag**2
+
+
+def einsum_one_sided(alphas: np.ndarray, rho: BipartiteState, r: np.ndarray, sigma: tuple):
+    """min over tau of D_alpha(rho || sigma x tau) on a stack of k orders but 1,
+    r = `einsum_rho_power` and sigma's eigensystems ((k, d_A), (k, d_A, d_A)): D_alpha at
+    `einsum_half_step`'s minimizer tau (`_centered`), floored at +0 (rounding can dip below 0, and
+    + 0.0 turns -0.0 into 0.0), inf where M vanishes, and tau's eigensystems."""
+    value, t_vals, t_vecs, _ = einsum_half_step(_orders(alphas), r, *sigma)
+    finite = value < math.inf
+    if finite.any():
+        on = slice(None) if finite.all() else finite
+        value[on] = _centered(alphas[on] - 1.0, *einsum_product_terms(
+            rho, (sigma[0][on], sigma[1][on]), (t_vals[on], t_vecs[on])))[0]
+    return np.maximum(value, 0.0) + 0.0, t_vals, t_vecs
+
+
+def einsum_stacked(ops) -> tuple:
+    """The eigensystems of operators of one dimension, as a stack; the eigenvectors
+    complex, as the loop writes its iterates' complex eigenvectors into the stack."""
+    vecs = np.array([op.eigenvectors for op in ops], dtype=complex)
+    return np.array([op.spectrum for op in ops]), vecs
+
+
+def einsum_rho_power(rho: BipartiteState, alphas: np.ndarray) -> np.ndarray:
+    """rho^alpha for each order of a stack, as a (k, d_A, d_B, d_A, d_B) tensor."""
+    m = _compose(spectral_power(rho.spectrum, alphas[:, None]), rho.eigenvectors)
+    return ((m + _dagger(m)) / 2).reshape(alphas.size, rho.d_a, rho.d_b, rho.d_a, rho.d_b)
+
+
+def einsum_half_step(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The exact one-sided minimization, on a stack of k rows.
+
+    orders holds the `_orders` constants, r the k tensors rho^alpha of shape
+    (k, d, d', d, d'), and (vals, vecs) the eigensystems of sigma on the first
+    factor, (k, d) and (k, d, d). Returns the k values of the one-sided
+    minimum, the eigensystems of the minimizers on the second factor, and
+    sigma's powered spectrum s^(1-alpha). A row whose M vanishes has value inf.
+    """
+    m, s_pow = einsum_traced(orders, r, vals, vecs)
+    m_vals, m_vecs = np.linalg.eigh(m)
+    return (*_one_sided_min(orders, m_vals), m_vecs, s_pow)
+
+
+def einsum_traced(orders: tuple, r: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """The half-step's M = tr_1[r (sigma^(1-alpha) x 1)] and s^(1-alpha), per row: the
+    one place that forms M, also for the gap and the grid of `oracle._batched_values`."""
+    s_pow = spectral_power(vals, orders[1])
+    m = np.einsum("kibjd,kji->kbd", r, _compose(s_pow, vecs))
+    return (m + _dagger(m)) / 2, s_pow
+
+
+def einsum_run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITER):
+    """Alternating minimization from sigma0, on a stack of orders.
+
+    alpha is one order or a stack of k; sigma0 is one start for every row or a
+    list of k, one per row. The gap is formed for the rows whose value fell by
+    at most CONVERGING in the round. A row stops once that gap is at most
+    GAP_TOL and, at alpha >= 1/2, its plain step moved sigma by at most
+    10 GAP_TOL, and, at alpha <= 1/2, where an eigenvalue lost under the support
+    cut zeroes the gap, its value fell by at most GAP_TOL in the round; or
+    after max_iter rounds. A row at alpha >= 1/2 that does not stop decomposes
+    the secant (Anderson-1) step of the trace-1 M_A = tr_B[rho^alpha (1 x
+    tau^(1-alpha))] from its last two rounds in place of M_A, while sigma and
+    the sigma of the step keep lambda_min/lambda_max > SECANT_RATIO; a round
+    whose value rises by more than the slack after such a step is redone from
+    the plain iterate. So a stopping row ends on the plain step. Returns a
+    PrmiSolution (certified as it says) for one order and a list of k for a
+    stack. A start that does not cover supp(rho_A) in a row above 1, or one
+    orthogonal to it, where M vanishes, raises InvalidInputError; no later M does,
+    as a plain step keeps sigma on supp M_A <= supp(rho_A), M_A nonzero, and a
+    secant M is used only when it is positive definite.
+    """
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    k = alphas.size
+    starts = sigma0 if isinstance(sigma0, list) else [sigma0] * k
+    # Checked once per row above 1: if supp(rho_A) <= supp(sigma), tr_A[rho^alpha
+    # (sigma^(1-alpha) x 1)] has support exactly supp(rho_B), so every tau covers
+    # rho_B, every later sigma covers rho_A, and no iterate can leak.
+    if not all(dominated(rho.marginal_a, s) for x, s in zip(alphas, starts) if x > 1):
+        raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
+    s_vals, s_vecs = einsum_stacked(starts)
+    r_ab = einsum_rho_power(rho, alphas)
+    # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
+    # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
+    slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
+    # per row: the last iterate, the gap, the residual, the rounds run
+    last = [s_vals.copy(), s_vecs.copy()]
+    gap, residual = np.full(k, math.inf), np.full(k, math.inf)
+    rounds = np.full(k, max_iter)
+    history = []  # (rows, values) of every round
+    rows = np.arange(k)  # the rows still running, indexes into the stack
+    # the secant state per row: the last round's trace-1 M_A, its residual
+    # against the M decomposed the round before, the M decomposed last, the
+    # first round with two residuals at hand, and whether the last step extrapolated
+    m_a = np.zeros((k, rho.d_a, rho.d_a), dtype=complex)
+    res, used = m_a.copy(), m_a.copy()
+    since = np.full(k, 3)
+    ext = np.zeros(k, dtype=bool)
+    a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
+    for it in range(1, max_iter + 1):
+        value, t_vals, t_vecs, s_pow = einsum_half_step(o, r, s_vals, s_vecs)
+        if it == 1 and np.any(value == math.inf):
+            raise InvalidInputError("the start point must not be orthogonal to supp(rho_A)")
+        redo = ext & (value - prev > sl)
+        if redo.any():  # a rise after a secant step: the plain iterate, and no secant history
+            o_r = _orders(a[redo])
+            e_vals, p_vecs = np.linalg.eigh(m_a[redo])
+            p_vals = _one_sided_min(o_r, e_vals)[1]
+            s_vals[redo], s_vecs[redo], used[redo], since[redo] = p_vals, p_vecs, m_a[redo], it + 1
+            value[redo], t_vals[redo], t_vecs[redo], s_pow[redo] = einsum_half_step(
+                o_r, r[redo], p_vals, p_vecs)
+        rise = value - prev
+        if np.any(rise > sl):
+            j = int(np.argmax(rise - sl))
+            raise NumericalDegradationError(
+                f"objective increased by {rise[j]:.3e} at iteration {it} (alpha = {a[j]})"
+            )
+        history.append((rows, value))
+        # B -> A through the transposed tensor
+        kmat, _ = einsum_traced(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        g = np.full(rows.size, math.inf)
+        form = (rise >= -CONVERGING) | (it == max_iter)
+        if form.any():
+            g[form] = _fw_gap(o, value, s_vals, s_vecs, s_pow, kmat)[0][form]
+        done = (g <= GAP_TOL) & ((a > 0.5) | (rise >= -GAP_TOL))
+        if it == max_iter:
+            done[:] = True
+        # the secant step M_A - gamma dM_A of trace-1 M_A, gamma = <dR, R> / |dR|^2
+        tr = np.einsum("kii->k", kmat).real
+        m_new = kmat / tr[:, None, None]
+        res_new, m = m_new - used, kmat
+        ext = (a >= 0.5) & (it >= since) & ~done
+        if ext.any():
+            ext &= s_vals.min(axis=1) > SECANT_RATIO * s_vals.max(axis=1)
+            d_res = res_new - res
+            norm = np.einsum("kij,kij->k", d_res.conj(), d_res).real
+            gamma = np.einsum("kij,kij->k", d_res.conj(), res_new).real
+            gamma /= np.where(norm > 0, norm, 1.0)
+            m = np.where(ext[:, None, None], m_new - gamma[:, None, None] * (m_new - m_a), kmat)
+        m_vals, m_vecs = np.linalg.eigh(m)
+        bad = ext & (m_vals[:, 0] <= SECANT_RATIO ** a * m_vals[:, -1])
+        if bad.any():  # a step whose sigma falls under SECANT_RATIO: the plain M
+            m_vals[bad], m_vecs[bad] = np.linalg.eigh(kmat[bad])
+            ext &= ~bad
+        n_vals, n_vecs = _one_sided_min(o, m_vals)[1], m_vecs
+        m_a, res, used = m_new, res_new, np.where(ext[:, None, None], m, m_new)
+        if done.any():
+            diff = _compose(n_vals[done], n_vecs[done]) - _compose(s_vals[done], s_vecs[done])
+            moved = np.zeros(rows.size)
+            moved[done] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+            # from 1/2 on a row also needs its plain step to move sigma by at most
+            # 10 GAP_TOL: after secant steps the gap can read small while it does not
+            done &= ~((a >= 0.5) & (moved > 10 * GAP_TOL)) | (it == max_iter)
+        if not done.any():
+            s_vals, s_vecs, prev = n_vals, n_vecs, value
+            continue
+        fin = rows[done]
+        gap[fin], residual[fin] = g[done], moved[done]
+        rounds[fin] = it
+        last[0][fin], last[1][fin] = n_vals[done], n_vecs[done]
+        keep = ~done
+        rows, a, o, r, sl = rows[keep], a[keep], _orders(a[keep]), r[keep], sl[keep]
+        s_vals, s_vecs, prev = n_vals[keep], n_vecs[keep], value[keep]
+        m_a, res, used, since, ext = m_a[keep], res[keep], used[keep], since[keep], ext[keep]
+        if rows.size == 0:
+            break
+    # each row's values in round order: row j runs rounds 1 to rounds[j], so sort stably by row
+    order = np.argsort(np.concatenate([rw for rw, _ in history]), kind="stable")
+    traces = np.split(np.concatenate([v for _, v in history])[order], np.cumsum(rounds)[:-1])
+    # tau of every row, as one more stacked step, and the value at sigma x tau
+    value, t_vals, t_vecs = einsum_one_sided(alphas, rho, r_ab, tuple(last))
+    # the gap certifies only on supp(sigma) = supp(rho_A): below 1 a start that
+    # misses part of supp(rho_A) keeps that face, where the gap reads 0
+    full = np.count_nonzero(spectral_power(last[0], 0.0), axis=1) == np.count_nonzero(
+        spectral_power(rho.marginal_a.spectrum, 0.0))
+    solutions = [PrmiSolution(
+        value=float(value[j]),
+        alpha=float(alphas[j]),
+        sigma_a=DensityOperator.from_eigensystem(last[0][j], last[1][j]),
+        tau_b=DensityOperator.from_eigensystem(t_vals[j], t_vecs[j]),
+        residual=float(residual[j]),
+        iterations=int(rounds[j]),
+        objective_trace=tuple(traces[j].tolist()),
+        certified=bool(alphas[j] > 0.5 and gap[j] <= GAP_TOL and residual[j] <= 10 * GAP_TOL
+                       and full[j]),
+        gap=float(gap[j]),
+    ) for j in range(k)]
+    return solutions if np.ndim(alpha) else solutions[0]
+
+
+def einsum_solve_dd(alphas, rho: BipartiteState) -> list:
+    """dd at each of a stack of checked orders by the routes of `prmi_down_down`,
+    the one place that picks them and every loop row's start, from the state
+    alone, in one pass: pure and copy-cc states, recognized once per call, by one
+    `_dd_closed_form` stack; every loop row by one `einsum_run_fixed_point` stack, an
+    order in (1/2, 2] from rho_A, one at or below 1/2 from its starts. An order
+    with no route holds its UnsupportedRegimeError."""
+    alphas = np.array(alphas, dtype=float)
+    pure, pmf = rho.is_pure(), rho.diagonal_pmf_or_none()
+    closed = pure or _is_copy_cc(pmf)
+    a, b = rho.marginal_a, rho.marginal_b
+    solutions, one = {}, (alphas == 1.0) | _is_product(rho)
+    if one.any():
+        d = float(_up_up(np.ones(1), rho)[0])
+        solutions.update((j, _without_loop(d, alphas[j], a, b)) for j in np.flatnonzero(one))
+    if closed and (stack := np.flatnonzero(~one)).size:
+        solutions.update(zip(stack, _dd_closed_form(alphas[stack], rho, pure)))
+    loop = {}  # the starts of each loop order
+    for j in [] if closed else np.flatnonzero(~one):
+        alpha = float(alphas[j])
+        if alpha > 2.0:
+            solutions[j] = UnsupportedRegimeError(f"doubly minimized Renyi mutual information of "
+                                                  f"a generic state is not supported for "
+                                                  f"alpha = {alpha} > 2")
+        elif starts := ([a] if alpha > 0.5 else _low_starts(rho, pmf)):
+            loop[j] = starts
+        else:
+            solutions[j] = UnsupportedRegimeError(
+                "alpha <= 1/2 is only supported for pure, classical, or low-dimensional states")
+    if loop:
+        runs = einsum_run_fixed_point(
+            np.repeat(alphas[list(loop)], [len(s) for s in loop.values()]), rho,
+            sum(loop.values(), []))
+        for j, s in loop.items():  # each order's best run, the first of a tie
+            solutions[j], runs = min(runs[:len(s)], key=PrmiSolution.as_float), runs[len(s):]
+    return [solutions[j] for j in range(alphas.size)]
+
+
 # The alternating minimization as it was before its rounds extrapolated M_A and
 # formed the gap only for converging rows, less its infinite-row branch, which
 # no start that passes the solver's checks reaches; `test_fixed_point_gap`
@@ -484,7 +745,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
         raise InvalidInputError("the start point must cover supp(rho_A) for alpha > 1")
     s_vals = np.array([s.spectrum for s in starts])
     s_vecs = np.array([s.eigenvectors for s in starts])
-    r_ab = _rho_power(rho, alphas)
+    r_ab = einsum_rho_power(rho, alphas)
     # (alpha/(alpha-1)) log tr M^(1/alpha) scales the rounding of the log by
     # alpha/|alpha-1|, which outgrows the fixed slack near alpha = 1
     slack = MONOTONICITY_SLACK + 64 * np.finfo(float).eps * alphas / np.abs(alphas - 1.0)
@@ -497,7 +758,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     rows = np.arange(k)  # the rows still running, indexes into the stack
     a, o, r, sl, prev = alphas, _orders(alphas), r_ab, slack, np.full(k, math.inf)
     for it in range(1, max_iter + 1):
-        value, t_vals, t_vecs, s_pow = _half_step(o, r, s_vals, s_vecs)
+        value, t_vals, t_vecs, s_pow = einsum_half_step(o, r, s_vals, s_vecs)
         rise = value - prev
         if np.any(rise > sl):
             j = int(np.argmax(rise - sl))
@@ -506,7 +767,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
             )
         history.append((rows, value))
         # B -> A through the transposed tensor
-        kmat, _ = _traced(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+        kmat, _ = einsum_traced(o, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
         m_vals, n_vecs = np.linalg.eigh(kmat)
         n_vals = _one_sided_min(o, m_vals)[1]
         g = _fw_gap(o, value, s_vals, s_vecs, s_pow, kmat)[0]
@@ -530,7 +791,7 @@ def _run_fixed_point(alpha, rho: BipartiteState, sigma0, max_iter: int = MAX_ITE
     for t, (r, v) in enumerate(history):
         trace[t, r] = v
     # the value, tau and residual of every row, as one more stacked step
-    value, t_vals, t_vecs, _ = _half_step(_orders(alphas), r_ab, *last)
+    value, t_vals, t_vecs, _ = einsum_half_step(_orders(alphas), r_ab, *last)
     diff = _compose(*last) - _compose(*before)
     residual = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
     solutions = []

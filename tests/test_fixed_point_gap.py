@@ -50,7 +50,7 @@ def loop_arrays(alpha, rho, sigma):
     r = _rho_power(rho, a[0])
     value, t_vals, t_vecs, s_pow = _half_step(a, r, sigma.spectrum[None],
                                               sigma.eigenvectors[None])
-    k, _ = _traced(a, r.transpose(0, 2, 1, 4, 3), t_vals, t_vecs)
+    k, _ = _traced(a, r, t_vals, t_vecs, to_a=True)
     return a, value, s_pow, k
 
 
@@ -427,12 +427,17 @@ def test_half_step_and_gap_match_the_code_they_replace(dims, stack):
     """The half-step with its order constants formed once, and the gap read
     from its s^(1-alpha), against the copies in `reference` of the code
     before: values, minimizers, M and the gap at 1e-12, at alpha = 0 and at
-    5e-324, where 1/alpha overflows, too."""
+    5e-324, where 1/alpha overflows, too. The reference forms its M by an einsum
+    over rho^alpha as a five-index tensor, `_traced` by a matmul on R; the two
+    agree to rounding, and tau is also compared with the reference's step on
+    the M `_traced` formed: at alpha = 0, where rho^0 = 1 makes M = tr(sigma) 1
+    to rounding and every state a minimizer, the eigenvector picked follows
+    M's last bits."""
     rng = np.random.default_rng(8 * dims[0] + dims[1])
     rho = random_bipartite(*dims, rng)
     for alphas in DIFF_STACKS[stack]:
         orders = _orders(alphas)
-        r = _rho_power(rho, alphas)
+        r, r5 = _rho_power(rho, alphas), reference.einsum_rho_power(rho, alphas)
         for sigma in _sigmas(dims[0], rng):
             k = alphas.size
             vals = np.repeat(sigma.spectrum[None], k, axis=0)
@@ -440,12 +445,16 @@ def test_half_step_and_gap_match_the_code_they_replace(dims, stack):
             value, t_vals, t_vecs, s_pow = _half_step(orders, r, vals, vecs)
             m, _ = _traced(orders, r, vals, vecs)
             ref_value, ref_t_vals, ref_t_vecs, ref_m = reference._unhoisted_half_step(
-                alphas, r, vals, vecs)
+                alphas, r5, vals, vecs)
+            step_value, step_t_vals, step_t_vecs = reference._unhoisted_step(alphas, m)
+            tau, ref_tau = _compose(t_vals, t_vecs), _compose(ref_t_vals, ref_t_vecs)
+            zero = alphas < 1.0 / np.finfo(float).max
             for got, ref in ((value, ref_value), (t_vals, ref_t_vals), (m, ref_m),
-                             (_compose(t_vals, t_vecs), _compose(ref_t_vals, ref_t_vecs))):
+                             (tau[~zero], ref_tau[~zero]), (value, step_value),
+                             (t_vals, step_t_vals), (tau, _compose(step_t_vals, step_t_vecs))):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-            back = r.transpose(0, 2, 1, 4, 3)
-            k_mat = _traced(orders, back, t_vals, t_vecs)[0]
+            back = r5.transpose(0, 2, 1, 4, 3)
+            k_mat = _traced(orders, r, t_vals, t_vecs, to_a=True)[0]
             ref_k_mat = reference._unhoisted_half_step(alphas, back, ref_t_vals, ref_t_vecs)[3]
             np.testing.assert_allclose(
                 _fw_gap(orders, value, vals, vecs, s_pow, k_mat)[0],
